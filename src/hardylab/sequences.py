@@ -10,9 +10,9 @@ with s = 1/p - 2.  For any s > -1 the partial sums collapse to
 
     W_n = sum_{i<=n} w_i = ((n + s) / (1 + s)) * w_n,
 
-which the residual helpers verify.  Log-scale values are accumulated in
-parallel (with compensation) so criterion comparisons stay accurate where
-powers of w_n would lose precision or overflow.
+which the residual helpers verify.  Log-scale values are accumulated (with
+compensation) and w_n is their exponential, so criterion comparisons stay
+accurate where powers of w_n would lose precision or overflow.
 """
 
 from __future__ import annotations
@@ -144,10 +144,6 @@ class AuxSequence:
         _check_index(n, self.n_max)
         return float(self.W[n - 1])
 
-    def log_w_at(self, n: int) -> float:
-        _check_index(n, self.n_max)
-        return float(self.log_w[n - 1])
-
     def scaled(self, factor: float) -> "AuxSequence":
         """Copy with every w_n multiplied by a positive constant."""
         if not factor > 0.0:
@@ -181,38 +177,20 @@ def _ratio_recurrence(
         raise NonpositiveWeightError(
             f"recurrence shift {shift} <= -1 leaves the positive domain at n=2"
         )
-    w = np.empty(n_max)
-    W = np.empty(n_max)
+    # the compensated log accumulator is authoritative; the direct value is
+    # its exponential while representable (sequential products would drift
+    # past the consistency tolerance near n ~ 10^6).  log1p and exp stay on
+    # libm per element: numpy's vector forms differ in the last bit for some
+    # inputs, and the criterion brackets difference these logs finely
+    # enough to turn one ulp into visible slack.
     log_w = np.empty(n_max)
-    w[0] = 1.0
-    W[0] = 1.0
     log_w[0] = 0.0
-    sW, cW = 1.0, 0.0
-    sL, cL = 0.0, 0.0
-    exp = math.exp
-    log1p = math.log1p
-    for n in range(1, n_max):
-        x = log1p(shift / n)
-        t = sL + x
-        if abs(sL) >= abs(x):
-            cL += (sL - t) + x
-        else:
-            cL += (x - t) + sL
-        sL = t
-        lw = sL + cL
-        log_w[n] = lw
-        # the compensated log accumulator is authoritative; the direct value
-        # is its exponential while representable (sequential products would
-        # drift past the consistency tolerance near n ~ 10^6)
-        wn = exp(lw) if lw < 709.0 else math.inf
-        w[n] = wn
-        t = sW + wn
-        if abs(sW) >= abs(wn):
-            cW += (sW - t) + wn
-        else:
-            cW += (wn - t) + sW
-        sW = t
-        W[n] = sW + cW
+    steps = map(math.log1p, shift / np.arange(1, n_max))
+    log_w[1:] = neumaier_prefix_sums(np.fromiter(steps, float, n_max - 1))
+    w = np.full(n_max, math.inf)
+    finite = log_w < 709.0
+    w[finite] = np.fromiter(map(math.exp, log_w[finite]), float)
+    W = neumaier_prefix_sums(w)
     return AuxSequence(
         kind=kind,
         n_max=n_max,

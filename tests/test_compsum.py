@@ -1,0 +1,116 @@
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hardylab.compsum import _BLOCK, neumaier_prefix_sums, neumaier_suffix_sums
+
+
+def loop_prefix_sums(values) -> np.ndarray:
+    """Neumaier's recurrence one element at a time: the reference the
+    blocked kernel must reproduce bit for bit."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    out = np.empty(len(values))
+    s = 0.0
+    c = 0.0
+    for i, x in enumerate(values):
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        out[i] = s + c
+    return out
+
+
+def loop_suffix_sums(values) -> np.ndarray:
+    rev = np.asarray(values, dtype=float)[::-1]
+    return loop_prefix_sums(rev)[::-1].copy()
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def wide_range(rng, n):
+    """Mixed-sign values spanning 16 decades."""
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-8, 8, n)
+
+
+# sign * mantissa * 10**e with e in [-8, 8]: 16 decades, mixed signs
+wide_floats = st.builds(
+    lambda sign, m, e: sign * m * 10.0**e,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1.0, max_value=10.0),
+    st.integers(min_value=-8, max_value=8),
+)
+
+
+class TestBitIdentity:
+    @given(st.lists(wide_floats, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_and_suffix_match_loop(self, xs):
+        arr = np.array(xs, dtype=float)
+        assert_same_bits(neumaier_prefix_sums(arr), loop_prefix_sums(arr))
+        assert_same_bits(neumaier_suffix_sums(arr), loop_suffix_sums(arr))
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+    )
+    def test_block_boundary_lengths(self, n):
+        arr = wide_range(np.random.default_rng(n), n)
+        assert_same_bits(neumaier_prefix_sums(arr), loop_prefix_sums(arr))
+        assert_same_bits(neumaier_suffix_sums(arr), loop_suffix_sums(arr))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (np.arange(1, 400, dtype=np.float32) / np.float32(7.0)) ** 3,
+            np.arange(-500, 500) * 1234567,
+            [1, 2.5, -3, 1e-9, 7, 0.1, -0.0],
+            [-0.0, -0.0],
+        ],
+        ids=["float32", "int64", "list", "negative-zeros"],
+    )
+    def test_input_types(self, values):
+        assert_same_bits(neumaier_prefix_sums(values), loop_prefix_sums(values))
+        assert_same_bits(neumaier_suffix_sums(values), loop_suffix_sums(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e308, 1e308, -1e308, 1.0],
+            [1.0, math.inf, 2.0, -math.inf, 3.0],
+            [-math.inf, -1.0],
+            [1.0, math.nan, 3.0],
+            [math.nan] + [1.0] * (_BLOCK + 3),
+            [1.0] * (_BLOCK - 1) + [1e308, 1e308] + [1.0] * 5,
+        ],
+        ids=["overflow", "inf", "neg-inf", "nan", "nan-across-blocks",
+             "overflow-at-boundary"],
+    )
+    def test_nonfinite_values_without_warnings(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_prefix = neumaier_prefix_sums(values)
+            got_suffix = neumaier_suffix_sums(values)
+        assert_same_bits(got_prefix, loop_prefix_sums(values))
+        assert_same_bits(got_suffix, loop_suffix_sums(values))
+
+
+class TestAccuracy:
+    @given(st.lists(wide_floats, min_size=1, max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_error_against_fsum(self, xs):
+        # Neumaier's bound: |error| <= 2u|S| + O(n^2 u^2) sum|x_i|
+        eps = np.finfo(float).eps
+        n = len(xs)
+        exact = math.fsum(xs)
+        got = float(neumaier_prefix_sums(np.array(xs))[-1])
+        bound = 2.0 * eps * abs(exact) + n * n * eps * eps * math.fsum(map(abs, xs))
+        assert abs(got - exact) <= bound

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardylab.compsum import _BLOCK
 from hardylab.errors import (
     InvalidExponentError,
     NonpositiveWeightError,
@@ -13,6 +15,7 @@ from hardylab.errors import (
 from hardylab.sequences import (
     ExponentPair,
     WeightSequence,
+    _ratio_recurrence,
     conjugate_exponent,
     constant_aux_sequence,
     knopp_partial_sum_identity_residual,
@@ -219,6 +222,72 @@ class TestRecurrenceProperties:
         seq = knopp_sequence(ExponentPair.forward(1.2), -0.1, 2000)
         assert np.all(seq.w > 0.0)
         assert np.all(np.diff(seq.W) > 0.0)
+
+
+def loop_ratio_recurrence(shift, n_max):
+    """(w, W, log_w) from the recurrence run one index at a time with
+    Neumaier compensation: the reference the vectorized generator must
+    reproduce bit for bit."""
+    w = np.empty(n_max)
+    W = np.empty(n_max)
+    log_w = np.empty(n_max)
+    w[0] = W[0] = 1.0
+    log_w[0] = 0.0
+    sW, cW = 1.0, 0.0
+    sL, cL = 0.0, 0.0
+    for n in range(1, n_max):
+        x = math.log1p(shift / n)
+        t = sL + x
+        if abs(sL) >= abs(x):
+            cL += (sL - t) + x
+        else:
+            cL += (x - t) + sL
+        sL = t
+        lw = sL + cL
+        log_w[n] = lw
+        wn = math.exp(lw) if lw < 709.0 else math.inf
+        w[n] = wn
+        t = sW + wn
+        if abs(sW) >= abs(wn):
+            cW += (sW - t) + wn
+        else:
+            cW += (wn - t) + sW
+        sW = t
+        W[n] = sW + cW
+    return w, W, log_w
+
+
+def assert_matches_loop(seq, shift):
+    for got, want in zip((seq.w, seq.W, seq.log_w), loop_ratio_recurrence(shift, seq.n_max)):
+        assert got.tobytes() == want.tobytes()
+
+
+class TestRecurrenceBitIdentity:
+    N_MAXES = (1, 2, _BLOCK - 1, _BLOCK + 1, 100_000)
+
+    @pytest.mark.parametrize("shift", [-0.999, -0.5, 0.0, 1e-12, 0.5, 2.0, 8.0, 200.0])
+    def test_ratio_recurrence(self, shift):
+        # the loop is causal, so every shorter horizon is a prefix of the longest
+        ref = loop_ratio_recurrence(shift, self.N_MAXES[-1])
+        for n_max in self.N_MAXES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                seq = _ratio_recurrence("test", shift, n_max)
+            for got, want in zip((seq.w, seq.W, seq.log_w), ref):
+                assert got.tobytes() == want[:n_max].tobytes()
+        if shift == 200.0:
+            # w_n leaves exp's range near n = 2500 and is stored as inf
+            assert np.isinf(seq.w[-1])
+
+    @pytest.mark.parametrize("p, alpha", [(2.0, -0.499), (2.0, 0.5), (3.0, 1.0), (1.25, 0.7)])
+    def test_knopp_sequence(self, p, alpha):
+        seq = knopp_sequence(ExponentPair.forward(p), alpha, 2 * _BLOCK + 3)
+        assert_matches_loop(seq, alpha - 1.0 / p)
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 1.0 / 3.0, 0.45, 1.0 / 202.0])
+    def test_levin_steckin_sequence(self, p):
+        seq = levin_steckin_sequence(p, 2 * _BLOCK + 3)
+        assert_matches_loop(seq, 1.0 / p - 2.0)
 
 
 class TestPowerAuxSequence:
