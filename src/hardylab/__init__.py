@@ -73,6 +73,7 @@ from .sequences import (
     levin_steckin_sequence,
     power_aux_sequence,
     power_sum_bound_check,
+    power_sum_bound_checks,
     tail_decay_check,
 )
 from .verify import ClaimResult, run_verification

@@ -143,9 +143,15 @@ def _need(cfg: RunConfig, key: str) -> float:
     return float(value)
 
 
+def _get(cfg: RunConfig, key: str, default):
+    """The parameter's value, or ``default`` only when it was not given."""
+    value = cfg.parameters.get(key)
+    return default if value is None else value
+
+
 def _handle_check_knopp(cfg: RunConfig):
     p = _need(cfg, "p")
-    alpha = float(cfg.parameters.get("alpha") or 0.0)
+    alpha = float(_get(cfg, "alpha", 0.0))
     pair = ExponentPair.forward(p)
     U = cfg.parameters.get("U")
     U_val = float(U) if U is not None else classic_forward_constant(p)
@@ -184,7 +190,10 @@ def _handle_check_2_30(cfg: RunConfig):
 
 def _handle_check_2_4(cfg: RunConfig):
     p = _need(cfg, "p")
-    grid = np.linspace(0.0, 1.0 / p, int(cfg.parameters.get("grid_points") or 50))
+    points = int(_get(cfg, "grid_points", 50))
+    if points < 1:
+        raise WorkbenchError("--grid-points must be >= 1")
+    grid = np.linspace(0.0, 1.0 / p, points)
     report = check_2_4(p, grid, cfg.tolerances())
     return [_verdict_from_report(report)]
 
@@ -196,7 +205,7 @@ def _handle_check_2_3(cfg: RunConfig):
 
 
 def _handle_redheffer_solve(cfg: RunConfig):
-    c = float(cfg.parameters.get("c") or 2.5)
+    c = float(_get(cfg, "c", 2.5))
     if not c > 0.0:
         raise WorkbenchError("c must be positive")
     x = solve_x_half(1.0 / c)
@@ -286,7 +295,7 @@ def _family_from_config(cfg: RunConfig, length: int) -> SequenceFamily:
 def _operator_from_config(cfg: RunConfig) -> OperatorSpec:
     kind = str(cfg.parameters.get("kind") or "weighted-mean").replace("-", "_")
     if kind == "weighted_mean":
-        alpha = float(cfg.parameters.get("alpha") or 1.0)
+        alpha = float(_get(cfg, "alpha", 1.0))
         return OperatorSpec("weighted_mean", cfg.n_max, alpha=alpha)
     return OperatorSpec("copson_tail", cfg.n_max)
 
@@ -467,6 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    for key, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + key.replace("_", "-")
+            raise WorkbenchError(f"{flag} must be finite, got {value}")
     skip = {"command", "n_max", "seed", "tol_rel", "tol_abs", "format", "out"}
     parameters = {
         k: v for k, v in vars(args).items() if k not in skip and v is not None

@@ -289,40 +289,91 @@ class PowerSumBound(NamedTuple):
     direction: str
 
 
-def power_sum_bound_check(r: float, n: int, form: str = "product") -> PowerSumBound:
-    """Check a classical bound on sum_{i<=n} i**r against direct summation.
+def _running_fsums(terms) -> list[float]:
+    """math.fsum of every prefix of ``terms``, in one pass.
+
+    Carries Shewchuk's nonoverlapping partials (the exact running sum behind
+    math.fsum) along the sequence and rounds them once per prefix, so entry
+    n - 1 equals math.fsum(terms[:n]) bit for bit; a single partial is its
+    own rounding.  Like math.fsum, raises OverflowError when a running sum
+    of finite terms leaves the float range.
+    """
+    partials: list[float] = []
+    sums = []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        if math.isinf(x):
+            raise OverflowError("intermediate overflow in fsum")
+        partials[i:] = [x]
+        sums.append(x if i == 0 else math.fsum(partials))
+    return sums
+
+
+def _power_sum_bounds(r: float, form: str, lhs: list[float]) -> list[PowerSumBound]:
+    """Compare each lhs[n - 1] = sum_{i<=n} i**r with the bound at n, for an
+    already validated (form, r)."""
+    rows = []
+    for n, lhs_n in enumerate(lhs, start=1):
+        if form == "product":
+            rhs = n * (n + 1.0) ** r / (r + 1.0)
+            direction = ">="
+        else:
+            # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is stable
+            u = math.log1p(1.0 / n)
+            factor = 1.0 / u if r == 0.0 else r / math.expm1(r * u)
+            rhs = (n + 1.0) ** r / (r + 1.0) * factor
+            direction = ">=" if r >= 1.0 else "<="
+        tol = 1e-12 * max(abs(lhs_n), abs(rhs))
+        if direction == ">=":
+            holds = lhs_n - rhs >= -tol
+        else:
+            holds = rhs - lhs_n >= -tol
+        rows.append(PowerSumBound(lhs_n, rhs, holds, direction))
+    return rows
+
+
+def power_sum_bound_checks(
+    r: float, n_max: int, form: str = "product"
+) -> list[PowerSumBound]:
+    """Check a classical bound on sum_{i<=n} i**r for every n = 1..n_max.
 
     form="product":  sum >= n (n+1)**r / (r+1),  for 0 <= r <= 1.
     form="ratio":    sum >= (r/(r+1)) n**r (n+1)**r / ((n+1)**r - n**r)
                      for r >= 1; the comparison reverses for -1 < r <= 1.
 
-    Returns both sides and whether the inequality appropriate to (form, r)
-    holds (non-strict, relative tolerance 1e-12).
+    Row n - 1 holds both sides at n and whether the inequality appropriate
+    to (form, r) holds (non-strict, relative tolerance 1e-12).  The sums are
+    exactly rounded running sums: each lhs equals
+    math.fsum(float(i) ** r for i in range(1, n + 1)) bit for bit.
     """
-    if n < 1:
+    if n_max < 1:
         raise OutOfDomainError("n must be >= 1")
-    lhs = math.fsum(float(i) ** r for i in range(1, n + 1))
     if form == "product":
         if not 0.0 <= r <= 1.0:
             raise OutOfDomainError(f"product form needs 0 <= r <= 1, got r={r}")
-        rhs = n * (n + 1.0) ** r / (r + 1.0)
-        direction = ">="
     elif form == "ratio":
         if r <= -1.0:
             raise OutOfDomainError(f"ratio form needs r > -1, got r={r}")
-        # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is stable
-        u = math.log1p(1.0 / n)
-        factor = 1.0 / u if r == 0.0 else r / math.expm1(r * u)
-        rhs = (n + 1.0) ** r / (r + 1.0) * factor
-        direction = ">=" if r >= 1.0 else "<="
+        if not math.isfinite(r):
+            raise OutOfDomainError(f"ratio form needs a finite r, got r={r}")
     else:
         raise OutOfDomainError(f"unknown form {form!r}")
-    tol = 1e-12 * max(abs(lhs), abs(rhs))
-    if direction == ">=":
-        holds = lhs - rhs >= -tol
-    else:
-        holds = rhs - lhs >= -tol
-    return PowerSumBound(lhs, rhs, holds, direction)
+    lhs = _running_fsums(float(i) ** r for i in range(1, n_max + 1))
+    return _power_sum_bounds(r, form, lhs)
+
+
+def power_sum_bound_check(r: float, n: int, form: str = "product") -> PowerSumBound:
+    """The row of power_sum_bound_checks(r, n, form) at n."""
+    return power_sum_bound_checks(r, n, form)[-1]
 
 
 class TailDecay(NamedTuple):

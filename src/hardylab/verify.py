@@ -49,7 +49,7 @@ from .sequences import (
     WeightSequence,
     knopp_sequence,
     levin_steckin_sequence,
-    power_sum_bound_check,
+    power_sum_bound_checks,
 )
 
 DEFAULT_SEED = 12345
@@ -344,23 +344,23 @@ def hardy_bracketing_claims(n_max: int = 10000) -> list[ClaimResult]:
 def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     """Power-sum bound grids, recurrent-inequality residuals, step bound."""
     rows = []
-    ns = range(1, 1001)
+    n_max = 1000
     ok4 = all(
-        power_sum_bound_check(float(r), n, "product").holds
+        row.holds
         for r in np.linspace(0.0, 1.0, 11)
-        for n in ns
+        for row in power_sum_bound_checks(float(r), n_max, "product")
     )
     rows.append(ClaimResult("8.1-power-sum-product", "lem0.4", ok4))
     ok201 = all(
-        power_sum_bound_check(r, n, "ratio").holds
+        row.holds
         for r in (1.0, 1.5, 2.0, 3.0)
-        for n in ns
+        for row in power_sum_bound_checks(r, n_max, "ratio")
     )
     rows.append(ClaimResult("8.2-power-sum-ratio", "lem0.201", ok201))
     ok_rev = all(
-        power_sum_bound_check(r, n, "ratio").holds
+        row.holds
         for r in (-0.9, -0.5, 0.0, 0.5, 1.0)
-        for n in ns
+        for row in power_sum_bound_checks(r, n_max, "ratio")
     )
     rows.append(ClaimResult("8.3-power-sum-ratio-reverse", "lem0.201", ok_rev))
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hardylab.cli import main
+from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
 
 REQUIRED_VERDICT_KEYS = {
     "claim",
@@ -53,6 +54,55 @@ class TestExitCodes:
             capsys, "check-knopp", "--p", "2", "--tol-rel", "-1"
         )
         assert status == 2
+
+
+class TestExplicitArguments:
+    """A value given on the command line is used as given: an explicit zero
+    is not replaced by the default, and a value outside the domain exits 2."""
+
+    def test_alpha_zero_is_not_replaced_by_one(self, capsys):
+        argv = ("norm-ratio", "--kind", "weighted-mean", "--p", "2",
+                "--n-max", "1000", "--format", "json")
+        status, out, _ = run_cli(capsys, *argv, "--alpha", "0")
+        assert status == 0
+        payload = json.loads(out)
+        assert payload["params"]["alpha"] == 0.0
+        want = norm_ratio(
+            OperatorSpec("weighted_mean", 1000, alpha=0.0),
+            SequenceFamily("power_decay", 1000, 1.5),
+            2.0,
+        )
+        assert payload["verdicts"][0]["value"] == want
+        _, out_one, _ = run_cli(capsys, *argv, "--alpha", "1")
+        assert json.loads(out_one)["verdicts"][0]["value"] != want
+
+    def test_redheffer_solve_c_zero_exits_two(self, capsys):
+        status, out, err = run_cli(capsys, "redheffer-solve", "--c", "0")
+        assert status == 2
+        assert "c must be positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_check_2_4_grid_points_below_one_exits_two(self, capsys, points):
+        status, _, err = run_cli(
+            capsys, "check-2-4", "--p", "2", "--grid-points", points
+        )
+        assert status == 2
+        assert "--grid-points" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("redheffer-check", "--p", "0.34", "--c", "1.9", "--beta", "nan"),
+            ("check-knopp", "--p", "inf"),
+            ("check-knopp", "--p", "2", "--tol-rel", "nan"),
+        ],
+    )
+    def test_nonfinite_argument_exits_two(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert "must be finite" in err
+        assert out == ""
 
 
 class TestJsonReports:

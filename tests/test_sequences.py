@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardylab.compsum import _BLOCK
 from hardylab.errors import (
@@ -24,8 +24,10 @@ from hardylab.sequences import (
     levin_steckin_sequence,
     power_aux_sequence,
     power_sum_bound_check,
+    power_sum_bound_checks,
     tail_decay_check,
 )
+from hardylab.verify import DEFAULT_SEED, ClaimResult, lemma_suite_claims
 
 
 class TestConjugateExponent:
@@ -361,6 +363,139 @@ class TestPowerSumBounds:
             power_sum_bound_check(0.5, 0)
         with pytest.raises(OutOfDomainError):
             power_sum_bound_check(0.5, 5, "unknown")
+
+
+def fsum_power_sum_bound_check(r, n, form="product"):
+    """The bound check re-summing i**r from scratch with math.fsum: the
+    reference every row of power_sum_bound_checks must reproduce bit for
+    bit."""
+    if n < 1:
+        raise OutOfDomainError("n must be >= 1")
+    lhs = math.fsum(float(i) ** r for i in range(1, n + 1))
+    if form == "product":
+        if not 0.0 <= r <= 1.0:
+            raise OutOfDomainError(f"product form needs 0 <= r <= 1, got r={r}")
+        rhs = n * (n + 1.0) ** r / (r + 1.0)
+        direction = ">="
+    elif form == "ratio":
+        if r <= -1.0:
+            raise OutOfDomainError(f"ratio form needs r > -1, got r={r}")
+        u = math.log1p(1.0 / n)
+        factor = 1.0 / u if r == 0.0 else r / math.expm1(r * u)
+        rhs = (n + 1.0) ** r / (r + 1.0) * factor
+        direction = ">=" if r >= 1.0 else "<="
+    else:
+        raise OutOfDomainError(f"unknown form {form!r}")
+    tol = 1e-12 * max(abs(lhs), abs(rhs))
+    if direction == ">=":
+        holds = lhs - rhs >= -tol
+    else:
+        holds = rhs - lhs >= -tol
+    return lhs, rhs, holds, direction
+
+
+def assert_rows_match_fsum(r, n_max, form):
+    rows = power_sum_bound_checks(r, n_max, form)
+    assert len(rows) == n_max
+    for n, row in enumerate(rows, start=1):
+        lhs, rhs, holds, direction = fsum_power_sum_bound_check(r, n, form)
+        assert (row.lhs.hex(), row.rhs.hex()) == (lhs.hex(), rhs.hex()), (r, n)
+        assert (row.holds, row.direction) == (holds, direction), (r, n)
+
+
+# the exponents of claims 8.1, 8.2 and 8.3 in verify.lemma_suite_claims
+LEMMA_GRID = (
+    [("product", float(r)) for r in np.linspace(0.0, 1.0, 11)]
+    + [("ratio", r) for r in (1.0, 1.5, 2.0, 3.0)]
+    + [("ratio", r) for r in (-0.9, -0.5, 0.0, 0.5, 1.0)]
+)
+
+
+class TestPowerSumRunningSums:
+    @pytest.mark.parametrize("form, r", LEMMA_GRID)
+    def test_lemma_grid_matches_fsum(self, form, r):
+        assert_rows_match_fsum(r, 1000, form)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.just("product"), st.floats(0.0, 1.0)),
+            st.tuples(
+                st.just("ratio"), st.floats(-1.0, 4.0, exclude_min=True)
+            ),
+        ),
+        st.integers(1, 3000),
+    )
+    @example(("product", 0.37), 3000)
+    def test_drawn_exponents_match_fsum(self, form_r, n_max):
+        form, r = form_r
+        assert_rows_match_fsum(r, n_max, form)
+
+    def test_scalar_is_last_row(self):
+        for form, r in (("product", 0.3), ("ratio", 2.5), ("ratio", -0.7)):
+            for n in (1, 2, 57):
+                assert power_sum_bound_check(r, n, form) == (
+                    power_sum_bound_checks(r, n, form)[-1]
+                )
+
+    @pytest.mark.parametrize(
+        "r, n, form",
+        [
+            (0.5, 0, "product"),
+            (0.5, -3, "ratio"),
+            (0.5, 5, "unknown"),
+            (-0.1, 5, "product"),
+            (1.5, 5, "product"),
+            (-1.0, 5, "ratio"),
+            (-2.0, 5, "ratio"),
+            (math.nan, 5, "product"),
+            (math.nan, 5, "ratio"),
+            (math.inf, 5, "product"),
+            (math.inf, 5, "ratio"),
+            (-math.inf, 5, "ratio"),
+        ],
+    )
+    def test_domain_errors(self, r, n, form):
+        for check in (power_sum_bound_checks, power_sum_bound_check):
+            with pytest.raises(OutOfDomainError):
+                check(r, n, form)
+        if math.isfinite(r):
+            with pytest.raises(OutOfDomainError):
+                fsum_power_sum_bound_check(r, n, form)
+
+    @pytest.mark.parametrize(
+        "r, form", [(0.5, "unknown"), (2.0, "product"), (math.inf, "ratio")]
+    )
+    def test_validates_before_summing(self, r, form):
+        # summing 10**12 terms first would not return in any test's lifetime
+        with pytest.raises(OutOfDomainError):
+            power_sum_bound_checks(r, 10**12, form)
+
+    def test_overflow_matches_fsum(self):
+        # each term 1000**102.5 ~ 3e307 is finite, the prefix at n = 1000 is not
+        r = 102.5
+        with pytest.raises(OverflowError):
+            fsum_power_sum_bound_check(r, 1000, "ratio")
+        with pytest.raises(OverflowError):
+            power_sum_bound_checks(r, 1000, "ratio")
+        assert_rows_match_fsum(r, 600, "ratio")
+
+    def test_lemma_suite_rows_unchanged(self):
+        rows = lemma_suite_claims(DEFAULT_SEED)
+        assert rows == [
+            ClaimResult("8.1-power-sum-product", "lem0.4", True),
+            ClaimResult("8.2-power-sum-ratio", "lem0.201", True),
+            ClaimResult("8.3-power-sum-ratio-reverse", "lem0.201", True),
+            ClaimResult(
+                "8.4-partial-sum-lemma", "6.1", True, value=0.10204056361975233
+            ),
+            ClaimResult(
+                "8.5-tail-sum-lemma", "6.5", True, value=0.020252894166175484
+            ),
+            ClaimResult(
+                "8.6-single-step-grid", "6.6", True, value=7.948649793920737e-08
+            ),
+        ]
 
 
 class TestTailDecay:
