@@ -60,7 +60,7 @@ from .redheffer import (
     scan_params,
     solve_x_half,
 )
-from .reports import CriterionReport, TargetConstant, Tolerances
+from .reports import CriterionReport, Tolerances, Verdict
 from .sequences import (
     AuxSequence,
     ExponentPair,
@@ -76,6 +76,6 @@ from .sequences import (
     power_sum_bound_checks,
     tail_decay_check,
 )
-from .verify import ClaimResult, run_verification
+from .verify import run_verification
 
 __version__ = "0.1.0"

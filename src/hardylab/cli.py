@@ -3,8 +3,9 @@
 Subcommands run individual checks, parameter scans, or the full
 verification suite, and emit reports as text, JSON, or CSV.  Exit status:
 0 when every verdict holds, 1 when some verdict fails, 2 on invalid
-parameters.  Identical configurations (including the seed) produce
-byte-identical JSON apart from the wall_time field.
+parameters, 3 on an unexpected internal error (reported on one line of
+standard error, without a traceback).  Identical configurations (including
+the seed) produce byte-identical JSON apart from the wall_time field.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .criteria import (
     check_2_3,
@@ -39,16 +39,16 @@ from .operators import (
 )
 from .redheffer import (
     RedhefferParams,
+    balance_solution_half,
     condition_6_49_check,
     condition_6_50_check,
     condition_6_54_check,
     k_of_p,
     scan_params,
-    solve_x_half,
 )
-from .reports import FINITE_HORIZON_NOTE, CriterionReport, Tolerances
+from .reports import FINITE_HORIZON_NOTE, Tolerances, Verdict
 from .sequences import ExponentPair, WeightSequence, knopp_sequence
-from .verify import DEFAULT_SEED, ClaimResult, run_verification
+from .verify import DEFAULT_SEED, THEOREM6_FLOOR, run_verification
 
 
 @dataclass
@@ -65,8 +65,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise WorkbenchError("n_max must be >= 1")
-        if self.tol_abs < 0.0 or self.tol_rel < 0.0:
-            raise WorkbenchError("tolerances must be nonnegative")
+        self.tolerances()  # validates tol_abs and tol_rel
         if self.output_format not in ("json", "csv", "text"):
             raise WorkbenchError(f"unknown format {self.output_format!r}")
 
@@ -79,61 +78,15 @@ class Report:
     command: str
     params: dict
     n_max: int
-    verdicts: list
+    verdicts: list[Verdict]
     wall_time: float
     note: str = FINITE_HORIZON_NOTE
-    extra_rows = None  # streamed per-point rows for scan CSV output
+    # redheffer-scan only: one record per grid point, streamed into CSV output
+    scan_rows: Iterable[dict] | None = None
 
     @property
     def all_hold(self) -> bool:
-        return all(v["holds"] for v in self.verdicts)
-
-
-def _clean(value):
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def _verdict(claim, ref, holds, *, min_slack=None, first_failure=None,
-             exploratory=False, value=None, detail=""):
-    return {
-        "claim": str(claim),
-        "paper_ref": str(ref),
-        "holds": bool(holds),
-        "min_slack": _clean(min_slack),
-        "first_failure": _clean(first_failure),
-        "exploratory": bool(exploratory),
-        "value": _clean(value),
-        "detail": str(detail),
-    }
-
-
-def _verdict_from_report(report: CriterionReport) -> dict:
-    return _verdict(
-        report.name,
-        report.ref,
-        report.holds,
-        min_slack=report.min_slack,
-        first_failure=report.first_failure,
-        exploratory=report.exploratory,
-        detail=report.summary(),
-    )
-
-
-def _verdict_from_claim(row: ClaimResult) -> dict:
-    return _verdict(
-        row.claim,
-        row.ref,
-        row.holds,
-        min_slack=row.min_slack,
-        first_failure=row.first_failure,
-        exploratory=row.exploratory,
-        value=row.value,
-        detail=row.detail,
-    )
+        return all(v.holds for v in self.verdicts)
 
 
 def _need(cfg: RunConfig, key: str) -> float:
@@ -149,83 +102,77 @@ def _get(cfg: RunConfig, key: str, default):
     return default if value is None else value
 
 
-def _handle_check_knopp(cfg: RunConfig):
+# What a handler returns: its verdicts and, for redheffer-scan only, one
+# record per scan grid point.
+Outcome = tuple[list[Verdict], Iterable[dict] | None]
+
+
+def _handle_check_knopp(cfg: RunConfig) -> Outcome:
     p = _need(cfg, "p")
     alpha = float(_get(cfg, "alpha", 0.0))
     pair = ExponentPair.forward(p)
-    U = cfg.parameters.get("U")
-    U_val = float(U) if U is not None else classic_forward_constant(p)
+    U = float(_get(cfg, "U", classic_forward_constant(p)))
     w = knopp_sequence(pair, alpha, cfg.n_max + 1)
     lam = WeightSequence.constant(cfg.n_max + 1)
     report = knopp_criterion_check(
         w,
         lam,
         pair,
-        U_val,
+        U,
         cfg.n_max,
         cfg.tolerances(),
-        name=f"knopp[p={p},alpha={alpha},U={U_val}]",
+        name=f"knopp[p={p},alpha={alpha},U={U}]",
         exploratory=alpha != 0.0,
     )
-    return [_verdict_from_report(report)]
+    return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_20(cfg: RunConfig):
+def _handle_check_2_20(cfg: RunConfig) -> Outcome:
     pair = ExponentPair.forward(_need(cfg, "p"))
     report = criterion_2_20_check(
         _need(cfg, "alpha"), pair, cfg.n_max, cfg.tolerances()
     )
-    return [_verdict_from_report(report)]
+    return [Verdict.from_report(report)], None
 
 
-def _handle_check_reverse(cfg: RunConfig):
+def _handle_check_reverse(cfg: RunConfig) -> Outcome:
     report = reverse_criterion_check(_need(cfg, "p"), cfg.n_max, cfg.tolerances())
-    return [_verdict_from_report(report)]
+    return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_30(cfg: RunConfig):
+def _handle_check_2_30(cfg: RunConfig) -> Outcome:
     report = check_2_30(_need(cfg, "p"), cfg.n_max, cfg.tolerances())
-    return [_verdict_from_report(report)]
+    return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_4(cfg: RunConfig):
+def _handle_check_2_4(cfg: RunConfig) -> Outcome:
     p = _need(cfg, "p")
     points = int(_get(cfg, "grid_points", 50))
     if points < 1:
         raise WorkbenchError("--grid-points must be >= 1")
-    grid = np.linspace(0.0, 1.0 / p, points)
-    report = check_2_4(p, grid, cfg.tolerances())
-    return [_verdict_from_report(report)]
+    report = check_2_4(p, points, cfg.tolerances())
+    return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_3(cfg: RunConfig):
+def _handle_check_2_3(cfg: RunConfig) -> Outcome:
     pair = ExponentPair.forward(_need(cfg, "p"))
     report = check_2_3(_need(cfg, "alpha"), pair, cfg.n_max, cfg.tolerances())
-    return [_verdict_from_report(report)]
+    return [Verdict.from_report(report)], None
 
 
-def _handle_redheffer_solve(cfg: RunConfig):
-    c = float(_get(cfg, "c", 2.5))
-    if not c > 0.0:
-        raise WorkbenchError("c must be positive")
-    x = solve_x_half(1.0 / c)
-    beta = 1.0 - c * x
-    residual = abs(
-        math.sqrt(1.0 + x)
-        - math.sqrt(2.0) * (math.sqrt(1.0 + 1.0 / c + x) - math.sqrt(x))
-    )
-    params = RedhefferParams(p=0.5, c=c, beta=beta)
-    k = k_of_p(params, cfg.n_max)
+def _handle_redheffer_solve(cfg: RunConfig) -> Outcome:
+    sol = balance_solution_half(float(_get(cfg, "c", 2.5)), cfg.n_max)
+    beta, k = sol.params.beta, sol.params.k
     return [
-        _verdict("x", "x(c')", residual < 1e-12, value=x,
-                 detail=f"balance residual {residual:.2e}"),
-        _verdict("beta", "x(c')", beta <= 1.0, value=beta),
-        _verdict("k", "k(p)", condition_6_50_check(params, k), value=k),
-        _verdict("reciprocal", "thm6", 1.0 / k > 0.8967, value=1.0 / k),
-    ]
+        Verdict("x", "x(c')", sol.residual < 1e-12, value=sol.x,
+                detail=f"balance residual {sol.residual:.2e}"),
+        Verdict("beta", "x(c')", beta <= 1.0, value=beta),
+        Verdict("k", "k(p)", condition_6_50_check(sol.params), value=k),
+        Verdict("reciprocal", "thm6", 1.0 / k > THEOREM6_FLOOR, value=1.0 / k),
+    ], None
 
 
-def _handle_redheffer_check(cfg: RunConfig):
+def _handle_redheffer_check(cfg: RunConfig) -> Outcome:
     params = RedhefferParams(
         p=_need(cfg, "p"), c=_need(cfg, "c"), beta=_need(cfg, "beta")
     )
@@ -235,49 +182,45 @@ def _handle_redheffer_check(cfg: RunConfig):
     full = condition_6_49_check(params, cfg.n_max, k_val, tol)
     reduced = condition_6_49_check(params, 2, k_val, tol)
     verdicts = [
-        _verdict_from_report(full),
-        _verdict(
+        Verdict.from_report(full),
+        Verdict(
             f"6.50[p={params.p},c={params.c}]", "6.50",
             condition_6_50_check(params, k_val, tol), value=k_val,
         ),
-        _verdict(
+        Verdict(
             f"6.51[p={params.p},c={params.c},beta={params.beta}]", "6.51",
             reduced.holds, min_slack=reduced.min_slack, value=k_val,
         ),
     ]
     if 0.0 < params.p < 0.5:
         verdicts.append(
-            _verdict(
+            Verdict(
                 f"6.54[p={params.p},beta={params.beta}]", "6.54",
                 condition_6_54_check(params.p, params.beta), value=params.beta,
             )
         )
-    return verdicts
+    return verdicts, None
 
 
-def _handle_redheffer_scan(cfg: RunConfig):
+def _handle_redheffer_scan(cfg: RunConfig) -> Outcome:
     result = scan_params(_need(cfg, "p"), n_max=cfg.n_max, tol=cfg.tolerances())
     if result.best is None:
-        verdicts = [
-            _verdict(
-                "scan-best", "6.49", False,
-                detail=f"no feasible point among {result.n_points}",
-            )
-        ]
+        verdict = Verdict(
+            "scan-best", "6.49", False,
+            detail=f"no feasible point among {result.n_points}",
+        )
     else:
-        verdicts = [
-            _verdict(
-                "scan-best", "6.49",
-                result.best_report.holds,
-                min_slack=result.best_report.min_slack,
-                value=result.best.k,
-                detail=(
-                    f"c={result.best.c}, beta={result.best.beta}, "
-                    f"feasible {result.feasible_count}/{result.n_points}"
-                ),
-            )
-        ]
-    return verdicts, result
+        verdict = Verdict(
+            "scan-best", "6.49",
+            result.best_report.holds,
+            min_slack=result.best_report.min_slack,
+            value=result.best.k,
+            detail=(
+                f"c={result.best.c}, beta={result.best.beta}, "
+                f"feasible {result.feasible_count}/{result.n_points}"
+            ),
+        )
+    return [verdict], result.iter_rows()
 
 
 def _family_from_config(cfg: RunConfig, length: int) -> SequenceFamily:
@@ -300,32 +243,32 @@ def _operator_from_config(cfg: RunConfig) -> OperatorSpec:
     return OperatorSpec("copson_tail", cfg.n_max)
 
 
-def _handle_norm_ratio(cfg: RunConfig):
+def _handle_norm_ratio(cfg: RunConfig) -> Outcome:
     op = _operator_from_config(cfg)
     fam = _family_from_config(cfg, cfg.n_max)
     ratio = norm_ratio(op, fam, _need(cfg, "p"))
     return [
-        _verdict(
+        Verdict(
             f"norm-ratio[{op.kind},{fam.label()}]", "(8)", True, value=ratio,
             detail="measurement, not a criterion",
         )
-    ]
+    ], None
 
 
-def _handle_extremal_search(cfg: RunConfig):
+def _handle_extremal_search(cfg: RunConfig) -> Outcome:
     op = _operator_from_config(cfg)
     p = _need(cfg, "p")
     result = extremal_search(op, p, default_power_grid(p, cfg.n_max))
     return [
-        _verdict(
+        Verdict(
             f"extremal[{op.kind},p={p}]", "(8)", True, value=result.best_ratio,
             detail=f"best family {result.best_family.label()}",
         )
-    ]
+    ], None
 
 
-def _handle_verify_paper(cfg: RunConfig):
-    return [_verdict_from_claim(row) for row in run_verification(cfg.n_max, cfg.seed)]
+def _handle_verify_paper(cfg: RunConfig) -> Outcome:
+    return run_verification(cfg.n_max, cfg.seed), None
 
 
 _HANDLERS = {
@@ -350,27 +293,19 @@ def run(config: RunConfig) -> Report:
     if handler is None:
         raise WorkbenchError(f"unknown command {config.command!r}")
     start = time.perf_counter()
-    outcome = handler(config)
-    extra = None
-    if isinstance(outcome, tuple):
-        verdicts, scan = outcome
-        extra = scan.iter_rows()
-    else:
-        verdicts = outcome
-    verdicts = sorted(verdicts, key=lambda v: v["claim"])
-    report = Report(
+    verdicts, scan_rows = handler(config)
+    return Report(
         command=config.command,
         params=_echo_params(config),
         n_max=config.n_max,
-        verdicts=verdicts,
+        verdicts=sorted(verdicts, key=lambda v: v.claim),
         wall_time=time.perf_counter() - start,
+        scan_rows=scan_rows,
     )
-    report.extra_rows = extra
-    return report
 
 
 def _echo_params(config: RunConfig) -> dict:
-    params = {k: _clean(v) for k, v in sorted(config.parameters.items())}
+    params = dict(sorted(config.parameters.items()))
     params.update(
         seed=config.seed,
         tol_abs=config.tol_abs,
@@ -386,7 +321,7 @@ def render_json(report: Report) -> str:
         "params": report.params,
         "n_max": report.n_max,
         "note": report.note,
-        "verdicts": report.verdicts,
+        "verdicts": list(map(Verdict.to_dict, report.verdicts)),
         "wall_time": report.wall_time,
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -401,13 +336,13 @@ def render_csv(report: Report) -> str:
     )
     def cell(x):
         return "" if x is None else x
-    for v in report.verdicts:
+    for v in map(Verdict.to_dict, report.verdicts):
         writer.writerow(
             [v["claim"], v["paper_ref"], v["holds"], cell(v["min_slack"]),
              cell(v["first_failure"]), v["exploratory"], cell(v["value"])]
         )
-    if report.extra_rows is not None:
-        for row in report.extra_rows:
+    if report.scan_rows is not None:
+        for row in report.scan_rows:
             writer.writerow(
                 [f"scan-point[c={row['c']},beta={row['beta']}]", "6.49",
                  row["feasible"], "", "", "", row["k"]]
@@ -423,7 +358,7 @@ def render_text(report: Report) -> str:
     )
     lines.append(f"n_max: {report.n_max}")
     lines.append(f"note: {report.note}")
-    for v in report.verdicts:
+    for v in map(Verdict.to_dict, report.verdicts):
         status = "holds" if v["holds"] else "FAILS"
         bits = [f"{v['claim']:<42s} [{v['paper_ref']}] {status}"]
         if v["min_slack"] is not None:
@@ -502,15 +437,18 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         report = run(config)
+        rendered = _RENDERERS[config.output_format](report)
+        if config.out:
+            with open(config.out, "w") as fh:
+                fh.write(rendered)
+        else:
+            sys.stdout.write(rendered)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = _RENDERERS[config.output_format](report)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if report.all_hold else 1
 
 

@@ -16,12 +16,13 @@ as a failure at that index (slack -inf), never as an exception.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfDomainError, ParameterMismatchError, PreconditionError
-from .reports import CriterionReport, TargetConstant, Tolerances, build_report
+from .reports import CriterionReport, Tolerances, build_report
 from .sequences import (
     AuxSequence,
     ExponentPair,
@@ -51,13 +52,6 @@ def reverse_tail_constant(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise OutOfDomainError(f"reverse constant needs 0 < p < 1, got {p}")
     return ((1.0 - p) / p) ** (p / (1.0 - p))
-
-
-def _as_constant(U: TargetConstant | float) -> float:
-    value = U.U if isinstance(U, TargetConstant) else float(U)
-    if not value > 0.0:
-        raise OutOfDomainError("target constant must be positive")
-    return value
 
 
 def _bracket_slacks(
@@ -93,7 +87,7 @@ def knopp_criterion_check(
     w: AuxSequence,
     weights: WeightSequence,
     params: ExponentPair,
-    U: TargetConstant | float,
+    U: float,
     n_max: int,
     tol: Tolerances | None = None,
     *,
@@ -113,12 +107,13 @@ def knopp_criterion_check(
         raise ParameterMismatchError(
             f"sequences must be generated through n_max+1={n_max + 1}"
         )
-    U_val = _as_constant(U)
+    if not U > 0.0:
+        raise OutOfDomainError("target constant must be positive")
     log_t = (p - 1.0) * w.log_w[: n_max + 1] - p * weights.log_lam[: n_max + 1]
     log_lhs = (p - 1.0) * np.log(w.W[:n_max])
     log_factor = p * np.log(weights.Lam[:n_max])
-    slacks, log_rhs = _bracket_slacks(log_lhs, math.log(U_val), log_factor, log_t)
-    label = name or f"knopp[p={params.p},U={U_val}]"
+    slacks, log_rhs = _bracket_slacks(log_lhs, math.log(U), log_factor, log_t)
+    label = name or f"knopp[p={params.p},U={U}]"
     return build_report(
         label,
         ref,
@@ -312,18 +307,21 @@ def check_2_30(
 
 def check_2_4(
     p: float,
-    alpha_grid,
+    alpha_grid: int | Iterable[float],
     tol: Tolerances | None = None,
 ) -> CriterionReport:
     """Scalar family behind the n = 1 case of the power-choice criterion:
 
         1 - 2**(-(p-1)/p - alpha) > (1 - 1/((alpha+1)p))**p
 
-    on a grid of alpha in [0, 1/p], for p >= 3.  Grid positions stand in
-    for indices in the report.
+    on a grid of alpha in [0, 1/p], for p >= 3.  An int grid is a count of
+    evenly spaced points over [0, 1/p].  Grid positions stand in for
+    indices in the report.
     """
     if not p >= 3.0:
         raise OutOfDomainError(f"established range needs p >= 3, got {p}")
+    if isinstance(alpha_grid, int):
+        alpha_grid = np.linspace(0.0, 1.0 / p, alpha_grid)
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if len(alphas) == 0:
         raise OutOfDomainError("empty grid")

@@ -149,8 +149,8 @@ def _apply(op: OperatorSpec, arr: np.ndarray) -> np.ndarray:
 
 def constant_ratio(op: OperatorSpec, a, p: float, tail_mass: float = 0.0) -> float:
     """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p."""
-    if p == 0.0:
-        raise OutOfDomainError("p must be nonzero")
+    if not p > 0.0:
+        raise OutOfDomainError(f"p must be positive, got {p}")
     arr = _materialize(a, op.truncation)
     denom = math.fsum(_pow_p(arr, p).tolist())
     if denom == 0.0:
@@ -207,6 +207,8 @@ def extremal_search(op: OperatorSpec, p: float, family_grid) -> ExtremalResult:
     for 0 < p < 1 returns the minimum (an upper bound on the best reverse
     constant in the p-th root convention).
     """
+    if not (p > 1.0 or 0.0 < p < 1.0):
+        raise OutOfDomainError(f"extremal search needs p > 1 or 0 < p < 1, got {p}")
     families = list(family_grid)
     if not families:
         raise OutOfDomainError("family grid must be nonempty")
@@ -218,6 +220,8 @@ def extremal_search(op: OperatorSpec, p: float, family_grid) -> ExtremalResult:
 
 def default_power_grid(p: float, N: int) -> list[SequenceFamily]:
     """Near-extremal power families, exponents just above 1/p."""
+    if not p > 0.0:
+        raise OutOfDomainError(f"p must be positive, got {p}")
     return [
         SequenceFamily("power_decay", N, 1.0 / p + eps)
         for eps in (1e-4, 1e-3, 1e-2)

@@ -253,21 +253,23 @@ def lemma_6_2_residual(
     return lhs - rhs
 
 
-def _first_branch(p: float, c: float, beta: float) -> float:
+def _first_branch(p: float, c, beta):
     return (1.0 + c - beta) ** (1.0 - p)
 
 
-def _second_branch(p: float, c: float, beta: float, n) -> np.ndarray:
-    """n**p ((n + c - beta)**(1-p) - (n - 1 - beta)**(1-p)), cancellation-safe."""
-    n = np.asarray(n, dtype=float)
+def _second_branch(p: float, c, beta, n) -> np.ndarray:
+    """n**p ((n + c - beta)**(1-p) - (n - 1 - beta)**(1-p)), cancellation-safe.
+
+    c, beta and n broadcast.  n**p is the C library's pow for a float n and
+    numpy's for an array n; the two differ in the last bit for some p.
+    """
     e = 1.0 - p
     low = n - 1.0 - beta
-    gap = c + 1.0
     safe_low = np.where(low > 0.0, low, 1.0)
     diff = np.where(
         low > 0.0,
-        safe_low**e * np.expm1(e * np.log1p(gap / safe_low)),
-        (low + gap) ** e,
+        safe_low**e * np.expm1(e * np.log1p((c + 1.0) / safe_low)),
+        (low + c + 1.0) ** e,
     )
     return n**p * diff
 
@@ -288,6 +290,8 @@ def condition_6_49_check(
     k_val = params.k if k is None else k
     if k_val is None:
         raise OutOfDomainError("a constant k is required (pass k or params.k)")
+    if not k_val > 0.0:
+        raise OutOfDomainError(f"k must be positive, got {k_val}")
     if n_max < 2:
         raise OutOfDomainError("need n_max >= 2")
     p, c, beta = params.p, params.c, params.beta
@@ -376,6 +380,27 @@ def solve_x_half(c_prime: float) -> float:
     return (math.sqrt(u * u + 28.0 * v * v) - u) / 14.0
 
 
+class BalanceSolution(NamedTuple):
+    params: RedhefferParams
+    x: float
+    residual: float
+
+
+def balance_solution_half(c: float, n_max: int) -> BalanceSolution:
+    """The p = 1/2 configuration for c: x = (1 - beta)/c from solve_x_half,
+    beta = 1 - c x, k = k(1/2) over 2 <= n <= n_max as params.k, and the
+    residual of the balancing equation at x."""
+    if not c > 0.0:
+        raise OutOfDomainError("c must be positive")
+    x = solve_x_half(1.0 / c)
+    residual = abs(
+        math.sqrt(1.0 + x)
+        - math.sqrt(2.0) * (math.sqrt(1.0 + 1.0 / c + x) - math.sqrt(x))
+    )
+    params = RedhefferParams(p=0.5, c=c, beta=1.0 - c * x)
+    return BalanceSolution(params.with_k(k_of_p(params, n_max)), x, residual)
+
+
 def k_of_p(params: RedhefferParams, n_max: int) -> float:
     """Smallest k making the feasibility condition pass over 2 <= n <= n_max."""
     if n_max < 2:
@@ -461,15 +486,8 @@ def scan_params(
     B = b_vals[None, :]
     valid = (C > 0.0) & (C >= B) & (B <= 1.0)
     e = 1.0 - p
-    b1 = (1.0 + C - B) ** e
-    low = 1.0 - B
-    safe_low = np.where(low > 0.0, low, 1.0)
-    diff = np.where(
-        low > 0.0,
-        safe_low**e * np.expm1(e * np.log1p((C + 1.0) / safe_low)),
-        (low + C + 1.0) ** e,
-    )
-    b2 = 2.0**p * diff
+    b1 = _first_branch(p, C, B)
+    b2 = _second_branch(p, C, B, 2.0)
     limit = np.broadcast_to((1.0 - p) * (1.0 + C), b2.shape)
     with np.errstate(invalid="ignore"):
         k = np.maximum(np.maximum(b1, b2), limit) / C**e

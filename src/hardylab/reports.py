@@ -10,7 +10,8 @@ proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,20 +30,10 @@ class Tolerances:
     tol_rel: float = 1e-12
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol_abs) and math.isfinite(self.tol_rel)):
+            raise OutOfDomainError("tolerances must be finite")
         if self.tol_abs < 0.0 or self.tol_rel < 0.0:
             raise OutOfDomainError("tolerances must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TargetConstant:
-    """The constant U on the bounding side of a criterion inequality."""
-
-    U: float
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.U > 0.0:
-            raise OutOfDomainError("target constant must be positive")
 
 
 @dataclass(eq=False)
@@ -84,6 +75,49 @@ class CriterionReport:
         )
 
 
+def _plain(x):
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one claim: the row every claim function and CLI command returns."""
+
+    claim: str
+    ref: str
+    holds: bool
+    value: float | None = None
+    min_slack: float | None = None
+    first_failure: int | None = None
+    exploratory: bool = False
+    detail: str = ""
+
+    @classmethod
+    def from_report(cls, report: CriterionReport, claim: str | None = None) -> Verdict:
+        """The verdict of a criterion check, named ``claim`` or after the report."""
+        return cls(
+            claim=report.name if claim is None else claim,
+            ref=report.ref,
+            holds=report.holds,
+            min_slack=report.min_slack,
+            first_failure=report.first_failure,
+            exploratory=report.exploratory,
+            detail=report.summary(),
+        )
+
+    def to_dict(self) -> dict:
+        """Plain Python values for JSON and the other renderers: ``ref`` is
+        written as ``paper_ref``, and a non-finite number (a slack of a
+        collapsed bounding side) as None."""
+        row = {k: _plain(v) for k, v in asdict(self).items()}
+        row["paper_ref"] = row.pop("ref")
+        return row
+
+
 def classify_tail_trend(slacks: np.ndarray, n_lo: int) -> str:
     """Trend of the slack over the last decade of checked indices."""
     n_hi = n_lo + len(slacks) - 1
@@ -109,22 +143,23 @@ def build_report(
     slacks: np.ndarray,
     *,
     strict: bool,
+    log_rhs: np.ndarray,
     tol: Tolerances | None = None,
     exploratory: bool = False,
-    log_rhs: np.ndarray | None = None,
     meta: dict | None = None,
 ) -> CriterionReport:
     """Assemble a CriterionReport from per-index slacks.
 
-    ``log_rhs`` is only needed when tol_abs > 0, to convert the absolute
-    tolerance into slack units index by index.
+    ``log_rhs`` is the log of the bounding side per index; it converts
+    tol_abs into slack units index by index.
     """
     tol = tol or Tolerances()
     slacks = np.asarray(slacks, dtype=float)
-    if tol.tol_abs > 0.0 and log_rhs is not None:
-        thr = tol.tol_rel + tol.tol_abs * np.exp(-np.asarray(log_rhs, dtype=float))
-    else:
-        thr = np.full(len(slacks), tol.tol_rel)
+    if len(slacks) == 0:
+        raise OutOfDomainError("no index to check: the index range is empty")
+    thr = tol.tol_rel
+    if tol.tol_abs > 0.0:
+        thr = thr + tol.tol_abs * np.exp(-np.asarray(log_rhs, dtype=float))
     ok = slacks > thr if strict else slacks >= -thr
     holds = bool(np.all(ok))
     first_failure = None if holds else int(n_lo + np.argmin(ok))
@@ -134,7 +169,7 @@ def build_report(
         n_lo=n_lo,
         n_hi=n_lo + len(slacks) - 1,
         holds=holds,
-        min_slack=float(np.min(slacks)) if len(slacks) else float("nan"),
+        min_slack=float(np.min(slacks)),
         first_failure=first_failure,
         tail_trend=classify_tail_trend(slacks, n_lo),
         exploratory=exploratory,

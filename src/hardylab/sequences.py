@@ -327,9 +327,11 @@ def _power_sum_bounds(r: float, form: str, lhs: list[float]) -> list[PowerSumBou
             rhs = n * (n + 1.0) ** r / (r + 1.0)
             direction = ">="
         else:
-            # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is stable
+            # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is
+            # stable; r u underflows to 0 for a subnormal r, where the factor
+            # r / expm1(r u) is its limit 1/u
             u = math.log1p(1.0 / n)
-            factor = 1.0 / u if r == 0.0 else r / math.expm1(r * u)
+            factor = 1.0 / u if r * u == 0.0 else r / math.expm1(r * u)
             rhs = (n + 1.0) ** r / (r + 1.0) * factor
             direction = ">=" if r >= 1.0 else "<="
         tol = 1e-12 * max(abs(lhs_n), abs(rhs))

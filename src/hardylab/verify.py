@@ -1,7 +1,7 @@
 """Claim registry: every quantitative target as a one-line verdict.
 
 Each claim function checks one group of target values or finite criterion
-families at pinned tolerances and returns ClaimResult rows.  The CLI
+families at pinned tolerances and returns Verdict rows.  The CLI
 aggregates them under ``verify-paper``; the acceptance test suite drives
 the same functions.  All verdicts are finite-horizon evidence, not proofs.
 """
@@ -9,7 +9,7 @@ the same functions.  All verdicts are finite-horizon evidence, not proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,15 +35,14 @@ from .operators import (
 from .redheffer import (
     RecurrentSequences,
     RedhefferParams,
+    balance_solution_half,
     condition_6_49_check,
     condition_6_54_check,
-    k_of_p,
     lemma_6_1_residual,
     lemma_6_2_residual,
     lemma_6_2_step,
-    solve_x_half,
 )
-from .reports import CriterionReport
+from .reports import Verdict
 from .sequences import (
     ExponentPair,
     WeightSequence,
@@ -56,53 +55,21 @@ DEFAULT_SEED = 12345
 THEOREM6_FLOOR = 0.8967
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim: str
-    ref: str
-    holds: bool
-    value: float | None = None
-    min_slack: float | None = None
-    first_failure: int | None = None
-    exploratory: bool = False
-    detail: str = ""
-
-
-def _from_report(claim: str, report: CriterionReport) -> ClaimResult:
-    slack = report.min_slack if math.isfinite(report.min_slack) else None
-    return ClaimResult(
-        claim=claim,
-        ref=report.ref,
-        holds=report.holds,
-        min_slack=slack,
-        first_failure=report.first_failure,
-        exploratory=report.exploratory,
-        detail=report.summary(),
-    )
-
-
-def redheffer_constant_claims(n_max: int = 10000) -> list[ClaimResult]:
+def redheffer_constant_claims(n_max: int = 10000) -> list[Verdict]:
     """Closed-form solver output and the derived constant at p = 1/2."""
-    c = 2.5
-    x = solve_x_half(1.0 / c)
-    beta = 1.0 - c * x
-    residual = abs(
-        math.sqrt(1.0 + x)
-        - math.sqrt(2.0) * (math.sqrt(1.0 + 1.0 / c + x) - math.sqrt(x))
-    )
-    params = RedhefferParams(p=0.5, c=c, beta=beta)
-    k = k_of_p(params, n_max)
+    sol = balance_solution_half(2.5, n_max)
+    x, beta, k = sol.x, sol.params.beta, sol.params.k
     return [
-        ClaimResult(
+        Verdict(
             "1.1-balance-root-x",
             "x(c')",
-            abs(x - 0.2435) < 5e-4 and residual < 1e-12,
+            abs(x - 0.2435) < 5e-4 and sol.residual < 1e-12,
             value=x,
-            detail=f"balance residual {residual:.2e}",
+            detail=f"balance residual {sol.residual:.2e}",
         ),
-        ClaimResult("1.2-balance-beta", "x(c')", abs(beta - 0.3912) < 5e-4, value=beta),
-        ClaimResult("1.3-k-at-half", "k(p)", abs(k - 1.1151) < 1e-3, value=k),
-        ClaimResult(
+        Verdict("1.2-balance-beta", "x(c')", abs(beta - 0.3912) < 5e-4, value=beta),
+        Verdict("1.3-k-at-half", "k(p)", abs(k - 1.1151) < 1e-3, value=k),
+        Verdict(
             "1.4-reciprocal-floor", "thm6", 1.0 / k > THEOREM6_FLOOR, value=1.0 / k
         ),
     ]
@@ -114,7 +81,7 @@ def _tail_floor_ratio(a: np.ndarray) -> float:
     return constant_ratio(op, a, 0.5)
 
 
-def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
+def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[Verdict]:
     """Constant-convention tail ratio at p = 1/2 stays above the floor."""
     rng = np.random.default_rng(seed)
     worst = math.inf
@@ -132,7 +99,7 @@ def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
         worst = min(worst, r)
         ok = ok and r >= THEOREM6_FLOOR - 1e-9
     rows = [
-        ClaimResult(
+        Verdict(
             "2.1-tail-floor-random",
             "thm6",
             ok,
@@ -144,7 +111,7 @@ def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
         ratios = copson_ratio_with_tail(s, 0.5, 10000, convention="constant")
         r_min = min(ratios)
         rows.append(
-            ClaimResult(
+            Verdict(
                 f"2.2-tail-floor-power-s{s}",
                 "thm6",
                 r_min >= THEOREM6_FLOOR - 1e-9,
@@ -156,28 +123,20 @@ def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
     return rows
 
 
-def reverse_machinery_claims(n_max: int = 10000) -> list[ClaimResult]:
+def reverse_machinery_claims(n_max: int = 10000) -> list[Verdict]:
     """Reverse criterion families and the reverse partial-sum identity."""
     rows = []
     for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
         report = reverse_criterion_check(p, n_max)
-        rows.append(
-            ClaimResult(
-                f"3.1-reverse-p{p:.6g}",
-                "3.1",
-                report.holds and report.min_slack >= 0.0,
-                min_slack=report.min_slack,
-                first_failure=report.first_failure,
-                detail=report.summary(),
-            )
-        )
+        verdict = Verdict.from_report(report, f"3.1-reverse-p{p:.6g}")
+        rows.append(replace(verdict, holds=report.holds and report.min_slack >= 0.0))
         seq = levin_steckin_sequence(p, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
         shift = 1.0 / p - 2.0
         ident = (n + shift) / (1.0 + shift) * seq.w
         worst = float(np.max(np.abs(seq.W - ident) / seq.W))
         rows.append(
-            ClaimResult(
+            Verdict(
                 f"3.2-identity-p{p:.6g}",
                 "3.3",
                 worst <= 1e-12,
@@ -187,7 +146,7 @@ def reverse_machinery_claims(n_max: int = 10000) -> list[ClaimResult]:
     return rows
 
 
-def boundary_algebra_claims() -> list[ClaimResult]:
+def boundary_algebra_claims() -> list[Verdict]:
     """Exact boundary configuration at p = 1/3 and the p = 0.34 instance."""
     p3 = 1.0 / 3.0
     beta3 = 3.0 - 2.0 * math.sqrt(2.0)
@@ -203,33 +162,33 @@ def boundary_algebra_claims() -> list[ClaimResult]:
     params34 = RedhefferParams(p=p34, c=c34, beta=0.21, k=k34)
     report34 = condition_6_49_check(params34, 2)
     return [
-        ClaimResult(
+        Verdict(
             "4.1-third-equality",
             "6.49",
             abs(first - rhs) <= 1e-12 * rhs,
             value=first,
             detail=f"first branch {first!r} vs c**(1-p) k = {rhs!r}",
         ),
-        ClaimResult(
+        Verdict(
             "4.2-third-n2-branch",
             "6.51",
             abs(n2 - 1.97199) < 1e-4 and n2 <= rhs,
             value=n2,
         ),
-        ClaimResult(
+        Verdict(
             "4.3-third-n2-holds", "6.51", report3.holds, min_slack=report3.min_slack
         ),
-        ClaimResult(
+        Verdict(
             "4.4-third-curvature", "6.54", condition_6_54_check(p3, beta3), value=beta3
         ),
-        ClaimResult(
+        Verdict(
             "4.5-p034-n2-holds",
             "6.51",
             report34.holds,
             min_slack=report34.min_slack,
             detail=f"c = 1/p - 1 = {c34!r}, k = c**p = {k34!r}",
         ),
-        ClaimResult(
+        Verdict(
             "4.6-p034-curvature", "6.54", condition_6_54_check(p34, 0.21), value=0.21
         ),
     ]
@@ -246,12 +205,12 @@ FORWARD_SAMPLES = (
 )
 
 
-def forward_sample_claims(n_max: int = 10000) -> list[ClaimResult]:
+def forward_sample_claims(n_max: int = 10000) -> list[Verdict]:
     """Shifted weighted-mean criterion samples plus the slope sign table."""
     rows = []
     for p, alpha in FORWARD_SAMPLES:
         report = criterion_2_20_check(alpha, ExponentPair.forward(p), n_max)
-        rows.append(_from_report(f"5.1-forward-p{p:.6g}-a{alpha:.6g}", report))
+        rows.append(Verdict.from_report(report, f"5.1-forward-p{p:.6g}-a{alpha:.6g}"))
     neg = all(
         f_alpha_analysis(0.5, ExponentPair.forward(2.0), n).fprime_at_inv_p < 0.0
         for n in range(1, 101)
@@ -261,33 +220,35 @@ def forward_sample_claims(n_max: int = 10000) -> list[ClaimResult]:
         > 0.0
         for n in range(1, 101)
     )
-    rows.append(ClaimResult("5.2-slope-negative-p2", "2.23", neg))
-    rows.append(ClaimResult("5.3-slope-positive-p4by3", "2.23", pos))
+    rows.append(Verdict("5.2-slope-negative-p2", "2.23", neg))
+    rows.append(Verdict("5.3-slope-positive-p4by3", "2.23", pos))
     return rows
 
 
-def power_choice_claims(n_max: int = 10000) -> list[ClaimResult]:
+def power_choice_claims(n_max: int = 10000) -> list[Verdict]:
     """Alternative power-sequence checks."""
     rows = []
     for p in (3.0, 4.0, 10.0):
-        rows.append(_from_report(f"6.1-power-choice-p{p:.6g}", check_2_30(p, n_max)))
+        report = check_2_30(p, n_max)
+        rows.append(Verdict.from_report(report, f"6.1-power-choice-p{p:.6g}"))
     fail = check_2_30(1.05, 1)
     rows.append(
-        ClaimResult(
+        Verdict(
             "6.2-power-choice-fails-near-1",
             "2.30",
             (not fail.holds) and fail.first_failure == 1,
-            min_slack=fail.min_slack if math.isfinite(fail.min_slack) else None,
+            min_slack=fail.min_slack,
             first_failure=fail.first_failure,
             exploratory=True,
         )
     )
     for p in (3.0, 5.0, 10.0):
-        grid = np.linspace(0.0, 1.0 / p, 50)
-        rows.append(_from_report(f"6.3-scalar-family-p{p:.6g}", check_2_4(p, grid)))
+        report = check_2_4(p, 50)
+        rows.append(Verdict.from_report(report, f"6.3-scalar-family-p{p:.6g}"))
     for p, alpha in ((2.0, 1.0), (2.0, 1.5), (3.0, 4.0 / 3.0)):
         report = check_2_3(alpha, ExponentPair.forward(p), n_max)
-        rows.append(_from_report(f"6.4-shifted-power-p{p:.6g}-a{alpha:.6g}", report))
+        claim = f"6.4-shifted-power-p{p:.6g}-a{alpha:.6g}"
+        rows.append(Verdict.from_report(report, claim))
     return rows
 
 
@@ -301,7 +262,7 @@ HARDY_TEST_FAMILIES = (
 )
 
 
-def hardy_bracketing_claims(n_max: int = 10000) -> list[ClaimResult]:
+def hardy_bracketing_claims(n_max: int = 10000) -> list[Verdict]:
     """Classic forward criterion, extremal bracketing, and the norm cap."""
     rows = []
     for p in (1.25, 2.0, 3.0):
@@ -311,11 +272,11 @@ def hardy_bracketing_claims(n_max: int = 10000) -> list[ClaimResult]:
         report = knopp_criterion_check(
             w, lam, pair, classic_forward_constant(p), n_max, name=f"knopp[p={p}]"
         )
-        rows.append(_from_report(f"7.1-classic-knopp-p{p:.6g}", report))
+        rows.append(Verdict.from_report(report, f"7.1-classic-knopp-p{p:.6g}"))
     grid = [SequenceFamily("power_decay", 100000, s) for s in (0.5001, 0.501, 0.51)]
     best = extremal_search(cesaro(100000), 2.0, grid)
     rows.append(
-        ClaimResult(
+        Verdict(
             "7.2-cesaro-extremal",
             "(1)",
             1.9 < best.best_ratio < 2.0,
@@ -336,12 +297,12 @@ def hardy_bracketing_claims(n_max: int = 10000) -> list[ClaimResult]:
             cap_ok = cap_ok and r <= q + 1e-9
             worst_gap = min(worst_gap, q - r)
     rows.append(
-        ClaimResult("7.3-cesaro-cap", "(1)", cap_ok, value=worst_gap)
+        Verdict("7.3-cesaro-cap", "(1)", cap_ok, value=worst_gap)
     )
     return rows
 
 
-def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
+def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[Verdict]:
     """Power-sum bound grids, recurrent-inequality residuals, step bound."""
     rows = []
     n_max = 1000
@@ -350,19 +311,19 @@ def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
         for r in np.linspace(0.0, 1.0, 11)
         for row in power_sum_bound_checks(float(r), n_max, "product")
     )
-    rows.append(ClaimResult("8.1-power-sum-product", "lem0.4", ok4))
+    rows.append(Verdict("8.1-power-sum-product", "lem0.4", ok4))
     ok201 = all(
         row.holds
         for r in (1.0, 1.5, 2.0, 3.0)
         for row in power_sum_bound_checks(r, n_max, "ratio")
     )
-    rows.append(ClaimResult("8.2-power-sum-ratio", "lem0.201", ok201))
+    rows.append(Verdict("8.2-power-sum-ratio", "lem0.201", ok201))
     ok_rev = all(
         row.holds
         for r in (-0.9, -0.5, 0.0, 0.5, 1.0)
         for row in power_sum_bound_checks(r, n_max, "ratio")
     )
-    rows.append(ClaimResult("8.3-power-sum-ratio-reverse", "lem0.201", ok_rev))
+    rows.append(Verdict("8.3-power-sum-ratio-reverse", "lem0.201", ok_rev))
 
     rng = np.random.default_rng(seed)
     worst61 = math.inf
@@ -380,7 +341,7 @@ def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
             mult = RecurrentSequences(eta * rng.uniform(0.05, 1.0, n), eta)
         worst61 = min(worst61, lemma_6_1_residual(lam, a, mult, p, n))
     rows.append(
-        ClaimResult("8.4-partial-sum-lemma", "6.1", worst61 >= -1e-12, value=worst61)
+        Verdict("8.4-partial-sum-lemma", "6.1", worst61 >= -1e-12, value=worst61)
     )
 
     worst62 = math.inf
@@ -394,7 +355,7 @@ def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
         mult = RecurrentSequences(eta + rng.uniform(0.0, 1.0, n), eta)
         worst62 = min(worst62, lemma_6_2_residual(lam, a, mult, p, n))
     rows.append(
-        ClaimResult("8.5-tail-sum-lemma", "6.5", worst62 >= -1e-12, value=worst62)
+        Verdict("8.5-tail-sum-lemma", "6.5", worst62 >= -1e-12, value=worst62)
     )
 
     eta = rng.uniform(0.01, 5.0, 10000)
@@ -406,7 +367,7 @@ def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
         for m, h, pp, tt in zip(mu, eta, ps, t)
     )
     rows.append(
-        ClaimResult(
+        Verdict(
             "8.6-single-step-grid", "6.6", worst_step >= -1e-12, value=worst_step
         )
     )
@@ -415,9 +376,9 @@ def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[ClaimResult]:
 
 def run_verification(
     n_max: int = 10000, seed: int = DEFAULT_SEED
-) -> list[ClaimResult]:
+) -> list[Verdict]:
     """Run every claim group and return verdicts sorted by claim id."""
-    rows: list[ClaimResult] = []
+    rows: list[Verdict] = []
     rows += redheffer_constant_claims(n_max)
     rows += theorem6_floor_claims(seed)
     rows += reverse_machinery_claims(n_max)

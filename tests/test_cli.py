@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hardylab import cli
 from hardylab.cli import main
 from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
 
@@ -102,6 +103,36 @@ class TestExplicitArguments:
         status, out, err = run_cli(capsys, *argv)
         assert status == 2
         assert "must be finite" in err
+        assert out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-2-4", "--p", "0"),
+            ("norm-ratio", "--p", "-1", "--n-max", "100"),
+            ("extremal-search", "--p", "1", "--n-max", "100"),
+            ("extremal-search", "--p", "0", "--n-max", "100"),
+            ("redheffer-check", "--p", "0.5", "--c", "2.5", "--beta", "0.3912",
+             "--k", "0", "--n-max", "100"),
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_regime_argument_exits_two(self, capsys, argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert err.startswith("error: ")
+        assert out == ""
+
+    def test_unexpected_error_exits_three(self, capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "check-2-30", broken)
+        status, out, err = run_cli(capsys, "check-2-30", "--p", "3")
+        assert status == 3
+        assert err == "internal error: RuntimeError: broken handler\n"
+        assert "Traceback" not in err
         assert out == ""
 
 

@@ -1,0 +1,110 @@
+"""Byte-level regression test of the command-line output.
+
+Every argument list of ``tests/test_cli.py`` runs in each output format
+(except the CSV of the default-grid scans, see ``cases``), and the exit
+code plus the SHA-256 of standard output and standard error (with the
+``wall_time`` field blanked) must match ``cli_golden.json``.
+A refactor that keeps the verdicts but changes a byte of any report fails
+here.  After an intended change of output, re-record the digests with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from hardylab.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+FORMATS = ("json", "csv", "text")
+
+# The argument lists of tests/test_cli.py, without --format and --out.
+ARGVS = (
+    ("check-knopp", "--p", "2", "--alpha", "0", "--U", "4", "--n-max", "500"),
+    ("check-2-30", "--p", "1.05", "--n-max", "50"),
+    ("check-knopp", "--p", "1"),
+    ("check-2-20", "--alpha", "0.5"),
+    ("no-such-command",),
+    ("check-knopp", "--p", "2", "--tol-rel", "-1"),
+    ("norm-ratio", "--kind", "weighted-mean", "--p", "2", "--n-max", "1000",
+     "--alpha", "0"),
+    ("norm-ratio", "--kind", "weighted-mean", "--p", "2", "--n-max", "1000",
+     "--alpha", "1"),
+    ("redheffer-solve", "--c", "0"),
+    ("check-2-4", "--p", "2", "--grid-points", "0"),
+    ("check-2-4", "--p", "2", "--grid-points", "-3"),
+    ("redheffer-check", "--p", "0.34", "--c", "1.9", "--beta", "nan"),
+    ("check-knopp", "--p", "inf"),
+    ("check-knopp", "--p", "2", "--tol-rel", "nan"),
+    ("check-2-20", "--p", "2", "--alpha", "0.3", "--n-max", "200"),
+    ("check-knopp", "--p", "2", "--alpha", "0.5", "--U", "2.25", "--n-max", "20"),
+    ("norm-ratio", "--kind", "copson-tail", "--family", "random", "--p", "0.5",
+     "--n-max", "300", "--seed", "99"),
+    ("redheffer-solve", "--c", "2.5", "--n-max", "2000"),
+    ("check-2-4", "--p", "3"),
+    ("redheffer-scan", "--p", "0.45", "--n-max", "100"),
+    ("check-reverse", "--p", "0.25", "--n-max", "300"),
+    ("check-2-3", "--p", "2", "--alpha", "1.0", "--n-max", "200"),
+    ("redheffer-check", "--p", "0.5", "--c", "2.5", "--beta", "0.3912",
+     "--n-max", "200"),
+    ("redheffer-scan", "--p", "0.34", "--n-max", "200"),
+    ("norm-ratio", "--kind", "weighted-mean", "--alpha", "1.0", "--family",
+     "delta", "--p", "2", "--n-max", "500"),
+    ("extremal-search", "--kind", "copson-tail", "--p", "0.3333333",
+     "--n-max", "2000"),
+    ("verify-paper", "--n-max", "300"),
+)
+
+_WALL_TIME = re.compile(r'("wall_time": |wall_time: )[^\n]*')
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(_WALL_TIME.sub(r"\1", text).encode()).hexdigest()
+
+
+def outcome(argv: tuple[str, ...]) -> dict:
+    """Exit code and output digests of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the arguments
+            status = exc.code
+    return {"exit": status, "stdout": _digest(out.getvalue()),
+            "stderr": _digest(err.getvalue())}
+
+
+# The CSV of a default-grid scan has one row per grid point (221k at
+# p = 0.45, 292k at p = 0.34) and takes 1.6-2 s to render, so only its JSON
+# and text verdicts are pinned here.  The rows' k values are pinned bit for
+# bit by tests/test_redheffer.py, the rendered rows by the benchmark reference.
+def cases() -> list[tuple[str, ...]]:
+    return [(*argv, "--format", fmt) for argv in ARGVS for fmt in FORMATS
+            if not (argv[0] == "redheffer-scan" and fmt == "csv")]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_output_matches_golden(golden, argv):
+    assert outcome(argv) == golden[" ".join(argv)]
+
+
+def test_golden_covers_every_case(golden):
+    assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
+
+
+if __name__ == "__main__":
+    record = {" ".join(argv): outcome(argv) for argv in cases()}
+    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

@@ -20,7 +20,7 @@ from hardylab.criteria import (
     weighted_mean_constant,
 )
 from hardylab.errors import OutOfDomainError, ParameterMismatchError, PreconditionError
-from hardylab.reports import TargetConstant, Tolerances
+from hardylab.reports import Tolerances
 from hardylab.sequences import (
     ExponentPair,
     WeightSequence,
@@ -67,18 +67,6 @@ class TestForwardCriterion:
         assert rep.slack_at(1) == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
         assert rhs == pytest.approx(0.7939419675524638, rel=1e-12)
 
-    def test_target_constant_wrapper(self):
-        rep = classic_check(100)
-        rep2 = knopp_criterion_check(
-            knopp_sequence(PAIR2, 0.0, 101),
-            WeightSequence.constant(101),
-            PAIR2,
-            TargetConstant(4.0, "conjugate power"),
-            100,
-        )
-        assert rep.holds == rep2.holds
-        assert rep.min_slack == pytest.approx(rep2.min_slack, rel=1e-12)
-
     def test_short_sequences_rejected(self):
         with pytest.raises(ParameterMismatchError):
             knopp_criterion_check(
@@ -88,6 +76,12 @@ class TestForwardCriterion:
                 4.0,
                 100,
             )
+
+    def test_empty_index_range_rejected(self):
+        # n_max = 0 leaves no index to check; it used to report holds with
+        # a NaN slack
+        with pytest.raises(OutOfDomainError, match="empty"):
+            classic_check(0)
 
     def test_reverse_pair_rejected(self):
         with pytest.raises(PreconditionError):
@@ -342,6 +336,13 @@ class TestScalarPowerFamily:
         rep = check_2_4(p, np.linspace(0.0, 1.0 / p, 50))
         assert rep.holds
 
+    def test_point_count_spans_zero_to_inverse_p(self):
+        grid = np.linspace(0.0, 1.0 / 5.0, 7)
+        assert check_2_4(5.0, 7).slacks.tobytes() == check_2_4(5.0, grid).slacks.tobytes()
+        # the regime is checked before 1/p is formed
+        with pytest.raises(OutOfDomainError, match="p >= 3"):
+            check_2_4(0.0, 7)
+
     def test_domain_errors(self):
         with pytest.raises(OutOfDomainError):
             check_2_4(2.5, [0.0])
@@ -370,6 +371,22 @@ class TestShiftedPowerChoice:
             check_2_3(0.5, PAIR2, 10)
         with pytest.raises(OutOfDomainError):
             check_2_3(1.6, PAIR2, 10)
+
+
+class TestTolerances:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol_abs": math.inf}, {"tol_abs": math.nan},
+         {"tol_rel": math.inf}, {"tol_rel": math.nan}],
+    )
+    def test_nonfinite_rejected(self, kwargs):
+        with pytest.raises(OutOfDomainError, match="finite"):
+            Tolerances(**kwargs)
+
+    def test_infinite_tol_abs_cannot_turn_a_failure_into_a_pass(self):
+        assert not reverse_criterion_check(0.45, 1000).holds
+        with pytest.raises(OutOfDomainError):
+            reverse_criterion_check(0.45, 1000, Tolerances(tol_abs=math.inf))
 
 
 class TestConstants:

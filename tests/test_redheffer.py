@@ -312,6 +312,29 @@ class TestScanner:
         assert len(rows) == 4
         assert {"c", "beta", "k", "feasible"} <= set(rows[0])
 
+    @pytest.mark.parametrize("p", [0.34, 0.45, 0.46, 0.5, 0.66, 0.9])
+    def test_k_grid_matches_inline_branches(self, p):
+        # the scan's k, bit for bit against the n = 2 branches written out
+        # inline, on the default grid plus beta at and just above 1; at
+        # p = 0.46 and 0.66 numpy's power of 2.0 differs from 2.0**p
+        betas = np.concatenate([default_beta_grid(p), [1.0, 1.05]])
+        res = scan_params(p, beta_grid=betas, n_max=10)
+        C = default_c_grid()[:, None]
+        B = betas[None, :]
+        e = 1.0 - p
+        low = 1.0 - B
+        safe_low = np.where(low > 0.0, low, 1.0)
+        diff = np.where(
+            low > 0.0,
+            safe_low**e * np.expm1(e * np.log1p((C + 1.0) / safe_low)),
+            (low + C + 1.0) ** e,
+        )
+        b2 = 2.0**p * diff
+        limit = (1.0 - p) * (1.0 + C)
+        with np.errstate(invalid="ignore"):
+            k = np.maximum(np.maximum((1.0 + C - B) ** e, b2), limit) / C**e
+        assert res.k.tobytes() == k.tobytes()
+
     def test_default_grids(self):
         cs = default_c_grid()
         assert cs[0] == pytest.approx(0.1)

@@ -27,7 +27,8 @@ from hardylab.sequences import (
     power_sum_bound_checks,
     tail_decay_check,
 )
-from hardylab.verify import DEFAULT_SEED, ClaimResult, lemma_suite_claims
+from hardylab.reports import Verdict
+from hardylab.verify import DEFAULT_SEED, lemma_suite_claims
 
 
 class TestConjugateExponent:
@@ -381,7 +382,7 @@ def fsum_power_sum_bound_check(r, n, form="product"):
         if r <= -1.0:
             raise OutOfDomainError(f"ratio form needs r > -1, got r={r}")
         u = math.log1p(1.0 / n)
-        factor = 1.0 / u if r == 0.0 else r / math.expm1(r * u)
+        factor = 1.0 / u if r * u == 0.0 else r / math.expm1(r * u)
         rhs = (n + 1.0) ** r / (r + 1.0) * factor
         direction = ">=" if r >= 1.0 else "<="
     else:
@@ -427,6 +428,7 @@ class TestPowerSumRunningSums:
         st.integers(1, 3000),
     )
     @example(("product", 0.37), 3000)
+    @example(("ratio", 5e-324), 2)  # r u underflows to 0 for n >= 2
     def test_drawn_exponents_match_fsum(self, form_r, n_max):
         form, r = form_r
         assert_rows_match_fsum(r, n_max, form)
@@ -483,16 +485,16 @@ class TestPowerSumRunningSums:
     def test_lemma_suite_rows_unchanged(self):
         rows = lemma_suite_claims(DEFAULT_SEED)
         assert rows == [
-            ClaimResult("8.1-power-sum-product", "lem0.4", True),
-            ClaimResult("8.2-power-sum-ratio", "lem0.201", True),
-            ClaimResult("8.3-power-sum-ratio-reverse", "lem0.201", True),
-            ClaimResult(
+            Verdict("8.1-power-sum-product", "lem0.4", True),
+            Verdict("8.2-power-sum-ratio", "lem0.201", True),
+            Verdict("8.3-power-sum-ratio-reverse", "lem0.201", True),
+            Verdict(
                 "8.4-partial-sum-lemma", "6.1", True, value=0.10204056361975233
             ),
-            ClaimResult(
+            Verdict(
                 "8.5-tail-sum-lemma", "6.5", True, value=0.020252894166175484
             ),
-            ClaimResult(
+            Verdict(
                 "8.6-single-step-grid", "6.6", True, value=7.948649793920737e-08
             ),
         ]
