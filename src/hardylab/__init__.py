@@ -14,12 +14,8 @@ from .criteria import (
     classic_forward_constant,
     criterion_2_20_check,
     f_alpha_analysis,
-    f_reverse_check,
     knopp_criterion_check,
     reverse_criterion_check,
-    reverse_gap,
-    reverse_gap_convexity,
-    reverse_tail_constant,
     weighted_mean_constant,
 )
 from .errors import (
@@ -44,7 +40,6 @@ from .operators import (
     extremal_search,
     norm_ratio,
     power_decay_tail_bounds,
-    simplex_ratio_search,
 )
 from .redheffer import (
     RecurrentSequences,
@@ -66,15 +61,10 @@ from .sequences import (
     ExponentPair,
     WeightSequence,
     conjugate_exponent,
-    constant_aux_sequence,
-    knopp_partial_sum_identity_residual,
     knopp_sequence,
-    levin_steckin_identity_residual,
     levin_steckin_sequence,
     power_aux_sequence,
-    power_sum_bound_check,
     power_sum_bound_checks,
-    tail_decay_check,
 )
 from .verify import run_verification
 

@@ -47,13 +47,6 @@ def weighted_mean_constant(p: float, alpha: float) -> float:
     return (ap / (ap - 1.0)) ** p
 
 
-def reverse_tail_constant(p: float) -> float:
-    """((1-p)/p)**(p/(1-p)), the bracket constant of the reverse criterion."""
-    if not 0.0 < p < 1.0:
-        raise OutOfDomainError(f"reverse constant needs 0 < p < 1, got {p}")
-    return ((1.0 - p) / p) ** (p / (1.0 - p))
-
-
 def _bracket_slacks(
     log_lhs_all: np.ndarray,
     log_scale: float,
@@ -228,55 +221,6 @@ def reverse_criterion_check(
     )
 
 
-def reverse_gap(p: float, x: float) -> float:
-    """f(x) = (1 + (1/p-2)x)**(1/(1-p)) - (1+x)**(-p/(1-p)) - ((1-p)/p) x.
-
-    Nonnegativity of f on x >= 0 is what makes the reverse criterion go
-    through; f(0) = 0 and f'(0) = 0.
-    """
-    a = 1.0 / p - 2.0
-    return (
-        (1.0 + a * x) ** (1.0 / (1.0 - p))
-        - (1.0 + x) ** (-p / (1.0 - p))
-        - (1.0 - p) / p * x
-    )
-
-
-def reverse_gap_convexity(p: float, x: float) -> float:
-    """g(x) = (1/p-2)**(2(1-p)/(1-2p)) (1+x)**((2-p)/(1-2p)) - (1 + (1/p-2)x).
-
-    g(x) >= 0 forces f''(x) >= 0 for the gap function above.
-    """
-    a = 1.0 / p - 2.0
-    return a ** (2.0 * (1.0 - p) / (1.0 - 2.0 * p)) * (1.0 + x) ** (
-        (2.0 - p) / (1.0 - 2.0 * p)
-    ) - (1.0 + a * x)
-
-
-class FReverse(NamedTuple):
-    min_value: float
-    holds: bool
-    min_convexity: float
-
-
-def f_reverse_check(p: float, x_grid) -> FReverse:
-    """Evaluate the reverse gap function and its convexity witness on a grid.
-
-    holds is True when both stay above -1e-12 everywhere on the grid.
-    """
-    if not 0.0 < p <= 1.0 / 3.0:
-        raise OutOfDomainError(f"gap function is used for 0 < p <= 1/3, got p={p}")
-    x_grid = [float(x) for x in x_grid]
-    if any(x < 0.0 for x in x_grid):
-        raise OutOfDomainError("grid points must satisfy x >= 0")
-    if not x_grid:
-        raise OutOfDomainError("empty grid")
-    f_min = min(reverse_gap(p, x) for x in x_grid)
-    g_min = min(reverse_gap_convexity(p, x) for x in x_grid)
-    holds = f_min >= -1e-12 and g_min >= -1e-12
-    return FReverse(f_min, holds, g_min)
-
-
 def check_2_30(
     p: float,
     n_max: int,
@@ -339,7 +283,6 @@ def check_2_4(
         strict=True,
         tol=tol,
         log_rhs=log_rhs,
-        meta={"alpha_grid": alphas},
     )
 
 

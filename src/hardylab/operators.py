@@ -36,8 +36,10 @@ class OperatorSpec:
             raise OutOfDomainError(f"unknown operator kind {self.kind!r}")
         if self.truncation < 1:
             raise OutOfDomainError("truncation must be >= 1")
-        if self.kind == "weighted_mean" and self.alpha is None:
-            raise OutOfDomainError("weighted_mean needs an alpha")
+        if self.kind == "weighted_mean" and not (
+            self.alpha is not None and math.isfinite(self.alpha)
+        ):
+            raise OutOfDomainError("weighted_mean needs a finite alpha")
 
 
 def cesaro(truncation: int) -> OperatorSpec:
@@ -69,8 +71,10 @@ class SequenceFamily:
             self.param is not None and 0.0 <= float(self.param) < 1.0
         ):
             raise OutOfDomainError("geometric needs 0 <= r < 1")
-        if self.kind == "power_decay" and self.param is None:
-            raise OutOfDomainError("power_decay needs an exponent")
+        if self.kind == "power_decay" and not (
+            self.param is not None and math.isfinite(self.param)
+        ):
+            raise OutOfDomainError("power_decay needs a finite exponent")
 
     def values(self) -> np.ndarray:
         k = np.arange(1, self.length + 1, dtype=float)
@@ -141,35 +145,47 @@ def _pow_p(x: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _apply(op: OperatorSpec, arr: np.ndarray) -> np.ndarray:
+def _apply(op: OperatorSpec, arr: np.ndarray, tail_mass: float) -> np.ndarray:
     if op.kind == "weighted_mean":
         return apply_weighted_mean(float(op.alpha), arr, op.truncation)
-    return apply_copson_tail(arr, op.truncation)
+    return apply_copson_tail(arr, op.truncation, tail_mass)
+
+
+def _power_sum(x: np.ndarray, p: float) -> float:
+    """Exactly rounded sum of x**p; out of domain once it leaves the float range."""
+    try:
+        total = math.fsum(_pow_p(x, p).tolist())
+    except OverflowError:  # finite terms whose sum overflows
+        total = math.inf
+    if not math.isfinite(total):
+        raise OutOfDomainError(
+            f"the sum of p-th powers (p={p}) overflows; "
+            "choose a smaller family exponent or horizon"
+        )
+    return total
 
 
 def constant_ratio(op: OperatorSpec, a, p: float, tail_mass: float = 0.0) -> float:
     """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p."""
     if not p > 0.0:
         raise OutOfDomainError(f"p must be positive, got {p}")
-    arr = _materialize(a, op.truncation)
-    denom = math.fsum(_pow_p(arr, p).tolist())
-    if denom == 0.0:
-        raise UndefinedRatioError("input is identically zero on the truncation")
-    if op.kind == "copson_tail" and tail_mass:
-        out = apply_copson_tail(arr, op.truncation, tail_mass)
-    else:
-        out = _apply(op, arr)
-    return math.fsum(_pow_p(out, p).tolist()) / denom
+    # overflowed terms become inf, and _power_sum rejects their sum
+    with np.errstate(over="ignore"):
+        arr = _materialize(a, op.truncation)
+        denom = _power_sum(arr, p)
+        if denom == 0.0:
+            raise UndefinedRatioError("input is identically zero on the truncation")
+        return _power_sum(_apply(op, arr, tail_mass), p) / denom
 
 
-def norm_ratio(op: OperatorSpec, a, p: float, tail_mass: float = 0.0) -> float:
+def norm_ratio(op: OperatorSpec, a, p: float) -> float:
     """Ratio in the norm convention, (sum (op a)_n**p / sum a_n**p)**(1/p).
 
     For p > 1 this lower-bounds the operator norm; for 0 < p < 1 on the
     tail operator it upper-bounds the best reverse constant (p-th root
     convention).
     """
-    return constant_ratio(op, a, p, tail_mass) ** (1.0 / p)
+    return constant_ratio(op, a, p) ** (1.0 / p)
 
 
 class TailCorrectedRatio(NamedTuple):
@@ -178,19 +194,17 @@ class TailCorrectedRatio(NamedTuple):
     corrected_high: float
 
 
-def copson_ratio_with_tail(
-    s: float, p: float, N: int, convention: str = "norm"
-) -> TailCorrectedRatio:
-    """Tail-operator ratio for a_k = k**-s, with and without the analytic
-    correction for the dropped tail mass beyond N (both bracket ends)."""
+def copson_ratio_with_tail(s: float, p: float, N: int) -> TailCorrectedRatio:
+    """Constant-convention tail-operator ratio for a_k = k**-s, with and
+    without the analytic correction for the dropped tail mass beyond N (both
+    bracket ends)."""
     fam = SequenceFamily("power_decay", N, s)
     lo, hi = power_decay_tail_bounds(s, N)
-    f = constant_ratio if convention == "constant" else norm_ratio
-    if convention not in ("constant", "norm"):
-        raise OutOfDomainError(f"unknown convention {convention!r}")
     op = copson_tail(N)
     return TailCorrectedRatio(
-        f(op, fam, p), f(op, fam, p, tail_mass=lo), f(op, fam, p, tail_mass=hi)
+        constant_ratio(op, fam, p),
+        constant_ratio(op, fam, p, tail_mass=lo),
+        constant_ratio(op, fam, p, tail_mass=hi),
     )
 
 
@@ -226,45 +240,3 @@ def default_power_grid(p: float, N: int) -> list[SequenceFamily]:
         SequenceFamily("power_decay", N, 1.0 / p + eps)
         for eps in (1e-4, 1e-3, 1e-2)
     ]
-
-
-def simplex_ratio_search(
-    op: OperatorSpec,
-    p: float,
-    length: int,
-    *,
-    seed: int = 0,
-    starts: int = 24,
-    sweeps: int = 80,
-) -> tuple[float, np.ndarray]:
-    """Free maximization of the norm ratio over nonnegative inputs.
-
-    Coordinate-ascent refinement from random starts; the ratio is scale
-    invariant so no normalization is needed.  Small truncations only;
-    this exists to cross-validate the parametric search.
-    """
-    rng = np.random.default_rng(seed)
-    factors = (0.5, 0.8, 0.95, 1.05, 1.25, 2.0)
-    best_ratio = -math.inf
-    best_a = None
-    for _ in range(starts):
-        a = rng.random(length) + 0.05
-        current = norm_ratio(op, a, p)
-        for _ in range(sweeps):
-            improved = False
-            for i in range(length):
-                keep = a[i]
-                for f in factors:
-                    a[i] = keep * f
-                    trial = norm_ratio(op, a, p)
-                    if trial > current:
-                        current = trial
-                        keep = a[i]
-                        improved = True
-                a[i] = keep
-            if not improved:
-                break
-        if current > best_ratio:
-            best_ratio = current
-            best_a = a.copy()
-    return best_ratio, best_a

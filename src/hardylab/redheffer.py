@@ -31,16 +31,16 @@ from .errors import (
     TailTruncationWarning,
 )
 from .reports import CriterionReport, Tolerances, build_report
-from .sequences import WeightSequence, conjugate_exponent
+from .sequences import conjugate_exponent
 
 
 @dataclass(frozen=True)
 class RedhefferParams:
     """Parameters (p, c, beta) of the nu_n = (n - beta)/c multiplier family.
 
-    Derived values: c_prime = 1/c, x = (1 - beta)/c, and optionally the
-    constant k = k(p) once computed.  At beta = 1 the n = 1 multiplier
-    degenerates to zero; every worked configuration keeps beta < 1.
+    k is the constant k(p) once computed.  At beta = 1 the n = 1
+    multiplier degenerates to zero; every worked configuration keeps
+    beta < 1.
     """
 
     p: float
@@ -53,21 +53,10 @@ class RedhefferParams:
             raise OutOfDomainError(f"p must lie in (0, 1), got {self.p}")
         if not self.c > 0.0:
             raise OutOfDomainError(f"c must be positive, got {self.c}")
-        if self.beta > 1.0:
+        if not self.beta <= 1.0:  # written so that a NaN beta fails it
             raise OutOfDomainError(f"beta must be <= 1, got {self.beta}")
         if self.c < self.beta:
             raise OutOfDomainError(f"need c >= beta, got c={self.c} < {self.beta}")
-
-    @property
-    def c_prime(self) -> float:
-        return 1.0 / self.c
-
-    @property
-    def x(self) -> float:
-        return (1.0 - self.beta) / self.c
-
-    def nu(self, n: int) -> float:
-        return (n - self.beta) / self.c
 
     def with_k(self, k: float) -> "RedhefferParams":
         return replace(self, k=k)
@@ -101,22 +90,9 @@ class RecurrentSequences:
         else:
             raise PreconditionError(f"lemma regime needs p < 1, p != 0; got {p}")
 
-    def nu_forward(self, p: float) -> np.ndarray:
-        """nu_i = mu_i**q - 1 with q conjugate to p."""
-        return self.mu ** conjugate_exponent(p) - 1.0
-
-    def nu_reverse(self, p: float) -> np.ndarray:
-        """nu_i = mu_i**(1/(1-p)) - 1 for the tail-sum regime."""
-        return self.mu ** (1.0 / (1.0 - p)) - 1.0
-
 
 def _as_lambda_array(lam, length: int) -> np.ndarray:
-    if isinstance(lam, WeightSequence):
-        if lam.n_max < length:
-            raise PreconditionError("lambda sequence shorter than needed")
-        arr = lam.lam[:length]
-    else:
-        arr = np.asarray(lam, dtype=float)[:length]
+    arr = np.asarray(lam, dtype=float)[:length]
     if len(arr) < length or np.any(arr <= 0.0):
         raise PreconditionError("lambda must be positive and long enough")
     return arr
@@ -282,10 +258,9 @@ def condition_6_49_check(
 ) -> CriterionReport:
     """Two-branch feasibility condition over 2 <= n <= n_max (non-strict).
 
-    Also records the reduction cross-check: whenever the slope condition
-    (see condition_6_50_check) holds, the supremum of the n-branch over
-    n >= 2 is attained at n = 2, so the whole family follows from the
-    n = 2 case.
+    Whenever the slope condition (see condition_6_50_check) holds, the
+    supremum of the n-branch over n >= 2 is attained at n = 2, so the
+    whole family follows from the n = 2 case.
     """
     k_val = params.k if k is None else k
     if k_val is None:
@@ -301,18 +276,6 @@ def condition_6_49_check(
     b2 = _second_branch(p, c, beta, ns)
     values = np.maximum(b1, b2)
     slacks = (rhs - values) / rhs
-    sup2 = float(np.max(b2))
-    n2 = float(b2[0])
-    meta = {
-        "first_branch": b1,
-        "n2_branch": n2,
-        "sup_second_branch": sup2,
-        "argmax_n": int(ns[int(np.argmax(b2))]),
-        "large_n_limit": (1.0 - p) * (1.0 + c),
-        "slope_condition": condition_6_50_check(params, k_val, tol),
-        "reduction_agrees": sup2 <= n2 * (1.0 + 1e-12) + 1e-300,
-        "rhs": rhs,
-    }
     return build_report(
         f"6.49[p={p},c={c},beta={beta}]",
         "6.49",
@@ -321,7 +284,6 @@ def condition_6_49_check(
         strict=False,
         tol=tol,
         log_rhs=np.full(len(ns), math.log(rhs)),
-        meta=meta,
     )
 
 
@@ -351,21 +313,6 @@ def condition_6_54_check(p: float, beta: float) -> bool:
     return beta < 1.0 / (2.0 * p) - 1.0
 
 
-def shape_function(params: RedhefferParams, k: float, x: float) -> float:
-    """f(x) = (1 + (c-beta)x)**(1-p) - (1 - (1+beta)x)**(1-p) - c**(1-p) k x.
-
-    On 0 <= x <= 1/2, f(x) <= min(f(0), f(1/2)) under the route conditions;
-    setting x = 1/n turns f <= 0 into the n-branch of the feasibility
-    condition.
-    """
-    p, c, beta = params.p, params.c, params.beta
-    return (
-        (1.0 + (c - beta) * x) ** (1.0 - p)
-        - (1.0 - (1.0 + beta) * x) ** (1.0 - p)
-        - c ** (1.0 - p) * k * x
-    )
-
-
 def solve_x_half(c_prime: float) -> float:
     """Root x = (1 - beta)/c of the p = 1/2 balancing equation
 
@@ -377,7 +324,10 @@ def solve_x_half(c_prime: float) -> float:
         raise OutOfDomainError("c' must be nonnegative")
     u = 10.0 + 4.0 * c_prime
     v = 1.0 + 2.0 * c_prime
-    return (math.sqrt(u * u + 28.0 * v * v) - u) / 14.0
+    disc = u * u + 28.0 * v * v
+    if not math.isfinite(disc):
+        raise OutOfDomainError(f"the closed-form root overflows at c' = 1/c = {c_prime}")
+    return (math.sqrt(disc) - u) / 14.0
 
 
 class BalanceSolution(NamedTuple):

@@ -55,14 +55,6 @@ class CriterionReport:
     tail_trend: str
     exploratory: bool = False
     slacks: np.ndarray | None = field(default=None, repr=False)
-    meta: dict = field(default_factory=dict, repr=False)
-
-    def slack_at(self, n: int) -> float:
-        if self.slacks is None:
-            raise OutOfDomainError("per-index slacks were not retained")
-        if not self.n_lo <= n <= self.n_hi:
-            raise OutOfDomainError(f"index {n} outside checked range")
-        return float(self.slacks[n - self.n_lo])
 
     def summary(self) -> str:
         verdict = (
@@ -146,7 +138,6 @@ def build_report(
     log_rhs: np.ndarray,
     tol: Tolerances | None = None,
     exploratory: bool = False,
-    meta: dict | None = None,
 ) -> CriterionReport:
     """Assemble a CriterionReport from per-index slacks.
 
@@ -174,5 +165,4 @@ def build_report(
         tail_trend=classify_tail_trend(slacks, n_lo),
         exploratory=exploratory,
         slacks=slacks,
-        meta=meta or {},
     )

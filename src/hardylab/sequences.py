@@ -10,7 +10,7 @@ with s = 1/p - 2.  For any s > -1 the partial sums collapse to
 
     W_n = sum_{i<=n} w_i = ((n + s) / (1 + s)) * w_n,
 
-which the residual helpers verify.  Log-scale values are accumulated (with
+which claim 3.2 verifies for the reverse choice.  Log-scale values are accumulated (with
 compensation) and w_n is their exponential, so criterion comparisons stay
 accurate where powers of w_n would lose precision or overflow.
 """
@@ -28,7 +28,6 @@ from .errors import (
     InvalidExponentError,
     NonpositiveWeightError,
     OutOfDomainError,
-    ParameterMismatchError,
     PreconditionError,
 )
 
@@ -51,7 +50,8 @@ class ExponentPair:
         if self.p == 0.0 or self.p == 1.0:
             raise InvalidExponentError(f"invalid exponent p={self.p}")
         scale = max(abs(1.0 / self.p), abs(1.0 / self.q), 1.0)
-        if abs(1.0 / self.p + 1.0 / self.q - 1.0) > 1e-12 * scale:
+        # written so that a NaN p or q fails it
+        if not abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12 * scale:
             raise InvalidExponentError(
                 f"(p={self.p}, q={self.q}) is not a conjugate pair"
             )
@@ -67,24 +67,11 @@ class ExponentPair:
             raise InvalidExponentError(f"forward regime needs p > 1, got {p}")
         return cls.of(p)
 
-    @classmethod
-    def reverse(cls, p: float) -> "ExponentPair":
-        """Pair for the reverse (tail-mean) regime, 0 < p < 1."""
-        if not 0.0 < p < 1.0:
-            raise InvalidExponentError(f"reverse regime needs 0 < p < 1, got {p}")
-        return cls.of(p)
-
-
-def _check_index(n: int, n_max: int) -> None:
-    if not 1 <= n <= n_max:
-        raise OutOfDomainError(f"index n={n} outside generated range 1..{n_max}")
-
 
 @dataclass(eq=False)
 class WeightSequence:
     """Power-family weights lambda_n = n**alpha with compensated partial sums."""
 
-    alpha: float
     n_max: int
     lam: np.ndarray = field(repr=False)
     Lam: np.ndarray = field(repr=False)
@@ -97,7 +84,6 @@ class WeightSequence:
         idx = np.arange(1, n_max + 1, dtype=float)
         lam = idx**alpha
         return cls(
-            alpha=float(alpha),
             n_max=n_max,
             lam=lam,
             Lam=neumaier_prefix_sums(lam),
@@ -109,66 +95,24 @@ class WeightSequence:
         """All-ones weights, the alpha = 0 member of the power family."""
         return cls.power(0.0, n_max)
 
-    def lam_at(self, n: int) -> float:
-        _check_index(n, self.n_max)
-        return float(self.lam[n - 1])
-
-    def Lam_at(self, n: int) -> float:
-        _check_index(n, self.n_max)
-        return float(self.Lam[n - 1])
-
 
 @dataclass(eq=False)
 class AuxSequence:
     """Auxiliary weights w_n with partial sums W_n and log-scale values.
 
     Generators normalize w_1 = 1; the criterion checks are scale invariant
-    in w, so scaled copies (see ``scaled``) carry the same verdicts.
+    in w, so scaled copies carry the same verdicts.
     """
 
-    kind: str
     n_max: int
     w: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
     log_w: np.ndarray = field(repr=False)
-    p: float | None = None
-    alpha: float | None = None
-    exponent: float | None = None
     exploratory: bool = False
-
-    def w_at(self, n: int) -> float:
-        _check_index(n, self.n_max)
-        return float(self.w[n - 1])
-
-    def W_at(self, n: int) -> float:
-        _check_index(n, self.n_max)
-        return float(self.W[n - 1])
-
-    def scaled(self, factor: float) -> "AuxSequence":
-        """Copy with every w_n multiplied by a positive constant."""
-        if not factor > 0.0:
-            raise OutOfDomainError("scale factor must be positive")
-        return AuxSequence(
-            kind=self.kind,
-            n_max=self.n_max,
-            w=self.w * factor,
-            W=self.W * factor,
-            log_w=self.log_w + math.log(factor),
-            p=self.p,
-            alpha=self.alpha,
-            exponent=self.exponent,
-            exploratory=self.exploratory,
-        )
 
 
 def _ratio_recurrence(
-    kind: str,
-    shift: float,
-    n_max: int,
-    *,
-    p: float | None = None,
-    alpha: float | None = None,
-    exploratory: bool = False,
+    shift: float, n_max: int, *, exploratory: bool = False
 ) -> AuxSequence:
     """Generate w_{n+1} = ((n + shift)/n) w_n with compensated W and log w."""
     if n_max < 1:
@@ -191,16 +135,7 @@ def _ratio_recurrence(
     finite = log_w < 709.0
     w[finite] = np.fromiter(map(math.exp, log_w[finite]), float)
     W = neumaier_prefix_sums(w)
-    return AuxSequence(
-        kind=kind,
-        n_max=n_max,
-        w=w,
-        W=W,
-        log_w=log_w,
-        p=p,
-        alpha=alpha,
-        exploratory=exploratory,
-    )
+    return AuxSequence(n_max=n_max, w=w, W=W, log_w=log_w, exploratory=exploratory)
 
 
 def knopp_sequence(params: ExponentPair, alpha: float, n_max: int) -> AuxSequence:
@@ -216,7 +151,7 @@ def knopp_sequence(params: ExponentPair, alpha: float, n_max: int) -> AuxSequenc
         raise NonpositiveWeightError(
             f"alpha={alpha} <= -1/q={-1.0 / params.q}: weights become nonpositive"
         )
-    return _ratio_recurrence("knopp", shift, n_max, p=params.p, alpha=alpha)
+    return _ratio_recurrence(shift, n_max)
 
 
 def levin_steckin_sequence(p: float, n_max: int) -> AuxSequence:
@@ -230,9 +165,7 @@ def levin_steckin_sequence(p: float, n_max: int) -> AuxSequence:
             f"reverse weights are defined for 0 < p < 1/2, got p={p}"
         )
     shift = 1.0 / p - 2.0
-    return _ratio_recurrence(
-        "levin_steckin", shift, n_max, p=p, exploratory=p > 1.0 / 3.0
-    )
+    return _ratio_recurrence(shift, n_max, exploratory=p > 1.0 / 3.0)
 
 
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
@@ -242,44 +175,8 @@ def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     idx = np.arange(1, n_max + 1, dtype=float)
     w = idx**exponent
     return AuxSequence(
-        kind="power",
-        n_max=n_max,
-        w=w,
-        W=neumaier_prefix_sums(w),
-        log_w=exponent * np.log(idx),
-        exponent=float(exponent),
+        n_max=n_max, w=w, W=neumaier_prefix_sums(w), log_w=exponent * np.log(idx)
     )
-
-
-def constant_aux_sequence(n_max: int) -> AuxSequence:
-    return power_aux_sequence(0.0, n_max)
-
-
-def _identity_residual(seq: AuxSequence, shift: float, n: int) -> float:
-    _check_index(n, seq.n_max)
-    ident = (n + shift) / (1.0 + shift) * seq.w_at(n)
-    Wn = seq.W_at(n)
-    return abs(Wn - ident) / Wn
-
-
-def knopp_partial_sum_identity_residual(
-    seq: AuxSequence, params: ExponentPair, alpha: float, n: int
-) -> float:
-    """Relative residual of W_n = ((n + alpha - 1/p)/(1 + alpha - 1/p)) w_n."""
-    if seq.kind != "knopp" or seq.p != params.p or seq.alpha != alpha:
-        raise ParameterMismatchError(
-            "sequence was not generated by knopp_sequence with these parameters"
-        )
-    return _identity_residual(seq, alpha - 1.0 / params.p, n)
-
-
-def levin_steckin_identity_residual(seq: AuxSequence, p: float, n: int) -> float:
-    """Relative residual of W_n = ((n + 1/p - 2)/(1/p - 1)) w_n."""
-    if seq.kind != "levin_steckin" or seq.p != p:
-        raise ParameterMismatchError(
-            "sequence was not generated by levin_steckin_sequence with this p"
-        )
-    return _identity_residual(seq, 1.0 / p - 2.0, n)
 
 
 class PowerSumBound(NamedTuple):
@@ -371,43 +268,3 @@ def power_sum_bound_checks(
         raise OutOfDomainError(f"unknown form {form!r}")
     lhs = _running_fsums(float(i) ** r for i in range(1, n_max + 1))
     return _power_sum_bounds(r, form, lhs)
-
-
-def power_sum_bound_check(r: float, n: int, form: str = "product") -> PowerSumBound:
-    """The row of power_sum_bound_checks(r, n, form) at n."""
-    return power_sum_bound_checks(r, n, form)[-1]
-
-
-class TailDecay(NamedTuple):
-    monotone: bool
-    last_ratio: float
-
-
-def tail_decay_check(
-    seq: AuxSequence,
-    weights: WeightSequence,
-    params: ExponentPair,
-    n_max: int,
-) -> TailDecay:
-    """Check the decay precondition of the forward route.
-
-    For p > 1 the quantity w_n**(p-1) / lambda_n**p must decrease strictly;
-    for 0 < p < 1 the reverse-regime analogue is
-    w_n**(-1/(1-p)) / lambda_n**(p/(1-p)).  The check runs in log scale and
-    reports the final consecutive ratio.  (The recurrent-inequality route
-    drops this requirement; here it is a diagnostic.)
-    """
-    if n_max < 2:
-        raise OutOfDomainError("need n_max >= 2 to assess decay")
-    if n_max > seq.n_max or n_max > weights.n_max:
-        raise ParameterMismatchError("sequences shorter than requested horizon")
-    p = params.p
-    if p > 1.0:
-        a, b = p - 1.0, -p
-    elif 0.0 < p < 1.0:
-        a, b = -1.0 / (1.0 - p), -p / (1.0 - p)
-    else:
-        raise InvalidExponentError(f"tail decay undefined for p={p}")
-    log_t = a * seq.log_w[:n_max] + b * weights.log_lam[:n_max]
-    d = np.diff(log_t)
-    return TailDecay(bool(np.all(d < 0.0)), float(math.exp(d[-1])))

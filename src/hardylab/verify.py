@@ -108,7 +108,7 @@ def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[Verdict]:
         )
     ]
     for s in (1.5, 2.0, 3.0):
-        ratios = copson_ratio_with_tail(s, 0.5, 10000, convention="constant")
+        ratios = copson_ratio_with_tail(s, 0.5, 10000)
         r_min = min(ratios)
         rows.append(
             Verdict(

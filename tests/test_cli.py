@@ -115,6 +115,15 @@ class TestExplicitArguments:
             ("extremal-search", "--p", "0", "--n-max", "100"),
             ("redheffer-check", "--p", "0.5", "--c", "2.5", "--beta", "0.3912",
              "--k", "0", "--n-max", "100"),
+            # the closed-form root overflows for c below about 3e-154
+            ("redheffer-solve", "--c", "1e-300"),
+            ("redheffer-solve", "--c", "1e-160"),
+            # k**400 overflows, and the ratio of the overflowed sums is NaN
+            ("norm-ratio", "--family", "power_decay", "--family-param", "-400",
+             "--p", "2"),
+            # every term is finite, their sum is not
+            ("norm-ratio", "--kind", "copson-tail", "--family", "power_decay",
+             "--family-param", "-308.1", "--n-max", "10", "--p", "1"),
         ],
         ids=" ".join,
     )
@@ -122,6 +131,7 @@ class TestExplicitArguments:
         status, out, err = run_cli(capsys, *argv)
         assert status == 2
         assert err.startswith("error: ")
+        assert err.count("\n") == 1
         assert out == ""
 
     def test_unexpected_error_exits_three(self, capsys, monkeypatch):

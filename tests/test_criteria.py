@@ -12,20 +12,18 @@ from hardylab.criteria import (
     classic_forward_constant,
     criterion_2_20_check,
     f_alpha_analysis,
-    f_reverse_check,
     knopp_criterion_check,
     reverse_criterion_check,
-    reverse_gap,
-    reverse_gap_convexity,
     weighted_mean_constant,
 )
 from hardylab.errors import OutOfDomainError, ParameterMismatchError, PreconditionError
 from hardylab.reports import Tolerances
 from hardylab.sequences import (
+    AuxSequence,
     ExponentPair,
     WeightSequence,
-    constant_aux_sequence,
     knopp_sequence,
+    power_aux_sequence,
 )
 
 PAIR2 = ExponentPair.forward(2.0)
@@ -52,7 +50,7 @@ class TestForwardCriterion:
 
     def test_constant_weights_fail_immediately(self):
         rep = knopp_criterion_check(
-            constant_aux_sequence(101), WeightSequence.constant(101), PAIR2, 4.0, 100
+            power_aux_sequence(0.0, 101), WeightSequence.constant(101), PAIR2, 4.0, 100
         )
         assert not rep.holds
         assert rep.first_failure == 1
@@ -64,7 +62,7 @@ class TestForwardCriterion:
         assert not rep.holds and rep.first_failure == 1
         U = (p / (p - 1.0)) ** p
         rhs = U * (1.0 - 2.0 ** (-(p - 1.0) / p))
-        assert rep.slack_at(1) == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
+        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
         assert rhs == pytest.approx(0.7939419675524638, rel=1e-12)
 
     def test_short_sequences_rejected(self):
@@ -86,9 +84,9 @@ class TestForwardCriterion:
     def test_reverse_pair_rejected(self):
         with pytest.raises(PreconditionError):
             knopp_criterion_check(
-                constant_aux_sequence(11),
+                power_aux_sequence(0.0, 11),
                 WeightSequence.constant(11),
-                ExponentPair.reverse(0.5),
+                ExponentPair.of(0.5),
                 4.0,
                 10,
             )
@@ -99,7 +97,13 @@ class TestForwardCriterion:
         base = knopp_sequence(PAIR2, 0.0, 201)
         lam = WeightSequence.constant(201)
         r1 = knopp_criterion_check(base, lam, PAIR2, 4.0, 200)
-        r2 = knopp_criterion_check(base.scaled(factor), lam, PAIR2, 4.0, 200)
+        scaled = AuxSequence(
+            n_max=base.n_max,
+            w=base.w * factor,
+            W=base.W * factor,
+            log_w=base.log_w + math.log(factor),
+        )
+        r2 = knopp_criterion_check(scaled, lam, PAIR2, 4.0, 200)
         assert r1.holds == r2.holds
         assert np.max(np.abs(r1.slacks - r2.slacks)) <= 1e-10
 
@@ -183,7 +187,7 @@ class TestScalarReduction:
             rep = criterion_2_20_check(alpha, pair, 300)
             for n in range(1, 301):
                 if f_alpha_analysis(alpha, pair, n).f_value > 1e-12:
-                    assert rep.slack_at(n) > tol.tol_rel
+                    assert rep.slacks[n - rep.n_lo] > tol.tol_rel
 
     def test_convex_in_alpha(self):
         grid = np.linspace(0.0, 1.0, 100)
@@ -246,9 +250,9 @@ class TestReverseCriterion:
             return float(1 - lhs / rhs)
 
         for n in (1, 2, 10, 100):
-            assert rep.slack_at(n) == pytest.approx(oracle(n), rel=1e-8)
+            assert rep.slacks[n - rep.n_lo] == pytest.approx(oracle(n), rel=1e-8)
         for n in (1000, 2000):
-            assert rep.slack_at(n) == pytest.approx(oracle(n), rel=1e-4)
+            assert rep.slacks[n - rep.n_lo] == pytest.approx(oracle(n), rel=1e-4)
 
     def test_exploratory_range_fails_and_is_flagged(self):
         rep = reverse_criterion_check(0.45, 500)
@@ -257,46 +261,12 @@ class TestReverseCriterion:
         assert rep.first_failure == 1
 
 
-class TestReverseGapFunction:
-    def test_zero_at_origin(self):
-        for p in (0.05, 0.2, 1.0 / 3.0):
-            assert reverse_gap(p, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_spot_value_at_one_third(self):
-        expected = 2.0**1.5 - 2.0**-0.5 - 2.0
-        assert reverse_gap(1.0 / 3.0, 1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_flat_at_origin(self):
-        h = 1e-4
-        d = (reverse_gap(1.0 / 3.0, h) - reverse_gap(1.0 / 3.0, -h)) / (2.0 * h)
-        assert abs(d) < 1e-6
-
-    def test_grid_check_holds(self):
-        for p in (0.1, 0.25, 1.0 / 3.0):
-            res = f_reverse_check(p, np.linspace(0.0, 20.0, 401))
-            assert res.holds
-            assert res.min_value >= -1e-12
-            assert res.min_convexity >= -1e-12
-
-    def test_convexity_witness_spot(self):
-        # at p = 1/3 the witness is (1+x)**5 - (1+x)
-        assert reverse_gap_convexity(1.0 / 3.0, 1.0) == pytest.approx(30.0, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(OutOfDomainError):
-            f_reverse_check(0.4, [0.0, 1.0])
-        with pytest.raises(OutOfDomainError):
-            f_reverse_check(0.25, [-0.5])
-        with pytest.raises(OutOfDomainError):
-            f_reverse_check(0.25, [])
-
-
 class TestPowerChoiceChecks:
     def test_first_index_direct_evaluation(self):
         rep = check_2_30(3.0, 10)
         rhs = 3.375 * (1.0 - 2.0 ** (-2.0 / 3.0))
         assert rhs == pytest.approx(1.2488832283024415, rel=1e-12)
-        assert rep.slack_at(1) == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
+        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 10.0])
     def test_established_range_holds(self, p):
@@ -325,10 +295,10 @@ class TestScalarPowerFamily:
         rep = check_2_4(3.0, [0.0, 1.0 / 3.0])
         lhs0 = (1.0 - 1.0 / 3.0) ** 3
         rhs0 = 1.0 - 2.0 ** (-2.0 / 3.0)
-        assert rep.slack_at(1) == pytest.approx((rhs0 - lhs0) / rhs0, rel=1e-12)
+        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs0 - lhs0) / rhs0, rel=1e-12)
         lhs1 = (1.0 - 0.25) ** 3
         rhs1 = 0.5
-        assert rep.slack_at(2) == pytest.approx((rhs1 - lhs1) / rhs1, rel=1e-12)
+        assert rep.slacks[2 - rep.n_lo] == pytest.approx((rhs1 - lhs1) / rhs1, rel=1e-12)
         assert rep.holds
 
     @pytest.mark.parametrize("p", [3.0, 5.0, 10.0])
@@ -357,7 +327,7 @@ class TestShiftedPowerChoice:
         rep = check_2_3(1.0, PAIR2, 10)
         rhs = (4.0 / 3.0) ** 2 * (1.0 - 2.0**-1.5)
         assert rhs == pytest.approx(1.1492384167230689, rel=1e-12)
-        assert rep.slack_at(1) == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
+        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
 
     @pytest.mark.parametrize(
         "p,alpha", [(2.0, 1.0), (2.0, 1.5), (3.0, 4.0 / 3.0)]

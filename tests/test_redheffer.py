@@ -23,7 +23,6 @@ from hardylab.redheffer import (
     lemma_6_2_residual,
     lemma_6_2_step,
     scan_params,
-    shape_function,
     solve_x_half,
 )
 
@@ -32,13 +31,17 @@ BETA_THIRD = 3.0 - 2.0 * SQRT2
 THIRD = RedhefferParams(p=1.0 / 3.0, c=2.0, beta=BETA_THIRD)
 
 
-class TestParams:
-    def test_derived_quantities(self):
-        params = RedhefferParams(p=0.5, c=2.5, beta=0.5)
-        assert params.c_prime == pytest.approx(0.4)
-        assert params.x == pytest.approx(0.2)
-        assert params.nu(3) == pytest.approx(1.0)
+def first_branch(params):
+    return (1.0 + params.c - params.beta) ** (1.0 - params.p)
 
+
+def second_branch(params, n):
+    """n**p ((n + c - beta)**(1-p) - (n - 1 - beta)**(1-p)), evaluated directly."""
+    p, c, beta = params.p, params.c, params.beta
+    return n**p * ((n + c - beta) ** (1.0 - p) - (n - 1.0 - beta) ** (1.0 - p))
+
+
+class TestParams:
     def test_validation(self):
         with pytest.raises(OutOfDomainError):
             RedhefferParams(p=1.2, c=1.0, beta=0.0)
@@ -69,11 +72,6 @@ class TestMultiplierSequences:
     def test_positivity_enforced(self):
         with pytest.raises(PreconditionError):
             RecurrentSequences(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-
-    def test_derived_multipliers(self):
-        mult = RecurrentSequences(np.array([2.0]), np.array([1.0]))
-        assert mult.nu_forward(0.5) == pytest.approx([2.0**-1.0 - 1.0])
-        assert mult.nu_reverse(0.5) == pytest.approx([3.0])
 
 
 class TestPartialSumLemma:
@@ -194,19 +192,22 @@ class TestFeasibilityConditions:
         k3 = 2.0 ** (1.0 / 3.0)
         rep = condition_6_49_check(THIRD, 10000, k3)
         assert rep.holds
-        rhs = rep.meta["rhs"]
-        assert abs(rep.meta["first_branch"] - rhs) <= 1e-12 * rhs
-        assert rep.meta["n2_branch"] == pytest.approx(1.9720173102012157, rel=1e-9)
-        assert rep.meta["n2_branch"] <= rhs
-        assert not rep.meta["slope_condition"]
+        rhs = THIRD.c ** (1.0 - THIRD.p) * k3
+        assert abs(first_branch(THIRD) - rhs) <= 1e-12 * rhs
+        n2 = second_branch(THIRD, 2.0)
+        assert n2 == pytest.approx(1.9720173102012157, rel=1e-9)
+        assert n2 <= rhs
+        assert not condition_6_50_check(THIRD, k3)
 
     def test_two_branch_half_configuration(self):
         half = RedhefferParams(p=0.5, c=2.5, beta=0.39119099438661153)
         rep = condition_6_49_check(half, 10000, 1.1152)
         assert rep.holds
-        assert rep.meta["slope_condition"]
-        assert rep.meta["reduction_agrees"]
-        assert rep.meta["argmax_n"] == 2
+        assert condition_6_50_check(half, 1.1152)
+        # under the slope condition the n-branch peaks at n = 2, so the
+        # n = 2 case decides the whole family
+        assert int(np.argmax(second_branch(half, np.arange(2, 10001.0)))) == 0
+        assert k_of_p(half, 2) == k_of_p(half, 10000)
 
     def test_requires_constant(self):
         with pytest.raises(OutOfDomainError):
@@ -223,6 +224,9 @@ class TestClosedFormSolver:
         assert solve_x_half(0.0) == pytest.approx((math.sqrt(128.0) - 10.0) / 14.0)
         with pytest.raises(OutOfDomainError):
             solve_x_half(-0.1)
+        # u * u overflows for c' above about 3e153 (c below about 3e-154)
+        with pytest.raises(OutOfDomainError, match="overflows"):
+            solve_x_half(1e200)
 
     @given(st.floats(min_value=0.0, max_value=10.0))
     @settings(max_examples=200, deadline=None)
@@ -252,22 +256,6 @@ class TestSmallestConstant:
         params = RedhefferParams(p=0.5, c=2.5, beta=1.0 - 2.5 * x)
         ks = [k_of_p(params, n) for n in (2, 10, 100, 10000)]
         assert max(ks) - min(ks) <= 1e-14
-
-
-class TestShapeFunction:
-    def test_zero_at_origin(self):
-        assert shape_function(THIRD, 1.26, 0.0) == 0.0
-
-    def test_slope_sign_tracks_condition(self):
-        half = RedhefferParams(p=0.5, c=2.5, beta=0.39119099438661153)
-        h = 1e-6
-        d = (shape_function(half, 1.1152, h) - shape_function(half, 1.1152, 0.0)) / h
-        assert d < 0.0
-        # equality route: the derivative at 0 vanishes
-        c34 = 1.0 / 0.34 - 1.0
-        p34 = RedhefferParams(p=0.34, c=c34, beta=0.21)
-        d0 = (shape_function(p34, c34**0.34, h) - 0.0) / h
-        assert abs(d0) < 1e-5
 
 
 class TestScanner:

@@ -10,22 +10,16 @@ from hardylab.errors import (
     InvalidExponentError,
     NonpositiveWeightError,
     OutOfDomainError,
-    ParameterMismatchError,
 )
 from hardylab.sequences import (
     ExponentPair,
     WeightSequence,
     _ratio_recurrence,
     conjugate_exponent,
-    constant_aux_sequence,
-    knopp_partial_sum_identity_residual,
     knopp_sequence,
-    levin_steckin_identity_residual,
     levin_steckin_sequence,
     power_aux_sequence,
-    power_sum_bound_check,
     power_sum_bound_checks,
-    tail_decay_check,
 )
 from hardylab.reports import Verdict
 from hardylab.verify import DEFAULT_SEED, lemma_suite_claims
@@ -54,13 +48,10 @@ class TestConjugateExponent:
 
     def test_regime_constructors(self):
         assert ExponentPair.forward(2.5).q == pytest.approx(5.0 / 3.0)
-        assert ExponentPair.reverse(0.25).q == pytest.approx(-1.0 / 3.0)
         with pytest.raises(InvalidExponentError):
             ExponentPair.forward(1.0)
         with pytest.raises(InvalidExponentError):
             ExponentPair.forward(0.5)
-        with pytest.raises(InvalidExponentError):
-            ExponentPair.reverse(1.5)
 
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(InvalidExponentError):
@@ -70,27 +61,20 @@ class TestConjugateExponent:
 class TestWeightSequence:
     def test_power_family_basics(self):
         ws = WeightSequence.power(0.5, 100)
-        assert ws.lam_at(1) == 1.0
-        assert ws.lam_at(4) == pytest.approx(2.0)
+        assert ws.lam[0] == 1.0
+        assert ws.lam[3] == pytest.approx(2.0)
         assert np.all(np.diff(ws.Lam) > 0.0)
 
     def test_constant_is_power_zero(self):
         ws = WeightSequence.constant(50)
-        assert ws.alpha == 0.0
-        assert ws.Lam_at(50) == 50.0
+        assert np.all(ws.lam == 1.0)
+        assert ws.Lam[49] == 50.0
 
     def test_partial_sums_match_direct_summation_at_scale(self):
         n = 1_000_000
         ws = WeightSequence.power(0.7, n)
         direct = math.fsum((np.arange(1, n + 1, dtype=float) ** 0.7).tolist())
-        assert abs(ws.Lam_at(n) - direct) <= 1e-12 * direct
-
-    def test_index_bounds(self):
-        ws = WeightSequence.power(1.0, 10)
-        with pytest.raises(OutOfDomainError):
-            ws.Lam_at(11)
-        with pytest.raises(OutOfDomainError):
-            ws.lam_at(0)
+        assert abs(ws.Lam[n - 1] - direct) <= 1e-12 * direct
 
 
 class TestKnoppSequence:
@@ -104,16 +88,15 @@ class TestKnoppSequence:
         assert seq.w == pytest.approx(np.ones(6), rel=1e-14)
 
     def test_partial_sum_identity_small(self):
-        pair = ExponentPair.forward(2.0)
-        seq = knopp_sequence(pair, 0.0, 5)
-        assert seq.W_at(3) == pytest.approx(1.875, rel=1e-14)
-        assert knopp_partial_sum_identity_residual(seq, pair, 0.0, 1) == 0.0
-        assert knopp_partial_sum_identity_residual(seq, pair, 0.0, 3) <= 1e-14
+        seq = knopp_sequence(ExponentPair.forward(2.0), 0.0, 5)
+        assert seq.W[2] == pytest.approx(1.875, rel=1e-14)
+        residual = partial_sum_residuals(seq, -0.5)
+        assert residual[0] == 0.0
+        assert residual[2] <= 1e-14
 
     def test_partial_sum_identity_larger(self):
-        pair = ExponentPair.forward(3.0)
-        seq = knopp_sequence(pair, 0.7, 120)
-        assert knopp_partial_sum_identity_residual(seq, pair, 0.7, 100) <= 1e-12
+        seq = knopp_sequence(ExponentPair.forward(3.0), 0.7, 120)
+        assert partial_sum_residuals(seq, 0.7 - 1.0 / 3.0)[99] <= 1e-12
 
     def test_gamma_ratio_closed_form(self):
         # w_n = Gamma(n + s) / (Gamma(n) Gamma(1 + s)) with s = alpha - 1/p
@@ -122,7 +105,7 @@ class TestKnoppSequence:
             s = alpha - 1.0 / p
             for n in range(1, 21):
                 ref = math.gamma(n + s) / (math.gamma(n) * math.gamma(1.0 + s))
-                assert seq.w_at(n) == pytest.approx(ref, rel=1e-13)
+                assert seq.w[n - 1] == pytest.approx(ref, rel=1e-13)
 
     def test_nonpositive_weights_rejected(self):
         pair = ExponentPair.forward(2.0)
@@ -131,37 +114,23 @@ class TestKnoppSequence:
         with pytest.raises(NonpositiveWeightError):
             knopp_sequence(pair, -0.7, 10)
 
-    def test_parameter_mismatch_detected(self):
-        pair = ExponentPair.forward(2.0)
-        seq = knopp_sequence(pair, 0.0, 10)
-        with pytest.raises(ParameterMismatchError):
-            knopp_partial_sum_identity_residual(seq, pair, 0.1, 3)
-        with pytest.raises(ParameterMismatchError):
-            knopp_partial_sum_identity_residual(
-                seq, ExponentPair.forward(3.0), 0.0, 3
-            )
-        with pytest.raises(ParameterMismatchError):
-            levin_steckin_identity_residual(seq, 0.25, 3)
-
 
 class TestLevinSteckinSequence:
     def test_collapses_to_integers_at_one_third(self):
         seq = levin_steckin_sequence(1.0 / 3.0, 10)
         assert seq.w == pytest.approx(np.arange(1, 11, dtype=float), rel=1e-14)
-        assert seq.W_at(4) == pytest.approx(10.0, rel=1e-14)
-        ident = (4 + 1) / 2 * seq.w_at(4)
+        assert seq.W[3] == pytest.approx(10.0, rel=1e-14)
+        ident = (4 + 1) / 2 * seq.w[3]
         assert ident == pytest.approx(10.0, rel=1e-13)
 
     def test_hand_evaluated_at_quarter(self):
         seq = levin_steckin_sequence(0.25, 4)
-        assert seq.w_at(2) == pytest.approx(3.0, rel=1e-14)
+        assert seq.w[1] == pytest.approx(3.0, rel=1e-14)
 
-    def test_identity_residual_over_range(self):
+    def test_partial_sum_identity_over_range(self):
         for p in (0.1, 0.25, 1.0 / 3.0):
             seq = levin_steckin_sequence(p, 5000)
-            sampled = list(range(1, 5001, 53)) + [5000]
-            worst = max(levin_steckin_identity_residual(seq, p, n) for n in sampled)
-            assert worst <= 1e-12
+            assert float(np.max(partial_sum_residuals(seq, 1.0 / p - 2.0))) <= 1e-12
 
     def test_domain_and_flags(self):
         with pytest.raises(NonpositiveWeightError):
@@ -172,6 +141,13 @@ class TestLevinSteckinSequence:
             levin_steckin_sequence(-0.1, 10)
         assert not levin_steckin_sequence(1.0 / 3.0, 5).exploratory
         assert levin_steckin_sequence(0.4, 5).exploratory
+
+
+def partial_sum_residuals(seq, shift):
+    """Relative residuals of W_n = ((n + shift)/(1 + shift)) w_n for every n,
+    the partial-sum identity of the ratio recurrence with this shift."""
+    n = np.arange(1, seq.n_max + 1, dtype=float)
+    return np.abs(seq.W - (n + shift) / (1.0 + shift) * seq.w) / seq.W
 
 
 @st.composite
@@ -198,12 +174,12 @@ class TestRecurrenceProperties:
     def test_partial_sum_identity_property(self, inst):
         kind, p, alpha, n = inst
         if kind == "knopp":
-            pair = ExponentPair.forward(p)
-            seq = knopp_sequence(pair, alpha, n)
-            assert knopp_partial_sum_identity_residual(seq, pair, alpha, n) <= 1e-12
+            seq = knopp_sequence(ExponentPair.forward(p), alpha, n)
+            shift = alpha - 1.0 / p
         else:
             seq = levin_steckin_sequence(p, n)
-            assert levin_steckin_identity_residual(seq, p, n) <= 1e-12
+            shift = 1.0 / p - 2.0
+        assert partial_sum_residuals(seq, shift)[n - 1] <= 1e-12
 
     @given(recurrence_instances())
     @settings(max_examples=60, deadline=None)
@@ -275,7 +251,7 @@ class TestRecurrenceBitIdentity:
         for n_max in self.N_MAXES:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                seq = _ratio_recurrence("test", shift, n_max)
+                seq = _ratio_recurrence(shift, n_max)
             for got, want in zip((seq.w, seq.W, seq.log_w), ref):
                 assert got.tobytes() == want[:n_max].tobytes()
         if shift == 200.0:
@@ -296,49 +272,36 @@ class TestRecurrenceBitIdentity:
 class TestPowerAuxSequence:
     def test_values_and_normalization(self):
         seq = power_aux_sequence(-0.5, 10)
-        assert seq.w_at(1) == 1.0
-        assert seq.w_at(4) == pytest.approx(0.5)
-        assert seq.W_at(2) == pytest.approx(1.0 + 2.0**-0.5)
-
-    def test_constant_alias(self):
-        seq = constant_aux_sequence(5)
-        assert seq.w == pytest.approx(np.ones(5))
-
-    def test_scaled_copy(self):
-        seq = power_aux_sequence(-1.0, 8)
-        scaled = seq.scaled(3.0)
-        assert scaled.w == pytest.approx(3.0 * seq.w)
-        assert scaled.W == pytest.approx(3.0 * seq.W)
-        assert scaled.log_w == pytest.approx(seq.log_w + math.log(3.0))
-        with pytest.raises(OutOfDomainError):
-            seq.scaled(0.0)
+        assert seq.w[0] == 1.0
+        assert seq.w[3] == pytest.approx(0.5)
+        assert seq.W[1] == pytest.approx(1.0 + 2.0**-0.5)
 
 
 class TestPowerSumBounds:
     def test_product_form_spot_values(self):
-        res = power_sum_bound_check(1.0, 5, "product")
+        res = power_sum_bound_checks(1.0, 5, "product")[-1]
         assert res.lhs == pytest.approx(15.0)
         assert res.rhs == pytest.approx(15.0)
         assert res.holds
-        res = power_sum_bound_check(0.5, 10, "product")
+        res = power_sum_bound_checks(0.5, 10, "product")[-1]
         assert res.lhs == pytest.approx(22.4682781862041, rel=1e-12)
         assert res.rhs == pytest.approx(22.110831935702663, rel=1e-12)
         assert res.holds and res.direction == ">="
 
     def test_ratio_form_spot_values(self):
-        res = power_sum_bound_check(2.0, 3, "ratio")
+        res = power_sum_bound_checks(2.0, 3, "ratio")[-1]
         assert res.lhs == pytest.approx(14.0)
         assert res.rhs == pytest.approx(96.0 / 7.0, rel=1e-12)
         assert res.holds and res.direction == ">="
 
     def test_ratio_form_equality_at_one(self):
-        res = power_sum_bound_check(1.0, 7, "ratio")
+        res = power_sum_bound_checks(1.0, 7, "ratio")[-1]
         assert res.lhs == pytest.approx(res.rhs, rel=1e-12)
         assert res.holds
 
     def test_ratio_form_reversed_region(self):
         for r in (-0.9, -0.5, 0.0, 0.5):
-            res = power_sum_bound_check(r, 25, "ratio")
+            res = power_sum_bound_checks(r, 25, "ratio")[-1]
             assert res.direction == "<="
             assert res.holds
             assert res.lhs <= res.rhs * (1.0 + 1e-12)
@@ -347,26 +310,26 @@ class TestPowerSumBounds:
         ns = (1, 2, 3, 7, 19, 100, 523, 1000)
         for r in np.linspace(0.0, 1.0, 11):
             for n in ns:
-                assert power_sum_bound_check(float(r), n, "product").holds
+                assert power_sum_bound_checks(float(r), n, "product")[-1].holds
         for r in (1.0, 1.5, 2.0, 3.0):
             for n in ns:
-                assert power_sum_bound_check(r, n, "ratio").holds
+                assert power_sum_bound_checks(r, n, "ratio")[-1].holds
         for r in (-0.9, -0.5, 0.0, 0.5, 1.0):
             for n in ns:
-                assert power_sum_bound_check(r, n, "ratio").holds
+                assert power_sum_bound_checks(r, n, "ratio")[-1].holds
 
     def test_domain_errors(self):
         with pytest.raises(OutOfDomainError):
-            power_sum_bound_check(-1.0, 5, "ratio")
+            power_sum_bound_checks(-1.0, 5, "ratio")
         with pytest.raises(OutOfDomainError):
-            power_sum_bound_check(1.5, 5, "product")
+            power_sum_bound_checks(1.5, 5, "product")
         with pytest.raises(OutOfDomainError):
-            power_sum_bound_check(0.5, 0)
+            power_sum_bound_checks(0.5, 0)
         with pytest.raises(OutOfDomainError):
-            power_sum_bound_check(0.5, 5, "unknown")
+            power_sum_bound_checks(0.5, 5, "unknown")
 
 
-def fsum_power_sum_bound_check(r, n, form="product"):
+def fsum_bound_row(r, n, form="product"):
     """The bound check re-summing i**r from scratch with math.fsum: the
     reference every row of power_sum_bound_checks must reproduce bit for
     bit."""
@@ -399,7 +362,7 @@ def assert_rows_match_fsum(r, n_max, form):
     rows = power_sum_bound_checks(r, n_max, form)
     assert len(rows) == n_max
     for n, row in enumerate(rows, start=1):
-        lhs, rhs, holds, direction = fsum_power_sum_bound_check(r, n, form)
+        lhs, rhs, holds, direction = fsum_bound_row(r, n, form)
         assert (row.lhs.hex(), row.rhs.hex()) == (lhs.hex(), rhs.hex()), (r, n)
         assert (row.holds, row.direction) == (holds, direction), (r, n)
 
@@ -433,13 +396,6 @@ class TestPowerSumRunningSums:
         form, r = form_r
         assert_rows_match_fsum(r, n_max, form)
 
-    def test_scalar_is_last_row(self):
-        for form, r in (("product", 0.3), ("ratio", 2.5), ("ratio", -0.7)):
-            for n in (1, 2, 57):
-                assert power_sum_bound_check(r, n, form) == (
-                    power_sum_bound_checks(r, n, form)[-1]
-                )
-
     @pytest.mark.parametrize(
         "r, n, form",
         [
@@ -458,12 +414,11 @@ class TestPowerSumRunningSums:
         ],
     )
     def test_domain_errors(self, r, n, form):
-        for check in (power_sum_bound_checks, power_sum_bound_check):
-            with pytest.raises(OutOfDomainError):
-                check(r, n, form)
+        with pytest.raises(OutOfDomainError):
+            power_sum_bound_checks(r, n, form)
         if math.isfinite(r):
             with pytest.raises(OutOfDomainError):
-                fsum_power_sum_bound_check(r, n, form)
+                fsum_bound_row(r, n, form)
 
     @pytest.mark.parametrize(
         "r, form", [(0.5, "unknown"), (2.0, "product"), (math.inf, "ratio")]
@@ -477,7 +432,7 @@ class TestPowerSumRunningSums:
         # each term 1000**102.5 ~ 3e307 is finite, the prefix at n = 1000 is not
         r = 102.5
         with pytest.raises(OverflowError):
-            fsum_power_sum_bound_check(r, 1000, "ratio")
+            fsum_bound_row(r, 1000, "ratio")
         with pytest.raises(OverflowError):
             power_sum_bound_checks(r, 1000, "ratio")
         assert_rows_match_fsum(r, 600, "ratio")
@@ -498,37 +453,3 @@ class TestPowerSumRunningSums:
                 "8.6-single-step-grid", "6.6", True, value=7.948649793920737e-08
             ),
         ]
-
-
-class TestTailDecay:
-    def test_forward_quantity_decreases(self):
-        pair = ExponentPair.forward(2.0)
-        seq = knopp_sequence(pair, 0.0, 100)
-        lam = WeightSequence.constant(100)
-        res = tail_decay_check(seq, lam, pair, 100)
-        assert res.monotone
-        assert res.last_ratio == pytest.approx(98.5 / 99.0, rel=1e-12)
-        assert res.last_ratio < 1.0
-
-    def test_constant_sequence_is_not_decreasing(self):
-        pair = ExponentPair.forward(2.0)
-        res = tail_decay_check(
-            constant_aux_sequence(50), WeightSequence.constant(50), pair, 50
-        )
-        assert not res.monotone
-        assert res.last_ratio == pytest.approx(1.0)
-
-    def test_reverse_quantity_at_one_third(self):
-        # w_n ~ n makes the reverse-regime quantity n**-2 exactly
-        p = 1.0 / 3.0
-        seq = levin_steckin_sequence(p, 100)
-        lam = WeightSequence.power(1.0, 100)
-        res = tail_decay_check(seq, lam, ExponentPair.reverse(p), 100)
-        assert res.monotone
-        assert res.last_ratio == pytest.approx((99.0 / 100.0) ** 2, rel=1e-10)
-
-    def test_horizon_validation(self):
-        pair = ExponentPair.forward(2.0)
-        seq = knopp_sequence(pair, 0.0, 10)
-        with pytest.raises(ParameterMismatchError):
-            tail_decay_check(seq, WeightSequence.constant(5), pair, 10)
