@@ -16,8 +16,13 @@ from hardylab.criteria import (
     reverse_criterion_check,
     weighted_mean_constant,
 )
-from hardylab.errors import OutOfDomainError, ParameterMismatchError, PreconditionError
-from hardylab.reports import Tolerances
+from hardylab.errors import (
+    NonpositiveWeightError,
+    OutOfDomainError,
+    ParameterMismatchError,
+    PreconditionError,
+)
+from hardylab.reports import Tolerances, Verdict, build_report, classify_tail_trend
 from hardylab.sequences import (
     AuxSequence,
     ExponentPair,
@@ -260,6 +265,11 @@ class TestReverseCriterion:
         assert not rep.holds
         assert rep.first_failure == 1
 
+    @pytest.mark.parametrize("p", [0.0, -0.1, 0.5, 0.75])
+    def test_domain_errors(self, p):
+        with pytest.raises(NonpositiveWeightError):
+            reverse_criterion_check(p, 10)
+
 
 class TestPowerChoiceChecks:
     def test_first_index_direct_evaluation(self):
@@ -341,6 +351,45 @@ class TestShiftedPowerChoice:
             check_2_3(0.5, PAIR2, 10)
         with pytest.raises(OutOfDomainError):
             check_2_3(1.6, PAIR2, 10)
+
+
+class TestReportAssembly:
+    def test_first_failure_is_first_failing_index(self):
+        rep = build_report(
+            "x", "0", 3, [0.5, -0.1, 0.2, -0.3], strict=False, log_rhs=np.zeros(4)
+        )
+        assert (rep.n_lo, rep.n_hi) == (3, 6)
+        assert not rep.holds
+        assert rep.first_failure == 4
+        assert rep.min_slack == -0.3
+        assert rep.summary().startswith("x: fails first at n=4 (verified up to n_max=6")
+
+    def test_strict_rejects_zero_slack(self):
+        slacks = np.array([0.5, 0.0, 0.25])
+        loose = build_report("x", "0", 1, slacks, strict=False, log_rhs=np.zeros(3))
+        strict = build_report("x", "0", 1, slacks, strict=True, log_rhs=np.zeros(3))
+        assert loose.holds and loose.first_failure is None
+        assert not strict.holds and strict.first_failure == 2
+        with pytest.raises(OutOfDomainError):
+            build_report("x", "0", 1, [], strict=False, log_rhs=np.zeros(0))
+
+    def test_tail_trend_classes(self):
+        rising = np.linspace(0.1, 0.2, 100)
+        assert classify_tail_trend(rising[:9], 1) == "flat"
+        assert classify_tail_trend(rising, 1) == "improving"
+        assert classify_tail_trend(rising[::-1], 1) == "degrading"
+        assert classify_tail_trend(np.full(100, 0.3), 1) == "flat"
+
+    def test_nonfinite_slack_is_degrading_and_serializes_as_none(self):
+        slacks = np.linspace(0.1, 0.2, 20)
+        slacks[-1] = -np.inf
+        rep = build_report("x", "9.9", 1, slacks, strict=False, log_rhs=np.zeros(20))
+        assert rep.tail_trend == "degrading"
+        row = Verdict.from_report(rep, claim="9.9-x").to_dict()
+        assert row["claim"] == "9.9-x" and row["paper_ref"] == "9.9"
+        assert "ref" not in row
+        assert row["min_slack"] is None
+        assert row["first_failure"] == 20 and row["holds"] is False
 
 
 class TestTolerances:

@@ -198,6 +198,14 @@ class TestTailCorrectedRatio:
             assert res.uncorrected <= res.corrected_low <= res.corrected_high
             assert min(res) >= 0.8967 - 1e-9
 
+    def test_exponent_validation(self):
+        # the dropped tail diverges for s <= 1, and the ratio needs p > 0
+        for s in (1.0, 0.5, math.nan):
+            with pytest.raises(OutOfDomainError):
+                copson_ratio_with_tail(s, 0.5, 100)
+        with pytest.raises(OutOfDomainError):
+            copson_ratio_with_tail(2.0, 0.0, 100)
+
 
 class TestExtremalSearch:
     def test_forward_picks_maximum(self):

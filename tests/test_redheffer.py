@@ -13,6 +13,7 @@ from hardylab.errors import (
 from hardylab.redheffer import (
     RecurrentSequences,
     RedhefferParams,
+    balance_solution_half,
     condition_6_49_check,
     condition_6_50_check,
     condition_6_54_check,
@@ -54,6 +55,21 @@ class TestParams:
 
     def test_with_k(self):
         assert THIRD.with_k(1.26).k == 1.26
+
+    def test_derived_quantities(self):
+        # the p = 1/2 configuration at c = 2.5: c' = 1/c = 0.4, x = (1 - beta)/c
+        sol = balance_solution_half(2.5, 2000)
+        assert (sol.params.p, sol.params.c) == (0.5, 2.5)
+        assert sol.x == solve_x_half(0.4)
+        assert (1.0 - sol.params.beta) / sol.params.c == pytest.approx(sol.x, rel=1e-14)
+        assert sol.params.beta == pytest.approx(0.39119099438661153, rel=1e-12)
+        assert sol.params.k == k_of_p(sol.params.with_k(None), 2000)
+        assert sol.residual <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, 1e-300])
+    def test_balance_solution_domain(self, c):
+        with pytest.raises(OutOfDomainError):
+            balance_solution_half(c, 100)
 
 
 class TestMultiplierSequences:
@@ -212,6 +228,15 @@ class TestFeasibilityConditions:
     def test_requires_constant(self):
         with pytest.raises(OutOfDomainError):
             condition_6_49_check(THIRD, 100)
+
+    def test_domain_errors(self):
+        for k in (0.0, -1.0, math.nan):
+            with pytest.raises(OutOfDomainError):
+                condition_6_49_check(THIRD, 100, k)
+        with pytest.raises(OutOfDomainError):
+            condition_6_49_check(THIRD, 1, 1.26)
+        with pytest.raises(OutOfDomainError):
+            k_of_p(THIRD, 1)
 
 
 class TestClosedFormSolver:

@@ -70,6 +70,13 @@ class TestWeightSequence:
         assert np.all(ws.lam == 1.0)
         assert ws.Lam[49] == 50.0
 
+    def test_index_bounds(self):
+        ws = WeightSequence.power(1.0, 10)
+        assert ws.n_max == len(ws.lam) == len(ws.Lam) == len(ws.log_lam) == 10
+        assert ws.Lam[-1] == 55.0
+        with pytest.raises(OutOfDomainError):
+            WeightSequence.power(1.0, 0)
+
     def test_partial_sums_match_direct_summation_at_scale(self):
         n = 1_000_000
         ws = WeightSequence.power(0.7, n)
@@ -276,6 +283,15 @@ class TestPowerAuxSequence:
         assert seq.w[3] == pytest.approx(0.5)
         assert seq.W[1] == pytest.approx(1.0 + 2.0**-0.5)
 
+    def test_constant_alias(self):
+        # exponent 0 is the constant auxiliary sequence
+        seq = power_aux_sequence(0.0, 5)
+        assert np.all(seq.w == 1.0)
+        assert np.array_equal(seq.W, np.arange(1.0, 6.0))
+        assert np.all(seq.log_w == 0.0)
+        with pytest.raises(OutOfDomainError):
+            power_aux_sequence(0.0, 0)
+
 
 class TestPowerSumBounds:
     def test_product_form_spot_values(self):
@@ -427,6 +443,12 @@ class TestPowerSumRunningSums:
         # summing 10**12 terms first would not return in any test's lifetime
         with pytest.raises(OutOfDomainError):
             power_sum_bound_checks(r, 10**12, form)
+
+    def test_row_is_independent_of_horizon(self):
+        for form, r in (("product", 0.3), ("ratio", 2.5), ("ratio", -0.7)):
+            rows = power_sum_bound_checks(r, 57, form)
+            for n in (1, 2, 57):
+                assert rows[n - 1] == power_sum_bound_checks(r, n, form)[-1]
 
     def test_overflow_matches_fsum(self):
         # each term 1000**102.5 ~ 3e307 is finite, the prefix at n = 1000 is not
