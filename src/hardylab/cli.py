@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands run individual checks, parameter scans, or the full
-verification suite, and emit reports as text, JSON, or CSV.  Exit status:
-0 when every verdict holds, 1 when some verdict fails, 2 on invalid
-parameters, 3 on an unexpected internal error (reported on one line of
-standard error, without a traceback).  Identical configurations (including
-the seed) produce byte-identical JSON apart from the wall_time field.
+verification suite, and emit reports as text, JSON, or CSV.  Each
+subcommand accepts the common flags plus only the flags its check reads
+(``_FLAGS``); argparse rejects any other flag, and a missing required one,
+with exit status 2.  Exit status: 0 when every verdict holds, 1 when some
+verdict fails, 2 on invalid parameters, 3 on an unexpected internal error
+(reported on one line of standard error, without a traceback).  Identical
+configurations (including the seed) produce byte-identical JSON apart from
+the wall_time field.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .criteria import (
     check_2_3,
@@ -52,116 +55,76 @@ from .verify import DEFAULT_SEED, THEOREM6_FLOOR, run_verification
 
 
 @dataclass
-class RunConfig:
-    command: str
-    parameters: dict = field(default_factory=dict)
-    n_max: int = 10000
-    tol_abs: float = 0.0
-    tol_rel: float = 1e-12
-    seed: int = DEFAULT_SEED
-    output_format: str = "text"
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise WorkbenchError("n_max must be >= 1")
-        self.tolerances()  # validates tol_abs and tol_rel
-        if self.output_format not in ("json", "csv", "text"):
-            raise WorkbenchError(f"unknown format {self.output_format!r}")
-
-    def tolerances(self) -> Tolerances:
-        return Tolerances(tol_abs=self.tol_abs, tol_rel=self.tol_rel)
-
-
-@dataclass
 class Report:
     command: str
     params: dict
     n_max: int
     verdicts: list[Verdict]
     wall_time: float
-    note: str = FINITE_HORIZON_NOTE
-    # redheffer-scan only: one record per grid point, streamed into CSV output
-    scan_rows: Iterable[dict] | None = None
+    # redheffer-scan only: (c, beta, feasible, k) per grid point, streamed
+    # into CSV output
+    scan_rows: Iterable[tuple] | None = None
 
     @property
     def all_hold(self) -> bool:
         return all(v.holds for v in self.verdicts)
 
 
-def _need(cfg: RunConfig, key: str) -> float:
-    value = cfg.parameters.get(key)
-    if value is None:
-        raise WorkbenchError(f"--{key} is required for {cfg.command}")
-    return float(value)
-
-
-def _get(cfg: RunConfig, key: str, default):
-    """The parameter's value, or ``default`` only when it was not given."""
-    value = cfg.parameters.get(key)
-    return default if value is None else value
-
-
 # What a handler returns: its verdicts and, for redheffer-scan only, one
-# record per scan grid point.
-Outcome = tuple[list[Verdict], Iterable[dict] | None]
+# row per scan grid point.
+Outcome = tuple[list[Verdict], Iterable[tuple] | None]
 
 
-def _handle_check_knopp(cfg: RunConfig) -> Outcome:
-    p = _need(cfg, "p")
-    alpha = float(_get(cfg, "alpha", 0.0))
+def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    p, alpha = args.p, args.alpha
     pair = ExponentPair.forward(p)
-    U = float(_get(cfg, "U", classic_forward_constant(p)))
-    w = knopp_sequence(pair, alpha, cfg.n_max + 1)
-    lam = WeightSequence.constant(cfg.n_max + 1)
+    U = classic_forward_constant(p) if args.U is None else args.U
+    w = knopp_sequence(pair, alpha, args.n_max + 1)
+    lam = WeightSequence.constant(args.n_max + 1)
     report = knopp_criterion_check(
         w,
         lam,
         pair,
         U,
-        cfg.n_max,
-        cfg.tolerances(),
+        args.n_max,
+        tol,
         name=f"knopp[p={p},alpha={alpha},U={U}]",
         exploratory=alpha != 0.0,
     )
     return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_20(cfg: RunConfig) -> Outcome:
-    pair = ExponentPair.forward(_need(cfg, "p"))
-    report = criterion_2_20_check(
-        _need(cfg, "alpha"), pair, cfg.n_max, cfg.tolerances()
-    )
+def _handle_check_2_20(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    pair = ExponentPair.forward(args.p)
+    report = criterion_2_20_check(args.alpha, pair, args.n_max, tol)
     return [Verdict.from_report(report)], None
 
 
-def _handle_check_reverse(cfg: RunConfig) -> Outcome:
-    report = reverse_criterion_check(_need(cfg, "p"), cfg.n_max, cfg.tolerances())
+def _handle_check_reverse(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    report = reverse_criterion_check(args.p, args.n_max, tol)
     return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_30(cfg: RunConfig) -> Outcome:
-    report = check_2_30(_need(cfg, "p"), cfg.n_max, cfg.tolerances())
+def _handle_check_2_30(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    report = check_2_30(args.p, args.n_max, tol)
     return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_4(cfg: RunConfig) -> Outcome:
-    p = _need(cfg, "p")
-    points = int(_get(cfg, "grid_points", 50))
-    if points < 1:
+def _handle_check_2_4(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    if args.grid_points < 1:
         raise WorkbenchError("--grid-points must be >= 1")
-    report = check_2_4(p, points, cfg.tolerances())
+    report = check_2_4(args.p, args.grid_points, tol)
     return [Verdict.from_report(report)], None
 
 
-def _handle_check_2_3(cfg: RunConfig) -> Outcome:
-    pair = ExponentPair.forward(_need(cfg, "p"))
-    report = check_2_3(_need(cfg, "alpha"), pair, cfg.n_max, cfg.tolerances())
+def _handle_check_2_3(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    pair = ExponentPair.forward(args.p)
+    report = check_2_3(args.alpha, pair, args.n_max, tol)
     return [Verdict.from_report(report)], None
 
 
-def _handle_redheffer_solve(cfg: RunConfig) -> Outcome:
-    sol = balance_solution_half(float(_get(cfg, "c", 2.5)), cfg.n_max)
+def _handle_redheffer_solve(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    sol = balance_solution_half(args.c, args.n_max)
     beta, k = sol.params.beta, sol.params.k
     return [
         Verdict("x", "x(c')", sol.residual < 1e-12, value=sol.x,
@@ -172,14 +135,10 @@ def _handle_redheffer_solve(cfg: RunConfig) -> Outcome:
     ], None
 
 
-def _handle_redheffer_check(cfg: RunConfig) -> Outcome:
-    params = RedhefferParams(
-        p=_need(cfg, "p"), c=_need(cfg, "c"), beta=_need(cfg, "beta")
-    )
-    k = cfg.parameters.get("k")
-    k_val = float(k) if k is not None else k_of_p(params, cfg.n_max)
-    tol = cfg.tolerances()
-    full = condition_6_49_check(params, cfg.n_max, k_val, tol)
+def _handle_redheffer_check(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    params = RedhefferParams(p=args.p, c=args.c, beta=args.beta)
+    k_val = k_of_p(params, args.n_max) if args.k is None else args.k
+    full = condition_6_49_check(params, args.n_max, k_val, tol)
     reduced = condition_6_49_check(params, 2, k_val, tol)
     verdicts = [
         Verdict.from_report(full),
@@ -202,8 +161,8 @@ def _handle_redheffer_check(cfg: RunConfig) -> Outcome:
     return verdicts, None
 
 
-def _handle_redheffer_scan(cfg: RunConfig) -> Outcome:
-    result = scan_params(_need(cfg, "p"), n_max=cfg.n_max, tol=cfg.tolerances())
+def _handle_redheffer_scan(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    result = scan_params(args.p, n_max=args.n_max, tol=tol)
     if result.best is None:
         verdict = Verdict(
             "scan-best", "6.49", False,
@@ -223,30 +182,28 @@ def _handle_redheffer_scan(cfg: RunConfig) -> Outcome:
     return [verdict], result.iter_rows()
 
 
-def _family_from_config(cfg: RunConfig, length: int) -> SequenceFamily:
-    kind = str(cfg.parameters.get("family") or "power_decay")
-    param = cfg.parameters.get("family_param")
+def _family(args: argparse.Namespace) -> SequenceFamily:
+    kind, param, length = args.family, args.family_param, args.n_max
     if kind == "power_decay":
-        return SequenceFamily(kind, length, 1.5 if param is None else float(param))
+        return SequenceFamily(kind, length, 1.5 if param is None else param)
     if kind == "geometric":
-        return SequenceFamily(kind, length, 0.5 if param is None else float(param))
+        return SequenceFamily(kind, length, 0.5 if param is None else param)
     if kind == "random":
-        return SequenceFamily(kind, length, cfg.seed)
+        return SequenceFamily(kind, length, args.seed)
     return SequenceFamily(kind, length)
 
 
-def _operator_from_config(cfg: RunConfig) -> OperatorSpec:
-    kind = str(cfg.parameters.get("kind") or "weighted-mean").replace("-", "_")
-    if kind == "weighted_mean":
-        alpha = float(_get(cfg, "alpha", 1.0))
-        return OperatorSpec("weighted_mean", cfg.n_max, alpha=alpha)
-    return OperatorSpec("copson_tail", cfg.n_max)
+def _operator(args: argparse.Namespace) -> OperatorSpec:
+    if args.kind == "weighted-mean":
+        alpha = 1.0 if args.alpha is None else args.alpha
+        return OperatorSpec("weighted_mean", args.n_max, alpha=alpha)
+    return OperatorSpec("copson_tail", args.n_max)
 
 
-def _handle_norm_ratio(cfg: RunConfig) -> Outcome:
-    op = _operator_from_config(cfg)
-    fam = _family_from_config(cfg, cfg.n_max)
-    ratio = norm_ratio(op, fam, _need(cfg, "p"))
+def _handle_norm_ratio(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    op = _operator(args)
+    fam = _family(args)
+    ratio = norm_ratio(op, fam, args.p)
     return [
         Verdict(
             f"norm-ratio[{op.kind},{fam.label()}]", "(8)", True, value=ratio,
@@ -255,10 +212,10 @@ def _handle_norm_ratio(cfg: RunConfig) -> Outcome:
     ], None
 
 
-def _handle_extremal_search(cfg: RunConfig) -> Outcome:
-    op = _operator_from_config(cfg)
-    p = _need(cfg, "p")
-    result = extremal_search(op, p, default_power_grid(p, cfg.n_max))
+def _handle_extremal_search(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    op = _operator(args)
+    p = args.p
+    result = extremal_search(op, p, default_power_grid(p, args.n_max))
     return [
         Verdict(
             f"extremal[{op.kind},p={p}]", "(8)", True, value=result.best_ratio,
@@ -267,8 +224,8 @@ def _handle_extremal_search(cfg: RunConfig) -> Outcome:
     ], None
 
 
-def _handle_verify_paper(cfg: RunConfig) -> Outcome:
-    return run_verification(cfg.n_max, cfg.seed), None
+def _handle_verify_paper(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+    return run_verification(args.n_max, args.seed), None
 
 
 _HANDLERS = {
@@ -287,40 +244,12 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> Report:
-    """Dispatch a configuration to its check and wrap the verdicts."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise WorkbenchError(f"unknown command {config.command!r}")
-    start = time.perf_counter()
-    verdicts, scan_rows = handler(config)
-    return Report(
-        command=config.command,
-        params=_echo_params(config),
-        n_max=config.n_max,
-        verdicts=sorted(verdicts, key=lambda v: v.claim),
-        wall_time=time.perf_counter() - start,
-        scan_rows=scan_rows,
-    )
-
-
-def _echo_params(config: RunConfig) -> dict:
-    params = dict(sorted(config.parameters.items()))
-    params.update(
-        seed=config.seed,
-        tol_abs=config.tol_abs,
-        tol_rel=config.tol_rel,
-        format=config.output_format,
-    )
-    return params
-
-
 def render_json(report: Report) -> str:
     payload = {
         "command": report.command,
         "params": report.params,
         "n_max": report.n_max,
-        "note": report.note,
+        "note": FINITE_HORIZON_NOTE,
         "verdicts": list(map(Verdict.to_dict, report.verdicts)),
         "wall_time": report.wall_time,
     }
@@ -342,10 +271,9 @@ def render_csv(report: Report) -> str:
              cell(v["first_failure"]), v["exploratory"], cell(v["value"])]
         )
     if report.scan_rows is not None:
-        for row in report.scan_rows:
+        for c, beta, feasible, k in report.scan_rows:
             writer.writerow(
-                [f"scan-point[c={row['c']},beta={row['beta']}]", "6.49",
-                 row["feasible"], "", "", "", row["k"]]
+                [f"scan-point[c={c},beta={beta}]", "6.49", feasible, "", "", "", k]
             )
     return buf.getvalue()
 
@@ -357,7 +285,7 @@ def render_text(report: Report) -> str:
         + " ".join(f"{k}={v}" for k, v in report.params.items() if v is not None)
     )
     lines.append(f"n_max: {report.n_max}")
-    lines.append(f"note: {report.note}")
+    lines.append(f"note: {FINITE_HORIZON_NOTE}")
     for v in map(Verdict.to_dict, report.verdicts):
         status = "holds" if v["holds"] else "FAILS"
         bits = [f"{v['claim']:<42s} [{v['paper_ref']}] {status}"]
@@ -377,6 +305,37 @@ def render_text(report: Report) -> str:
 _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
 
 
+_P = ("--p", {"type": float, "required": True})
+_ALPHA = ("--alpha", {"type": float, "required": True})
+_KIND = ("--kind", {"choices": ("weighted-mean", "copson-tail"),
+                    "default": "weighted-mean"})
+_MEAN_ALPHA = ("--alpha", {"type": float})  # the weighted mean's; 1 if not given
+
+# The flags each subcommand reads, besides the common ones every subcommand
+# takes.  A default that depends on other flags is left to the handler.
+_FLAGS = {
+    "check-knopp": (_P, ("--alpha", {"type": float, "default": 0.0}),
+                    ("--U", {"type": float})),  # q**p if not given
+    "check-2-20": (_P, _ALPHA),
+    "check-reverse": (_P,),
+    "check-2-30": (_P,),
+    "check-2-4": (_P, ("--grid-points", {"type": int, "default": 50})),
+    "check-2-3": (_P, _ALPHA),
+    "redheffer-solve": (("--c", {"type": float, "default": 2.5}),),
+    "redheffer-check": (_P, ("--c", {"type": float, "required": True}),
+                        ("--beta", {"type": float, "required": True}),
+                        ("--k", {"type": float})),  # k_of_p if not given
+    "redheffer-scan": (_P,),
+    "norm-ratio": (_P, _KIND, _MEAN_ALPHA,
+                   ("--family", {"choices": ("power_decay", "delta",
+                                             "geometric", "random"),
+                                 "default": "power_decay"}),
+                   ("--family-param", {"type": float})),  # per family if not given
+    "extremal-search": (_P, _KIND, _MEAN_ALPHA),
+    "verify-paper": (),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardylab",
@@ -385,61 +344,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _HANDLERS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--p", type=float)
-        cmd.add_argument("--alpha", type=float)
-        cmd.add_argument("--beta", type=float)
-        cmd.add_argument("--c", type=float)
-        cmd.add_argument("--U", type=float)
-        cmd.add_argument("--k", type=float)
+        for flag, spec in _FLAGS[name]:
+            cmd.add_argument(flag, **spec)
         cmd.add_argument("--n-max", type=int, default=10000)
         cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
         cmd.add_argument("--tol-rel", type=float, default=1e-12)
         cmd.add_argument("--tol-abs", type=float, default=0.0)
-        cmd.add_argument("--format", choices=("json", "csv", "text"),
-                         default="text")
-        cmd.add_argument("--out", type=str, default=None)
-        if name in ("norm-ratio", "extremal-search"):
-            cmd.add_argument("--kind", choices=("weighted-mean", "copson-tail"),
-                             default="weighted-mean")
-            cmd.add_argument("--family",
-                             choices=("power_decay", "delta", "geometric", "random"),
-                             default="power_decay")
-            cmd.add_argument("--family-param", type=float, default=None)
-        if name == "check-2-4":
-            cmd.add_argument("--grid-points", type=int, default=50)
+        cmd.add_argument("--format", choices=tuple(_RENDERERS), default="text")
+        cmd.add_argument("--out")
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    for key, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            flag = "--" + key.replace("_", "-")
-            raise WorkbenchError(f"{flag} must be finite, got {value}")
-    skip = {"command", "n_max", "seed", "tol_rel", "tol_abs", "format", "out"}
-    parameters = {
-        k: v for k, v in vars(args).items() if k not in skip and v is not None
+def _echo_params(args: argparse.Namespace) -> dict:
+    """The subcommand's own flags that have a value, sorted, then the common ones."""
+    common = {"command", "n_max", "seed", "tol_rel", "tol_abs", "format", "out"}
+    own = {
+        k: v for k, v in sorted(vars(args).items())
+        if k not in common and v is not None
     }
-    return RunConfig(
-        command=args.command,
-        parameters=parameters,
-        n_max=args.n_max,
-        tol_abs=args.tol_abs,
-        tol_rel=args.tol_rel,
-        seed=args.seed,
-        output_format=args.format,
-        out=args.out,
-    )
+    return {**own, "seed": args.seed, "tol_abs": args.tol_abs,
+            "tol_rel": args.tol_rel, "format": args.format}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        report = run(config)
-        rendered = _RENDERERS[config.output_format](report)
-        if config.out:
-            with open(config.out, "w") as fh:
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                flag = "--" + key.replace("_", "-")
+                raise WorkbenchError(f"{flag} must be finite, got {value}")
+        if args.n_max < 1:
+            raise WorkbenchError("n_max must be >= 1")
+        if args.seed < 0:
+            raise WorkbenchError("seed must be >= 0")
+        tol = Tolerances(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
+        start = time.perf_counter()
+        verdicts, scan_rows = _HANDLERS[args.command](args, tol)
+        report = Report(
+            command=args.command,
+            params=_echo_params(args),
+            n_max=args.n_max,
+            verdicts=sorted(verdicts, key=lambda v: v.claim),
+            wall_time=time.perf_counter() - start,
+            scan_rows=scan_rows,
+        )
+        rendered = _RENDERERS[args.format](report)
+        if args.out:
+            with open(args.out, "w") as fh:
                 fh.write(rendered)
         else:
             sys.stdout.write(rendered)

@@ -59,7 +59,7 @@ def _bracket_slacks(
     bracket is nonpositive and the slack is -inf.
     """
     n = len(log_t) - 1
-    if not (np.all(np.isfinite(log_t)) and np.all(np.isfinite(log_lhs_all))):
+    if not all(np.all(np.isfinite(x)) for x in (log_t, log_lhs_all, log_factor)):
         raise OutOfDomainError(
             "values left the representable range at this horizon; reduce n_max"
         )
@@ -102,9 +102,11 @@ def knopp_criterion_check(
         )
     if not U > 0.0:
         raise OutOfDomainError("target constant must be positive")
-    log_t = (p - 1.0) * w.log_w[: n_max + 1] - p * weights.log_lam[: n_max + 1]
-    log_lhs = (p - 1.0) * np.log(w.W[:n_max])
-    log_factor = p * np.log(weights.Lam[:n_max])
+    # a huge p overflows these to inf, which _bracket_slacks rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_t = (p - 1.0) * w.log_w[: n_max + 1] - p * weights.log_lam[: n_max + 1]
+        log_lhs = (p - 1.0) * np.log(w.W[:n_max])
+        log_factor = p * np.log(weights.Lam[:n_max])
     slacks, log_rhs = _bracket_slacks(log_lhs, math.log(U), log_factor, log_t)
     label = name or f"knopp[p={params.p},U={U}]"
     return build_report(

@@ -185,7 +185,16 @@ def norm_ratio(op: OperatorSpec, a, p: float) -> float:
     tail operator it upper-bounds the best reverse constant (p-th root
     convention).
     """
-    return constant_ratio(op, a, p) ** (1.0 / p)
+    ratio = constant_ratio(op, a, p)
+    try:
+        root = ratio ** (1.0 / p)
+    except OverflowError:  # a ratio above 1 under a tiny p
+        root = math.inf
+    if not math.isfinite(root):
+        raise OutOfDomainError(
+            f"the ratio's (1/p)-th power overflows (p={p}); choose a larger p"
+        )
+    return root
 
 
 class TailCorrectedRatio(NamedTuple):

@@ -379,8 +379,6 @@ class ScanResult:
     beta_grid: np.ndarray = field(repr=False)
     k: np.ndarray = field(repr=False)
     feasible: np.ndarray = field(repr=False)
-    slope_ok: np.ndarray = field(repr=False)
-    curvature_ok: np.ndarray = field(repr=False)
     best: RedhefferParams | None = None
     best_report: CriterionReport | None = None
 
@@ -393,17 +391,11 @@ class ScanResult:
         return int(self.feasible.size)
 
     def iter_rows(self):
-        """Yield one flat record per grid point (for CSV export)."""
-        for i, c in enumerate(self.c_grid):
-            for j, b in enumerate(self.beta_grid):
-                yield {
-                    "c": float(c),
-                    "beta": float(b),
-                    "k": float(self.k[i, j]),
-                    "slope_ok": bool(self.slope_ok[i, j]),
-                    "curvature_ok": bool(self.curvature_ok[i, j]),
-                    "feasible": bool(self.feasible[i, j]),
-                }
+        """Yield (c, beta, feasible, k) per grid point (for CSV export)."""
+        betas = self.beta_grid.tolist()
+        for c, feasible, k in zip(self.c_grid.tolist(), self.feasible, self.k):
+            for row in zip(betas, feasible.tolist(), k.tolist()):
+                yield (c, *row)
 
 
 def scan_params(
@@ -454,8 +446,6 @@ def scan_params(
         beta_grid=b_vals,
         k=k,
         feasible=feasible,
-        slope_ok=slope_ok & valid,
-        curvature_ok=np.asarray(curvature_ok & valid),
     )
     if result.feasible_count:
         masked = np.where(feasible, k, np.inf)

@@ -1,9 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardylab import cli
-from hardylab.cli import main
+from hardylab.cli import build_parser, main
 from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
 
 REQUIRED_VERDICT_KEYS = {
@@ -42,8 +47,10 @@ class TestExitCodes:
         assert "error" in err
 
     def test_missing_parameter_exits_two(self, capsys):
-        status, _, err = run_cli(capsys, "check-2-20", "--alpha", "0.5")
-        assert status == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["check-2-20", "--alpha", "0.5"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --p" in capsys.readouterr().err
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -124,18 +131,54 @@ class TestExplicitArguments:
             # every term is finite, their sum is not
             ("norm-ratio", "--kind", "copson-tail", "--family", "power_decay",
              "--family-param", "-308.1", "--n-max", "10", "--p", "1"),
+            # a ratio above 1 to the power 1/p = 1e300 overflows
+            ("extremal-search", "--p", "1e-300", "--n-max", "10"),
+            ("norm-ratio", "--p", "1e-300", "--family", "delta", "--n-max", "10"),
+            # (p - 1) log W_n overflows; numpy must not warn on the way
+            ("check-knopp", "--p", "1e308", "--n-max", "10"),
+            # numpy's generator takes no negative seed
+            ("norm-ratio", "--family", "random", "--seed", "-1", "--p", "2",
+             "--n-max", "10"),
         ],
         ids=" ".join,
     )
     def test_out_of_regime_argument_exits_two(self, capsys, argv):
-        status, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, out, err = run_cli(capsys, *argv)
+        # outside a test run a warning would print on standard error
+        assert [str(w.message) for w in caught] == []
         assert status == 2
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("check-reverse", "--p", "0.25", "--alpha", "5", "--n-max", "300"),
+             "--alpha"),
+            (("extremal-search", "--p", "2", "--family", "delta", "--n-max", "100"),
+             "--family"),
+        ],
+    )
+    def test_unread_flag_exits_two(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
+
+    def test_fixed_default_is_echoed(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "redheffer-solve", "--n-max", "2000", "--format", "json"
+        )
+        assert status == 0
+        assert json.loads(out)["params"]["c"] == 2.5
+
     def test_unexpected_error_exits_three(self, capsys, monkeypatch):
-        def broken(cfg):
+        def broken(args, tol):
             raise RuntimeError("broken handler")
 
         monkeypatch.setitem(cli._HANDLERS, "check-2-30", broken)
@@ -261,3 +304,87 @@ class TestSubcommandSurface:
         assert payload["verdicts"] == sorted(
             payload["verdicts"], key=lambda v: v["claim"]
         )
+
+
+def _declared_flags() -> dict[str, list[argparse.Action]]:
+    """Each subcommand's flags as argparse declares them, without -h."""
+    (commands,) = [
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: [a for a in cmd._actions if a.option_strings and a.dest != "help"]
+        for name, cmd in commands.choices.items()
+    }
+
+
+class TestFlagSurface:
+    def test_each_subcommand_declares_only_what_it_reads(self):
+        common = {"--n-max", "--seed", "--tol-rel", "--tol-abs", "--format", "--out"}
+        declared = {
+            name: {a.option_strings[0] for a in actions} - common
+            for name, actions in _declared_flags().items()
+        }
+        mean = {"--p", "--kind", "--alpha"}
+        assert declared == {
+            "check-knopp": {"--p", "--alpha", "--U"},
+            "check-2-20": {"--p", "--alpha"},
+            "check-reverse": {"--p"},
+            "check-2-30": {"--p"},
+            "check-2-4": {"--p", "--grid-points"},
+            "check-2-3": {"--p", "--alpha"},
+            "redheffer-solve": {"--c"},
+            "redheffer-check": {"--p", "--c", "--beta", "--k"},
+            "redheffer-scan": {"--p"},
+            "norm-ratio": mean | {"--family", "--family-param"},
+            "extremal-search": mean,
+            "verify-paper": set(),
+        }
+        assert sum(map(len, _declared_flags().values())) == 97
+
+
+# Finite floats with the edges of the range drawn often: zeros, the
+# smallest subnormal, the largest finite magnitude.
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e308, -1e308]
+)
+_FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _values(action: argparse.Action) -> st.SearchStrategy:
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.dest in ("n_max", "grid_points"):
+        return st.integers(max_value=50)  # keeps every run short
+    if action.type is int:
+        return st.integers()
+    return _FLOATS
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    flags = _declared_flags()
+    name = draw(st.sampled_from(sorted(set(flags) - {"verify-paper"})))
+    argv = [name]
+    for action in flags[name]:
+        # --format only selects a renderer; --out would write files
+        if action.dest in ("format", "out") or not draw(st.booleans()):
+            continue
+        # --flag=value: "--c -2e-5" would read -2e-5 as a flag
+        argv.append(f"{action.option_strings[0]}={draw(_values(action))}")
+    return argv
+
+
+class TestArgvFuzz:
+    @given(_argvs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exit_status_is_a_verdict_or_a_rejection(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                status = exc.code
+        assert status in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

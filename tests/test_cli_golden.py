@@ -16,8 +16,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -44,6 +46,14 @@ ARGVS = (
     ("redheffer-check", "--p", "0.34", "--c", "1.9", "--beta", "nan"),
     ("check-knopp", "--p", "inf"),
     ("check-knopp", "--p", "2", "--tol-rel", "nan"),
+    ("extremal-search", "--p", "1e-300", "--n-max", "10"),
+    ("norm-ratio", "--p", "1e-300", "--family", "delta", "--n-max", "10"),
+    ("check-knopp", "--p", "1e308", "--n-max", "10"),
+    ("norm-ratio", "--family", "random", "--seed", "-1", "--p", "2",
+     "--n-max", "10"),
+    ("check-reverse", "--p", "0.25", "--alpha", "5", "--n-max", "300"),
+    ("extremal-search", "--p", "2", "--family", "delta", "--n-max", "100"),
+    ("redheffer-solve", "--n-max", "2000"),
     ("check-2-20", "--p", "2", "--alpha", "0.3", "--n-max", "200"),
     ("check-knopp", "--p", "2", "--alpha", "0.5", "--U", "2.25", "--n-max", "20"),
     ("norm-ratio", "--kind", "copson-tail", "--family", "random", "--p", "0.5",
@@ -71,9 +81,14 @@ def _digest(text: str) -> str:
 
 
 def outcome(argv: tuple[str, ...]) -> dict:
-    """Exit code and output digests of one in-process CLI call."""
+    """Exit code and output digests of one in-process CLI call.
+
+    argparse wraps its usage message to the terminal width, which it reads
+    from COLUMNS, so the width is pinned to 80 columns.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = main(list(argv))
         except SystemExit as exc:  # argparse rejects the arguments

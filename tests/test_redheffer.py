@@ -322,8 +322,13 @@ class TestScanner:
     def test_row_iteration(self):
         res = scan_params(0.45, c_grid=[1.0, 2.0], beta_grid=[0.0, 0.5], n_max=100)
         rows = list(res.iter_rows())
-        assert len(rows) == 4
-        assert {"c", "beta", "k", "feasible"} <= set(rows[0])
+        assert [(c, beta) for c, beta, _, _ in rows] == [
+            (1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (2.0, 0.5)
+        ]
+        assert [feasible for _, _, feasible, _ in rows] == res.feasible.ravel().tolist()
+        assert [k for _, _, _, k in rows] == res.k.ravel().tolist()
+        # plain Python values, whose str is what the CSV rows print
+        assert {tuple(map(type, row)) for row in rows} == {(float, float, bool, float)}
 
     @pytest.mark.parametrize("p", [0.34, 0.45, 0.46, 0.5, 0.66, 0.9])
     def test_k_grid_matches_inline_branches(self, p):
