@@ -61,18 +61,18 @@ class Report:
     n_max: int
     verdicts: list[Verdict]
     wall_time: float
-    # redheffer-scan only: (c, beta, feasible, k) per grid point, streamed
-    # into CSV output
-    scan_rows: Iterable[tuple] | None = None
+    # redheffer-scan only: the beta grid, then (c, feasible, k) per c with
+    # one entry per beta (ScanResult.iter_rows), streamed into CSV output
+    scan_rows: Iterable | None = None
 
     @property
     def all_hold(self) -> bool:
         return all(v.holds for v in self.verdicts)
 
 
-# What a handler returns: its verdicts and, for redheffer-scan only, one
-# row per scan grid point.
-Outcome = tuple[list[Verdict], Iterable[tuple] | None]
+# What a handler returns: its verdicts and, for redheffer-scan only, the
+# scan grid's rows (Report.scan_rows).
+Outcome = tuple[list[Verdict], Iterable | None]
 
 
 def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
@@ -271,10 +271,14 @@ def render_csv(report: Report) -> str:
              cell(v["first_failure"]), v["exploratory"], cell(v["value"])]
         )
     if report.scan_rows is not None:
-        for c, beta, feasible, k in report.scan_rows:
-            writer.writerow(
-                [f"scan-point[c={c},beta={beta}]", "6.49", feasible, "", "", "", k]
-            )
+        # The line csv.writer writes for a grid point: the label always holds
+        # a comma, so it is quoted; floats print as repr, bools as str.
+        rows = iter(report.scan_rows)
+        tails = [f'beta={beta}]",6.49,' for beta in next(rows)]
+        for c, feasible, k in rows:
+            head = f'"scan-point[c={c},'
+            for tail, ok, k_val in zip(tails, feasible, k):
+                buf.write(f"{head}{tail}{ok},,,,{k_val!r}\r\n")
     return buf.getvalue()
 
 

@@ -108,7 +108,11 @@ def apply_weighted_mean(alpha: float, a, N: int) -> np.ndarray:
     """A_n = (sum_{i<=n} i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)), n <= N."""
     arr = _materialize(a, N)
     lam = np.arange(1, N + 1, dtype=float) ** (alpha - 1.0)
-    return neumaier_prefix_sums(lam * arr) / neumaier_prefix_sums(lam)
+    total = neumaier_prefix_sums(lam)
+    if not math.isfinite(total[-1]):  # the means would be NaN or 0
+        raise OutOfDomainError(f"the weights i**(alpha-1) overflow at alpha={alpha}")
+    lam *= arr  # in place: no more arrays alive at once than lam * arr needed
+    return neumaier_prefix_sums(lam) / total
 
 
 def apply_copson_tail(a, N: int, tail_mass: float = 0.0) -> np.ndarray:

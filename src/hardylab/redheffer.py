@@ -271,6 +271,8 @@ def condition_6_49_check(
         raise OutOfDomainError("need n_max >= 2")
     p, c, beta = params.p, params.c, params.beta
     rhs = c ** (1.0 - p) * k_val
+    if not 0.0 < rhs < math.inf:  # every slack would be NaN or -inf
+        raise OutOfDomainError(f"c**(1-p) k must be positive and finite, got {rhs}")
     ns = np.arange(2, n_max + 1)
     b1 = _first_branch(p, c, beta)
     b2 = _second_branch(p, c, beta, ns)
@@ -391,11 +393,12 @@ class ScanResult:
         return int(self.feasible.size)
 
     def iter_rows(self):
-        """Yield (c, beta, feasible, k) per grid point (for CSV export)."""
-        betas = self.beta_grid.tolist()
+        """Yield the beta grid as a list, then (c, feasible, k) per c, with
+        the row's feasibility and k as lists over the beta grid (for CSV
+        export; plain Python values, one c row at a time)."""
+        yield self.beta_grid.tolist()
         for c, feasible, k in zip(self.c_grid.tolist(), self.feasible, self.k):
-            for row in zip(betas, feasible.tolist(), k.tolist()):
-                yield (c, *row)
+            yield c, feasible.tolist(), k.tolist()
 
 
 def scan_params(
@@ -434,7 +437,8 @@ def scan_params(
     with np.errstate(invalid="ignore"):
         k = np.maximum(np.maximum(b1, b2), limit) / C**e
     rhs = C**e * k
-    slope_ok = rhs - (1.0 - p) * (1.0 + C) > tol.tol_abs + tol.tol_rel * np.abs(rhs)
+    with np.errstate(over="ignore"):  # a tolerance past the float range is inf
+        slope_ok = rhs - (1.0 - p) * (1.0 + C) > tol.tol_abs + tol.tol_rel * np.abs(rhs)
     if p < 0.5:
         curvature_ok = np.broadcast_to(B < 1.0 / (2.0 * p) - 1.0, k.shape)
     else:

@@ -150,7 +150,9 @@ def build_report(
         raise OutOfDomainError("no index to check: the index range is empty")
     thr = tol.tol_rel
     if tol.tol_abs > 0.0:
-        thr = thr + tol.tol_abs * np.exp(-np.asarray(log_rhs, dtype=float))
+        # tol_abs over a bounding side below tol_abs / DBL_MAX is inf
+        with np.errstate(over="ignore"):
+            thr = thr + tol.tol_abs * np.exp(-np.asarray(log_rhs, dtype=float))
     ok = slacks > thr if strict else slacks >= -thr
     holds = bool(np.all(ok))
     first_failure = None if holds else int(n_lo + np.argmin(ok))

@@ -1,15 +1,18 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardylab import cli
 from hardylab.cli import build_parser, main
 from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
+from hardylab.redheffer import scan_params
 
 REQUIRED_VERDICT_KEYS = {
     "claim",
@@ -139,6 +142,11 @@ class TestExplicitArguments:
             # numpy's generator takes no negative seed
             ("norm-ratio", "--family", "random", "--seed", "-1", "--p", "2",
              "--n-max", "10"),
+            # k(p) = 1/c**(1-p) overflows, so every 6.49 slack would be NaN
+            ("redheffer-check", "--p=5e-324", "--c=5e-324", "--beta=0.0"),
+            # i**(alpha-1) overflows, and inf * 0 is NaN
+            ("extremal-search", "--p=2.18e-40", "--kind=weighted-mean",
+             "--alpha=1.797e+308", "--n-max", "10"),
         ],
         ids=" ".join,
     )
@@ -152,6 +160,27 @@ class TestExplicitArguments:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            # tol_abs / rhs passes the float range: an inf threshold, which
+            # a strict check cannot clear
+            (("check-2-4", "--p=1e308", "--tol-rel=6.2e299",
+              "--tol-abs=1e308"), 1),
+            # tol_rel * rhs passes it: every point clears the slope condition
+            (("redheffer-scan", "--p", "0.45", "--tol-rel", "1e308",
+              "--n-max", "10"), 0),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+    )
+    def test_tolerance_past_float_range_is_a_verdict(self, capsys, argv, want):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, _, err = run_cli(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert status == want
+        assert err == ""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -247,6 +276,32 @@ class TestJsonReports:
         assert values["reciprocal"] > 0.8967
 
 
+# Small scan grids with c near 1e-300 and near 1e300, beta at 1.0 and -0.0,
+# points with c < beta, and a beta above the smallest c + 1, where k is NaN.
+@st.composite
+def _scan_grids(draw):
+    c_grid = [draw(st.floats(1e-300, 1e-299)), draw(st.floats(1e299, 1e300)),
+              *draw(st.lists(st.floats(1e-300, 1e300), max_size=2))]
+    beta_grid = [1.0, -0.0, 2.0 * min(c_grid) + 2.0,
+                 *draw(st.lists(st.floats(-1e300, 1e300), max_size=2))]
+    return (draw(st.floats(0.001, 0.999)), draw(st.permutations(c_grid)),
+            draw(st.permutations(beta_grid)))
+
+
+def _csv_writer_scan_rows(res) -> str:
+    """The scan rows as the former renderer wrote them: one csv.writer call
+    per grid point."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    betas = res.beta_grid.tolist()
+    for c, feasible, k in zip(res.c_grid.tolist(), res.feasible, res.k):
+        for beta, ok, k_val in zip(betas, feasible.tolist(), k.tolist()):
+            writer.writerow(
+                [f"scan-point[c={c},beta={beta}]", "6.49", ok, "", "", "", k_val]
+            )
+    return buf.getvalue()
+
+
 class TestCsvReports:
     def test_verdict_rows(self, capsys):
         status, out, _ = run_cli(
@@ -268,6 +323,20 @@ class TestCsvReports:
         # commas come back quoted)
         assert len(lines) > 1000
         assert any("scan-point[" in line for line in lines[1:5])
+
+    @given(_scan_grids())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_scan_rows_match_csv_writer(self, grid):
+        p, c_grid, beta_grid = grid
+        # k is NaN where beta > c + 1 and may overflow near c = 1e-300
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = scan_params(p, c_grid=c_grid, beta_grid=beta_grid, n_max=3)
+        assert np.isnan(res.k).any()
+        report = cli.Report("redheffer-scan", {}, 3, [], 0.0,
+                            scan_rows=res.iter_rows())
+        header, rows = cli.render_csv(report).split("\r\n", 1)
+        assert header.startswith("claim,paper_ref,holds")
+        assert rows == _csv_writer_scan_rows(res)
 
 
 class TestSubcommandSurface:
@@ -381,10 +450,14 @@ class TestArgvFuzz:
     def test_exit_status_is_a_verdict_or_a_rejection(self, argv):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+                contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 status = main(argv)
             except SystemExit as exc:  # argparse rejects the arguments
                 status = exc.code
         assert status in (0, 1, 2), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        # a warning would print on stderr ahead of the report or error line
+        assert [str(w.message) for w in caught] == [], argv

@@ -1,7 +1,8 @@
 """Every function in ``src/hardylab`` is reached by a claim or a subcommand.
 
 The test runs each CLI argument list of ``tests/test_cli_golden.py`` once
-in JSON, one of them in CSV and in text, and ``verify-paper --n-max 1000``,
+in JSON, one of them in CSV and in text, one scan in CSV (the per-point
+rows), and ``verify-paper --n-max 1000``,
 recording every Python frame entered through a global ``sys.settrace``
 hook.  A function, method, lambda or generator expression compiled from a
 module of the package that none of these runs enters is code that no
@@ -69,6 +70,7 @@ def entered_functions(runs) -> set[tuple[str, str, int]]:
 def test_every_source_function_is_reached():
     runs = [(*argv, "--format", "json") for argv in ARGVS]
     runs += [(*ARGVS[0], "--format", fmt) for fmt in ("csv", "text")]
+    runs.append(("redheffer-scan", "--p", "0.45", "--n-max", "100", "--format", "csv"))
     runs.append(("verify-paper", "--n-max", "1000", "--format", "json"))
     missing = source_functions() - entered_functions(runs)
     listed = "\n".join(f"  {m}.py:{line} {name}" for m, name, line in sorted(missing))

@@ -321,14 +321,16 @@ class TestScanner:
 
     def test_row_iteration(self):
         res = scan_params(0.45, c_grid=[1.0, 2.0], beta_grid=[0.0, 0.5], n_max=100)
-        rows = list(res.iter_rows())
-        assert [(c, beta) for c, beta, _, _ in rows] == [
-            (1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (2.0, 0.5)
-        ]
-        assert [feasible for _, _, feasible, _ in rows] == res.feasible.ravel().tolist()
-        assert [k for _, _, _, k in rows] == res.k.ravel().tolist()
+        betas, *rows = res.iter_rows()
+        assert betas == [0.0, 0.5]
+        assert [c for c, _, _ in rows] == [1.0, 2.0]
+        assert [feasible for _, feasible, _ in rows] == res.feasible.tolist()
+        assert [k for _, _, k in rows] == res.k.tolist()
         # plain Python values, whose str is what the CSV rows print
-        assert {tuple(map(type, row)) for row in rows} == {(float, float, bool, float)}
+        assert {type(beta) for beta in betas} == {float}
+        assert {type(c) for c, _, _ in rows} == {float}
+        assert {type(ok) for _, feasible, _ in rows for ok in feasible} == {bool}
+        assert {type(k) for _, _, ks in rows for k in ks} == {float}
 
     @pytest.mark.parametrize("p", [0.34, 0.45, 0.46, 0.5, 0.66, 0.9])
     def test_k_grid_matches_inline_branches(self, p):
