@@ -34,10 +34,10 @@ def main() -> int:
         if result.best is None:
             print(f"{p:8.4f} {'none':>10}")
             continue
-        best = result.best
+        best, k = result.best, result.best_k
         verified = "yes" if result.best_report.holds else "NO"
         print(f"{p:8.4f} {result.feasible_count:>10} {best.c:9.4f} "
-              f"{best.beta:10.4f} {best.k:10.6f} {1.0 / best.k:10.6f} "
+              f"{best.beta:10.4f} {k:10.6f} {1.0 / k:10.6f} "
               f"{reference:12.6f} {verified:>9}")
     return 0
 

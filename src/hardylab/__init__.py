@@ -58,8 +58,6 @@ from .redheffer import (
 from .reports import CriterionReport, Tolerances, Verdict
 from .sequences import (
     AuxSequence,
-    ExponentPair,
-    WeightSequence,
     conjugate_exponent,
     knopp_sequence,
     levin_steckin_sequence,

@@ -50,7 +50,7 @@ from .redheffer import (
     scan_params,
 )
 from .reports import FINITE_HORIZON_NOTE, Tolerances, Verdict
-from .sequences import ExponentPair, WeightSequence, knopp_sequence
+from .sequences import knopp_sequence, power_aux_sequence
 from .verify import DEFAULT_SEED, THEOREM6_FLOOR, run_verification
 
 
@@ -77,14 +77,12 @@ Outcome = tuple[list[Verdict], Iterable | None]
 
 def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     p, alpha = args.p, args.alpha
-    pair = ExponentPair.forward(p)
+    w = knopp_sequence(p, alpha, args.n_max + 1)  # rejects p <= 1 first
     U = classic_forward_constant(p) if args.U is None else args.U
-    w = knopp_sequence(pair, alpha, args.n_max + 1)
-    lam = WeightSequence.constant(args.n_max + 1)
     report = knopp_criterion_check(
         w,
-        lam,
-        pair,
+        power_aux_sequence(0.0, args.n_max + 1),
+        p,
         U,
         args.n_max,
         tol,
@@ -95,8 +93,7 @@ def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
 
 
 def _handle_check_2_20(args: argparse.Namespace, tol: Tolerances) -> Outcome:
-    pair = ExponentPair.forward(args.p)
-    report = criterion_2_20_check(args.alpha, pair, args.n_max, tol)
+    report = criterion_2_20_check(args.alpha, args.p, args.n_max, tol)
     return [Verdict.from_report(report)], None
 
 
@@ -118,19 +115,18 @@ def _handle_check_2_4(args: argparse.Namespace, tol: Tolerances) -> Outcome:
 
 
 def _handle_check_2_3(args: argparse.Namespace, tol: Tolerances) -> Outcome:
-    pair = ExponentPair.forward(args.p)
-    report = check_2_3(args.alpha, pair, args.n_max, tol)
+    report = check_2_3(args.alpha, args.p, args.n_max, tol)
     return [Verdict.from_report(report)], None
 
 
 def _handle_redheffer_solve(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     sol = balance_solution_half(args.c, args.n_max)
-    beta, k = sol.params.beta, sol.params.k
+    beta, k = sol.params.beta, sol.k
     return [
         Verdict("x", "x(c')", sol.residual < 1e-12, value=sol.x,
                 detail=f"balance residual {sol.residual:.2e}"),
         Verdict("beta", "x(c')", beta <= 1.0, value=beta),
-        Verdict("k", "k(p)", condition_6_50_check(sol.params), value=k),
+        Verdict("k", "k(p)", condition_6_50_check(sol.params, k, tol), value=k),
         Verdict("reciprocal", "thm6", 1.0 / k > THEOREM6_FLOOR, value=1.0 / k),
     ], None
 
@@ -173,7 +169,7 @@ def _handle_redheffer_scan(args: argparse.Namespace, tol: Tolerances) -> Outcome
             "scan-best", "6.49",
             result.best_report.holds,
             min_slack=result.best_report.min_slack,
-            value=result.best.k,
+            value=result.best_k,
             detail=(
                 f"c={result.best.c}, beta={result.best.beta}, "
                 f"feasible {result.feasible_count}/{result.n_points}"

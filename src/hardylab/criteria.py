@@ -25,8 +25,6 @@ from .errors import OutOfDomainError, ParameterMismatchError, PreconditionError
 from .reports import CriterionReport, Tolerances, build_report
 from .sequences import (
     AuxSequence,
-    ExponentPair,
-    WeightSequence,
     conjugate_exponent,
     knopp_sequence,
     levin_steckin_sequence,
@@ -78,8 +76,8 @@ def _bracket_slacks(
 
 def knopp_criterion_check(
     w: AuxSequence,
-    weights: WeightSequence,
-    params: ExponentPair,
+    weights: AuxSequence,
+    p: float,
     U: float,
     n_max: int,
     tol: Tolerances | None = None,
@@ -88,14 +86,14 @@ def knopp_criterion_check(
     ref: str = "eq7",
     exploratory: bool = False,
 ) -> CriterionReport:
-    """Forward criterion check over n = 1..n_max (strict inequality).
+    """Forward criterion check over n = 1..n_max (strict inequality), with
+    the auxiliary sequence w and the weights lambda (``weights``).
 
     Both sequences must be generated through n_max + 1, since the bracket
     looks one index ahead.
     """
-    p = params.p
     if not p > 1.0:
-        raise PreconditionError(f"forward criterion needs p > 1, got {p}")
+        raise PreconditionError(f"forward regime needs p > 1, got {p}")
     if w.n_max < n_max + 1 or weights.n_max < n_max + 1:
         raise ParameterMismatchError(
             f"sequences must be generated through n_max+1={n_max + 1}"
@@ -104,11 +102,11 @@ def knopp_criterion_check(
         raise OutOfDomainError("target constant must be positive")
     # a huge p overflows these to inf, which _bracket_slacks rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        log_t = (p - 1.0) * w.log_w[: n_max + 1] - p * weights.log_lam[: n_max + 1]
+        log_t = (p - 1.0) * w.log_w[: n_max + 1] - p * weights.log_w[: n_max + 1]
         log_lhs = (p - 1.0) * np.log(w.W[:n_max])
-        log_factor = p * np.log(weights.Lam[:n_max])
+        log_factor = p * np.log(weights.W[:n_max])
     slacks, log_rhs = _bracket_slacks(log_lhs, math.log(U), log_factor, log_t)
-    label = name or f"knopp[p={params.p},U={U}]"
+    label = name or f"knopp[p={p},U={U}]"
     return build_report(
         label,
         ref,
@@ -129,24 +127,19 @@ def _forward_established(p: float, alpha: float) -> bool:
 
 def criterion_2_20_check(
     alpha: float,
-    params: ExponentPair,
+    p: float,
     n_max: int,
     tol: Tolerances | None = None,
 ) -> CriterionReport:
-    """Forward criterion with lambda_n = n**alpha and the matching Knopp w."""
-    p = params.p
-    if not p > 1.0:
-        raise PreconditionError(f"needs p > 1, got {p}")
+    """Forward criterion with lambda_n = n**alpha and the matching Knopp w
+    (knopp_sequence rejects p <= 1)."""
     if not 0.0 <= alpha <= 1.0:
         raise OutOfDomainError(f"alpha must lie in [0, 1], got {alpha}")
-    w = knopp_sequence(params, alpha, n_max + 1)
-    weights = WeightSequence.power(alpha, n_max + 1)
-    U = weighted_mean_constant(p, alpha)
     return knopp_criterion_check(
-        w,
-        weights,
-        params,
-        U,
+        knopp_sequence(p, alpha, n_max + 1),
+        power_aux_sequence(alpha, n_max + 1),
+        p,
+        weighted_mean_constant(p, alpha),
         n_max,
         tol,
         name=f"2.20[p={p},alpha={alpha}]",
@@ -160,7 +153,7 @@ class FAlpha(NamedTuple):
     fprime_at_inv_p: float
 
 
-def f_alpha_analysis(alpha: float, params: ExponentPair, n: int) -> FAlpha:
+def f_alpha_analysis(alpha: float, p: float, n: int) -> FAlpha:
     """Scalar reduction of the forward criterion at fixed n.
 
     f(a) = a log(1 + 1/n) - (1/p) log(1 + (a + 1/q)/n)
@@ -170,9 +163,9 @@ def f_alpha_analysis(alpha: float, params: ExponentPair, n: int) -> FAlpha:
     and the sign of f'(1/p) = log(1 + 1/n) - 1/n + 1/(p n (n+1)) decides
     which side of 1/p stays positive.
     """
-    p, q = params.p, params.q
     if not p > 1.0:
-        raise PreconditionError(f"needs p > 1, got {p}")
+        raise PreconditionError(f"forward regime needs p > 1, got {p}")
+    q = conjugate_exponent(p)
     if n < 1:
         raise OutOfDomainError("n must be >= 1")
     if not 0.0 <= alpha <= 1.0:
@@ -236,12 +229,11 @@ def check_2_30(
     n = 1 once p is close enough to 1).
     """
     if not p > 1.0:
-        raise PreconditionError(f"needs p > 1, got {p}")
-    params = ExponentPair.forward(p)
+        raise PreconditionError(f"forward regime needs p > 1, got {p}")
     return knopp_criterion_check(
         power_aux_sequence(-1.0 / p, n_max + 1),
-        WeightSequence.constant(n_max + 1),
-        params,
+        power_aux_sequence(0.0, n_max + 1),
+        p,
         classic_forward_constant(p),
         n_max,
         tol,
@@ -290,23 +282,22 @@ def check_2_4(
 
 def check_2_3(
     alpha: float,
-    params: ExponentPair,
+    p: float,
     n_max: int,
     tol: Tolerances | None = None,
 ) -> CriterionReport:
     """Forward criterion for the power choice w_n = n**(alpha - 1/p) against
     weights lambda_n = n**alpha, established for 1 <= alpha <= 1 + 1/p."""
-    p = params.p
     if not p > 1.0:
-        raise PreconditionError(f"needs p > 1, got {p}")
+        raise PreconditionError(f"forward regime needs p > 1, got {p}")
     if not 1.0 <= alpha <= 1.0 + 1.0 / p:
         raise OutOfDomainError(
             f"established range is 1 <= alpha <= 1 + 1/p, got alpha={alpha}"
         )
     return knopp_criterion_check(
         power_aux_sequence(alpha - 1.0 / p, n_max + 1),
-        WeightSequence.power(alpha, n_max + 1),
-        params,
+        power_aux_sequence(alpha, n_max + 1),
+        p,
         weighted_mean_constant(p, alpha),
         n_max,
         tol,

@@ -6,8 +6,7 @@ class WorkbenchError(ValueError):
 
 
 class InvalidExponentError(WorkbenchError):
-    """The exponent p sits where the conjugate q = p/(p-1) is undefined,
-    or outside the regime a constructor requires."""
+    """The exponent p sits where the conjugate q = p/(p-1) is undefined."""
 
 
 class NonpositiveWeightError(WorkbenchError):

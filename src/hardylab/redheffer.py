@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,15 +38,13 @@ from .sequences import conjugate_exponent
 class RedhefferParams:
     """Parameters (p, c, beta) of the nu_n = (n - beta)/c multiplier family.
 
-    k is the constant k(p) once computed.  At beta = 1 the n = 1
-    multiplier degenerates to zero; every worked configuration keeps
-    beta < 1.
+    At beta = 1 the n = 1 multiplier degenerates to zero; every worked
+    configuration keeps beta < 1.
     """
 
     p: float
     c: float
     beta: float
-    k: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
@@ -57,9 +55,6 @@ class RedhefferParams:
             raise OutOfDomainError(f"beta must be <= 1, got {self.beta}")
         if self.c < self.beta:
             raise OutOfDomainError(f"need c >= beta, got c={self.c} < {self.beta}")
-
-    def with_k(self, k: float) -> "RedhefferParams":
-        return replace(self, k=k)
 
 
 @dataclass(frozen=True)
@@ -253,24 +248,22 @@ def _second_branch(p: float, c, beta, n) -> np.ndarray:
 def condition_6_49_check(
     params: RedhefferParams,
     n_max: int,
-    k: float | None = None,
+    k: float,
     tol: Tolerances | None = None,
 ) -> CriterionReport:
-    """Two-branch feasibility condition over 2 <= n <= n_max (non-strict).
+    """Two-branch feasibility condition over 2 <= n <= n_max (non-strict)
+    for the constant k.
 
     Whenever the slope condition (see condition_6_50_check) holds, the
     supremum of the n-branch over n >= 2 is attained at n = 2, so the
     whole family follows from the n = 2 case.
     """
-    k_val = params.k if k is None else k
-    if k_val is None:
-        raise OutOfDomainError("a constant k is required (pass k or params.k)")
-    if not k_val > 0.0:
-        raise OutOfDomainError(f"k must be positive, got {k_val}")
+    if not k > 0.0:
+        raise OutOfDomainError(f"k must be positive, got {k}")
     if n_max < 2:
         raise OutOfDomainError("need n_max >= 2")
     p, c, beta = params.p, params.c, params.beta
-    rhs = c ** (1.0 - p) * k_val
+    rhs = c ** (1.0 - p) * k
     if not 0.0 < rhs < math.inf:  # every slack would be NaN or -inf
         raise OutOfDomainError(f"c**(1-p) k must be positive and finite, got {rhs}")
     ns = np.arange(2, n_max + 1)
@@ -291,7 +284,7 @@ def condition_6_49_check(
 
 def condition_6_50_check(
     params: RedhefferParams,
-    k: float | None = None,
+    k: float,
     tol: Tolerances | None = None,
 ) -> bool:
     """Slope condition (1 - p)(1 + c) < c**(1-p) k, strict.
@@ -299,12 +292,9 @@ def condition_6_50_check(
     Decided with the standard relative tolerance so an exact-equality
     configuration (the boundary route) reports False deterministically.
     """
-    k_val = params.k if k is None else k
-    if k_val is None:
-        raise OutOfDomainError("a constant k is required (pass k or params.k)")
     tol = tol or Tolerances()
     lhs = (1.0 - params.p) * (1.0 + params.c)
-    rhs = params.c ** (1.0 - params.p) * k_val
+    rhs = params.c ** (1.0 - params.p) * k
     return rhs - lhs > tol.tol_abs + tol.tol_rel * abs(rhs)
 
 
@@ -334,14 +324,15 @@ def solve_x_half(c_prime: float) -> float:
 
 class BalanceSolution(NamedTuple):
     params: RedhefferParams
+    k: float
     x: float
     residual: float
 
 
 def balance_solution_half(c: float, n_max: int) -> BalanceSolution:
     """The p = 1/2 configuration for c: x = (1 - beta)/c from solve_x_half,
-    beta = 1 - c x, k = k(1/2) over 2 <= n <= n_max as params.k, and the
-    residual of the balancing equation at x."""
+    beta = 1 - c x, k = k(1/2) over 2 <= n <= n_max, and the residual of
+    the balancing equation at x."""
     if not c > 0.0:
         raise OutOfDomainError("c must be positive")
     x = solve_x_half(1.0 / c)
@@ -350,7 +341,7 @@ def balance_solution_half(c: float, n_max: int) -> BalanceSolution:
         - math.sqrt(2.0) * (math.sqrt(1.0 + 1.0 / c + x) - math.sqrt(x))
     )
     params = RedhefferParams(p=0.5, c=c, beta=1.0 - c * x)
-    return BalanceSolution(params.with_k(k_of_p(params, n_max)), x, residual)
+    return BalanceSolution(params, k_of_p(params, n_max), x, residual)
 
 
 def k_of_p(params: RedhefferParams, n_max: int) -> float:
@@ -374,7 +365,8 @@ def default_beta_grid(p: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class ScanResult:
-    """Grid scan outcome; ``best`` is None when no grid point is feasible."""
+    """Grid scan outcome; ``best`` and ``best_k`` are None when no grid
+    point is feasible."""
 
     p: float
     c_grid: np.ndarray = field(repr=False)
@@ -382,6 +374,7 @@ class ScanResult:
     k: np.ndarray = field(repr=False)
     feasible: np.ndarray = field(repr=False)
     best: RedhefferParams | None = None
+    best_k: float | None = None
     best_report: CriterionReport | None = None
 
     @property
@@ -415,8 +408,9 @@ def scan_params(
     large-n limit (1-p)(1+c) of the second branch (the reduction argument
     pins the supremum to these).  A point is feasible when the slope
     condition then holds strictly or, on the equality route with
-    p < 1/2, the curvature condition does.  The best point is re-verified
-    directly against the full n <= n_max family.
+    p < 1/2, the curvature condition does; a point whose k is NaN or
+    infinite is not.  The best point is re-verified directly against the
+    full n <= n_max family.
     """
     if not 0.0 < p < 1.0:
         raise OutOfDomainError(f"p must lie in (0, 1), got {p}")
@@ -431,19 +425,21 @@ def scan_params(
     B = b_vals[None, :]
     valid = (C > 0.0) & (C >= B) & (B <= 1.0)
     e = 1.0 - p
-    b1 = _first_branch(p, C, B)
-    b2 = _second_branch(p, C, B, 2.0)
-    limit = np.broadcast_to((1.0 - p) * (1.0 + C), b2.shape)
-    with np.errstate(invalid="ignore"):
+    # a caller's grid may hold points whose branches or k are NaN or
+    # infinite (c <= 0, beta past c + 1, c near 1e-300); they are
+    # infeasible, and a tolerance past the float range is an inf threshold
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        b1 = _first_branch(p, C, B)
+        b2 = _second_branch(p, C, B, 2.0)
+        limit = np.broadcast_to((1.0 - p) * (1.0 + C), b2.shape)
         k = np.maximum(np.maximum(b1, b2), limit) / C**e
-    rhs = C**e * k
-    with np.errstate(over="ignore"):  # a tolerance past the float range is inf
+        rhs = C**e * k
         slope_ok = rhs - (1.0 - p) * (1.0 + C) > tol.tol_abs + tol.tol_rel * np.abs(rhs)
     if p < 0.5:
         curvature_ok = np.broadcast_to(B < 1.0 / (2.0 * p) - 1.0, k.shape)
     else:
         curvature_ok = np.zeros_like(k, dtype=bool)
-    feasible = valid & (slope_ok | curvature_ok)
+    feasible = valid & np.isfinite(k) & (slope_ok | curvature_ok)
     result = ScanResult(
         p=p,
         c_grid=c_vals,
@@ -454,9 +450,9 @@ def scan_params(
     if result.feasible_count:
         masked = np.where(feasible, k, np.inf)
         i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        best = RedhefferParams(
-            p=p, c=float(c_vals[i]), beta=float(b_vals[j]), k=float(k[i, j])
+        result.best = RedhefferParams(p=p, c=float(c_vals[i]), beta=float(b_vals[j]))
+        result.best_k = float(k[i, j])
+        result.best_report = condition_6_49_check(
+            result.best, n_max, result.best_k, tol
         )
-        result.best = best
-        result.best_report = condition_6_49_check(best, n_max, tol=tol)
     return result

@@ -39,69 +39,13 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True)
-class ExponentPair:
-    """A Hoelder pair (p, q) with 1/p + 1/q = 1."""
-
-    p: float
-    q: float
-
-    def __post_init__(self) -> None:
-        if self.p == 0.0 or self.p == 1.0:
-            raise InvalidExponentError(f"invalid exponent p={self.p}")
-        scale = max(abs(1.0 / self.p), abs(1.0 / self.q), 1.0)
-        # written so that a NaN p or q fails it
-        if not abs(1.0 / self.p + 1.0 / self.q - 1.0) <= 1e-12 * scale:
-            raise InvalidExponentError(
-                f"(p={self.p}, q={self.q}) is not a conjugate pair"
-            )
-
-    @classmethod
-    def of(cls, p: float) -> "ExponentPair":
-        return cls(float(p), conjugate_exponent(float(p)))
-
-    @classmethod
-    def forward(cls, p: float) -> "ExponentPair":
-        """Pair for the forward (weighted-mean) regime, p > 1."""
-        if not p > 1.0:
-            raise InvalidExponentError(f"forward regime needs p > 1, got {p}")
-        return cls.of(p)
-
-
-@dataclass(eq=False)
-class WeightSequence:
-    """Power-family weights lambda_n = n**alpha with compensated partial sums."""
-
-    n_max: int
-    lam: np.ndarray = field(repr=False)
-    Lam: np.ndarray = field(repr=False)
-    log_lam: np.ndarray = field(repr=False)
-
-    @classmethod
-    def power(cls, alpha: float, n_max: int) -> "WeightSequence":
-        if n_max < 1:
-            raise OutOfDomainError("n_max must be >= 1")
-        idx = np.arange(1, n_max + 1, dtype=float)
-        lam = idx**alpha
-        return cls(
-            n_max=n_max,
-            lam=lam,
-            Lam=neumaier_prefix_sums(lam),
-            log_lam=alpha * np.log(idx),
-        )
-
-    @classmethod
-    def constant(cls, n_max: int) -> "WeightSequence":
-        """All-ones weights, the alpha = 0 member of the power family."""
-        return cls.power(0.0, n_max)
-
-
 @dataclass(eq=False)
 class AuxSequence:
-    """Auxiliary weights w_n with partial sums W_n and log-scale values.
+    """Positive weights w_n with partial sums W_n and log-scale values.
 
-    Generators normalize w_1 = 1; the criterion checks are scale invariant
-    in w, so scaled copies carry the same verdicts.
+    Holds both inputs of a criterion check: the auxiliary sequence w and
+    the weights lambda.  Generators normalize w_1 = 1; the criterion checks
+    are scale invariant in w, so scaled copies carry the same verdicts.
     """
 
     n_max: int
@@ -138,18 +82,19 @@ def _ratio_recurrence(
     return AuxSequence(n_max=n_max, w=w, W=W, log_w=log_w, exploratory=exploratory)
 
 
-def knopp_sequence(params: ExponentPair, alpha: float, n_max: int) -> AuxSequence:
+def knopp_sequence(p: float, alpha: float, n_max: int) -> AuxSequence:
     """Forward auxiliary weights: w_{n+1} = ((n + alpha - 1/p)/n) w_n.
 
     Positivity requires alpha > -1/q; below that the recurrence hits a
     nonpositive ratio at n = 1.
     """
-    if not params.p > 1.0:
-        raise PreconditionError(f"forward weights need p > 1, got p={params.p}")
-    shift = alpha - 1.0 / params.p
+    if not p > 1.0:
+        raise PreconditionError(f"forward regime needs p > 1, got {p}")
+    shift = alpha - 1.0 / p
     if 1.0 + shift <= 0.0:
         raise NonpositiveWeightError(
-            f"alpha={alpha} <= -1/q={-1.0 / params.q}: weights become nonpositive"
+            f"alpha={alpha} <= -1/q={-1.0 / conjugate_exponent(p)}: "
+            "weights become nonpositive"
         )
     return _ratio_recurrence(shift, n_max)
 
@@ -169,7 +114,8 @@ def levin_steckin_sequence(p: float, n_max: int) -> AuxSequence:
 
 
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
-    """Auxiliary weights w_n = n**exponent (w_1 = 1 automatically)."""
+    """Power weights w_n = n**exponent (w_1 = 1 automatically); exponent 0
+    gives the constant weights lambda = 1."""
     if n_max < 1:
         raise OutOfDomainError("n_max must be >= 1")
     idx = np.arange(1, n_max + 1, dtype=float)

@@ -44,10 +44,9 @@ from .redheffer import (
 )
 from .reports import Verdict
 from .sequences import (
-    ExponentPair,
-    WeightSequence,
     knopp_sequence,
     levin_steckin_sequence,
+    power_aux_sequence,
     power_sum_bound_checks,
 )
 
@@ -58,7 +57,7 @@ THEOREM6_FLOOR = 0.8967
 def redheffer_constant_claims(n_max: int = 10000) -> list[Verdict]:
     """Closed-form solver output and the derived constant at p = 1/2."""
     sol = balance_solution_half(2.5, n_max)
-    x, beta, k = sol.x, sol.params.beta, sol.params.k
+    x, beta, k = sol.x, sol.params.beta, sol.k
     return [
         Verdict(
             "1.1-balance-root-x",
@@ -151,16 +150,16 @@ def boundary_algebra_claims() -> list[Verdict]:
     p3 = 1.0 / 3.0
     beta3 = 3.0 - 2.0 * math.sqrt(2.0)
     k3 = 2.0 ** (1.0 / 3.0)
-    params3 = RedhefferParams(p=p3, c=2.0, beta=beta3, k=k3)
+    params3 = RedhefferParams(p=p3, c=2.0, beta=beta3)
     rhs = 2.0 ** (2.0 / 3.0) * k3
     first = (1.0 + 2.0 - beta3) ** (2.0 / 3.0)
     n2 = 2.0**p3 * ((2.0 + 2.0 - beta3) ** (2.0 / 3.0) - (1.0 - beta3) ** (2.0 / 3.0))
-    report3 = condition_6_49_check(params3, 2)
+    report3 = condition_6_49_check(params3, 2, k3)
     p34 = 0.34
     c34 = 1.0 / p34 - 1.0
     k34 = c34**p34
-    params34 = RedhefferParams(p=p34, c=c34, beta=0.21, k=k34)
-    report34 = condition_6_49_check(params34, 2)
+    params34 = RedhefferParams(p=p34, c=c34, beta=0.21)
+    report34 = condition_6_49_check(params34, 2, k34)
     return [
         Verdict(
             "4.1-third-equality",
@@ -209,15 +208,13 @@ def forward_sample_claims(n_max: int = 10000) -> list[Verdict]:
     """Shifted weighted-mean criterion samples plus the slope sign table."""
     rows = []
     for p, alpha in FORWARD_SAMPLES:
-        report = criterion_2_20_check(alpha, ExponentPair.forward(p), n_max)
+        report = criterion_2_20_check(alpha, p, n_max)
         rows.append(Verdict.from_report(report, f"5.1-forward-p{p:.6g}-a{alpha:.6g}"))
     neg = all(
-        f_alpha_analysis(0.5, ExponentPair.forward(2.0), n).fprime_at_inv_p < 0.0
-        for n in range(1, 101)
+        f_alpha_analysis(0.5, 2.0, n).fprime_at_inv_p < 0.0 for n in range(1, 101)
     )
     pos = all(
-        f_alpha_analysis(0.75, ExponentPair.forward(4.0 / 3.0), n).fprime_at_inv_p
-        > 0.0
+        f_alpha_analysis(0.75, 4.0 / 3.0, n).fprime_at_inv_p > 0.0
         for n in range(1, 101)
     )
     rows.append(Verdict("5.2-slope-negative-p2", "2.23", neg))
@@ -246,7 +243,7 @@ def power_choice_claims(n_max: int = 10000) -> list[Verdict]:
         report = check_2_4(p, 50)
         rows.append(Verdict.from_report(report, f"6.3-scalar-family-p{p:.6g}"))
     for p, alpha in ((2.0, 1.0), (2.0, 1.5), (3.0, 4.0 / 3.0)):
-        report = check_2_3(alpha, ExponentPair.forward(p), n_max)
+        report = check_2_3(alpha, p, n_max)
         claim = f"6.4-shifted-power-p{p:.6g}-a{alpha:.6g}"
         rows.append(Verdict.from_report(report, claim))
     return rows
@@ -266,11 +263,13 @@ def hardy_bracketing_claims(n_max: int = 10000) -> list[Verdict]:
     """Classic forward criterion, extremal bracketing, and the norm cap."""
     rows = []
     for p in (1.25, 2.0, 3.0):
-        pair = ExponentPair.forward(p)
-        w = knopp_sequence(pair, 0.0, n_max + 1)
-        lam = WeightSequence.constant(n_max + 1)
         report = knopp_criterion_check(
-            w, lam, pair, classic_forward_constant(p), n_max, name=f"knopp[p={p}]"
+            knopp_sequence(p, 0.0, n_max + 1),
+            power_aux_sequence(0.0, n_max + 1),
+            p,
+            classic_forward_constant(p),
+            n_max,
+            name=f"knopp[p={p}]",
         )
         rows.append(Verdict.from_report(report, f"7.1-classic-knopp-p{p:.6g}"))
     grid = [SequenceFamily("power_decay", 100000, s) for s in (0.5001, 0.501, 0.51)]

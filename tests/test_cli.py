@@ -44,10 +44,22 @@ class TestExitCodes:
         assert status == 1
         assert "FAILS" in out
 
-    def test_invalid_exponent_exits_two(self, capsys):
-        status, _, err = run_cli(capsys, "check-knopp", "--p", "1")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-knopp", "--p", "1"),
+            ("check-2-20", "--p", "1", "--alpha", "0.5"),
+            ("check-2-3", "--p", "1", "--alpha", "1"),
+            ("check-2-30", "--p", "1"),
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_exponent_exits_two(self, capsys, argv):
+        # one message for p <= 1 on every forward subcommand
+        status, out, err = run_cli(capsys, *argv)
         assert status == 2
-        assert "error" in err
+        assert err == "error: forward regime needs p > 1, got 1.0\n"
+        assert out == ""
 
     def test_missing_parameter_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -199,6 +211,17 @@ class TestExplicitArguments:
         assert f"unrecognized arguments: {flag}" in captured.err
         assert captured.out == ""
 
+    def test_redheffer_solve_reads_tolerances(self, capsys):
+        # the k verdict is decided with the echoed tolerances
+        status, out, _ = run_cli(
+            capsys, "redheffer-solve", "--n-max", "2000", "--tol-rel", "1",
+            "--format", "json",
+        )
+        report = json.loads(out)
+        assert status == 1
+        assert report["params"]["tol_rel"] == 1.0
+        assert [v["claim"] for v in report["verdicts"] if not v["holds"]] == ["k"]
+
     def test_fixed_default_is_echoed(self, capsys):
         status, out, _ = run_cli(
             capsys, "redheffer-solve", "--n-max", "2000", "--format", "json"
@@ -328,8 +351,10 @@ class TestCsvReports:
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_scan_rows_match_csv_writer(self, grid):
         p, c_grid, beta_grid = grid
-        # k is NaN where beta > c + 1 and may overflow near c = 1e-300
-        with np.errstate(invalid="ignore", over="ignore"):
+        # k is NaN where beta > c + 1 and may overflow near c = 1e-300;
+        # the scan expects both and warns about neither
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = scan_params(p, c_grid=c_grid, beta_grid=beta_grid, n_max=3)
         assert np.isnan(res.k).any()
         report = cli.Report("redheffer-scan", {}, 3, [], 0.0,

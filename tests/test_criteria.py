@@ -23,22 +23,13 @@ from hardylab.errors import (
     PreconditionError,
 )
 from hardylab.reports import Tolerances, Verdict, build_report, classify_tail_trend
-from hardylab.sequences import (
-    AuxSequence,
-    ExponentPair,
-    WeightSequence,
-    knopp_sequence,
-    power_aux_sequence,
-)
-
-PAIR2 = ExponentPair.forward(2.0)
+from hardylab.sequences import AuxSequence, knopp_sequence, power_aux_sequence
 
 
 def classic_check(n_max, alpha=0.0, U=4.0, p=2.0):
-    pair = ExponentPair.forward(p)
-    w = knopp_sequence(pair, alpha, n_max + 1)
-    lam = WeightSequence.constant(n_max + 1)
-    return knopp_criterion_check(w, lam, pair, U, n_max)
+    w = knopp_sequence(p, alpha, n_max + 1)
+    lam = power_aux_sequence(0.0, n_max + 1)
+    return knopp_criterion_check(w, lam, p, U, n_max)
 
 
 class TestForwardCriterion:
@@ -55,7 +46,7 @@ class TestForwardCriterion:
 
     def test_constant_weights_fail_immediately(self):
         rep = knopp_criterion_check(
-            power_aux_sequence(0.0, 101), WeightSequence.constant(101), PAIR2, 4.0, 100
+            power_aux_sequence(0.0, 101), power_aux_sequence(0.0, 101), 2.0, 4.0, 100
         )
         assert not rep.holds
         assert rep.first_failure == 1
@@ -73,9 +64,9 @@ class TestForwardCriterion:
     def test_short_sequences_rejected(self):
         with pytest.raises(ParameterMismatchError):
             knopp_criterion_check(
-                knopp_sequence(PAIR2, 0.0, 100),
-                WeightSequence.constant(100),
-                PAIR2,
+                knopp_sequence(2.0, 0.0, 100),
+                power_aux_sequence(0.0, 100),
+                2.0,
                 4.0,
                 100,
             )
@@ -90,8 +81,8 @@ class TestForwardCriterion:
         with pytest.raises(PreconditionError):
             knopp_criterion_check(
                 power_aux_sequence(0.0, 11),
-                WeightSequence.constant(11),
-                ExponentPair.of(0.5),
+                power_aux_sequence(0.0, 11),
+                0.5,
                 4.0,
                 10,
             )
@@ -99,16 +90,16 @@ class TestForwardCriterion:
     @given(st.floats(min_value=1e-8, max_value=1e8))
     @settings(max_examples=40, deadline=None)
     def test_scale_invariance_of_verdicts(self, factor):
-        base = knopp_sequence(PAIR2, 0.0, 201)
-        lam = WeightSequence.constant(201)
-        r1 = knopp_criterion_check(base, lam, PAIR2, 4.0, 200)
+        base = knopp_sequence(2.0, 0.0, 201)
+        lam = power_aux_sequence(0.0, 201)
+        r1 = knopp_criterion_check(base, lam, 2.0, 4.0, 200)
         scaled = AuxSequence(
             n_max=base.n_max,
             w=base.w * factor,
             W=base.W * factor,
             log_w=base.log_w + math.log(factor),
         )
-        r2 = knopp_criterion_check(scaled, lam, PAIR2, 4.0, 200)
+        r2 = knopp_criterion_check(scaled, lam, 2.0, 4.0, 200)
         assert r1.holds == r2.holds
         assert np.max(np.abs(r1.slacks - r2.slacks)) <= 1e-10
 
@@ -126,27 +117,27 @@ class TestShiftedWeightedMeanCriterion:
 
     @pytest.mark.parametrize("p,alpha", SAMPLES)
     def test_established_samples_hold(self, p, alpha):
-        rep = criterion_2_20_check(alpha, ExponentPair.forward(p), 2000)
+        rep = criterion_2_20_check(alpha, p, 2000)
         assert rep.holds
         assert not rep.exploratory
         assert rep.min_slack > 0.0
 
     def test_exploratory_flag_outside_established_region(self):
-        rep = criterion_2_20_check(0.9, PAIR2, 50)
+        rep = criterion_2_20_check(0.9, 2.0, 50)
         assert rep.exploratory
 
     def test_alpha_domain(self):
         with pytest.raises(OutOfDomainError):
-            criterion_2_20_check(1.5, PAIR2, 10)
+            criterion_2_20_check(1.5, 2.0, 10)
         with pytest.raises(OutOfDomainError):
-            criterion_2_20_check(-0.2, PAIR2, 10)
+            criterion_2_20_check(-0.2, 2.0, 10)
 
     def test_slacks_match_direct_evaluation(self):
         # independent route: closed-form weights through gamma ratios and
         # plain float arithmetic
         p, alpha = 2.0, 0.3
         n_max = 100
-        rep = criterion_2_20_check(alpha, ExponentPair.forward(p), n_max)
+        rep = criterion_2_20_check(alpha, p, n_max)
         s = alpha - 1.0 / p
         w = np.array(
             [math.gamma(n + s) / (math.gamma(n) * math.gamma(1.0 + s))
@@ -165,48 +156,44 @@ class TestShiftedWeightedMeanCriterion:
 class TestScalarReduction:
     def test_vanishes_at_inverse_p(self):
         for n in (1, 5, 17, 400):
-            res = f_alpha_analysis(0.5, PAIR2, n)
+            res = f_alpha_analysis(0.5, 2.0, n)
             assert abs(res.f_value) <= 1e-15
 
     def test_slope_spot_values(self):
-        assert f_alpha_analysis(0.5, PAIR2, 1).fprime_at_inv_p == pytest.approx(
+        assert f_alpha_analysis(0.5, 2.0, 1).fprime_at_inv_p == pytest.approx(
             math.log(2.0) - 1.0 + 0.25, rel=1e-14
         )
-        pair43 = ExponentPair.forward(4.0 / 3.0)
-        assert f_alpha_analysis(0.75, pair43, 1).fprime_at_inv_p == pytest.approx(
+        assert f_alpha_analysis(0.75, 4.0 / 3.0, 1).fprime_at_inv_p == pytest.approx(
             math.log(2.0) - 1.0 + 3.0 / 8.0, rel=1e-14
         )
 
     def test_slope_sign_table(self):
-        pair43 = ExponentPair.forward(4.0 / 3.0)
         for n in range(1, 101):
-            assert f_alpha_analysis(0.5, PAIR2, n).fprime_at_inv_p < 0.0
-            assert f_alpha_analysis(0.75, pair43, n).fprime_at_inv_p > 0.0
+            assert f_alpha_analysis(0.5, 2.0, n).fprime_at_inv_p < 0.0
+            assert f_alpha_analysis(0.75, 4.0 / 3.0, n).fprime_at_inv_p > 0.0
 
     def test_positive_reduction_implies_criterion_passes(self):
         # one-sided implication: f(alpha) > 0 at an index forces the full
         # per-index check to pass there
         tol = Tolerances()
         for p, alpha in ((2.0, 0.3), (2.0, 0.5), (3.0, 0.2), (4.0 / 3.0, 0.9)):
-            pair = ExponentPair.forward(p)
-            rep = criterion_2_20_check(alpha, pair, 300)
+            rep = criterion_2_20_check(alpha, p, 300)
             for n in range(1, 301):
-                if f_alpha_analysis(alpha, pair, n).f_value > 1e-12:
+                if f_alpha_analysis(alpha, p, n).f_value > 1e-12:
                     assert rep.slacks[n - rep.n_lo] > tol.tol_rel
 
     def test_convex_in_alpha(self):
         grid = np.linspace(0.0, 1.0, 100)
         for p, n in ((2.0, 1), (2.0, 10), (1.25, 3), (5.0, 7)):
-            pair = ExponentPair.forward(p)
-            vals = np.array([f_alpha_analysis(a, pair, n).f_value for a in grid])
+            vals = np.array([f_alpha_analysis(a, p, n).f_value for a in grid])
             second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
             assert np.min(second) >= -1e-10
 
     def test_domain_errors(self):
         with pytest.raises(OutOfDomainError):
-            f_alpha_analysis(1.2, PAIR2, 3)
+            f_alpha_analysis(1.2, 2.0, 3)
         with pytest.raises(OutOfDomainError):
-            f_alpha_analysis(0.5, PAIR2, 0)
+            f_alpha_analysis(0.5, 2.0, 0)
 
 
 class TestLogBounds:
@@ -334,7 +321,7 @@ class TestScalarPowerFamily:
 
 class TestShiftedPowerChoice:
     def test_first_index_direct_evaluation(self):
-        rep = check_2_3(1.0, PAIR2, 10)
+        rep = check_2_3(1.0, 2.0, 10)
         rhs = (4.0 / 3.0) ** 2 * (1.0 - 2.0**-1.5)
         assert rhs == pytest.approx(1.1492384167230689, rel=1e-12)
         assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
@@ -343,14 +330,35 @@ class TestShiftedPowerChoice:
         "p,alpha", [(2.0, 1.0), (2.0, 1.5), (3.0, 4.0 / 3.0)]
     )
     def test_established_range_holds(self, p, alpha):
-        rep = check_2_3(alpha, ExponentPair.forward(p), 2000)
+        rep = check_2_3(alpha, p, 2000)
         assert rep.holds
 
     def test_domain_errors(self):
         with pytest.raises(OutOfDomainError):
-            check_2_3(0.5, PAIR2, 10)
+            check_2_3(0.5, 2.0, 10)
         with pytest.raises(OutOfDomainError):
-            check_2_3(1.6, PAIR2, 10)
+            check_2_3(1.6, 2.0, 10)
+
+
+# Every function that takes a forward exponent p, called with a valid rest.
+FORWARD_CALLS = {
+    "knopp-criterion": lambda p: knopp_criterion_check(
+        power_aux_sequence(0.0, 11), power_aux_sequence(0.0, 11), p, 4.0, 10
+    ),
+    "criterion-2-20": lambda p: criterion_2_20_check(0.5, p, 10),
+    "check-2-3": lambda p: check_2_3(1.0, p, 10),
+    "check-2-30": lambda p: check_2_30(p, 10),
+    "f-alpha": lambda p: f_alpha_analysis(0.5, p, 3),
+}
+
+
+@pytest.mark.parametrize("call", FORWARD_CALLS.values(), ids=list(FORWARD_CALLS))
+@pytest.mark.parametrize("p", [math.nan, 1.0, 0.5])
+def test_forward_exponent_rejected(call, p):
+    # NaN fails the p > 1 test like any p <= 1, with the message the CLI prints
+    message = f"^forward regime needs p > 1, got {p}$"
+    with pytest.raises(PreconditionError, match=message):
+        call(p)
 
 
 class TestReportAssembly:

@@ -25,7 +25,6 @@ from hardylab.operators import (
     power_decay_tail_bounds,
 )
 from hardylab.redheffer import RedhefferParams
-from hardylab.sequences import ExponentPair
 
 APERY = 1.2020569031595943  # sum of 1/k**3
 
@@ -51,12 +50,11 @@ class TestSpecs:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: ExponentPair.of(math.nan),
             lambda: RedhefferParams(p=0.5, c=1.0, beta=math.nan),
             lambda: OperatorSpec("weighted_mean", 10, alpha=math.nan),
             lambda: SequenceFamily("power_decay", 10, math.nan),
         ],
-        ids=["exponent-pair", "redheffer-params", "operator-spec", "sequence-family"],
+        ids=["redheffer-params", "operator-spec", "sequence-family"],
     )
     def test_nan_parameter_rejected(self, make):
         # a NaN used to construct and then turn every ratio into NaN

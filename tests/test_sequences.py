@@ -10,10 +10,9 @@ from hardylab.errors import (
     InvalidExponentError,
     NonpositiveWeightError,
     OutOfDomainError,
+    PreconditionError,
 )
 from hardylab.sequences import (
-    ExponentPair,
-    WeightSequence,
     _ratio_recurrence,
     conjugate_exponent,
     knopp_sequence,
@@ -42,84 +41,81 @@ class TestConjugateExponent:
     def test_pair_identity(self, p):
         if abs(p) < 1e-6 or abs(p - 1.0) < 1e-6:
             return
-        pair = ExponentPair.of(p)
-        scale = max(abs(1.0 / pair.p), abs(1.0 / pair.q), 1.0)
-        assert abs(1.0 / pair.p + 1.0 / pair.q - 1.0) <= 1e-14 * scale
+        q = conjugate_exponent(p)
+        scale = max(abs(1.0 / p), abs(1.0 / q), 1.0)
+        assert abs(1.0 / p + 1.0 / q - 1.0) <= 1e-14 * scale
 
     def test_regime_constructors(self):
-        assert ExponentPair.forward(2.5).q == pytest.approx(5.0 / 3.0)
-        with pytest.raises(InvalidExponentError):
-            ExponentPair.forward(1.0)
-        with pytest.raises(InvalidExponentError):
-            ExponentPair.forward(0.5)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(InvalidExponentError):
-            ExponentPair(2.0, 3.0)
+        assert conjugate_exponent(2.5) == pytest.approx(5.0 / 3.0)
+        for p in (1.0, 0.5, math.nan):
+            with pytest.raises(PreconditionError, match="forward regime needs p > 1"):
+                knopp_sequence(p, 0.0, 10)
 
 
 class TestWeightSequence:
+    """Weights lambda_n = n**alpha, built by power_aux_sequence(alpha, n)."""
+
     def test_power_family_basics(self):
-        ws = WeightSequence.power(0.5, 100)
-        assert ws.lam[0] == 1.0
-        assert ws.lam[3] == pytest.approx(2.0)
-        assert np.all(np.diff(ws.Lam) > 0.0)
+        ws = power_aux_sequence(0.5, 100)
+        assert ws.w[0] == 1.0
+        assert ws.w[3] == pytest.approx(2.0)
+        assert np.all(np.diff(ws.W) > 0.0)
 
     def test_constant_is_power_zero(self):
-        ws = WeightSequence.constant(50)
-        assert np.all(ws.lam == 1.0)
-        assert ws.Lam[49] == 50.0
+        ws = power_aux_sequence(0.0, 50)
+        assert np.all(ws.w == 1.0)
+        assert np.all(ws.log_w == 0.0)
+        assert ws.W[49] == 50.0
 
     def test_index_bounds(self):
-        ws = WeightSequence.power(1.0, 10)
-        assert ws.n_max == len(ws.lam) == len(ws.Lam) == len(ws.log_lam) == 10
-        assert ws.Lam[-1] == 55.0
+        ws = power_aux_sequence(1.0, 10)
+        assert ws.n_max == len(ws.w) == len(ws.W) == len(ws.log_w) == 10
+        assert ws.W[-1] == 55.0
         with pytest.raises(OutOfDomainError):
-            WeightSequence.power(1.0, 0)
+            power_aux_sequence(1.0, 0)
 
     def test_partial_sums_match_direct_summation_at_scale(self):
         n = 1_000_000
-        ws = WeightSequence.power(0.7, n)
+        ws = power_aux_sequence(0.7, n)
         direct = math.fsum((np.arange(1, n + 1, dtype=float) ** 0.7).tolist())
-        assert abs(ws.Lam[n - 1] - direct) <= 1e-12 * direct
+        assert abs(ws.W[n - 1] - direct) <= 1e-12 * direct
 
 
 class TestKnoppSequence:
     def test_hand_evaluated_start(self):
-        seq = knopp_sequence(ExponentPair.forward(2.0), 0.0, 5)
+        seq = knopp_sequence(2.0, 0.0, 5)
         expected = [1.0, 0.5, 0.375, 0.3125]
         assert seq.w[:4] == pytest.approx(expected, rel=1e-14)
 
     def test_alpha_at_inverse_p_is_constant(self):
-        seq = knopp_sequence(ExponentPair.forward(2.0), 0.5, 6)
+        seq = knopp_sequence(2.0, 0.5, 6)
         assert seq.w == pytest.approx(np.ones(6), rel=1e-14)
 
     def test_partial_sum_identity_small(self):
-        seq = knopp_sequence(ExponentPair.forward(2.0), 0.0, 5)
+        seq = knopp_sequence(2.0, 0.0, 5)
         assert seq.W[2] == pytest.approx(1.875, rel=1e-14)
         residual = partial_sum_residuals(seq, -0.5)
         assert residual[0] == 0.0
         assert residual[2] <= 1e-14
 
     def test_partial_sum_identity_larger(self):
-        seq = knopp_sequence(ExponentPair.forward(3.0), 0.7, 120)
+        seq = knopp_sequence(3.0, 0.7, 120)
         assert partial_sum_residuals(seq, 0.7 - 1.0 / 3.0)[99] <= 1e-12
 
     def test_gamma_ratio_closed_form(self):
         # w_n = Gamma(n + s) / (Gamma(n) Gamma(1 + s)) with s = alpha - 1/p
         for p, alpha in ((1.5, 0.0), (2.0, 0.0), (3.0, 0.0), (2.0, 0.3)):
-            seq = knopp_sequence(ExponentPair.forward(p), alpha, 20)
+            seq = knopp_sequence(p, alpha, 20)
             s = alpha - 1.0 / p
             for n in range(1, 21):
                 ref = math.gamma(n + s) / (math.gamma(n) * math.gamma(1.0 + s))
                 assert seq.w[n - 1] == pytest.approx(ref, rel=1e-13)
 
     def test_nonpositive_weights_rejected(self):
-        pair = ExponentPair.forward(2.0)
         with pytest.raises(NonpositiveWeightError):
-            knopp_sequence(pair, -0.5, 10)
-        with pytest.raises(NonpositiveWeightError):
-            knopp_sequence(pair, -0.7, 10)
+            knopp_sequence(2.0, -0.5, 10)
+        with pytest.raises(NonpositiveWeightError, match=r"-1/q=-0\.5:"):
+            knopp_sequence(2.0, -0.7, 10)
 
 
 class TestLevinSteckinSequence:
@@ -181,7 +177,7 @@ class TestRecurrenceProperties:
     def test_partial_sum_identity_property(self, inst):
         kind, p, alpha, n = inst
         if kind == "knopp":
-            seq = knopp_sequence(ExponentPair.forward(p), alpha, n)
+            seq = knopp_sequence(p, alpha, n)
             shift = alpha - 1.0 / p
         else:
             seq = levin_steckin_sequence(p, n)
@@ -193,19 +189,19 @@ class TestRecurrenceProperties:
     def test_log_value_consistency(self, inst):
         kind, p, alpha, n = inst
         if kind == "knopp":
-            seq = knopp_sequence(ExponentPair.forward(p), alpha, n)
+            seq = knopp_sequence(p, alpha, n)
         else:
             seq = levin_steckin_sequence(p, n)
         dev = np.abs(np.exp(seq.log_w) - seq.w) / seq.w
         assert float(np.max(dev)) <= 1e-12
 
     def test_log_value_consistency_at_scale(self):
-        seq = knopp_sequence(ExponentPair.forward(2.0), 0.7, 1_000_000)
+        seq = knopp_sequence(2.0, 0.7, 1_000_000)
         dev = np.abs(np.exp(seq.log_w) - seq.w) / seq.w
         assert float(np.max(dev)) <= 1e-12
 
     def test_positivity(self):
-        seq = knopp_sequence(ExponentPair.forward(1.2), -0.1, 2000)
+        seq = knopp_sequence(1.2, -0.1, 2000)
         assert np.all(seq.w > 0.0)
         assert np.all(np.diff(seq.W) > 0.0)
 
@@ -267,7 +263,7 @@ class TestRecurrenceBitIdentity:
 
     @pytest.mark.parametrize("p, alpha", [(2.0, -0.499), (2.0, 0.5), (3.0, 1.0), (1.25, 0.7)])
     def test_knopp_sequence(self, p, alpha):
-        seq = knopp_sequence(ExponentPair.forward(p), alpha, 2 * _BLOCK + 3)
+        seq = knopp_sequence(p, alpha, 2 * _BLOCK + 3)
         assert_matches_loop(seq, alpha - 1.0 / p)
 
     @pytest.mark.parametrize("p", [0.1, 0.25, 1.0 / 3.0, 0.45, 1.0 / 202.0])
