@@ -4,8 +4,16 @@
 For each p the default (c, beta) grid is scanned; the winning point's k is
 re-verified against the full feasibility family up to --n-max.  The implied
 tail-mean constant is 1/k, printed next to the reference value
-((1-p)/p)**(-p)... i.e. (p/(1-p))**p, which the equality route c = 1/p - 1,
-k = c**p reproduces exactly.
+(p/(1-p))**p = 1/k of the equality route c = 1/p - 1, k = c**p, whose beta
+makes the first branch equal c**(1-p) k.  That route holds the slope
+condition only with equality, so it needs the curvature condition
+beta < 1/(2p) - 1 (6.54) instead, and its n = 2 branch must stay below
+c**(1-p) k (6.51).  Both hold for 0.30 <= p <= 0.34, and there the
+printed 1/k matches the reference to the printed digits.  Past p = 0.342 the n = 2
+branch exceeds the bound, past p = 0.367 the curvature condition fails as
+well, and the best 1/k falls below the reference: --n-max 200 --steps 3
+prints 0.831766 against 0.839917 at p = 0.39 and 0.860275 against
+0.962308 at p = 0.48.
 
 Usage:
     python scripts/reverse_constant_scan.py [--n-max 10000]

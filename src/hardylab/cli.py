@@ -3,12 +3,12 @@
 Subcommands run individual checks, parameter scans, or the full
 verification suite, and emit reports as text, JSON, or CSV.  Each
 subcommand accepts the common flags plus only the flags its check reads
-(``_FLAGS``); argparse rejects any other flag, and a missing required one,
-with exit status 2.  Exit status: 0 when every verdict holds, 1 when some
-verdict fails, 2 on invalid parameters, 3 on an unexpected internal error
-(reported on one line of standard error, without a traceback).  Identical
-configurations (including the seed) produce byte-identical JSON apart from
-the wall_time field.
+(``_COMMANDS``); argparse rejects any other flag, and a missing required
+one, with exit status 2.  Exit status: 0 when every verdict holds, 1 when
+some verdict fails, 2 on invalid parameters or an unwritable --out path,
+3 on an unexpected internal error (reported on one line of standard
+error, without a traceback).  Identical configurations (including the
+seed) produce byte-identical JSON apart from the wall_time field.
 """
 
 from __future__ import annotations
@@ -224,22 +224,6 @@ def _handle_verify_paper(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     return run_verification(args.n_max, args.seed), None
 
 
-_HANDLERS = {
-    "check-knopp": _handle_check_knopp,
-    "check-2-20": _handle_check_2_20,
-    "check-reverse": _handle_check_reverse,
-    "check-2-30": _handle_check_2_30,
-    "check-2-4": _handle_check_2_4,
-    "check-2-3": _handle_check_2_3,
-    "redheffer-solve": _handle_redheffer_solve,
-    "redheffer-check": _handle_redheffer_check,
-    "redheffer-scan": _handle_redheffer_scan,
-    "norm-ratio": _handle_norm_ratio,
-    "extremal-search": _handle_extremal_search,
-    "verify-paper": _handle_verify_paper,
-}
-
-
 def render_json(report: Report) -> str:
     payload = {
         "command": report.command,
@@ -254,18 +238,14 @@ def render_json(report: Report) -> str:
 
 def render_csv(report: Report) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
+    writer = csv.DictWriter(
+        buf,
         ["claim", "paper_ref", "holds", "min_slack", "first_failure",
-         "exploratory", "value"]
+         "exploratory", "value"],
+        extrasaction="ignore",
     )
-    def cell(x):
-        return "" if x is None else x
-    for v in map(Verdict.to_dict, report.verdicts):
-        writer.writerow(
-            [v["claim"], v["paper_ref"], v["holds"], cell(v["min_slack"]),
-             cell(v["first_failure"]), v["exploratory"], cell(v["value"])]
-        )
+    writer.writeheader()
+    writer.writerows(map(Verdict.to_dict, report.verdicts))
     if report.scan_rows is not None:
         # The line csv.writer writes for a grid point: the label always holds
         # a comma, so it is quoted; floats print as repr, bools as str.
@@ -311,28 +291,34 @@ _KIND = ("--kind", {"choices": ("weighted-mean", "copson-tail"),
                     "default": "weighted-mean"})
 _MEAN_ALPHA = ("--alpha", {"type": float})  # the weighted mean's; 1 if not given
 
-# The flags each subcommand reads, besides the common ones every subcommand
-# takes.  A default that depends on other flags is left to the handler.
-_FLAGS = {
-    "check-knopp": (_P, ("--alpha", {"type": float, "default": 0.0}),
-                    ("--U", {"type": float})),  # q**p if not given
-    "check-2-20": (_P, _ALPHA),
-    "check-reverse": (_P,),
-    "check-2-30": (_P,),
-    "check-2-4": (_P, ("--grid-points", {"type": int, "default": 50})),
-    "check-2-3": (_P, _ALPHA),
-    "redheffer-solve": (("--c", {"type": float, "default": 2.5}),),
-    "redheffer-check": (_P, ("--c", {"type": float, "required": True}),
-                        ("--beta", {"type": float, "required": True}),
-                        ("--k", {"type": float})),  # k_of_p if not given
-    "redheffer-scan": (_P,),
-    "norm-ratio": (_P, _KIND, _MEAN_ALPHA,
-                   ("--family", {"choices": ("power_decay", "delta",
-                                             "geometric", "random"),
-                                 "default": "power_decay"}),
-                   ("--family-param", {"type": float})),  # per family if not given
-    "extremal-search": (_P, _KIND, _MEAN_ALPHA),
-    "verify-paper": (),
+# Each subcommand's handler and the flags it reads, besides the common ones
+# every subcommand takes.  A default that depends on other flags is left to
+# the handler.
+_COMMANDS = {
+    "check-knopp": (_handle_check_knopp,
+                    (_P, ("--alpha", {"type": float, "default": 0.0}),
+                     ("--U", {"type": float}))),  # q**p if not given
+    "check-2-20": (_handle_check_2_20, (_P, _ALPHA)),
+    "check-reverse": (_handle_check_reverse, (_P,)),
+    "check-2-30": (_handle_check_2_30, (_P,)),
+    "check-2-4": (_handle_check_2_4,
+                  (_P, ("--grid-points", {"type": int, "default": 50}))),
+    "check-2-3": (_handle_check_2_3, (_P, _ALPHA)),
+    "redheffer-solve": (_handle_redheffer_solve,
+                        (("--c", {"type": float, "default": 2.5}),)),
+    "redheffer-check": (_handle_redheffer_check,
+                        (_P, ("--c", {"type": float, "required": True}),
+                         ("--beta", {"type": float, "required": True}),
+                         ("--k", {"type": float}))),  # k_of_p if not given
+    "redheffer-scan": (_handle_redheffer_scan, (_P,)),
+    "norm-ratio": (_handle_norm_ratio,
+                   (_P, _KIND, _MEAN_ALPHA,
+                    ("--family", {"choices": ("power_decay", "delta",
+                                              "geometric", "random"),
+                                  "default": "power_decay"}),
+                    ("--family-param", {"type": float}))),  # per family if not given
+    "extremal-search": (_handle_extremal_search, (_P, _KIND, _MEAN_ALPHA)),
+    "verify-paper": (_handle_verify_paper, ()),
 }
 
 
@@ -342,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-horizon checks for Hardy-type inequality criteria.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name, (_, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name)
-        for flag, spec in _FLAGS[name]:
+        for flag, spec in flags:
             cmd.add_argument(flag, **spec)
         cmd.add_argument("--n-max", type=int, default=10000)
         cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        cmd.add_argument("--tol-rel", type=float, default=1e-12)
-        cmd.add_argument("--tol-abs", type=float, default=0.0)
+        cmd.add_argument("--tol-rel", type=float, default=Tolerances.tol_rel)
+        cmd.add_argument("--tol-abs", type=float, default=Tolerances.tol_abs)
         cmd.add_argument("--format", choices=tuple(_RENDERERS), default="text")
         cmd.add_argument("--out")
     return parser
@@ -379,7 +365,7 @@ def main(argv=None) -> int:
             raise WorkbenchError("seed must be >= 0")
         tol = Tolerances(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
         start = time.perf_counter()
-        verdicts, scan_rows = _HANDLERS[args.command](args, tol)
+        verdicts, scan_rows = _COMMANDS[args.command][0](args, tol)
         report = Report(
             command=args.command,
             params=_echo_params(args),
@@ -390,8 +376,13 @@ def main(argv=None) -> int:
         )
         rendered = _RENDERERS[args.format](report)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(rendered)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(rendered)
+            except OSError as exc:
+                raise WorkbenchError(
+                    f"cannot write --out {args.out}: {exc.strerror or exc}"
+                ) from exc
         else:
             sys.stdout.write(rendered)
     except WorkbenchError as exc:

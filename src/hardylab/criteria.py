@@ -56,21 +56,18 @@ def _bracket_slacks(
     log_t has one extra trailing entry.  Where t fails to decrease the
     bracket is nonpositive and the slack is -inf.
     """
-    n = len(log_t) - 1
     if not all(np.all(np.isfinite(x)) for x in (log_t, log_lhs_all, log_factor)):
         raise OutOfDomainError(
             "values left the representable range at this horizon; reduce n_max"
         )
     delta = np.diff(log_t)
-    ok = delta < 0.0
-    slacks = np.full(n, -math.inf)
-    log_rhs = np.full(n, math.inf)
-    if np.any(ok):
-        with np.errstate(divide="ignore", over="ignore"):
-            log_bracket = log_t[:-1][ok] + np.log(-np.expm1(delta[ok]))
-            rhs = log_scale + log_factor[ok] + log_bracket
-            slacks[ok] = -np.expm1(log_lhs_all[ok] - rhs)
-        log_rhs[ok] = rhs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_bracket = log_t[:-1] + np.log(-np.expm1(delta))
+        log_rhs = log_scale + log_factor + log_bracket
+        slacks = -np.expm1(log_lhs_all - log_rhs)
+    rising = delta >= 0.0
+    log_rhs[rising] = math.inf
+    slacks[rising] = -math.inf
     return slacks, log_rhs
 
 
@@ -80,7 +77,7 @@ def knopp_criterion_check(
     p: float,
     U: float,
     n_max: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     *,
     name: str | None = None,
     ref: str = "eq7",
@@ -114,7 +111,7 @@ def knopp_criterion_check(
         slacks,
         strict=True,
         tol=tol,
-        exploratory=exploratory or w.exploratory,
+        exploratory=exploratory,
         log_rhs=log_rhs,
     )
 
@@ -129,7 +126,7 @@ def criterion_2_20_check(
     alpha: float,
     p: float,
     n_max: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
     """Forward criterion with lambda_n = n**alpha and the matching Knopp w
     (knopp_sequence rejects p <= 1)."""
@@ -185,7 +182,7 @@ def f_alpha_analysis(alpha: float, p: float, n: int) -> FAlpha:
 def reverse_criterion_check(
     p: float,
     n_max: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
     """Reverse criterion check over n = 1..n_max (non-strict inequality):
 
@@ -211,7 +208,7 @@ def reverse_criterion_check(
         slacks,
         strict=False,
         tol=tol,
-        exploratory=seq.exploratory,
+        exploratory=p > 1.0 / 3.0,
         log_rhs=log_rhs,
     )
 
@@ -219,7 +216,7 @@ def reverse_criterion_check(
 def check_2_30(
     p: float,
     n_max: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
     """Forward criterion for the power choice w_n = n**(-1/p), lambda = 1:
 
@@ -246,7 +243,7 @@ def check_2_30(
 def check_2_4(
     p: float,
     alpha_grid: int | Iterable[float],
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
     """Scalar family behind the n = 1 case of the power-choice criterion:
 
@@ -284,7 +281,7 @@ def check_2_3(
     alpha: float,
     p: float,
     n_max: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
     """Forward criterion for the power choice w_n = n**(alpha - 1/p) against
     weights lambda_n = n**alpha, established for 1 <= alpha <= 1 + 1/p."""

@@ -245,11 +245,20 @@ def _second_branch(p: float, c, beta, n) -> np.ndarray:
     return n**p * diff
 
 
+def _branch_values(params: RedhefferParams, n_max: int) -> np.ndarray:
+    """The larger of the two branches at each n = 2..n_max."""
+    if n_max < 2:
+        raise OutOfDomainError("need n_max >= 2")
+    p, c, beta = params.p, params.c, params.beta
+    ns = np.arange(2, n_max + 1)
+    return np.maximum(_first_branch(p, c, beta), _second_branch(p, c, beta, ns))
+
+
 def condition_6_49_check(
     params: RedhefferParams,
     n_max: int,
     k: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
     """Two-branch feasibility condition over 2 <= n <= n_max (non-strict)
     for the constant k.
@@ -260,16 +269,11 @@ def condition_6_49_check(
     """
     if not k > 0.0:
         raise OutOfDomainError(f"k must be positive, got {k}")
-    if n_max < 2:
-        raise OutOfDomainError("need n_max >= 2")
+    values = _branch_values(params, n_max)
     p, c, beta = params.p, params.c, params.beta
     rhs = c ** (1.0 - p) * k
     if not 0.0 < rhs < math.inf:  # every slack would be NaN or -inf
         raise OutOfDomainError(f"c**(1-p) k must be positive and finite, got {rhs}")
-    ns = np.arange(2, n_max + 1)
-    b1 = _first_branch(p, c, beta)
-    b2 = _second_branch(p, c, beta, ns)
-    values = np.maximum(b1, b2)
     slacks = (rhs - values) / rhs
     return build_report(
         f"6.49[p={p},c={c},beta={beta}]",
@@ -278,28 +282,32 @@ def condition_6_49_check(
         slacks,
         strict=False,
         tol=tol,
-        log_rhs=np.full(len(ns), math.log(rhs)),
+        log_rhs=np.full(len(values), math.log(rhs)),
     )
+
+
+def _slope_holds(p: float, c, k, tol: Tolerances):
+    """(1 - p)(1 + c) < c**(1-p) k beyond the tolerance; c and k broadcast."""
+    rhs = c ** (1.0 - p) * k
+    return rhs - (1.0 - p) * (1.0 + c) > tol.tol_abs + tol.tol_rel * abs(rhs)
 
 
 def condition_6_50_check(
     params: RedhefferParams,
     k: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> bool:
     """Slope condition (1 - p)(1 + c) < c**(1-p) k, strict.
 
     Decided with the standard relative tolerance so an exact-equality
     configuration (the boundary route) reports False deterministically.
     """
-    tol = tol or Tolerances()
-    lhs = (1.0 - params.p) * (1.0 + params.c)
-    rhs = params.c ** (1.0 - params.p) * k
-    return rhs - lhs > tol.tol_abs + tol.tol_rel * abs(rhs)
+    return _slope_holds(params.p, params.c, k, tol)
 
 
-def condition_6_54_check(p: float, beta: float) -> bool:
-    """Curvature condition beta < 1/(2p) - 1 for the equality route, 0 < p < 1/2."""
+def condition_6_54_check(p: float, beta):
+    """Curvature condition beta < 1/(2p) - 1 for the equality route, 0 < p < 1/2
+    (elementwise for an array of beta)."""
     if not 0.0 < p < 0.5:
         raise OutOfDomainError(f"needs 0 < p < 1/2, got {p}")
     return beta < 1.0 / (2.0 * p) - 1.0
@@ -346,12 +354,8 @@ def balance_solution_half(c: float, n_max: int) -> BalanceSolution:
 
 def k_of_p(params: RedhefferParams, n_max: int) -> float:
     """Smallest k making the feasibility condition pass over 2 <= n <= n_max."""
-    if n_max < 2:
-        raise OutOfDomainError("need n_max >= 2")
-    p, c, beta = params.p, params.c, params.beta
-    ns = np.arange(2, n_max + 1)
-    sup = max(_first_branch(p, c, beta), float(np.max(_second_branch(p, c, beta, ns))))
-    return sup / c ** (1.0 - p)
+    sup = float(np.max(_branch_values(params, n_max)))
+    return sup / params.c ** (1.0 - params.p)
 
 
 def default_c_grid() -> np.ndarray:
@@ -368,7 +372,6 @@ class ScanResult:
     """Grid scan outcome; ``best`` and ``best_k`` are None when no grid
     point is feasible."""
 
-    p: float
     c_grid: np.ndarray = field(repr=False)
     beta_grid: np.ndarray = field(repr=False)
     k: np.ndarray = field(repr=False)
@@ -398,8 +401,9 @@ def scan_params(
     p: float,
     c_grid=None,
     beta_grid=None,
-    n_max: int = 10000,
-    tol: Tolerances | None = None,
+    *,
+    n_max: int,
+    tol: Tolerances = Tolerances(),
 ) -> ScanResult:
     """Scan (c, beta) for the smallest k among feasible points.
 
@@ -414,7 +418,6 @@ def scan_params(
     """
     if not 0.0 < p < 1.0:
         raise OutOfDomainError(f"p must lie in (0, 1), got {p}")
-    tol = tol or Tolerances()
     c_vals = np.asarray(default_c_grid() if c_grid is None else list(c_grid), float)
     b_vals = np.asarray(
         default_beta_grid(p) if beta_grid is None else list(beta_grid), float
@@ -433,20 +436,10 @@ def scan_params(
         b2 = _second_branch(p, C, B, 2.0)
         limit = np.broadcast_to((1.0 - p) * (1.0 + C), b2.shape)
         k = np.maximum(np.maximum(b1, b2), limit) / C**e
-        rhs = C**e * k
-        slope_ok = rhs - (1.0 - p) * (1.0 + C) > tol.tol_abs + tol.tol_rel * np.abs(rhs)
-    if p < 0.5:
-        curvature_ok = np.broadcast_to(B < 1.0 / (2.0 * p) - 1.0, k.shape)
-    else:
-        curvature_ok = np.zeros_like(k, dtype=bool)
+        slope_ok = _slope_holds(p, C, k, tol)
+    curvature_ok = condition_6_54_check(p, B) if p < 0.5 else False
     feasible = valid & np.isfinite(k) & (slope_ok | curvature_ok)
-    result = ScanResult(
-        p=p,
-        c_grid=c_vals,
-        beta_grid=b_vals,
-        k=k,
-        feasible=feasible,
-    )
+    result = ScanResult(c_grid=c_vals, beta_grid=b_vals, k=k, feasible=feasible)
     if result.feasible_count:
         masked = np.where(feasible, k, np.inf)
         i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)

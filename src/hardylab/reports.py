@@ -136,7 +136,7 @@ def build_report(
     *,
     strict: bool,
     log_rhs: np.ndarray,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     exploratory: bool = False,
 ) -> CriterionReport:
     """Assemble a CriterionReport from per-index slacks.
@@ -144,7 +144,6 @@ def build_report(
     ``log_rhs`` is the log of the bounding side per index; it converts
     tol_abs into slack units index by index.
     """
-    tol = tol or Tolerances()
     slacks = np.asarray(slacks, dtype=float)
     if len(slacks) == 0:
         raise OutOfDomainError("no index to check: the index range is empty")

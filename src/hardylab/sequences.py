@@ -52,12 +52,9 @@ class AuxSequence:
     w: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
     log_w: np.ndarray = field(repr=False)
-    exploratory: bool = False
 
 
-def _ratio_recurrence(
-    shift: float, n_max: int, *, exploratory: bool = False
-) -> AuxSequence:
+def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     """Generate w_{n+1} = ((n + shift)/n) w_n with compensated W and log w."""
     if n_max < 1:
         raise OutOfDomainError("n_max must be >= 1")
@@ -79,7 +76,7 @@ def _ratio_recurrence(
     finite = log_w < 709.0
     w[finite] = np.fromiter(map(math.exp, log_w[finite]), float)
     W = neumaier_prefix_sums(w)
-    return AuxSequence(n_max=n_max, w=w, W=W, log_w=log_w, exploratory=exploratory)
+    return AuxSequence(n_max=n_max, w=w, W=W, log_w=log_w)
 
 
 def knopp_sequence(p: float, alpha: float, n_max: int) -> AuxSequence:
@@ -103,14 +100,15 @@ def levin_steckin_sequence(p: float, n_max: int) -> AuxSequence:
     """Reverse auxiliary weights: w_{n+1} = ((n + 1/p - 2)/n) w_n.
 
     The reverse criterion machinery is built for 0 < p <= 1/3; any
-    0 < p < 1/2 is accepted for exploration and flagged as such.
+    0 < p < 1/2 is accepted for exploration (reverse_criterion_check
+    flags the larger p).
     """
     if not 0.0 < p < 0.5:
         raise NonpositiveWeightError(
             f"reverse weights are defined for 0 < p < 1/2, got p={p}"
         )
     shift = 1.0 / p - 2.0
-    return _ratio_recurrence(shift, n_max, exploratory=p > 1.0 / 3.0)
+    return _ratio_recurrence(shift, n_max)
 
 
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:

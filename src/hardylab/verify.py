@@ -54,7 +54,7 @@ DEFAULT_SEED = 12345
 THEOREM6_FLOOR = 0.8967
 
 
-def redheffer_constant_claims(n_max: int = 10000) -> list[Verdict]:
+def redheffer_constant_claims(n_max: int) -> list[Verdict]:
     """Closed-form solver output and the derived constant at p = 1/2."""
     sol = balance_solution_half(2.5, n_max)
     x, beta, k = sol.x, sol.params.beta, sol.k
@@ -80,7 +80,7 @@ def _tail_floor_ratio(a: np.ndarray) -> float:
     return constant_ratio(op, a, 0.5)
 
 
-def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[Verdict]:
+def theorem6_floor_claims(seed: int) -> list[Verdict]:
     """Constant-convention tail ratio at p = 1/2 stays above the floor."""
     rng = np.random.default_rng(seed)
     worst = math.inf
@@ -122,7 +122,7 @@ def theorem6_floor_claims(seed: int = DEFAULT_SEED) -> list[Verdict]:
     return rows
 
 
-def reverse_machinery_claims(n_max: int = 10000) -> list[Verdict]:
+def reverse_machinery_claims(n_max: int) -> list[Verdict]:
     """Reverse criterion families and the reverse partial-sum identity."""
     rows = []
     for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
@@ -204,7 +204,7 @@ FORWARD_SAMPLES = (
 )
 
 
-def forward_sample_claims(n_max: int = 10000) -> list[Verdict]:
+def forward_sample_claims(n_max: int) -> list[Verdict]:
     """Shifted weighted-mean criterion samples plus the slope sign table."""
     rows = []
     for p, alpha in FORWARD_SAMPLES:
@@ -222,7 +222,7 @@ def forward_sample_claims(n_max: int = 10000) -> list[Verdict]:
     return rows
 
 
-def power_choice_claims(n_max: int = 10000) -> list[Verdict]:
+def power_choice_claims(n_max: int) -> list[Verdict]:
     """Alternative power-sequence checks."""
     rows = []
     for p in (3.0, 4.0, 10.0):
@@ -259,7 +259,7 @@ HARDY_TEST_FAMILIES = (
 )
 
 
-def hardy_bracketing_claims(n_max: int = 10000) -> list[Verdict]:
+def hardy_bracketing_claims(n_max: int) -> list[Verdict]:
     """Classic forward criterion, extremal bracketing, and the norm cap."""
     rows = []
     for p in (1.25, 2.0, 3.0):
@@ -301,7 +301,7 @@ def hardy_bracketing_claims(n_max: int = 10000) -> list[Verdict]:
     return rows
 
 
-def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[Verdict]:
+def lemma_suite_claims(seed: int) -> list[Verdict]:
     """Power-sum bound grids, recurrent-inequality residuals, step bound."""
     rows = []
     n_max = 1000
@@ -373,10 +373,8 @@ def lemma_suite_claims(seed: int = DEFAULT_SEED) -> list[Verdict]:
     return rows
 
 
-def run_verification(
-    n_max: int = 10000, seed: int = DEFAULT_SEED
-) -> list[Verdict]:
-    """Run every claim group and return verdicts sorted by claim id."""
+def run_verification(n_max: int, seed: int) -> list[Verdict]:
+    """Run every claim group and return their verdicts."""
     rows: list[Verdict] = []
     rows += redheffer_constant_claims(n_max)
     rows += theorem6_floor_claims(seed)
@@ -386,4 +384,4 @@ def run_verification(
     rows += power_choice_claims(n_max)
     rows += hardy_bracketing_claims(n_max)
     rows += lemma_suite_claims(seed)
-    return sorted(rows, key=lambda r: r.claim)
+    return rows

@@ -78,6 +78,20 @@ class TestExitCodes:
         )
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("", "Is a directory"), ("missing/x.json", "No such file or directory")],
+        ids=["directory", "missing-parent"],
+    )
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target, reason):
+        out_path = tmp_path / target
+        status, out, err = run_cli(
+            capsys, "check-2-30", "--p", "3", "--n-max", "10", "--out", str(out_path)
+        )
+        assert status == 2
+        assert err == f"error: cannot write --out {out_path}: {reason}\n"
+        assert out == ""
+
 
 class TestExplicitArguments:
     """A value given on the command line is used as given: an explicit zero
@@ -233,7 +247,8 @@ class TestExplicitArguments:
         def broken(args, tol):
             raise RuntimeError("broken handler")
 
-        monkeypatch.setitem(cli._HANDLERS, "check-2-30", broken)
+        _, flags = cli._COMMANDS["check-2-30"]
+        monkeypatch.setitem(cli._COMMANDS, "check-2-30", (broken, flags))
         status, out, err = run_cli(capsys, "check-2-30", "--p", "3")
         assert status == 3
         assert err == "internal error: RuntimeError: broken handler\n"

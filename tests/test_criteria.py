@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardylab.criteria import (
+    _bracket_slacks,
     check_2_3,
     check_2_4,
     check_2_30,
@@ -219,6 +220,50 @@ class TestLogBounds:
             grid = np.linspace(0.0, 1.0 / p, 200)
             vals = (1.0 + grid) * 2.0**-grid
             assert np.all(np.diff(vals) > 0.0)
+
+
+def masked_bracket_slacks(log_lhs, log_scale, log_factor, log_t):
+    """Reference for _bracket_slacks: the formula evaluated only where t
+    decreases, -inf slack and +inf log_rhs elsewhere."""
+    n = len(log_t) - 1
+    delta = np.diff(log_t)
+    ok = delta < 0.0
+    slacks = np.full(n, -math.inf)
+    log_rhs = np.full(n, math.inf)
+    with np.errstate(divide="ignore", over="ignore"):
+        rhs = log_scale + log_factor[ok] + (
+            log_t[:-1][ok] + np.log(-np.expm1(delta[ok]))
+        )
+        slacks[ok] = -np.expm1(log_lhs[ok] - rhs)
+    log_rhs[ok] = rhs
+    return slacks, log_rhs
+
+
+class TestBracketSlacks:
+    N = 100_000
+
+    @pytest.mark.parametrize("stalls", ["none", "some", "all"])
+    def test_matches_masked_formula_bit_for_bit(self, stalls):
+        # a Knopp bracket (p = 2, alpha = 0.3); "some" makes t flat at a
+        # few indices and rising at a few others, "all" makes it constant
+        p, n = 2.0, self.N
+        w = knopp_sequence(p, 0.3, n + 1)
+        lam = power_aux_sequence(0.3, n + 1)
+        log_t = (p - 1.0) * w.log_w - p * lam.log_w
+        if stalls == "some":
+            idx = np.random.default_rng(5).choice(n, 40, replace=False)
+            log_t[idx[:20] + 1] = log_t[idx[:20]]
+            log_t[idx[20:] + 1] = log_t[idx[20:]] + 0.5
+        elif stalls == "all":
+            log_t[:] = log_t[0]
+        args = ((p - 1.0) * np.log(w.W[:n]), math.log(4.0),
+                p * np.log(lam.W[:n]), log_t)
+        slacks, log_rhs = _bracket_slacks(*args)
+        want_slacks, want_log_rhs = masked_bracket_slacks(*args)
+        assert slacks.tobytes() == want_slacks.tobytes()
+        assert log_rhs.tobytes() == want_log_rhs.tobytes()
+        if stalls != "none":
+            assert np.isneginf(slacks).any() and np.isposinf(log_rhs).any()
 
 
 class TestReverseCriterion:

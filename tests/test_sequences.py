@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hardylab.compsum import _BLOCK
+from hardylab.criteria import reverse_criterion_check
 from hardylab.errors import (
     InvalidExponentError,
     NonpositiveWeightError,
@@ -142,8 +143,8 @@ class TestLevinSteckinSequence:
             levin_steckin_sequence(0.75, 10)
         with pytest.raises(NonpositiveWeightError):
             levin_steckin_sequence(-0.1, 10)
-        assert not levin_steckin_sequence(1.0 / 3.0, 5).exploratory
-        assert levin_steckin_sequence(0.4, 5).exploratory
+        assert not reverse_criterion_check(1.0 / 3.0, 5).exploratory
+        assert reverse_criterion_check(0.4, 5).exploratory
 
 
 def partial_sum_residuals(seq, shift):
