@@ -11,7 +11,10 @@ running sums ``s_k`` exactly.  Each step's rounding error is then an
 elementwise function of ``s_{k-1}``, ``s_k`` and ``x_k``, and a second
 ``cumsum`` of those errors yields the loop's compensation ``c_k``.  The work
 runs over fixed-size blocks that carry ``s`` and ``c`` across, so the
-temporaries stay at block size whatever the input length.
+temporaries stay at block size whatever the input length.  Two block
+buffers, allocated once per call, hold the carry followed by the block:
+each ``cumsum`` runs in place in one of them, and the other receives the
+rounding errors, so no block allocates a fresh concatenation.
 """
 
 from __future__ import annotations
@@ -25,19 +28,25 @@ def neumaier_prefix_sums(values) -> np.ndarray:
     """Prefix sums out[k] = values[0] + ... + values[k] with compensation."""
     x = np.asarray(values, dtype=float)
     out = np.empty(len(x))
-    s = c = 0.0
+    # run = [s, s_lo, ..., s_hi] and err = [c, c_lo, ..., c_hi] once summed
+    run = np.empty(min(len(x), _BLOCK) + 1)
+    err = np.empty_like(run)
+    run[0] = err[0] = 0.0
     # the loop form never warned on overflow or inf - inf; neither does this
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(x), _BLOCK):
             xb = x[lo : lo + _BLOCK]
-            run = np.cumsum(np.concatenate(([s], xb)))
-            prev, cur = run[:-1], run[1:]
-            err = np.where(
-                np.abs(prev) >= np.abs(xb), (prev - cur) + xb, (xb - cur) + prev
-            )
-            comp = np.cumsum(np.concatenate(([c], err)))[1:]
-            out[lo : lo + len(xb)] = cur + comp
-            s, c = cur[-1], comp[-1]
+            r, e = run[: len(xb) + 1], err[: len(xb) + 1]
+            r[1:] = xb
+            np.cumsum(r, out=r)
+            prev, cur, d = r[:-1], r[1:], e[1:]
+            big = np.abs(prev) >= np.abs(xb)
+            # (prev - cur) + xb where |prev| >= |xb|, else (xb - cur) + prev
+            np.subtract(np.where(big, prev, xb), cur, out=d)
+            d += np.where(big, xb, prev)
+            np.cumsum(e, out=e)
+            np.add(cur, d, out=out[lo : lo + len(xb)])
+            run[0], err[0] = cur[-1], d[-1]
     return out
 
 

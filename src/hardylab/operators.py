@@ -99,7 +99,9 @@ def _materialize(a, N: int) -> np.ndarray:
     arr = a.values() if isinstance(a, SequenceFamily) else np.asarray(a, dtype=float)
     if len(arr) < N:
         raise ParameterMismatchError(f"input length {len(arr)} < truncation {N}")
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):  # one pass; NaN fails the comparison too
+        if np.isnan(arr).any():
+            raise OutOfDomainError("inputs must not be NaN")
         raise OutOfDomainError("inputs must be nonnegative")
     return arr[:N]
 
@@ -158,7 +160,7 @@ def _apply(op: OperatorSpec, arr: np.ndarray, tail_mass: float) -> np.ndarray:
 def _power_sum(x: np.ndarray, p: float) -> float:
     """Exactly rounded sum of x**p; out of domain once it leaves the float range."""
     try:
-        total = math.fsum(_pow_p(x, p).tolist())
+        total = math.fsum(memoryview(_pow_p(x, p)))  # the doubles, no list
     except OverflowError:  # finite terms whose sum overflows
         total = math.inf
     if not math.isfinite(total):

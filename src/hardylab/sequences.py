@@ -67,14 +67,16 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     # past the consistency tolerance near n ~ 10^6).  log1p and exp stay on
     # libm per element: numpy's vector forms differ in the last bit for some
     # inputs, and the criterion brackets difference these logs finely
-    # enough to turn one ulp into visible slack.
+    # enough to turn one ulp into visible slack.  The maps read each array
+    # through a memoryview, which yields Python floats without building one
+    # numpy scalar per element.
     log_w = np.empty(n_max)
     log_w[0] = 0.0
-    steps = map(math.log1p, shift / np.arange(1, n_max))
+    steps = map(math.log1p, memoryview(shift / np.arange(1, n_max)))
     log_w[1:] = neumaier_prefix_sums(np.fromiter(steps, float, n_max - 1))
     w = np.full(n_max, math.inf)
     finite = log_w < 709.0
-    w[finite] = np.fromiter(map(math.exp, log_w[finite]), float)
+    w[finite] = np.fromiter(map(math.exp, memoryview(log_w[finite])), float)
     W = neumaier_prefix_sums(w)
     return AuxSequence(n_max=n_max, w=w, W=W, log_w=log_w)
 

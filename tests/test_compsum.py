@@ -42,6 +42,9 @@ def wide_range(rng, n):
     return rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-8, 8, n)
 
 
+# several blocks long, for views of unusual layout
+LONG = wide_range(np.random.default_rng(11), 3 * _BLOCK + 5)
+
 # sign * mantissa * 10**e with e in [-8, 8]: 16 decades, mixed signs
 wide_floats = st.builds(
     lambda sign, m, e: sign * m * 10.0**e,
@@ -74,8 +77,13 @@ class TestBitIdentity:
             np.arange(-500, 500) * 1234567,
             [1, 2.5, -3, 1e-9, 7, 0.1, -0.0],
             [-0.0, -0.0],
+            # blocks are copied into reused buffers, whatever the layout
+            LONG[::3],
+            np.frombuffer(LONG.tobytes()),
+            LONG.astype(np.float32)[::-1],
         ],
-        ids=["float32", "int64", "list", "negative-zeros"],
+        ids=["float32", "int64", "list", "negative-zeros", "strided",
+             "read-only", "reversed-float32"],
     )
     def test_input_types(self, values):
         assert_same_bits(neumaier_prefix_sums(values), loop_prefix_sums(values))

@@ -13,6 +13,8 @@ from hardylab.errors import (
 from hardylab.operators import (
     OperatorSpec,
     SequenceFamily,
+    _pow_p,
+    _power_sum,
     apply_copson_tail,
     apply_weighted_mean,
     cesaro,
@@ -187,6 +189,45 @@ class TestNormRatio:
         base = SequenceFamily("power_decay", 8000, 0.6).values()
         ratios = [norm_ratio(cesaro(N), base, 2.0) for N in (100, 500, 2000, 8000)]
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
+
+    def test_nan_input_rejected_apart_from_overflow(self):
+        with pytest.raises(OutOfDomainError, match="^inputs must not be NaN$"):
+            constant_ratio(copson_tail(3), [1.0, math.nan, 1.0], 2.0)
+        with pytest.raises(OutOfDomainError, match=r"sum of p-th powers \(p=2.0\) overflows"):
+            constant_ratio(copson_tail(3), [1.0, math.inf, 1.0], 2.0)
+        with pytest.raises(OutOfDomainError, match="^inputs must be nonnegative$"):
+            constant_ratio(copson_tail(3), [1.0, -1.0, 1.0], 2.0)
+
+
+class TestPowerSum:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 0.5, 1.7])
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda x: x, lambda x: x[::-1], lambda x: x[::7], lambda x: x[:0]],
+        ids=["contiguous", "reversed", "strided", "empty"],
+    )
+    def test_matches_fsum_of_list_bit_for_bit(self, layout, p):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 10.0, 20000) * 10.0 ** rng.integers(-3, 3, 20000)
+        x[::11] = 0.0
+        x = layout(x)
+        got = _power_sum(x, p)
+        assert got.hex() == math.fsum(_pow_p(x, p).tolist()).hex()
+
+    @pytest.mark.parametrize(
+        "x, p",
+        [
+            (np.full(4, 1e154), 2.0),  # finite terms near 1e308
+            (np.full(8, 1e205), 1.5),  # finite terms near 3e307
+            (np.array([1.0, math.inf]), 2.0),
+            (np.array([1.0, math.inf]), 0.5),
+        ],
+        ids=["finite-integer-p", "finite-fractional-p", "inf-integer-p",
+             "inf-fractional-p"],
+    )
+    def test_overflow_out_of_domain(self, x, p):
+        with pytest.raises(OutOfDomainError, match="overflows"):
+            _power_sum(x, p)
 
 
 class TestTailCorrectedRatio:
