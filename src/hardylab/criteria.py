@@ -16,7 +16,6 @@ as a failure at that index (slack -inf), never as an exception.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -242,26 +241,21 @@ def check_2_30(
 
 def check_2_4(
     p: float,
-    alpha_grid: int | Iterable[float],
+    count: int,
     tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
     """Scalar family behind the n = 1 case of the power-choice criterion:
 
         1 - 2**(-(p-1)/p - alpha) > (1 - 1/((alpha+1)p))**p
 
-    on a grid of alpha in [0, 1/p], for p >= 3.  An int grid is a count of
-    evenly spaced points over [0, 1/p].  Grid positions stand in for
-    indices in the report.
+    on ``count`` evenly spaced alphas over [0, 1/p], for p >= 3.  Grid
+    positions stand in for indices in the report.
     """
     if not p >= 3.0:
         raise OutOfDomainError(f"established range needs p >= 3, got {p}")
-    if isinstance(alpha_grid, int):
-        alpha_grid = np.linspace(0.0, 1.0 / p, alpha_grid)
-    alphas = np.asarray(list(alpha_grid), dtype=float)
-    if len(alphas) == 0:
+    if count < 1:
         raise OutOfDomainError("empty grid")
-    if np.any(alphas < 0.0) or np.any(alphas > 1.0 / p):
-        raise OutOfDomainError("alpha grid must lie in [0, 1/p]")
+    alphas = np.linspace(0.0, 1.0 / p, count)
     log_lhs = p * np.log1p(-1.0 / ((alphas + 1.0) * p))
     with np.errstate(divide="ignore"):
         log_rhs = np.log(-np.expm1(-((p - 1.0) / p + alphas) * math.log(2.0)))

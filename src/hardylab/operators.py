@@ -99,11 +99,12 @@ def _materialize(a, N: int) -> np.ndarray:
     arr = a.values() if isinstance(a, SequenceFamily) else np.asarray(a, dtype=float)
     if len(arr) < N:
         raise ParameterMismatchError(f"input length {len(arr)} < truncation {N}")
+    arr = arr[:N]  # entries past N are never read, so never validated
     if not np.all(arr >= 0.0):  # one pass; NaN fails the comparison too
         if np.isnan(arr).any():
             raise OutOfDomainError("inputs must not be NaN")
         raise OutOfDomainError("inputs must be nonnegative")
-    return arr[:N]
+    return arr
 
 
 def apply_weighted_mean(alpha: float, a, N: int) -> np.ndarray:

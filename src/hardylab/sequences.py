@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -132,33 +133,18 @@ class PowerSumBound(NamedTuple):
     direction: str
 
 
-def _running_fsums(terms) -> list[float]:
-    """math.fsum of every prefix of ``terms``, in one pass.
+def _running_fsums(terms: list[float]) -> list[float]:
+    """math.fsum of every prefix of ``terms``, positive finite floats.
 
-    Carries Shewchuk's nonoverlapping partials (the exact running sum behind
-    math.fsum) along the sequence and rounds them once per prefix, so entry
-    n - 1 equals math.fsum(terms[:n]) bit for bit; a single partial is its
-    own rounding.  Like math.fsum, raises OverflowError when a running sum
-    of finite terms leaves the float range.
+    Each float is m / d with d a power of two (float.as_integer_ratio), so
+    over the largest denominator D every prefix is an exact integer; the
+    int / int division rounds it once, correctly (round-half-even), as
+    math.fsum does.  Entry n - 1 therefore equals math.fsum(terms[:n]) bit
+    for bit, and a prefix past the float range raises OverflowError.
     """
-    partials: list[float] = []
-    sums = []
-    for x in terms:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        if math.isinf(x):
-            raise OverflowError("intermediate overflow in fsum")
-        partials[i:] = [x]
-        sums.append(x if i == 0 else math.fsum(partials))
-    return sums
+    ratios = [x.as_integer_ratio() for x in terms]
+    D = max(d for _, d in ratios)
+    return [s / D for s in accumulate(m * (D // d) for m, d in ratios)]
 
 
 def _power_sum_bounds(r: float, form: str, lhs: list[float]) -> list[PowerSumBound]:
@@ -212,5 +198,5 @@ def power_sum_bound_checks(
             raise OutOfDomainError(f"ratio form needs a finite r, got r={r}")
     else:
         raise OutOfDomainError(f"unknown form {form!r}")
-    lhs = _running_fsums(float(i) ** r for i in range(1, n_max + 1))
+    lhs = _running_fsums([float(i) ** r for i in range(1, n_max + 1)])
     return _power_sum_bounds(r, form, lhs)

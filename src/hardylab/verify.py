@@ -74,12 +74,6 @@ def redheffer_constant_claims(n_max: int) -> list[Verdict]:
     ]
 
 
-def _tail_floor_ratio(a: np.ndarray) -> float:
-    """sum_n T_n**(1/2) / sum_n a_n**(1/2) for finite-support a (exact)."""
-    op = copson_tail(len(a))
-    return constant_ratio(op, a, 0.5)
-
-
 def theorem6_floor_claims(seed: int) -> list[Verdict]:
     """Constant-convention tail ratio at p = 1/2 stays above the floor."""
     rng = np.random.default_rng(seed)
@@ -94,7 +88,8 @@ def theorem6_floor_claims(seed: int) -> list[Verdict]:
             a = rng.random(1000) * (rng.random(1000) < 0.2)
             if not a.any():
                 a[0] = 1.0
-        r = _tail_floor_ratio(a)
+        # sum_n T_n**(1/2) / sum_n a_n**(1/2), exact for finite-support a
+        r = constant_ratio(copson_tail(len(a)), a, 0.5)
         worst = min(worst, r)
         ok = ok and r >= THEOREM6_FLOOR - 1e-9
     rows = [

@@ -334,7 +334,7 @@ class TestPowerChoiceChecks:
 
 class TestScalarPowerFamily:
     def test_spot_values(self):
-        rep = check_2_4(3.0, [0.0, 1.0 / 3.0])
+        rep = check_2_4(3.0, 2)  # the points 0 and 1/3
         lhs0 = (1.0 - 1.0 / 3.0) ** 3
         rhs0 = 1.0 - 2.0 ** (-2.0 / 3.0)
         assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs0 - lhs0) / rhs0, rel=1e-12)
@@ -345,23 +345,23 @@ class TestScalarPowerFamily:
 
     @pytest.mark.parametrize("p", [3.0, 5.0, 10.0])
     def test_grid_holds(self, p):
-        rep = check_2_4(p, np.linspace(0.0, 1.0 / p, 50))
+        rep = check_2_4(p, 50)
         assert rep.holds
 
     def test_point_count_spans_zero_to_inverse_p(self):
-        grid = np.linspace(0.0, 1.0 / 5.0, 7)
-        assert check_2_4(5.0, 7).slacks.tobytes() == check_2_4(5.0, grid).slacks.tobytes()
+        p, alpha = 5.0, np.linspace(0.0, 1.0 / 5.0, 7)
+        lhs = (1.0 - 1.0 / ((alpha + 1.0) * p)) ** p
+        rhs = 1.0 - 2.0 ** (-(p - 1.0) / p - alpha)
+        assert check_2_4(p, 7).slacks == pytest.approx((rhs - lhs) / rhs, rel=1e-12)
         # the regime is checked before 1/p is formed
         with pytest.raises(OutOfDomainError, match="p >= 3"):
             check_2_4(0.0, 7)
 
     def test_domain_errors(self):
         with pytest.raises(OutOfDomainError):
-            check_2_4(2.5, [0.0])
-        with pytest.raises(OutOfDomainError):
-            check_2_4(3.0, [0.5])
-        with pytest.raises(OutOfDomainError):
-            check_2_4(3.0, [])
+            check_2_4(2.5, 1)
+        with pytest.raises(OutOfDomainError, match="empty grid"):
+            check_2_4(3.0, 0)
 
 
 class TestShiftedPowerChoice:

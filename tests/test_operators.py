@@ -198,6 +198,12 @@ class TestNormRatio:
         with pytest.raises(OutOfDomainError, match="^inputs must be nonnegative$"):
             constant_ratio(copson_tail(3), [1.0, -1.0, 1.0], 2.0)
 
+    @pytest.mark.parametrize("unread", [-1.0, math.nan])
+    def test_entries_past_truncation_are_not_validated(self, unread):
+        op = copson_tail(3)
+        assert constant_ratio(op, [1.0, 1.0, 1.0], 2.0) == 3.3703703703703702
+        assert constant_ratio(op, [1.0, 1.0, 1.0, unread], 2.0) == 3.3703703703703702
+
 
 class TestPowerSum:
     @pytest.mark.parametrize("p", [2.0, 3.0, 0.5, 1.7])

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from hardylab.errors import (
 )
 from hardylab.sequences import (
     _ratio_recurrence,
+    _running_fsums,
     conjugate_exponent,
     knopp_sequence,
     levin_steckin_sequence,
@@ -389,6 +391,24 @@ LEMMA_GRID = (
 
 
 class TestPowerSumRunningSums:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(5e-324, 1e300), min_size=1, max_size=40))
+    @example([5e-324, 1e300, 5e-324])  # denominator 2**1074 beside a 1e300 term
+    @example([sys.float_info.max, 2.0**969])  # below half an ulp: rounds down
+    def test_helper_matches_fsum_of_every_prefix(self, terms):
+        sums = _running_fsums(terms)
+        expected = [math.fsum(terms[:n]) for n in range(1, len(terms) + 1)]
+        assert [x.hex() for x in sums] == [x.hex() for x in expected]
+
+    def test_helper_overflow_matches_fsum(self):
+        # finite terms whose exact prefix rounds past the float range at n = 3
+        terms = [1.0, sys.float_info.max, 2.0**970]
+        assert _running_fsums(terms[:2]) == [1.0, sys.float_info.max]
+        with pytest.raises(OverflowError):
+            math.fsum(terms)
+        with pytest.raises(OverflowError):
+            _running_fsums(terms)
+
     @pytest.mark.parametrize("form, r", LEMMA_GRID)
     def test_lemma_grid_matches_fsum(self, form, r):
         assert_rows_match_fsum(r, 1000, form)
