@@ -23,6 +23,8 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .criteria import (
     check_2_3,
     check_2_4,
@@ -63,6 +65,7 @@ class Report:
     wall_time: float
     # redheffer-scan only: the beta grid, then (c, feasible, k) per c with
     # one entry per beta (ScanResult.iter_rows), streamed into CSV output
+    # one c row at a time, each distinct k of a row formatted once
     scan_rows: Iterable | None = None
 
     @property
@@ -248,13 +251,20 @@ def render_csv(report: Report) -> str:
     writer.writerows(map(Verdict.to_dict, report.verdicts))
     if report.scan_rows is not None:
         # The line csv.writer writes for a grid point: the label always holds
-        # a comma, so it is quoted; floats print as repr, bools as str.
+        # a comma, so it is quoted; floats print as repr, bools as str.  Each
+        # beta has two prebuilt tails, one per verdict.  Most points of a c
+        # row share their k, so each distinct k of the row is formatted once,
+        # keyed on its bit pattern: equal keys are the same double and print
+        # the same, where float keys would merge 0.0 with -0.0.
         rows = iter(report.scan_rows)
-        tails = [f'beta={beta}]",6.49,' for beta in next(rows)]
+        tails = [(f'beta={beta}]",6.49,False,,,,', f'beta={beta}]",6.49,True,,,,')
+                 for beta in next(rows)]
         for c, feasible, k in rows:
             head = f'"scan-point[c={c},'
-            for tail, ok, k_val in zip(tails, feasible, k):
-                buf.write(f"{head}{tail}{ok},,,,{k_val!r}\r\n")
+            bits = np.asarray(k, dtype=np.float64).view(np.int64).tolist()
+            text = {key: repr(k_val) for key, k_val in dict(zip(bits, k)).items()}
+            for tail, ok, key in zip(tails, feasible, bits):
+                buf.write(f"{head}{tail[ok]}{text[key]}\r\n")
     return buf.getvalue()
 
 

@@ -125,7 +125,9 @@ def apply_copson_tail(a, N: int, tail_mass: float = 0.0) -> np.ndarray:
     (see power_decay_tail_bounds); zero means plain truncation, which for
     nonnegative input is itself a valid finite-support instance.
     """
-    if tail_mass < 0.0:
+    if not tail_mass >= 0.0:  # NaN fails the comparison too
+        if math.isnan(tail_mass):
+            raise OutOfDomainError("tail mass must not be NaN")
         raise OutOfDomainError("tail mass must be nonnegative")
     arr = _materialize(a, N)
     return (neumaier_suffix_sums(arr) + tail_mass) / np.arange(1, N + 1, dtype=float)

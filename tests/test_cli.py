@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -377,6 +378,36 @@ class TestCsvReports:
         header, rows = cli.render_csv(report).split("\r\n", 1)
         assert header.startswith("claim,paper_ref,holds")
         assert rows == _csv_writer_scan_rows(res)
+
+    def test_hand_built_scan_rows_match_csv_writer(self):
+        # k values whose text a cache keyed on float equality would get
+        # wrong (0.0 == -0.0) or that sit at the ends of the float range,
+        # and long runs of one k with the verdict alternating
+        n = 40
+        betas = [0.025 * i for i in range(n)]
+        betas[1] = -0.0
+        alternating = [i % 2 == 0 for i in range(n)]
+        nans = [float("nan"), -math.nan, math.nan, math.nan, float("nan")]
+        rows = [
+            (0.1, alternating, [0.0, -0.0] * (n // 2)),
+            (0.2, alternating[::-1], [-0.0, 0.0, 0.0, -0.0] * (n // 4)),
+            (0.3, [True] * n,
+             [*nans, math.inf, -math.inf, 5e-324, -5e-324, 1.0] * (n // 10)),
+            (0.4, alternating, [0.6931471805599453] * n),
+            (0.5, alternating[::-1], [0.5] * (n // 2) + [math.inf] * (n // 2)),
+        ]
+        report = cli.Report("redheffer-scan", {}, 3, [], 0.0,
+                            scan_rows=[betas, *rows])
+        _, text = cli.render_csv(report).split("\r\n", 1)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        for c, feasible, k in rows:
+            for beta, ok, k_val in zip(betas, feasible, k):
+                writer.writerow(
+                    [f"scan-point[c={c},beta={beta}]", "6.49", ok, "", "", "", k_val]
+                )
+        assert text == buf.getvalue()
+        assert text.count("\r\n") == len(rows) * n
 
 
 class TestSubcommandSurface:

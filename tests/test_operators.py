@@ -120,6 +120,14 @@ class TestCopsonTail:
         with pytest.raises(OutOfDomainError):
             apply_copson_tail(np.ones(5), 5, -1.0)
 
+    def test_nan_tail_mass_rejected(self):
+        # NaN passes a plain `< 0` test; unchecked it gives NaN means, and
+        # through constant_ratio a misleading "overflows" error
+        with pytest.raises(OutOfDomainError, match="^tail mass must not be NaN$"):
+            apply_copson_tail([1.0, 1.0], 2, math.nan)
+        with pytest.raises(OutOfDomainError, match="^tail mass must not be NaN$"):
+            constant_ratio(copson_tail(2), [1.0, 1.0], 2.0, tail_mass=math.nan)
+
 
 class TestNormRatio:
     def test_delta_ratio_matches_direct_summation(self):
