@@ -5,10 +5,11 @@ verification suite, and emit reports as text, JSON, or CSV.  Each
 subcommand accepts the common flags plus only the flags its check reads
 (``_COMMANDS``); argparse rejects any other flag, and a missing required
 one, with exit status 2.  Exit status: 0 when every verdict holds, 1 when
-some verdict fails, 2 on invalid parameters or an unwritable --out path,
-3 on an unexpected internal error (reported on one line of standard
-error, without a traceback).  Identical configurations (including the
-seed) produce byte-identical JSON apart from the wall_time field.
+some verdict fails, 2 on invalid parameters, an unwritable --out path or a
+size (--n-max, --grid-points) too large to fit in memory, 3 on an
+unexpected internal error (reported on one line of standard error, without
+a traceback).  Identical configurations (including the seed) produce
+byte-identical JSON apart from the wall_time field.
 """
 
 from __future__ import annotations
@@ -397,6 +398,11 @@ def main(argv=None) -> int:
             sys.stdout.write(rendered)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a horizon too large for this machine
+        flag = "--grid-points" if "grid_points" in vars(args) else "--n-max"
+        reason = str(exc) or "MemoryError"
+        print(f"error: out of memory ({reason}); reduce {flag}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

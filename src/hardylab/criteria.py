@@ -44,27 +44,61 @@ def weighted_mean_constant(p: float, alpha: float) -> float:
     return (ap / (ap - 1.0)) ** p
 
 
-def _bracket_slacks(
-    log_lhs_all: np.ndarray,
-    log_scale: float,
-    log_factor: np.ndarray,
-    log_t: np.ndarray,
-):
-    """Slacks of  LHS <= scale * factor_n * (t_n - t_{n+1}), all in logs.
-
-    log_t has one extra trailing entry.  Where t fails to decrease the
-    bracket is nonpositive and the slack is -inf.
-    """
-    if not all(np.all(np.isfinite(x)) for x in (log_t, log_lhs_all, log_factor)):
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
         raise OutOfDomainError(
             "values left the representable range at this horizon; reduce n_max"
         )
-    delta = np.diff(log_t)
+
+
+def _log_power(power: float, sums: np.ndarray, out: np.ndarray) -> None:
+    """power * log(sums), written into out and checked finite."""
+    np.log(sums, out=out)
+    np.multiply(power, out, out=out)
+    _require_finite(out)
+
+
+def _bracket_slacks(
+    log_t: np.ndarray,
+    work: np.ndarray,
+    log_scale: float,
+    lhs: tuple[float, np.ndarray],
+    factor: tuple[float, np.ndarray] | None = None,
+):
+    """Slacks of  LHS <= scale * factor_n * (t_n - t_{n+1}), all in logs.
+
+    log_t has one extra trailing entry.  ``lhs`` and ``factor`` are
+    (power, sums) pairs standing for the n logs power * log(sums); no
+    factor means factor_n = 1.  Where t fails to decrease the bracket is
+    nonpositive and the slack is -inf.
+
+    The whole computation runs in place in log_t and ``work`` (at least n
+    entries, its contents ignored): both are overwritten, and the slacks
+    and log_rhs come back as views of their first n entries.
+    """
+    n = len(log_t) - 1
+    _require_finite(log_t)
+    bracket, log_rhs = work[:n], log_t[:n]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_bracket = log_t[:-1] + np.log(-np.expm1(delta))
-        log_rhs = log_scale + log_factor + log_bracket
-        slacks = -np.expm1(log_lhs_all - log_rhs)
-    rising = delta >= 0.0
+        np.subtract(log_t[1:], log_t[:-1], out=bracket)
+        rising = bracket >= 0.0
+        np.expm1(bracket, out=bracket)
+        np.negative(bracket, out=bracket)
+        np.log(bracket, out=bracket)
+        np.add(log_t[:-1], bracket, out=bracket)
+        # log_t is spent: its buffer takes the bounding side
+        if factor is None:
+            np.add(log_scale, bracket, out=log_rhs)
+        else:
+            _log_power(*factor, out=log_rhs)
+            np.add(log_scale, log_rhs, out=log_rhs)
+            np.add(log_rhs, bracket, out=log_rhs)
+        # and the bracket's buffer takes the LHS, then the slacks
+        slacks = bracket
+        _log_power(*lhs, out=slacks)
+        np.subtract(slacks, log_rhs, out=slacks)
+        np.expm1(slacks, out=slacks)
+        np.negative(slacks, out=slacks)
     log_rhs[rising] = math.inf
     slacks[rising] = -math.inf
     return slacks, log_rhs
@@ -98,10 +132,12 @@ def knopp_criterion_check(
         raise OutOfDomainError("target constant must be positive")
     # a huge p overflows these to inf, which _bracket_slacks rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        log_t = (p - 1.0) * w.log_w[: n_max + 1] - p * weights.log_w[: n_max + 1]
-        log_lhs = (p - 1.0) * np.log(w.W[:n_max])
-        log_factor = p * np.log(weights.W[:n_max])
-    slacks, log_rhs = _bracket_slacks(log_lhs, math.log(U), log_factor, log_t)
+        log_t = np.multiply(p - 1.0, w.log_w[: n_max + 1])
+        work = np.multiply(p, weights.log_w[: n_max + 1])
+        log_t -= work
+    slacks, log_rhs = _bracket_slacks(
+        log_t, work, math.log(U), (p - 1.0, w.W[:n_max]), (p, weights.W[:n_max])
+    )
     label = name or f"knopp[p={p},U={U}]"
     return build_report(
         label,
@@ -194,11 +230,13 @@ def reverse_criterion_check(
     seq = levin_steckin_sequence(p, n_max + 1)
     e = 1.0 / (1.0 - p)
     s = p / (1.0 - p)
-    log_n = np.log(np.arange(1, n_max + 2, dtype=float))
-    log_u = -e * seq.log_w[: n_max + 1] - s * log_n
-    log_lhs = -e * np.log(seq.W[:n_max])
+    log_u = np.multiply(-e, seq.log_w[: n_max + 1])
+    work = np.arange(1, n_max + 2, dtype=float)
+    np.log(work, out=work)
+    np.multiply(s, work, out=work)
+    log_u -= work
     slacks, log_rhs = _bracket_slacks(
-        log_lhs, s * math.log((1.0 - p) / p), np.zeros(n_max), log_u
+        log_u, work, s * math.log((1.0 - p) / p), (-e, seq.W[:n_max])
     )
     return build_report(
         f"reverse[p={p}]",

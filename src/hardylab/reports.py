@@ -142,17 +142,26 @@ def build_report(
     """Assemble a CriterionReport from per-index slacks.
 
     ``log_rhs`` is the log of the bounding side per index; it converts
-    tol_abs into slack units index by index.
+    tol_abs into slack units index by index.  With tol_abs > 0 the
+    per-index threshold is formed in log_rhs's own buffer, which it
+    overwrites.
     """
     slacks = np.asarray(slacks, dtype=float)
     if len(slacks) == 0:
         raise OutOfDomainError("no index to check: the index range is empty")
-    thr = tol.tol_rel
+    # a strict slack must exceed the threshold, a non-strict one reach its
+    # negative; negating both tolerances negates the threshold exactly
+    sign = 1.0 if strict else -1.0
+    thr = sign * tol.tol_rel
     if tol.tol_abs > 0.0:
+        thr = np.asarray(log_rhs, dtype=float)
         # tol_abs over a bounding side below tol_abs / DBL_MAX is inf
         with np.errstate(over="ignore"):
-            thr = thr + tol.tol_abs * np.exp(-np.asarray(log_rhs, dtype=float))
-    ok = slacks > thr if strict else slacks >= -thr
+            np.negative(thr, out=thr)
+            np.exp(thr, out=thr)
+            np.multiply(sign * tol.tol_abs, thr, out=thr)
+            np.add(sign * tol.tol_rel, thr, out=thr)
+    ok = slacks > thr if strict else slacks >= thr
     holds = bool(np.all(ok))
     first_failure = None if holds else int(n_lo + np.argmin(ok))
     return CriterionReport(

@@ -77,7 +77,9 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     log_w[1:] = neumaier_prefix_sums(np.fromiter(steps, float, n_max - 1))
     w = np.full(n_max, math.inf)
     finite = log_w < 709.0
-    w[finite] = np.fromiter(map(math.exp, memoryview(log_w[finite])), float)
+    w[finite] = np.fromiter(
+        map(math.exp, memoryview(log_w[finite])), float, np.count_nonzero(finite)
+    )
     W = neumaier_prefix_sums(w)
     return AuxSequence(n_max=n_max, w=w, W=W, log_w=log_w)
 

@@ -256,6 +256,39 @@ class TestExplicitArguments:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_memory_error_exits_two_naming_the_size(self, capsys, monkeypatch, command):
+        # a horizon that does not fit in memory is an input the user must
+        # shrink, not a fault of the program
+        reason = ("Unable to allocate 7.28 TiB for an array with shape "
+                  "(1000000000001,) and data type float64")
+
+        def exhausted(args, tol):
+            raise MemoryError(reason)
+
+        _, flags = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command, (exhausted, flags))
+        argv = [command]
+        for flag, spec in flags:
+            if spec.get("required"):
+                argv += [flag, "1"]
+        status, out, err = run_cli(capsys, *argv)
+        size = "--grid-points" if command == "check-2-4" else "--n-max"
+        assert status == 2
+        assert err == f"error: out of memory ({reason}); reduce {size}\n"
+        assert out == ""
+
+    def test_memory_error_without_message(self, capsys, monkeypatch):
+        def exhausted(args, tol):
+            raise MemoryError
+
+        _, flags = cli._COMMANDS["check-2-30"]
+        monkeypatch.setitem(cli._COMMANDS, "check-2-30", (exhausted, flags))
+        status, out, err = run_cli(capsys, "check-2-30", "--p", "3")
+        assert status == 2
+        assert err == "error: out of memory (MemoryError); reduce --n-max\n"
+        assert out == ""
+
 
 class TestJsonReports:
     def test_schema_keys(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -239,11 +240,22 @@ def masked_bracket_slacks(log_lhs, log_scale, log_factor, log_t):
     return slacks, log_rhs
 
 
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs, over what was traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestBracketSlacks:
     N = 100_000
 
-    @pytest.mark.parametrize("stalls", ["none", "some", "all"])
-    def test_matches_masked_formula_bit_for_bit(self, stalls):
+    def assert_matches_masked_formula(self, stalls, unit_factor):
         # a Knopp bracket (p = 2, alpha = 0.3); "some" makes t flat at a
         # few indices and rising at a few others, "all" makes it constant
         p, n = 2.0, self.N
@@ -256,14 +268,83 @@ class TestBracketSlacks:
             log_t[idx[20:] + 1] = log_t[idx[20:]] + 0.5
         elif stalls == "all":
             log_t[:] = log_t[0]
-        args = ((p - 1.0) * np.log(w.W[:n]), math.log(4.0),
-                p * np.log(lam.W[:n]), log_t)
-        slacks, log_rhs = _bracket_slacks(*args)
-        want_slacks, want_log_rhs = masked_bracket_slacks(*args)
+        factor = None if unit_factor else (p, lam.W[:n])
+        log_factor = np.zeros(n) if unit_factor else p * np.log(lam.W[:n])
+        # the reference reads a copy: _bracket_slacks overwrites log_t
+        want_slacks, want_log_rhs = masked_bracket_slacks(
+            (p - 1.0) * np.log(w.W[:n]), math.log(4.0), log_factor, log_t.copy()
+        )
+        work = np.full(n + 1, math.nan)
+        slacks, log_rhs = _bracket_slacks(
+            log_t, work, math.log(4.0), (p - 1.0, w.W[:n]), factor
+        )
         assert slacks.tobytes() == want_slacks.tobytes()
         assert log_rhs.tobytes() == want_log_rhs.tobytes()
+        assert np.shares_memory(slacks, work) and np.shares_memory(log_rhs, log_t)
         if stalls != "none":
             assert np.isneginf(slacks).any() and np.isposinf(log_rhs).any()
+
+    @pytest.mark.parametrize("stalls", ["none", "some", "all"])
+    def test_matches_masked_formula_bit_for_bit(self, stalls):
+        self.assert_matches_masked_formula(stalls, unit_factor=False)
+
+    @pytest.mark.parametrize("stalls", ["none", "some", "all"])
+    def test_unit_factor_matches_masked_formula_bit_for_bit(self, stalls):
+        # the reverse check's form: no factor sequence
+        self.assert_matches_masked_formula(stalls, unit_factor=True)
+
+
+class TestCheckMemory:
+    @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
+    def test_knopp_check_adds_two_buffers(self, tol_abs):
+        # beyond its prebuilt sequences a check holds two n-length work
+        # buffers and a bool mask or two: about 2.25 x 8n bytes
+        n = 200_000
+        w = knopp_sequence(2.0, 0.0, n + 1)
+        lam = power_aux_sequence(0.0, n + 1)
+        added = traced_peak(
+            lambda: knopp_criterion_check(w, lam, 2.0, 4.0, n, Tolerances(tol_abs))
+        )
+        assert added <= 2.5 * 8 * n
+
+    @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
+    def test_reverse_check_peak_in_total(self, tol_abs):
+        # its own sequence (three arrays) plus the two work buffers and a
+        # bool mask or two: about 5.25 x 8n bytes
+        n = 200_000
+        peak = traced_peak(
+            lambda: reverse_criterion_check(0.25, n, Tolerances(tol_abs))
+        )
+        assert peak <= 5.5 * 8 * n
+
+
+class TestAbsoluteToleranceVerdicts:
+    # tol_abs reaches the slack units through log_rhs, which the checks form
+    # in a reused work buffer; each case has an index whose verdict only
+    # tol_abs decides (the pinned values agree with an out-of-place
+    # evaluation of the same formulas)
+    def test_knopp_indices_fail_only_through_tol_abs(self):
+        assert classic_check(2000).holds
+        w = knopp_sequence(2.0, 0.0, 2001)
+        lam = power_aux_sequence(0.0, 2001)
+        rep = knopp_criterion_check(w, lam, 2.0, 4.0, 2000, Tolerances(tol_abs=0.05))
+        assert not rep.holds
+        assert rep.first_failure == 129
+        assert rep.slacks[128] > 1e-12
+        assert rep.min_slack.hex() == "0x1.0624dd34f89f4p-12"
+
+    def test_reverse_index_passes_only_through_tol_abs(self):
+        # non-strict: tol_abs loosens, so it moves the first failure from
+        # n = 6 to n = 7 at 5e-6 and clears every index at 5.5e-6
+        assert reverse_criterion_check(0.34, 2000).first_failure == 6
+        rep = reverse_criterion_check(0.34, 2000, Tolerances(tol_abs=5e-6))
+        assert not rep.holds
+        assert rep.first_failure == 7
+        assert rep.slacks[5] < 0.0
+        assert rep.min_slack.hex() == "-0x1.0a0dd92a9d82ep-10"
+        rep = reverse_criterion_check(0.34, 2000, Tolerances(tol_abs=5.5e-6))
+        assert rep.holds and rep.first_failure is None
+        assert rep.min_slack.hex() == "-0x1.0a0dd92a9d82ep-10"
 
 
 class TestReverseCriterion:
