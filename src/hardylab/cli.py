@@ -30,10 +30,10 @@ from .criteria import (
     check_2_3,
     check_2_4,
     check_2_30,
-    classic_forward_constant,
     criterion_2_20_check,
     knopp_criterion_check,
     reverse_criterion_check,
+    weighted_mean_constant,
 )
 from .errors import WorkbenchError
 from .operators import (
@@ -53,7 +53,7 @@ from .redheffer import (
     scan_params,
 )
 from .reports import FINITE_HORIZON_NOTE, Tolerances, Verdict
-from .sequences import knopp_sequence, power_aux_sequence
+from .sequences import knopp_sequence
 from .verify import DEFAULT_SEED, THEOREM6_FLOOR, run_verification
 
 
@@ -82,14 +82,12 @@ Outcome = tuple[list[Verdict], Iterable | None]
 def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     p, alpha = args.p, args.alpha
     w = knopp_sequence(p, alpha, args.n_max + 1)  # rejects p <= 1 first
-    U = classic_forward_constant(p) if args.U is None else args.U
+    U = weighted_mean_constant(p, 0.0) if args.U is None else args.U
     report = knopp_criterion_check(
         w,
-        power_aux_sequence(0.0, args.n_max + 1),
         p,
-        U,
-        args.n_max,
         tol,
+        U=U,
         name=f"knopp[p={p},alpha={alpha},U={U}]",
         exploratory=alpha != 0.0,
     )

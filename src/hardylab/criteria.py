@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfDomainError, ParameterMismatchError, PreconditionError
+from .compsum import neumaier_prefix_sums
+from .errors import OutOfDomainError, PreconditionError
 from .reports import CriterionReport, Tolerances, build_report
 from .sequences import (
     AuxSequence,
@@ -29,11 +30,6 @@ from .sequences import (
     levin_steckin_sequence,
     power_aux_sequence,
 )
-
-
-def classic_forward_constant(p: float) -> float:
-    """q**p, the constant attached to Knopp's choice when lambda = 1."""
-    return conjugate_exponent(p) ** p
 
 
 def weighted_mean_constant(p: float, alpha: float) -> float:
@@ -106,37 +102,40 @@ def _bracket_slacks(
 
 def knopp_criterion_check(
     w: AuxSequence,
-    weights: AuxSequence,
     p: float,
-    U: float,
-    n_max: int,
     tol: Tolerances = Tolerances(),
     *,
+    alpha: float = 0.0,
+    U: float | None = None,
     name: str | None = None,
     ref: str = "eq7",
     exploratory: bool = False,
 ) -> CriterionReport:
-    """Forward criterion check over n = 1..n_max (strict inequality), with
-    the auxiliary sequence w and the weights lambda (``weights``).
+    """Forward criterion check (strict inequality) of the auxiliary
+    sequence w against the power weights lambda_n = n**alpha.
 
-    Both sequences must be generated through n_max + 1, since the bracket
-    looks one index ahead.
+    The bracket looks one index ahead, so the check runs over
+    n = 1..w.n_max - 1.  U defaults to weighted_mean_constant(p, alpha).
     """
     if not p > 1.0:
         raise PreconditionError(f"forward regime needs p > 1, got {p}")
-    if w.n_max < n_max + 1 or weights.n_max < n_max + 1:
-        raise ParameterMismatchError(
-            f"sequences must be generated through n_max+1={n_max + 1}"
-        )
+    if U is None:
+        U = weighted_mean_constant(p, alpha)
     if not U > 0.0:
         raise OutOfDomainError("target constant must be positive")
+    n_max = w.n_max - 1
+    Lam = neumaier_prefix_sums(np.arange(1, n_max + 1, dtype=float) ** alpha)
+    # work takes log lam_n**p = p * (alpha * log n), over n_max + 1 entries;
     # a huge p overflows these to inf, which _bracket_slacks rejects
+    work = np.arange(1, n_max + 2, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_t = np.multiply(p - 1.0, w.log_w[: n_max + 1])
-        work = np.multiply(p, weights.log_w[: n_max + 1])
+        np.log(work, out=work)
+        np.multiply(alpha, work, out=work)
+        np.multiply(p, work, out=work)
+        log_t = np.multiply(p - 1.0, w.log_w)
         log_t -= work
     slacks, log_rhs = _bracket_slacks(
-        log_t, work, math.log(U), (p - 1.0, w.W[:n_max]), (p, weights.W[:n_max])
+        log_t, work, math.log(U), (p - 1.0, w.W[:n_max]), (p, Lam)
     )
     label = name or f"knopp[p={p},U={U}]"
     return build_report(
@@ -169,11 +168,9 @@ def criterion_2_20_check(
         raise OutOfDomainError(f"alpha must lie in [0, 1], got {alpha}")
     return knopp_criterion_check(
         knopp_sequence(p, alpha, n_max + 1),
-        power_aux_sequence(alpha, n_max + 1),
         p,
-        weighted_mean_constant(p, alpha),
-        n_max,
         tol,
+        alpha=alpha,
         name=f"2.20[p={p},alpha={alpha}]",
         ref="2.20",
         exploratory=not _forward_established(p, alpha),
@@ -266,10 +263,7 @@ def check_2_30(
         raise PreconditionError(f"forward regime needs p > 1, got {p}")
     return knopp_criterion_check(
         power_aux_sequence(-1.0 / p, n_max + 1),
-        power_aux_sequence(0.0, n_max + 1),
         p,
-        classic_forward_constant(p),
-        n_max,
         tol,
         name=f"2.30[p={p}]",
         ref="2.30",
@@ -325,11 +319,9 @@ def check_2_3(
         )
     return knopp_criterion_check(
         power_aux_sequence(alpha - 1.0 / p, n_max + 1),
-        power_aux_sequence(alpha, n_max + 1),
         p,
-        weighted_mean_constant(p, alpha),
-        n_max,
         tol,
+        alpha=alpha,
         name=f"2.3[p={p},alpha={alpha}]",
         ref="2.3",
     )

@@ -14,8 +14,7 @@ class NonpositiveWeightError(WorkbenchError):
 
 
 class ParameterMismatchError(WorkbenchError):
-    """A derived sequence was paired with parameters it was not built from,
-    or is too short for the requested horizon."""
+    """An operator input is shorter than the operator's truncation."""
 
 
 class OutOfDomainError(WorkbenchError):

@@ -44,9 +44,10 @@ def conjugate_exponent(p: float) -> float:
 class AuxSequence:
     """Positive weights w_n with partial sums W_n and log-scale values.
 
-    Holds both inputs of a criterion check: the auxiliary sequence w and
-    the weights lambda.  Generators normalize w_1 = 1; the criterion checks
-    are scale invariant in w, so scaled copies carry the same verdicts.
+    The auxiliary sequence w of a criterion check (the forward check forms
+    its power weights lambda itself).  Generators normalize w_1 = 1; the
+    criterion checks are scale invariant in w, so scaled copies carry the
+    same verdicts.
     """
 
     n_max: int
@@ -75,6 +76,7 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     log_w[0] = 0.0
     steps = map(math.log1p, memoryview(shift / np.arange(1, n_max)))
     log_w[1:] = neumaier_prefix_sums(np.fromiter(steps, float, n_max - 1))
+    del steps  # it holds the n-length ratio array
     w = np.full(n_max, math.inf)
     finite = log_w < 709.0
     w[finite] = np.fromiter(
@@ -117,8 +119,7 @@ def levin_steckin_sequence(p: float, n_max: int) -> AuxSequence:
 
 
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
-    """Power weights w_n = n**exponent (w_1 = 1 automatically); exponent 0
-    gives the constant weights lambda = 1."""
+    """Power weights w_n = n**exponent (w_1 = 1 automatically)."""
     if n_max < 1:
         raise OutOfDomainError("n_max must be >= 1")
     idx = np.arange(1, n_max + 1, dtype=float)

@@ -9,7 +9,6 @@ the same functions.  All verdicts are finite-horizon evidence, not proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .criteria import (
     check_2_3,
     check_2_4,
     check_2_30,
-    classic_forward_constant,
     criterion_2_20_check,
     f_alpha_analysis,
     knopp_criterion_check,
@@ -42,11 +40,10 @@ from .redheffer import (
     lemma_6_2_residual,
     lemma_6_2_step,
 )
-from .reports import Verdict
+from .reports import Tolerances, Verdict
 from .sequences import (
     knopp_sequence,
     levin_steckin_sequence,
-    power_aux_sequence,
     power_sum_bound_checks,
 )
 
@@ -121,9 +118,9 @@ def reverse_machinery_claims(n_max: int) -> list[Verdict]:
     """Reverse criterion families and the reverse partial-sum identity."""
     rows = []
     for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
-        report = reverse_criterion_check(p, n_max)
-        verdict = Verdict.from_report(report, f"3.1-reverse-p{p:.6g}")
-        rows.append(replace(verdict, holds=report.holds and report.min_slack >= 0.0))
+        # the claim is min_slack >= 0: a non-strict check at tol_rel 0
+        report = reverse_criterion_check(p, n_max, Tolerances(tol_rel=0.0))
+        rows.append(Verdict.from_report(report, f"3.1-reverse-p{p:.6g}"))
         seq = levin_steckin_sequence(p, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
         shift = 1.0 / p - 2.0
@@ -259,12 +256,7 @@ def hardy_bracketing_claims(n_max: int) -> list[Verdict]:
     rows = []
     for p in (1.25, 2.0, 3.0):
         report = knopp_criterion_check(
-            knopp_sequence(p, 0.0, n_max + 1),
-            power_aux_sequence(0.0, n_max + 1),
-            p,
-            classic_forward_constant(p),
-            n_max,
-            name=f"knopp[p={p}]",
+            knopp_sequence(p, 0.0, n_max + 1), p, name=f"knopp[p={p}]"
         )
         rows.append(Verdict.from_report(report, f"7.1-classic-knopp-p{p:.6g}"))
     grid = [SequenceFamily("power_decay", 100000, s) for s in (0.5001, 0.501, 0.51)]

@@ -11,7 +11,6 @@ from hardylab.criteria import (
     check_2_3,
     check_2_4,
     check_2_30,
-    classic_forward_constant,
     criterion_2_20_check,
     f_alpha_analysis,
     knopp_criterion_check,
@@ -21,17 +20,15 @@ from hardylab.criteria import (
 from hardylab.errors import (
     NonpositiveWeightError,
     OutOfDomainError,
-    ParameterMismatchError,
     PreconditionError,
 )
 from hardylab.reports import Tolerances, Verdict, build_report, classify_tail_trend
 from hardylab.sequences import AuxSequence, knopp_sequence, power_aux_sequence
+from hardylab.verify import reverse_machinery_claims
 
 
 def classic_check(n_max, alpha=0.0, U=4.0, p=2.0):
-    w = knopp_sequence(p, alpha, n_max + 1)
-    lam = power_aux_sequence(0.0, n_max + 1)
-    return knopp_criterion_check(w, lam, p, U, n_max)
+    return knopp_criterion_check(knopp_sequence(p, alpha, n_max + 1), p, U=U)
 
 
 class TestForwardCriterion:
@@ -47,9 +44,7 @@ class TestForwardCriterion:
         assert rep.first_failure is None
 
     def test_constant_weights_fail_immediately(self):
-        rep = knopp_criterion_check(
-            power_aux_sequence(0.0, 101), power_aux_sequence(0.0, 101), 2.0, 4.0, 100
-        )
+        rep = knopp_criterion_check(power_aux_sequence(0.0, 101), 2.0)
         assert not rep.holds
         assert rep.first_failure == 1
         assert rep.min_slack == -math.inf
@@ -63,15 +58,27 @@ class TestForwardCriterion:
         assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
         assert rhs == pytest.approx(0.7939419675524638, rel=1e-12)
 
-    def test_short_sequences_rejected(self):
-        with pytest.raises(ParameterMismatchError):
-            knopp_criterion_check(
-                knopp_sequence(2.0, 0.0, 100),
-                power_aux_sequence(0.0, 100),
-                2.0,
-                4.0,
-                100,
-            )
+    @pytest.mark.parametrize(
+        "make_w,p,alpha",
+        [
+            (lambda n: knopp_sequence(2.0, 0.0, n), 2.0, 0.0),
+            (lambda n: knopp_sequence(1.25, 0.9, n), 1.25, 0.9),
+            (lambda n: power_aux_sequence(-1.0 / 1.05, n), 1.05, 0.0),
+            (lambda n: power_aux_sequence(1.5 - 1.0 / 2.0, n), 2.0, 1.5),
+        ],
+    )
+    @pytest.mark.parametrize("length", [2, 301])
+    def test_default_constant_and_horizon(self, make_w, p, alpha, length):
+        # U defaults to weighted_mean_constant(p, alpha), and the check runs
+        # up to one index short of w
+        w = make_w(length)
+        default = knopp_criterion_check(w, p, alpha=alpha)
+        U = weighted_mean_constant(p, alpha)
+        explicit = knopp_criterion_check(w, p, alpha=alpha, U=U)
+        assert default.holds == explicit.holds
+        assert default.first_failure == explicit.first_failure
+        assert default.min_slack.hex() == explicit.min_slack.hex()
+        assert default.n_hi == w.n_max - 1
 
     def test_empty_index_range_rejected(self):
         # n_max = 0 leaves no index to check; it used to report holds with
@@ -81,27 +88,20 @@ class TestForwardCriterion:
 
     def test_reverse_pair_rejected(self):
         with pytest.raises(PreconditionError):
-            knopp_criterion_check(
-                power_aux_sequence(0.0, 11),
-                power_aux_sequence(0.0, 11),
-                0.5,
-                4.0,
-                10,
-            )
+            knopp_criterion_check(power_aux_sequence(0.0, 11), 0.5)
 
     @given(st.floats(min_value=1e-8, max_value=1e8))
     @settings(max_examples=40, deadline=None)
     def test_scale_invariance_of_verdicts(self, factor):
         base = knopp_sequence(2.0, 0.0, 201)
-        lam = power_aux_sequence(0.0, 201)
-        r1 = knopp_criterion_check(base, lam, 2.0, 4.0, 200)
+        r1 = knopp_criterion_check(base, 2.0)
         scaled = AuxSequence(
             n_max=base.n_max,
             w=base.w * factor,
             W=base.W * factor,
             log_w=base.log_w + math.log(factor),
         )
-        r2 = knopp_criterion_check(scaled, lam, 2.0, 4.0, 200)
+        r2 = knopp_criterion_check(scaled, 2.0)
         assert r1.holds == r2.holds
         assert np.max(np.abs(r1.slacks - r2.slacks)) <= 1e-10
 
@@ -296,16 +296,13 @@ class TestBracketSlacks:
 
 class TestCheckMemory:
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
-    def test_knopp_check_adds_two_buffers(self, tol_abs):
-        # beyond its prebuilt sequences a check holds two n-length work
-        # buffers and a bool mask or two: about 2.25 x 8n bytes
+    def test_knopp_check_adds_lam_and_two_buffers(self, tol_abs):
+        # beyond its prebuilt w a check holds Lam, two n-length work buffers
+        # and a bool mask or two: about 3.25 x 8n bytes
         n = 200_000
         w = knopp_sequence(2.0, 0.0, n + 1)
-        lam = power_aux_sequence(0.0, n + 1)
-        added = traced_peak(
-            lambda: knopp_criterion_check(w, lam, 2.0, 4.0, n, Tolerances(tol_abs))
-        )
-        assert added <= 2.5 * 8 * n
+        added = traced_peak(lambda: knopp_criterion_check(w, 2.0, Tolerances(tol_abs)))
+        assert added <= 3.5 * 8 * n
 
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
     def test_reverse_check_peak_in_total(self, tol_abs):
@@ -326,8 +323,7 @@ class TestAbsoluteToleranceVerdicts:
     def test_knopp_indices_fail_only_through_tol_abs(self):
         assert classic_check(2000).holds
         w = knopp_sequence(2.0, 0.0, 2001)
-        lam = power_aux_sequence(0.0, 2001)
-        rep = knopp_criterion_check(w, lam, 2.0, 4.0, 2000, Tolerances(tol_abs=0.05))
+        rep = knopp_criterion_check(w, 2.0, Tolerances(tol_abs=0.05))
         assert not rep.holds
         assert rep.first_failure == 129
         assert rep.slacks[128] > 1e-12
@@ -348,6 +344,15 @@ class TestAbsoluteToleranceVerdicts:
 
 
 class TestReverseCriterion:
+    def test_claim_names_the_failure_it_reports(self):
+        # claim 3.1 asks min_slack >= 0; at n_max = 41500 the p = 1/3 slack
+        # dips to -4.6e-13, inside the default tol_rel, and the claim's
+        # verdict must still name where it fails
+        rows = {r.claim: r for r in reverse_machinery_claims(41500)}
+        row = rows["3.1-reverse-p0.333333"]
+        assert not row.holds
+        assert row.first_failure == 41127
+        assert ": fails first at n=41127 " in row.detail
     @pytest.mark.parametrize("p", [0.1, 0.2, 0.25, 1.0 / 3.0])
     def test_established_range_holds(self, p):
         rep = reverse_criterion_check(p, 2000)
@@ -468,9 +473,7 @@ class TestShiftedPowerChoice:
 
 # Every function that takes a forward exponent p, called with a valid rest.
 FORWARD_CALLS = {
-    "knopp-criterion": lambda p: knopp_criterion_check(
-        power_aux_sequence(0.0, 11), power_aux_sequence(0.0, 11), p, 4.0, 10
-    ),
+    "knopp-criterion": lambda p: knopp_criterion_check(power_aux_sequence(0.0, 11), p),
     "criterion-2-20": lambda p: criterion_2_20_check(0.5, p, 10),
     "check-2-3": lambda p: check_2_3(1.0, p, 10),
     "check-2-30": lambda p: check_2_30(p, 10),
@@ -543,9 +546,10 @@ class TestTolerances:
 
 
 class TestConstants:
-    def test_classic_constant(self):
-        assert classic_forward_constant(2.0) == pytest.approx(4.0)
-        assert classic_forward_constant(1.25) == pytest.approx(5.0**1.25)
+    @given(st.floats(min_value=1.0, max_value=1e6, exclude_min=True))
+    def test_unit_weight_constant_is_q_to_the_p(self, p):
+        # Knopp's classic constant q**p, bit for bit
+        assert weighted_mean_constant(p, 0.0).hex() == ((p / (p - 1.0)) ** p).hex()
 
     def test_weighted_mean_constant(self):
         assert weighted_mean_constant(2.0, 0.0) == pytest.approx(4.0)

@@ -385,13 +385,11 @@ class TestRouteEquivalence:
     def test_per_index_criterion_yields_finite_mean_bound(self, p):
         # once the per-index criterion holds with constant U, the plain
         # finite inequality sum A_i**p <= U sum a_i**p must follow
-        from hardylab.criteria import classic_forward_constant, knopp_criterion_check
-        from hardylab.sequences import knopp_sequence, power_aux_sequence
+        from hardylab.criteria import knopp_criterion_check, weighted_mean_constant
+        from hardylab.sequences import knopp_sequence
 
-        U = classic_forward_constant(p)
-        rep = knopp_criterion_check(
-            knopp_sequence(p, 0.0, 101), power_aux_sequence(0.0, 101), p, U, 100
-        )
+        U = weighted_mean_constant(p, 0.0)
+        rep = knopp_criterion_check(knopp_sequence(p, 0.0, 101), p, U=U)
         assert rep.holds
         rng = np.random.default_rng(7)
         for _ in range(100):

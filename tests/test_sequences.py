@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -207,6 +208,23 @@ class TestRecurrenceProperties:
         seq = knopp_sequence(1.2, -0.1, 2000)
         assert np.all(seq.w > 0.0)
         assert np.all(np.diff(seq.W) > 0.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: knopp_sequence(2.0, 0.0, n), lambda n: levin_steckin_sequence(0.25, n)],
+        ids=["knopp", "levin-steckin"],
+    )
+    def test_peak_memory(self, make):
+        # log_w, w, the finite mask, log_w[finite] and its exponentials:
+        # about 4.13 x 8n bytes, the ratio array already freed
+        n = 200_000
+        tracemalloc.start()
+        try:
+            make(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * 8 * n
 
 
 def loop_ratio_recurrence(shift, n_max):
