@@ -7,17 +7,20 @@ on plain accumulation.
 The scan is Neumaier's sequential recurrence written as numpy array
 operations, and it returns the same bits as the element-by-element loop.
 ``np.cumsum`` accumulates strictly left to right, so it yields the loop's
-running sums ``s_k`` exactly.  Each step's rounding error is then an
-elementwise function of ``s_{k-1}``, ``s_k`` and ``x_k``, and a second
-``cumsum`` of those errors yields the loop's compensation ``c_k``.  The work
-runs over fixed-size blocks that carry ``s`` and ``c`` across, so the
-temporaries stay at block size whatever the input length.  Two block
-buffers, allocated once per call, hold the carry followed by the block:
-each ``cumsum`` runs in place in one of them, and the other receives the
-rounding errors, so no block allocates a fresh concatenation.
+running sums ``s_k`` exactly.  Each step's rounding error comes from Knuth's
+branch-free TwoSum of ``s_{k-1}`` and ``x_k``, and a second ``cumsum`` of
+those errors yields the loop's compensation ``c_k``.  A finite TwoSum error
+is exact, as the loop's ``abs`` branch is, so it has the loop's bits (a
+zero's sign cannot show: ``c`` starts at +0.0).  An inf or NaN, or
+``s_k - s_{k-1}`` overflowing next to DBL_MAX, leaves the block's ``c``
+non-finite, and such a block is redone with the branch.  Blocks carry ``s``
+and ``c`` across in three buffers allocated once per call: each ``cumsum``
+runs in place in one of two, and the third holds TwoSum's terms.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,20 +34,28 @@ def neumaier_prefix_sums(values) -> np.ndarray:
     # run = [s, s_lo, ..., s_hi] and err = [c, c_lo, ..., c_hi] once summed
     run = np.empty(min(len(x), _BLOCK) + 1)
     err = np.empty_like(run)
+    tmp = np.empty(len(run) - 1)
     run[0] = err[0] = 0.0
     # the loop form never warned on overflow or inf - inf; neither does this
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(x), _BLOCK):
             xb = x[lo : lo + _BLOCK]
-            r, e = run[: len(xb) + 1], err[: len(xb) + 1]
+            r, e, bp = run[: len(xb) + 1], err[: len(xb) + 1], tmp[: len(xb)]
             r[1:] = xb
             np.cumsum(r, out=r)
             prev, cur, d = r[:-1], r[1:], e[1:]
-            big = np.abs(prev) >= np.abs(xb)
-            # (prev - cur) + xb where |prev| >= |xb|, else (xb - cur) + prev
-            np.subtract(np.where(big, prev, xb), cur, out=d)
-            d += np.where(big, xb, prev)
+            # d = (prev - (cur - bp)) + (xb - bp) with bp = cur - prev
+            np.subtract(cur, prev, out=bp)
+            np.subtract(cur, bp, out=d)
+            np.subtract(prev, d, out=d)
+            np.subtract(xb, bp, out=bp)
+            d += bp
             np.cumsum(e, out=e)
+            if not math.isfinite(e[-1]):  # redo the block with the branch
+                big = np.abs(prev) >= np.abs(xb)
+                np.subtract(np.where(big, prev, xb), cur, out=d)
+                d += np.where(big, xb, prev)
+                np.cumsum(e, out=e)
             np.add(cur, d, out=out[lo : lo + len(xb)])
             run[0], err[0] = cur[-1], d[-1]
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,16 @@ class OperatorSpec:
             self.alpha is not None and math.isfinite(self.alpha)
         ):
             raise OutOfDomainError("weighted_mean needs a finite alpha")
+
+    @cached_property
+    def mean_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weights i**(alpha-1), i <= truncation, and their compensated prefix sums."""
+        alpha = float(self.alpha)
+        lam = np.arange(1, self.truncation + 1, dtype=float) ** (alpha - 1.0)
+        total = neumaier_prefix_sums(lam)
+        if math.isfinite(total[-1]):  # else the means would be NaN or 0
+            return lam, total
+        raise OutOfDomainError(f"the weights i**(alpha-1) overflow at alpha={alpha}")
 
 
 def cesaro(truncation: int) -> OperatorSpec:
@@ -107,15 +118,11 @@ def _materialize(a, N: int) -> np.ndarray:
     return arr
 
 
-def apply_weighted_mean(alpha: float, a, N: int) -> np.ndarray:
+def apply_weighted_mean(op: OperatorSpec, a) -> np.ndarray:
     """A_n = (sum_{i<=n} i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)), n <= N."""
-    arr = _materialize(a, N)
-    lam = np.arange(1, N + 1, dtype=float) ** (alpha - 1.0)
-    total = neumaier_prefix_sums(lam)
-    if not math.isfinite(total[-1]):  # the means would be NaN or 0
-        raise OutOfDomainError(f"the weights i**(alpha-1) overflow at alpha={alpha}")
-    lam *= arr  # in place: no more arrays alive at once than lam * arr needed
-    return neumaier_prefix_sums(lam) / total
+    arr = _materialize(a, op.truncation)
+    lam, total = op.mean_weights  # after the input checks, as their errors go first
+    return neumaier_prefix_sums(lam * arr) / total
 
 
 def apply_copson_tail(a, N: int, tail_mass: float = 0.0) -> np.ndarray:
@@ -150,13 +157,14 @@ def _pow_p(x: np.ndarray, p: float) -> np.ndarray:
         return x ** float(p)
     out = np.zeros_like(x)
     pos = x > 0.0
-    out[pos] = np.exp(p * np.log(x[pos]))
-    return out
+    np.log(x, out=out, where=pos)
+    np.multiply(p, out, out=out, where=pos)
+    return np.exp(out, out=out, where=pos)
 
 
 def _apply(op: OperatorSpec, arr: np.ndarray, tail_mass: float) -> np.ndarray:
     if op.kind == "weighted_mean":
-        return apply_weighted_mean(float(op.alpha), arr, op.truncation)
+        return apply_weighted_mean(op, arr)
     return apply_copson_tail(arr, op.truncation, tail_mass)
 
 

@@ -276,10 +276,11 @@ def hardy_bracketing_claims(n_max: int) -> list[Verdict]:
     )
     cap_ok = True
     worst_gap = math.inf
+    ops = {f.length: cesaro(f.length) for f in HARDY_TEST_FAMILIES}  # weights once
     for p in (1.25, 2.0, 3.0):
         q = p / (p - 1.0)
         for fam in HARDY_TEST_FAMILIES:
-            r = norm_ratio(cesaro(fam.length), fam, p)
+            r = norm_ratio(ops[fam.length], fam, p)
             cap_ok = cap_ok and r <= q + 1e-9
             worst_gap = min(worst_gap, q - r)
     rows.append(

@@ -111,6 +111,61 @@ class TestBitIdentity:
         assert_same_bits(got_suffix, loop_suffix_sums(values))
 
 
+DBL_MAX = 1.7976931348623157e308
+# IEEE 754 leaves open which NaN an operation on two NaNs returns, and the
+# loop and the numpy kernels pick differently; inputs use the one NaN the
+# hardware itself makes (inf - inf), so every NaN in play has one bit pattern
+DEFAULT_NAN = math.inf - math.inf
+
+signs = st.sampled_from([-1.0, 1.0])
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, DEFAULT_NAN, DBL_MAX, -DBL_MAX]),
+    # DBL_MAX scale, and terms whose sum with it rounds: sums and TwoSum's
+    # intermediate cur - prev can overflow
+    st.builds(lambda s, m: s * m, signs, st.floats(min_value=2.0**1020, max_value=DBL_MAX)),
+    st.builds(lambda s, m: s * m, signs, st.floats(min_value=2.0**970, max_value=2.0**1020)),
+    st.builds(lambda s, m: s * m, signs, st.floats(min_value=5e-324, max_value=2.0**-1022)),
+    wide_floats,
+)
+# the finite background that edge values are written into
+FILLER = wide_range(np.random.default_rng(17), 2 * _BLOCK + 3)
+
+
+@st.composite
+def edge_arrays(draw):
+    """A run of edge values written into a finite background, at the start,
+    the end, or across a block boundary of the prefix or the suffix scan."""
+    head = draw(st.lists(edge_floats, min_size=1, max_size=40))
+    n = draw(st.sampled_from([len(head), _BLOCK + 7, 2 * _BLOCK + 3]))
+    starts = {0, n - len(head), _BLOCK - len(head) // 2, n - _BLOCK - len(head) // 2}
+    at = draw(st.sampled_from(sorted(i for i in starts if 0 <= i <= n - len(head))))
+    x = FILLER[:n].copy()
+    x[at : at + len(head)] = head
+    return x
+
+
+class TestEdgeValues:
+    @given(edge_arrays())
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_and_suffix_match_loop(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_prefix = neumaier_prefix_sums(x)
+            got_suffix = neumaier_suffix_sums(x)
+        assert_same_bits(got_prefix, loop_prefix_sums(x))
+        assert_same_bits(got_suffix, loop_suffix_sums(x))
+
+    @pytest.mark.parametrize("offset", [0, _BLOCK - 1])
+    def test_finite_sum_next_to_dbl_max(self, offset):
+        # s + x rounds to a finite value whose TwoSum intermediate s - x
+        # overflows; the exact rounding error is finite, and so is every sum
+        x = np.zeros(offset + 3)
+        x[offset:] = [1.769313486231558e306, -DBL_MAX, 1.0]
+        want = loop_prefix_sums(x)
+        assert np.all(np.isfinite(want))
+        assert_same_bits(neumaier_prefix_sums(x), want)
+
+
 class TestAccuracy:
     @given(st.lists(wide_floats, min_size=1, max_size=300))
     @settings(max_examples=200, deadline=None)

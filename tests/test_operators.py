@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hardylab import operators
+from hardylab.compsum import neumaier_prefix_sums
 from hardylab.errors import (
     OutOfDomainError,
     ParameterMismatchError,
@@ -29,6 +32,10 @@ from hardylab.operators import (
 from hardylab.redheffer import RedhefferParams
 
 APERY = 1.2020569031595943  # sum of 1/k**3
+
+
+def weighted_mean(alpha: float, N: int) -> OperatorSpec:
+    return OperatorSpec("weighted_mean", N, alpha=alpha)
 
 
 class TestSpecs:
@@ -79,23 +86,23 @@ class TestSpecs:
 
 class TestWeightedMean:
     def test_delta_input_gives_reciprocal_weights(self):
-        out = apply_weighted_mean(1.0, np.array([1.0, 0, 0, 0, 0]), 5)
+        out = apply_weighted_mean(cesaro(5), np.array([1.0, 0, 0, 0, 0]))
         assert out == pytest.approx(1.0 / np.arange(1, 6))
 
     def test_rows_sum_to_one(self):
         for alpha in (0.5, 1.0, 1.5, 2.0):
-            out = apply_weighted_mean(alpha, np.ones(1000), 1000)
+            out = apply_weighted_mean(weighted_mean(alpha, 1000), np.ones(1000))
             assert np.max(np.abs(out - 1.0)) <= 1e-12
 
     def test_quadratic_weights_spot_value(self):
-        out = apply_weighted_mean(2.0, np.array([1.0, 0, 0]), 3)
+        out = apply_weighted_mean(weighted_mean(2.0, 3), np.array([1.0, 0, 0]))
         assert out[2] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_input_validation(self):
         with pytest.raises(ParameterMismatchError):
-            apply_weighted_mean(1.0, np.ones(3), 5)
+            apply_weighted_mean(cesaro(5), np.ones(3))
         with pytest.raises(OutOfDomainError):
-            apply_weighted_mean(1.0, np.array([1.0, -2.0]), 2)
+            apply_weighted_mean(cesaro(2), np.array([1.0, -2.0]))
 
 
 class TestCopsonTail:
@@ -301,3 +308,96 @@ class TestFreeSearchOracle:
         fam = extremal_search(cesaro(8), 2.0, grid)
         assert fam.best_ratio >= 0.95 * norm
         assert fam.best_ratio <= norm + 1e-9
+
+
+def gather_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """The gather/scatter form _pow_p replaced: the bits it must keep."""
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = np.exp(p * np.log(x[pos]))
+    return out
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes allocated at the peak of fn(*args) above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def power_grid(N: int) -> list[SequenceFamily]:
+    return [SequenceFamily("power_decay", N, s) for s in (0.5001, 0.501, 0.51)]
+
+
+class TestOperatorMemory:
+    N = 200_000
+
+    @pytest.mark.parametrize("p", [0.5, 1.0 / 3.0, 2.5, 1e-3])
+    def test_pow_p_bits_match_gather_form(self, p):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 10.0, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
+        x[::7] = 0.0
+        x[1::11] = 5e-324
+        x[2::13] = 2.0**-1060  # subnormal
+        x[3::17] = 1e308
+        x[4::19] = math.inf
+        with np.errstate(over="ignore"):  # 1e308**2.5 is inf in both forms
+            for layout in (x, x[::-1], x[::3]):
+                assert _pow_p(layout, p).tobytes() == gather_pow(layout, p).tobytes()
+
+    def test_pow_p_peak(self):
+        x = SequenceFamily("power_decay", self.N, 1.5).values()
+        x[::10] = 0.0
+        assert traced_peak(_pow_p, x, 0.5) <= 1.25 * 8 * self.N
+
+    def test_copson_ratio_peak(self):
+        args = (copson_tail(self.N), SequenceFamily("power_decay", self.N, 3.0), 0.5)
+        assert traced_peak(constant_ratio, *args) <= 3.5 * 8 * self.N
+
+    def test_extremal_search_peak(self):
+        args = (cesaro(self.N), 2.0, power_grid(self.N))
+        assert traced_peak(extremal_search, *args) <= 5.5 * 8 * self.N
+
+
+class TestWeightsOncePerSpec:
+    def test_weights_scanned_once(self, monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(len(values))
+            return neumaier_prefix_sums(values)
+
+        monkeypatch.setattr(operators, "neumaier_prefix_sums", counted)
+        extremal_search(cesaro(2000), 2.0, power_grid(2000))
+        assert calls == [2000] * 4  # the weights once, then one scan a family
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 0.25])
+    def test_shared_weights_same_bits(self, alpha):
+        N = 5000
+        grid = power_grid(N)
+        res = extremal_search(weighted_mean(alpha, N), 2.0, grid)
+        fresh = [norm_ratio(weighted_mean(alpha, N), fam, 2.0) for fam in grid]
+        assert [r.hex() for r in res.ratios] == [r.hex() for r in fresh]
+        assert res.best_ratio.hex() == max(fresh).hex()
+
+    @pytest.mark.parametrize(
+        "a, error, message",
+        [
+            ([1.0, math.nan, 1.0], OutOfDomainError, "^inputs must not be NaN$"),
+            ([1.0, -1.0, 1.0], OutOfDomainError, "^inputs must be nonnegative$"),
+            ([1.0, 1.0], ParameterMismatchError, "input length 2 < truncation 3"),
+            ([0.0, 0.0, 0.0], UndefinedRatioError, "identically zero"),
+            ([1e200, 1.0, 1.0], OutOfDomainError, r"sum of p-th powers \(p=2.0\)"),
+            ([1.0, 1.0, 1.0], OutOfDomainError, r"weights i\*\*\(alpha-1\) overflow"),
+        ],
+        ids=["nan", "negative", "short", "zero", "power-overflow", "weights"],
+    )
+    def test_input_errors_come_before_weights_overflow(self, a, error, message):
+        op = weighted_mean(1.797e308, 3)  # 2**(alpha-1) overflows
+        for _ in range(2):  # a failed weights build is not kept
+            with pytest.raises(error, match=message):
+                extremal_search(op, 2.0, [a, [1.0, 0.0, 0.0]])
