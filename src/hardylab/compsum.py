@@ -15,7 +15,9 @@ zero's sign cannot show: ``c`` starts at +0.0).  An inf or NaN, or
 ``s_k - s_{k-1}`` overflowing next to DBL_MAX, leaves the block's ``c``
 non-finite, and such a block is redone with the branch.  Blocks carry ``s``
 and ``c`` across in three buffers allocated once per call: each ``cumsum``
-runs in place in one of two, and the third holds TwoSum's terms.
+runs in place in one of two, and the third holds TwoSum's terms.  A block
+is read in full before its sums are written, so the output may be the
+input array itself.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ import numpy as np
 _BLOCK = 1 << 14
 
 
-def neumaier_prefix_sums(values) -> np.ndarray:
-    """Prefix sums out[k] = values[0] + ... + values[k] with compensation."""
+def neumaier_prefix_sums(values, out: np.ndarray | None = None) -> np.ndarray:
+    """Prefix sums out[k] = values[0] + ... + values[k] with compensation.
+
+    ``out``, if given, is a float array of the same length that receives
+    the sums; it may be ``values`` itself.
+    """
     x = np.asarray(values, dtype=float)
-    out = np.empty(len(x))
+    if out is None:
+        out = np.empty(len(x))
     # run = [s, s_lo, ..., s_hi] and err = [c, c_lo, ..., c_hi] once summed
     run = np.empty(min(len(x), _BLOCK) + 1)
     err = np.empty_like(run)
@@ -63,5 +70,7 @@ def neumaier_prefix_sums(values) -> np.ndarray:
 
 def neumaier_suffix_sums(values) -> np.ndarray:
     """Suffix sums out[k] = values[k] + ... + values[-1] with compensation."""
-    rev = np.asarray(values, dtype=float)[::-1]
-    return neumaier_prefix_sums(rev)[::-1].copy()
+    x = np.asarray(values, dtype=float)
+    out = np.empty(len(x))
+    neumaier_prefix_sums(x[::-1], out=out[::-1])
+    return out

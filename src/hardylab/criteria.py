@@ -41,7 +41,11 @@ def weighted_mean_constant(p: float, alpha: float) -> float:
 
 
 def _require_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    # the extremes are finite exactly when every value is, NaN included,
+    # and finding them forms no n-length mask
+    if values.size and not (
+        math.isfinite(values.min()) and math.isfinite(values.max())
+    ):
         raise OutOfDomainError(
             "values left the representable range at this horizon; reduce n_max"
         )
@@ -54,43 +58,62 @@ def _log_power(power: float, sums: np.ndarray, out: np.ndarray) -> None:
     _require_finite(out)
 
 
+# Length of the blocks that stand in for n-length temporaries.
+_BLOCK = 1 << 14
+
+
+def _log_t(coef: float, log_w: np.ndarray, *scales: float) -> np.ndarray:
+    """coef * log_w[k] - scales[-1] * (... * (scales[0] * log(k + 1))) for
+    every k, in a new array: log(k + 1) and its multiples pass through one
+    reused block, so the result is the only n-length array formed.
+    """
+    log_t = np.multiply(coef, log_w)
+    idx = np.arange(1, min(len(log_t), _BLOCK) + 1, dtype=float)
+    block = np.empty_like(idx)
+    for lo in range(0, len(log_t), _BLOCK):
+        rows = log_t[lo : lo + _BLOCK]
+        b = block[: len(rows)]
+        np.add(idx[: len(rows)], lo, out=b)
+        np.log(b, out=b)
+        for scale in scales:
+            np.multiply(scale, b, out=b)
+        np.subtract(rows, b, out=rows)
+    return log_t
+
+
 def _bracket_slacks(
     log_t: np.ndarray,
-    work: np.ndarray,
-    log_scale: float,
+    log_rhs: np.ndarray,
     lhs: tuple[float, np.ndarray],
-    factor: tuple[float, np.ndarray] | None = None,
 ):
     """Slacks of  LHS <= scale * factor_n * (t_n - t_{n+1}), all in logs.
 
-    log_t has one extra trailing entry.  ``lhs`` and ``factor`` are
-    (power, sums) pairs standing for the n logs power * log(sums); no
-    factor means factor_n = 1.  Where t fails to decrease the bracket is
+    log_t has n + 1 entries, and log_rhs holds the n logs of
+    scale * factor_n.  ``lhs`` is a (power, sums) pair standing for the n
+    logs power * log(sums).  Where t fails to decrease the bracket is
     nonpositive and the slack is -inf.
 
-    The whole computation runs in place in log_t and ``work`` (at least n
-    entries, its contents ignored): both are overwritten, and the slacks
-    and log_rhs come back as views of their first n entries.
+    The bracket's log is added into log_rhs one block at a time, so
+    log_rhs becomes the log of the whole bounding side.  log_t is then
+    spent, and its first n entries take the slacks, which come back with
+    log_rhs.
     """
-    n = len(log_t) - 1
+    n = len(log_rhs)
     _require_finite(log_t)
-    bracket, log_rhs = work[:n], log_t[:n]
+    rising = np.empty(n, dtype=bool)
+    block = np.empty(min(n, _BLOCK))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.subtract(log_t[1:], log_t[:-1], out=bracket)
-        rising = bracket >= 0.0
-        np.expm1(bracket, out=bracket)
-        np.negative(bracket, out=bracket)
-        np.log(bracket, out=bracket)
-        np.add(log_t[:-1], bracket, out=bracket)
-        # log_t is spent: its buffer takes the bounding side
-        if factor is None:
-            np.add(log_scale, bracket, out=log_rhs)
-        else:
-            _log_power(*factor, out=log_rhs)
-            np.add(log_scale, log_rhs, out=log_rhs)
-            np.add(log_rhs, bracket, out=log_rhs)
-        # and the bracket's buffer takes the LHS, then the slacks
-        slacks = bracket
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            bracket = block[: hi - lo]
+            np.subtract(log_t[lo + 1 : hi + 1], log_t[lo:hi], out=bracket)
+            np.greater_equal(bracket, 0.0, out=rising[lo:hi])
+            np.expm1(bracket, out=bracket)
+            np.negative(bracket, out=bracket)
+            np.log(bracket, out=bracket)
+            np.add(log_t[lo:hi], bracket, out=bracket)
+            np.add(log_rhs[lo:hi], bracket, out=log_rhs[lo:hi])
+        slacks = log_t[:n]
         _log_power(*lhs, out=slacks)
         np.subtract(slacks, log_rhs, out=slacks)
         np.expm1(slacks, out=slacks)
@@ -116,6 +139,7 @@ def knopp_criterion_check(
 
     The bracket looks one index ahead, so the check runs over
     n = 1..w.n_max - 1.  U defaults to weighted_mean_constant(p, alpha).
+    Besides w it holds two n-length arrays, Lam's and log_t's.
     """
     if not p > 1.0:
         raise PreconditionError(f"forward regime needs p > 1, got {p}")
@@ -124,19 +148,21 @@ def knopp_criterion_check(
     if not U > 0.0:
         raise OutOfDomainError("target constant must be positive")
     n_max = w.n_max - 1
-    Lam = neumaier_prefix_sums(np.arange(1, n_max + 1, dtype=float) ** alpha)
-    # work takes log lam_n**p = p * (alpha * log n), over n_max + 1 entries;
-    # a huge p overflows these to inf, which _bracket_slacks rejects
-    work = np.arange(1, n_max + 2, dtype=float)
+    # Lam_n = sum_{i<=n} i**alpha, which is n itself at alpha = 0 (integer
+    # sums below 2**53 are exact, so a scan would return the same bits);
+    # its buffer then takes log(U Lam_n**p)
+    log_rhs = np.arange(1, n_max + 1, dtype=float)
+    if alpha != 0.0:
+        log_rhs **= alpha
+        neumaier_prefix_sums(log_rhs, out=log_rhs)
+    # log t_n = (p-1) log w_n - p (alpha log n), the log of
+    # w_n**(p-1) / lam_n**p; a huge p overflows the logs to inf, which is
+    # rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        np.log(work, out=work)
-        np.multiply(alpha, work, out=work)
-        np.multiply(p, work, out=work)
-        log_t = np.multiply(p - 1.0, w.log_w)
-        log_t -= work
-    slacks, log_rhs = _bracket_slacks(
-        log_t, work, math.log(U), (p - 1.0, w.W[:n_max]), (p, Lam)
-    )
+        _log_power(p, log_rhs, out=log_rhs)
+        np.add(math.log(U), log_rhs, out=log_rhs)
+        log_t = _log_t(p - 1.0, w.log_w, alpha, p)
+    slacks, log_rhs = _bracket_slacks(log_t, log_rhs, (p - 1.0, w.W[:n_max]))
     label = name or f"knopp[p={p},U={U}]"
     return build_report(
         label,
@@ -227,13 +253,10 @@ def reverse_criterion_check(
     seq = levin_steckin_sequence(p, n_max + 1)
     e = 1.0 / (1.0 - p)
     s = p / (1.0 - p)
-    log_u = np.multiply(-e, seq.log_w[: n_max + 1])
-    work = np.arange(1, n_max + 2, dtype=float)
-    np.log(work, out=work)
-    np.multiply(s, work, out=work)
-    log_u -= work
     slacks, log_rhs = _bracket_slacks(
-        log_u, work, s * math.log((1.0 - p) / p), (-e, seq.W[:n_max])
+        _log_t(-e, seq.log_w, s),
+        np.full(n_max, s * math.log((1.0 - p) / p)),
+        (-e, seq.W[:n_max]),
     )
     return build_report(
         f"reverse[p={p}]",

@@ -90,7 +90,8 @@ class SequenceFamily:
     def values(self) -> np.ndarray:
         k = np.arange(1, self.length + 1, dtype=float)
         if self.kind == "power_decay":
-            return k ** (-float(self.param))
+            k **= -float(self.param)
+            return k
         if self.kind == "delta":
             out = np.zeros(self.length)
             out[0] = 1.0
@@ -106,8 +107,13 @@ class SequenceFamily:
         return f"{self.kind}({self.param})[N={self.length}]"
 
 
+def _values(a) -> np.ndarray:
+    return a.values() if isinstance(a, SequenceFamily) else np.asarray(a, dtype=float)
+
+
 def _materialize(a, N: int) -> np.ndarray:
-    arr = a.values() if isinstance(a, SequenceFamily) else np.asarray(a, dtype=float)
+    """The first N input values, checked."""
+    arr = _values(a)
     if len(arr) < N:
         raise ParameterMismatchError(f"input length {len(arr)} < truncation {N}")
     arr = arr[:N]  # entries past N are never read, so never validated
@@ -122,7 +128,9 @@ def apply_weighted_mean(op: OperatorSpec, a) -> np.ndarray:
     """A_n = (sum_{i<=n} i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)), n <= N."""
     arr = _materialize(a, op.truncation)
     lam, total = op.mean_weights  # after the input checks, as their errors go first
-    return neumaier_prefix_sums(lam * arr) / total
+    means = np.multiply(lam, arr)
+    neumaier_prefix_sums(means, out=means)
+    return np.divide(means, total, out=means)
 
 
 def apply_copson_tail(a, N: int, tail_mass: float = 0.0) -> np.ndarray:
@@ -132,12 +140,15 @@ def apply_copson_tail(a, N: int, tail_mass: float = 0.0) -> np.ndarray:
     (see power_decay_tail_bounds); zero means plain truncation, which for
     nonnegative input is itself a valid finite-support instance.
     """
+    arr = _materialize(a, N)
     if not tail_mass >= 0.0:  # NaN fails the comparison too
         if math.isnan(tail_mass):
             raise OutOfDomainError("tail mass must not be NaN")
         raise OutOfDomainError("tail mass must be nonnegative")
-    arr = _materialize(a, N)
-    return (neumaier_suffix_sums(arr) + tail_mass) / np.arange(1, N + 1, dtype=float)
+    means = neumaier_suffix_sums(arr)
+    means += tail_mass
+    means /= np.arange(1, N + 1, dtype=float)
+    return means
 
 
 def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
@@ -151,12 +162,18 @@ def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
     return max(hi - N ** (-1.0 * s), 0.0), hi
 
 
-def _pow_p(x: np.ndarray, p: float) -> np.ndarray:
-    """Elementwise x**p for nonnegative x; exp/log route for non-integer p."""
+def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise x**p for nonnegative x; exp/log route for non-integer p.
+
+    ``out`` may be x itself.
+    """
     if p == round(p):
-        return x ** float(p)
-    out = np.zeros_like(x)
+        return np.power(x, float(p), out=out)
     pos = x > 0.0
+    if out is None:
+        out = np.zeros_like(x)
+    else:
+        out[~pos] = 0.0
     np.log(x, out=out, where=pos)
     np.multiply(p, out, out=out, where=pos)
     return np.exp(out, out=out, where=pos)
@@ -168,10 +185,13 @@ def _apply(op: OperatorSpec, arr: np.ndarray, tail_mass: float) -> np.ndarray:
     return apply_copson_tail(arr, op.truncation, tail_mass)
 
 
-def _power_sum(x: np.ndarray, p: float) -> float:
-    """Exactly rounded sum of x**p; out of domain once it leaves the float range."""
+def _power_sum(x: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
+    """Exactly rounded sum of x**p; out of domain once it leaves the float range.
+
+    The powers are formed in ``out``, which may be x itself.
+    """
     try:
-        total = math.fsum(memoryview(_pow_p(x, p)))  # the doubles, no list
+        total = math.fsum(memoryview(_pow_p(x, p, out)))  # the doubles, no list
     except OverflowError:  # finite terms whose sum overflows
         total = math.inf
     if not math.isfinite(total):
@@ -183,16 +203,27 @@ def _power_sum(x: np.ndarray, p: float) -> float:
 
 
 def constant_ratio(op: OperatorSpec, a, p: float, tail_mass: float = 0.0) -> float:
-    """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p."""
+    """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p.
+
+    The operator checks the input once, before it reads its weights.  A
+    denominator that fails checks it first, so an input error still comes
+    before the denominator's own.
+    """
     if not p > 0.0:
         raise OutOfDomainError(f"p must be positive, got {p}")
+    N = op.truncation
     # overflowed terms become inf, and _power_sum rejects their sum
     with np.errstate(over="ignore"):
-        arr = _materialize(a, op.truncation)
-        denom = _power_sum(arr, p)
-        if denom == 0.0:
-            raise UndefinedRatioError("input is identically zero on the truncation")
-        return _power_sum(_apply(op, arr, tail_mass), p) / denom
+        arr = _values(a)[:N]
+        try:
+            denom = _power_sum(arr, p)
+            if denom == 0.0:
+                raise UndefinedRatioError("input is identically zero on the truncation")
+        except ValueError:  # fsum's own (-inf + inf) needs a negative input
+            _materialize(arr, N)
+            raise
+        means = _apply(op, arr, tail_mass)
+        return _power_sum(means, p, out=means) / denom
 
 
 def norm_ratio(op: OperatorSpec, a, p: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -42,18 +42,48 @@ def conjugate_exponent(p: float) -> float:
 
 @dataclass(eq=False)
 class AuxSequence:
-    """Positive weights w_n with partial sums W_n and log-scale values.
+    """Partial sums W_n and log-scale values of positive weights w_n.
 
     The auxiliary sequence w of a criterion check (the forward check forms
-    its power weights lambda itself).  Generators normalize w_1 = 1; the
-    criterion checks are scale invariant in w, so scaled copies carry the
-    same verdicts.
+    its power weights lambda itself), with its law: ``("recurrence", s)``
+    for the ratio recurrence with shift s, ``("power", e)`` for
+    w_n = n**e.  The weights themselves are formed, summed and dropped by
+    the builder; ``weights()`` forms them again.  Generators normalize
+    w_1 = 1; the criterion checks are scale invariant in w, so scaled
+    copies carry the same verdicts.
     """
 
     n_max: int
-    w: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
+    law: tuple[str, float]
     log_w: np.ndarray = field(repr=False)
+    W: np.ndarray = field(repr=False)
+
+    def weights(self) -> np.ndarray:
+        """w_1..w_{n_max}, with the builder's bits (a fresh n-length array)."""
+        kind, param = self.law
+        if kind == "power":
+            return _power_weights(param, self.n_max)
+        return _exp_weights(self.log_w)
+
+
+def _exp_weights(log_w: np.ndarray) -> np.ndarray:
+    """exp(log_w) through libm per element; inf from 709 up.
+
+    libm rather than numpy's vector exp: see _ratio_recurrence.  Each array
+    is read through a memoryview, which yields Python floats without
+    building one numpy scalar per element.
+    """
+    w = np.fromiter(
+        map(math.exp, memoryview(np.minimum(log_w, 709.0))), float, len(log_w)
+    )
+    w[~(log_w < 709.0)] = math.inf
+    return w
+
+
+def _power_weights(exponent: float, n_max: int) -> np.ndarray:
+    w = np.arange(1, n_max + 1, dtype=float)
+    w **= exponent
+    return w
 
 
 def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
@@ -69,21 +99,17 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     # past the consistency tolerance near n ~ 10^6).  log1p and exp stay on
     # libm per element: numpy's vector forms differ in the last bit for some
     # inputs, and the criterion brackets difference these logs finely
-    # enough to turn one ulp into visible slack.  The maps read each array
-    # through a memoryview, which yields Python floats without building one
-    # numpy scalar per element.
-    log_w = np.empty(n_max)
-    log_w[0] = 0.0
-    steps = map(math.log1p, memoryview(shift / np.arange(1, n_max)))
-    log_w[1:] = neumaier_prefix_sums(np.fromiter(steps, float, n_max - 1))
-    del steps  # it holds the n-length ratio array
-    w = np.full(n_max, math.inf)
-    finite = log_w < 709.0
-    w[finite] = np.fromiter(
-        map(math.exp, memoryview(log_w[finite])), float, np.count_nonzero(finite)
+    # enough to turn one ulp into visible slack.  A leading 0.0 step makes
+    # the scan of the steps log_w itself.
+    ratios = shift / np.arange(1, n_max)
+    log_w = np.fromiter(
+        chain((0.0,), map(math.log1p, memoryview(ratios))), float, n_max
     )
-    W = neumaier_prefix_sums(w)
-    return AuxSequence(n_max=n_max, w=w, W=W, log_w=log_w)
+    del ratios
+    neumaier_prefix_sums(log_w, out=log_w)
+    w = _exp_weights(log_w)
+    W = neumaier_prefix_sums(w, out=w)
+    return AuxSequence(n_max, ("recurrence", shift), log_w, W)
 
 
 def knopp_sequence(p: float, alpha: float, n_max: int) -> AuxSequence:
@@ -122,11 +148,12 @@ def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     """Power weights w_n = n**exponent (w_1 = 1 automatically)."""
     if n_max < 1:
         raise OutOfDomainError("n_max must be >= 1")
-    idx = np.arange(1, n_max + 1, dtype=float)
-    w = idx**exponent
-    return AuxSequence(
-        n_max=n_max, w=w, W=neumaier_prefix_sums(w), log_w=exponent * np.log(idx)
-    )
+    log_w = np.arange(1, n_max + 1, dtype=float)
+    np.log(log_w, out=log_w)
+    np.multiply(exponent, log_w, out=log_w)
+    w = _power_weights(exponent, n_max)
+    W = neumaier_prefix_sums(w, out=w)
+    return AuxSequence(n_max, ("power", exponent), log_w, W)
 
 
 class PowerSumBound(NamedTuple):

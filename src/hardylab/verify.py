@@ -124,7 +124,7 @@ def reverse_machinery_claims(n_max: int) -> list[Verdict]:
         seq = levin_steckin_sequence(p, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
         shift = 1.0 / p - 2.0
-        ident = (n + shift) / (1.0 + shift) * seq.w
+        ident = (n + shift) / (1.0 + shift) * seq.weights()
         worst = float(np.max(np.abs(seq.W - ident) / seq.W))
         rows.append(
             Verdict(

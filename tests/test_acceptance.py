@@ -129,7 +129,7 @@ def test_criterion_3_reverse_machinery():
         seq = levin_steckin_sequence(p, N_MAX)
         n = np.arange(1, N_MAX + 1, dtype=float)
         shift = 1.0 / p - 2.0
-        ident = (n + shift) / (1.0 + shift) * seq.w
+        ident = (n + shift) / (1.0 + shift) * seq.weights()
         residual = np.max(np.abs(seq.W - ident) / seq.W)
         assert residual <= 1e-12
     elapsed = time.perf_counter() - start

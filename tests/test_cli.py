@@ -479,6 +479,36 @@ class TestSubcommandSurface:
         )
 
 
+# The README's seven horizon commands, without their horizon.
+HORIZON_COMMANDS = [
+    ["check-knopp", "--p", "2", "--alpha", "0", "--U", "4"],
+    ["check-2-20", "--p", "2", "--alpha", "0.5"],
+    ["check-reverse", "--p", "0.25"],
+    ["check-2-30", "--p", "3"],
+    ["check-2-3", "--p", "2", "--alpha", "1.5"],
+    ["norm-ratio", "--kind", "copson-tail", "--family", "power_decay",
+     "--family-param", "3", "--p", "0.5"],
+    ["extremal-search", "--kind", "weighted-mean", "--alpha", "1", "--p", "2"],
+]
+
+
+class TestHorizonMemory:
+    N = 200_000
+
+    @pytest.mark.parametrize("argv", HORIZON_COMMANDS, ids=lambda argv: argv[0])
+    def test_peak(self, capsys, traced_peak, argv):
+        # a criterion command holds log_w, W and two n-length buffers
+        # (about 4.3 x 8n bytes here); norm-ratio holds the family, its tail
+        # means and the ramp that divides them (about 3.05).  A first call
+        # at a small horizon makes the state every call keeps (the parser,
+        # imports) before the measured one.
+        main([*argv, "--n-max", "100", "--format", "json"])
+        peak = traced_peak(main, [*argv, "--n-max", str(self.N), "--format", "json"])
+        capsys.readouterr()
+        bound = 3.15 if argv[0] == "norm-ratio" else 4.5
+        assert peak <= bound * 8 * self.N
+
+
 def _declared_flags() -> dict[str, list[argparse.Action]]:
     """Each subcommand's flags as argparse declares them, without -h."""
     (commands,) = [

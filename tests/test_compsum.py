@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardylab.compsum import _BLOCK, neumaier_prefix_sums, neumaier_suffix_sums
 
@@ -69,6 +69,15 @@ class TestBitIdentity:
         arr = wide_range(np.random.default_rng(n), n)
         assert_same_bits(neumaier_prefix_sums(arr), loop_prefix_sums(arr))
         assert_same_bits(neumaier_suffix_sums(arr), loop_suffix_sums(arr))
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+    )
+    def test_in_place_at_block_boundary_lengths(self, n):
+        arr = wide_range(np.random.default_rng(n), n)
+        want = loop_prefix_sums(arr)
+        assert_same_bits(neumaier_prefix_sums(arr, out=arr), want)
+        assert_same_bits(arr, want)
 
     @pytest.mark.parametrize(
         "values",
@@ -154,6 +163,20 @@ class TestEdgeValues:
             got_suffix = neumaier_suffix_sums(x)
         assert_same_bits(got_prefix, loop_prefix_sums(x))
         assert_same_bits(got_suffix, loop_suffix_sums(x))
+
+    @given(edge_arrays())
+    @example(np.array([DEFAULT_NAN] + [1.0] * (_BLOCK + 3)))
+    @example(np.array([1.0] * (_BLOCK - 1) + [math.inf, -math.inf] + [1.0] * 5))
+    @settings(max_examples=150, deadline=None)
+    def test_scan_in_place(self, x):
+        # out=x: each block is read in full before its sums are written, the
+        # blocks that are redone with the branch included
+        want = neumaier_prefix_sums(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = neumaier_prefix_sums(x, out=x)
+        assert got is x
+        assert_same_bits(got, want)
 
     @pytest.mark.parametrize("offset", [0, _BLOCK - 1])
     def test_finite_sum_next_to_dbl_max(self, offset):

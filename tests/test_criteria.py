@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -97,9 +96,9 @@ class TestForwardCriterion:
         r1 = knopp_criterion_check(base, 2.0)
         scaled = AuxSequence(
             n_max=base.n_max,
-            w=base.w * factor,
-            W=base.W * factor,
+            law=base.law,
             log_w=base.log_w + math.log(factor),
+            W=base.W * factor,
         )
         r2 = knopp_criterion_check(scaled, 2.0)
         assert r1.holds == r2.holds
@@ -240,18 +239,6 @@ def masked_bracket_slacks(log_lhs, log_scale, log_factor, log_t):
     return slacks, log_rhs
 
 
-def traced_peak(call) -> int:
-    """Peak bytes traced while ``call`` runs, over what was traced before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestBracketSlacks:
     N = 100_000
 
@@ -268,19 +255,16 @@ class TestBracketSlacks:
             log_t[idx[20:] + 1] = log_t[idx[20:]] + 0.5
         elif stalls == "all":
             log_t[:] = log_t[0]
-        factor = None if unit_factor else (p, lam.W[:n])
         log_factor = np.zeros(n) if unit_factor else p * np.log(lam.W[:n])
         # the reference reads a copy: _bracket_slacks overwrites log_t
         want_slacks, want_log_rhs = masked_bracket_slacks(
             (p - 1.0) * np.log(w.W[:n]), math.log(4.0), log_factor, log_t.copy()
         )
-        work = np.full(n + 1, math.nan)
-        slacks, log_rhs = _bracket_slacks(
-            log_t, work, math.log(4.0), (p - 1.0, w.W[:n]), factor
-        )
+        log_rhs = math.log(4.0) + log_factor
+        slacks, got_log_rhs = _bracket_slacks(log_t, log_rhs, (p - 1.0, w.W[:n]))
         assert slacks.tobytes() == want_slacks.tobytes()
-        assert log_rhs.tobytes() == want_log_rhs.tobytes()
-        assert np.shares_memory(slacks, work) and np.shares_memory(log_rhs, log_t)
+        assert got_log_rhs.tobytes() == want_log_rhs.tobytes()
+        assert np.shares_memory(slacks, log_t) and got_log_rhs is log_rhs
         if stalls != "none":
             assert np.isneginf(slacks).any() and np.isposinf(log_rhs).any()
 
@@ -296,23 +280,21 @@ class TestBracketSlacks:
 
 class TestCheckMemory:
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
-    def test_knopp_check_adds_lam_and_two_buffers(self, tol_abs):
-        # beyond its prebuilt w a check holds Lam, two n-length work buffers
-        # and a bool mask or two: about 3.25 x 8n bytes
+    def test_knopp_check_adds_two_buffers(self, traced_peak, tol_abs):
+        # beyond its prebuilt w (log_w and W) a check holds two n-length
+        # buffers, Lam's and log_t's, and one bool mask: about 2.2 x 8n bytes
         n = 200_000
         w = knopp_sequence(2.0, 0.0, n + 1)
-        added = traced_peak(lambda: knopp_criterion_check(w, 2.0, Tolerances(tol_abs)))
-        assert added <= 3.5 * 8 * n
+        added = traced_peak(knopp_criterion_check, w, 2.0, Tolerances(tol_abs))
+        assert added <= 2.5 * 8 * n
 
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
-    def test_reverse_check_peak_in_total(self, tol_abs):
-        # its own sequence (three arrays) plus the two work buffers and a
-        # bool mask or two: about 5.25 x 8n bytes
+    def test_reverse_check_peak_in_total(self, traced_peak, tol_abs):
+        # its own sequence (two arrays) plus the two buffers and one bool
+        # mask: about 4.2 x 8n bytes
         n = 200_000
-        peak = traced_peak(
-            lambda: reverse_criterion_check(0.25, n, Tolerances(tol_abs))
-        )
-        assert peak <= 5.5 * 8 * n
+        peak = traced_peak(reverse_criterion_check, 0.25, n, Tolerances(tol_abs))
+        assert peak <= 4.5 * 8 * n
 
 
 class TestAbsoluteToleranceVerdicts:

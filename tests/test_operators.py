@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,17 +317,6 @@ def gather_pow(x: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def traced_peak(fn, *args) -> int:
-    """Bytes allocated at the peak of fn(*args) above what was live before."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def power_grid(N: int) -> list[SequenceFamily]:
     return [SequenceFamily("power_decay", N, s) for s in (0.5001, 0.501, 0.51)]
 
@@ -349,27 +337,31 @@ class TestOperatorMemory:
             for layout in (x, x[::-1], x[::3]):
                 assert _pow_p(layout, p).tobytes() == gather_pow(layout, p).tobytes()
 
-    def test_pow_p_peak(self):
+    def test_pow_p_peak(self, traced_peak):
         x = SequenceFamily("power_decay", self.N, 1.5).values()
         x[::10] = 0.0
         assert traced_peak(_pow_p, x, 0.5) <= 1.25 * 8 * self.N
 
-    def test_copson_ratio_peak(self):
+    def test_copson_ratio_peak(self, traced_peak):
+        # the family, its tail means and the ramp that divides them; the
+        # powers of the means are formed in place: about 3.0 x 8n bytes
         args = (copson_tail(self.N), SequenceFamily("power_decay", self.N, 3.0), 0.5)
-        assert traced_peak(constant_ratio, *args) <= 3.5 * 8 * self.N
+        assert traced_peak(constant_ratio, *args) <= 3.1 * 8 * self.N
 
-    def test_extremal_search_peak(self):
+    def test_extremal_search_peak(self, traced_peak):
+        # the spec's weights and their sums, a family and its powers or its
+        # means: about 4.25 x 8n bytes
         args = (cesaro(self.N), 2.0, power_grid(self.N))
-        assert traced_peak(extremal_search, *args) <= 5.5 * 8 * self.N
+        assert traced_peak(extremal_search, *args) <= 4.5 * 8 * self.N
 
 
 class TestWeightsOncePerSpec:
     def test_weights_scanned_once(self, monkeypatch):
         calls = []
 
-        def counted(values):
+        def counted(values, out=None):
             calls.append(len(values))
-            return neumaier_prefix_sums(values)
+            return neumaier_prefix_sums(values, out=out)
 
         monkeypatch.setattr(operators, "neumaier_prefix_sums", counted)
         extremal_search(cesaro(2000), 2.0, power_grid(2000))

@@ -1,13 +1,12 @@
 import math
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hardylab.compsum import _BLOCK
+from hardylab.compsum import _BLOCK, neumaier_prefix_sums
 from hardylab.criteria import reverse_criterion_check
 from hardylab.errors import (
     InvalidExponentError,
@@ -25,7 +24,7 @@ from hardylab.sequences import (
     power_sum_bound_checks,
 )
 from hardylab.reports import Verdict
-from hardylab.verify import DEFAULT_SEED, lemma_suite_claims
+from hardylab.verify import DEFAULT_SEED, lemma_suite_claims, reverse_machinery_claims
 
 
 class TestConjugateExponent:
@@ -61,19 +60,19 @@ class TestWeightSequence:
 
     def test_power_family_basics(self):
         ws = power_aux_sequence(0.5, 100)
-        assert ws.w[0] == 1.0
-        assert ws.w[3] == pytest.approx(2.0)
+        assert ws.weights()[0] == 1.0
+        assert ws.weights()[3] == pytest.approx(2.0)
         assert np.all(np.diff(ws.W) > 0.0)
 
     def test_constant_is_power_zero(self):
         ws = power_aux_sequence(0.0, 50)
-        assert np.all(ws.w == 1.0)
+        assert np.all(ws.weights() == 1.0)
         assert np.all(ws.log_w == 0.0)
         assert ws.W[49] == 50.0
 
     def test_index_bounds(self):
         ws = power_aux_sequence(1.0, 10)
-        assert ws.n_max == len(ws.w) == len(ws.W) == len(ws.log_w) == 10
+        assert ws.n_max == len(ws.weights()) == len(ws.W) == len(ws.log_w) == 10
         assert ws.W[-1] == 55.0
         with pytest.raises(OutOfDomainError):
             power_aux_sequence(1.0, 0)
@@ -89,11 +88,11 @@ class TestKnoppSequence:
     def test_hand_evaluated_start(self):
         seq = knopp_sequence(2.0, 0.0, 5)
         expected = [1.0, 0.5, 0.375, 0.3125]
-        assert seq.w[:4] == pytest.approx(expected, rel=1e-14)
+        assert seq.weights()[:4] == pytest.approx(expected, rel=1e-14)
 
     def test_alpha_at_inverse_p_is_constant(self):
         seq = knopp_sequence(2.0, 0.5, 6)
-        assert seq.w == pytest.approx(np.ones(6), rel=1e-14)
+        assert seq.weights() == pytest.approx(np.ones(6), rel=1e-14)
 
     def test_partial_sum_identity_small(self):
         seq = knopp_sequence(2.0, 0.0, 5)
@@ -113,7 +112,7 @@ class TestKnoppSequence:
             s = alpha - 1.0 / p
             for n in range(1, 21):
                 ref = math.gamma(n + s) / (math.gamma(n) * math.gamma(1.0 + s))
-                assert seq.w[n - 1] == pytest.approx(ref, rel=1e-13)
+                assert seq.weights()[n - 1] == pytest.approx(ref, rel=1e-13)
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(NonpositiveWeightError):
@@ -125,14 +124,14 @@ class TestKnoppSequence:
 class TestLevinSteckinSequence:
     def test_collapses_to_integers_at_one_third(self):
         seq = levin_steckin_sequence(1.0 / 3.0, 10)
-        assert seq.w == pytest.approx(np.arange(1, 11, dtype=float), rel=1e-14)
+        assert seq.weights() == pytest.approx(np.arange(1, 11, dtype=float), rel=1e-14)
         assert seq.W[3] == pytest.approx(10.0, rel=1e-14)
-        ident = (4 + 1) / 2 * seq.w[3]
+        ident = (4 + 1) / 2 * seq.weights()[3]
         assert ident == pytest.approx(10.0, rel=1e-13)
 
     def test_hand_evaluated_at_quarter(self):
         seq = levin_steckin_sequence(0.25, 4)
-        assert seq.w[1] == pytest.approx(3.0, rel=1e-14)
+        assert seq.weights()[1] == pytest.approx(3.0, rel=1e-14)
 
     def test_partial_sum_identity_over_range(self):
         for p in (0.1, 0.25, 1.0 / 3.0):
@@ -154,7 +153,7 @@ def partial_sum_residuals(seq, shift):
     """Relative residuals of W_n = ((n + shift)/(1 + shift)) w_n for every n,
     the partial-sum identity of the ratio recurrence with this shift."""
     n = np.arange(1, seq.n_max + 1, dtype=float)
-    return np.abs(seq.W - (n + shift) / (1.0 + shift) * seq.w) / seq.W
+    return np.abs(seq.W - (n + shift) / (1.0 + shift) * seq.weights()) / seq.W
 
 
 @st.composite
@@ -196,17 +195,19 @@ class TestRecurrenceProperties:
             seq = knopp_sequence(p, alpha, n)
         else:
             seq = levin_steckin_sequence(p, n)
-        dev = np.abs(np.exp(seq.log_w) - seq.w) / seq.w
+        w = seq.weights()
+        dev = np.abs(np.exp(seq.log_w) - w) / w
         assert float(np.max(dev)) <= 1e-12
 
     def test_log_value_consistency_at_scale(self):
         seq = knopp_sequence(2.0, 0.7, 1_000_000)
-        dev = np.abs(np.exp(seq.log_w) - seq.w) / seq.w
+        w = seq.weights()
+        dev = np.abs(np.exp(seq.log_w) - w) / w
         assert float(np.max(dev)) <= 1e-12
 
     def test_positivity(self):
         seq = knopp_sequence(1.2, -0.1, 2000)
-        assert np.all(seq.w > 0.0)
+        assert np.all(seq.weights() > 0.0)
         assert np.all(np.diff(seq.W) > 0.0)
 
     @pytest.mark.parametrize(
@@ -214,17 +215,11 @@ class TestRecurrenceProperties:
         [lambda n: knopp_sequence(2.0, 0.0, n), lambda n: levin_steckin_sequence(0.25, n)],
         ids=["knopp", "levin-steckin"],
     )
-    def test_peak_memory(self, make):
-        # log_w, w, the finite mask, log_w[finite] and its exponentials:
-        # about 4.13 x 8n bytes, the ratio array already freed
+    def test_peak_memory(self, traced_peak, make):
+        # log_w, its copy cut at 709 and the exponentials, which the scan
+        # turns into W: about 3.0 x 8n bytes, the ratio array already freed
         n = 200_000
-        tracemalloc.start()
-        try:
-            make(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.6 * 8 * n
+        assert traced_peak(make, n) <= 3.25 * 8 * n
 
 
 def loop_ratio_recurrence(shift, n_max):
@@ -261,7 +256,8 @@ def loop_ratio_recurrence(shift, n_max):
 
 
 def assert_matches_loop(seq, shift):
-    for got, want in zip((seq.w, seq.W, seq.log_w), loop_ratio_recurrence(shift, seq.n_max)):
+    ref = loop_ratio_recurrence(shift, seq.n_max)
+    for got, want in zip((seq.weights(), seq.W, seq.log_w), ref):
         assert got.tobytes() == want.tobytes()
 
 
@@ -276,11 +272,11 @@ class TestRecurrenceBitIdentity:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 seq = _ratio_recurrence(shift, n_max)
-            for got, want in zip((seq.w, seq.W, seq.log_w), ref):
+            for got, want in zip((seq.weights(), seq.W, seq.log_w), ref):
                 assert got.tobytes() == want[:n_max].tobytes()
         if shift == 200.0:
-            # w_n leaves exp's range near n = 2500 and is stored as inf
-            assert np.isinf(seq.w[-1])
+            # w_n leaves exp's range near n = 2500 and is formed as inf
+            assert np.isinf(seq.weights()[-1])
 
     @pytest.mark.parametrize("p, alpha", [(2.0, -0.499), (2.0, 0.5), (3.0, 1.0), (1.25, 0.7)])
     def test_knopp_sequence(self, p, alpha):
@@ -293,17 +289,63 @@ class TestRecurrenceBitIdentity:
         assert_matches_loop(seq, 1.0 / p - 2.0)
 
 
+class TestWeightsAccessor:
+    """weights() forms w again, with the bits of the w each builder scanned
+    into W and dropped."""
+
+    def test_inf_cut_matches_loop(self):
+        # log_w crosses 709 at n = 51612: from there w is inf, as in the loop
+        p, n_max = 0.01, 10**5
+        seq = levin_steckin_sequence(p, n_max)
+        want_w, want_W, _ = loop_ratio_recurrence(1.0 / p - 2.0, n_max)
+        w = seq.weights()
+        assert w.tobytes() == want_w.tobytes()
+        assert np.all(np.isfinite(w[:51611])) and np.all(np.isinf(w[51611:]))
+        assert seq.W.tobytes() == want_W.tobytes()
+        assert neumaier_prefix_sums(w).tobytes() == seq.W.tobytes()
+
+    def test_claim_3_2_rows_match_loop(self):
+        # claim 3.2 reads weights(); its residual is the loop's, bit for bit
+        n_max = 2 * _BLOCK + 3
+        rows = {row.claim: row for row in reverse_machinery_claims(n_max)}
+        n = np.arange(1, n_max + 1, dtype=float)
+        for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
+            shift = 1.0 / p - 2.0
+            w, W, _ = loop_ratio_recurrence(shift, n_max)
+            worst = float(np.max(np.abs(W - (n + shift) / (1.0 + shift) * w) / W))
+            assert rows[f"3.2-identity-p{p:.6g}"].value.hex() == worst.hex()
+
+    @pytest.mark.parametrize("exponent", [-1.0, -0.5, -1.0 / 3.0, 0.0, 0.5, 1.0, 2.0])
+    def test_power_law_weights(self, exponent):
+        n_max = _BLOCK + 1
+        seq = power_aux_sequence(exponent, n_max)
+        w = seq.weights()
+        assert w.tobytes() == (np.arange(1, n_max + 1, dtype=float) ** exponent).tobytes()
+        assert neumaier_prefix_sums(w).tobytes() == seq.W.tobytes()
+
+    def test_laws(self):
+        assert knopp_sequence(2.0, 0.3, 5).law == ("recurrence", 0.3 - 0.5)
+        assert levin_steckin_sequence(0.25, 5).law == ("recurrence", 2.0)
+        assert power_aux_sequence(-0.5, 5).law == ("power", -0.5)
+
+    def test_fresh_array_per_call(self):
+        seq = knopp_sequence(2.0, 0.0, 100)
+        first = seq.weights()
+        first[:] = 0.0
+        assert seq.weights()[0] == 1.0
+
+
 class TestPowerAuxSequence:
     def test_values_and_normalization(self):
         seq = power_aux_sequence(-0.5, 10)
-        assert seq.w[0] == 1.0
-        assert seq.w[3] == pytest.approx(0.5)
+        assert seq.weights()[0] == 1.0
+        assert seq.weights()[3] == pytest.approx(0.5)
         assert seq.W[1] == pytest.approx(1.0 + 2.0**-0.5)
 
     def test_constant_alias(self):
         # exponent 0 is the constant auxiliary sequence
         seq = power_aux_sequence(0.0, 5)
-        assert np.all(seq.w == 1.0)
+        assert np.all(seq.weights() == 1.0)
         assert np.array_equal(seq.W, np.arange(1.0, 6.0))
         assert np.all(seq.log_w == 0.0)
         with pytest.raises(OutOfDomainError):
