@@ -53,7 +53,7 @@ from .redheffer import (
     scan_params,
 )
 from .reports import FINITE_HORIZON_NOTE, Tolerances, Verdict
-from .sequences import knopp_sequence
+from .sequences import knopp_sequence, levin_steckin_sequence
 from .verify import DEFAULT_SEED, THEOREM6_FLOOR, run_verification
 
 
@@ -100,7 +100,8 @@ def _handle_check_2_20(args: argparse.Namespace, tol: Tolerances) -> Outcome:
 
 
 def _handle_check_reverse(args: argparse.Namespace, tol: Tolerances) -> Outcome:
-    report = reverse_criterion_check(args.p, args.n_max, tol)
+    w = levin_steckin_sequence(args.p, args.n_max + 1)
+    report = reverse_criterion_check(w, args.p, tol)
     return [Verdict.from_report(report)], None
 
 

@@ -27,7 +27,6 @@ from .sequences import (
     AuxSequence,
     conjugate_exponent,
     knopp_sequence,
-    levin_steckin_sequence,
     power_aux_sequence,
 )
 
@@ -238,25 +237,29 @@ def f_alpha_analysis(alpha: float, p: float, n: int) -> FAlpha:
 
 
 def reverse_criterion_check(
+    w: AuxSequence,
     p: float,
-    n_max: int,
     tol: Tolerances = Tolerances(),
 ) -> CriterionReport:
-    """Reverse criterion check over n = 1..n_max (non-strict inequality):
+    """Reverse criterion check (non-strict inequality) of the auxiliary
+    sequence w, levin_steckin_sequence(p, n_max + 1):
 
         W_n**(-1/(1-p)) <= ((1-p)/p)**(p/(1-p))
                            * (u_n - u_{n+1}),   u_n = w_n**(-1/(1-p)) / n**(p/(1-p))
 
-    with w the reverse recurrence weights.  Established for 0 < p <= 1/3;
-    larger p (up to 1/2) runs as exploratory.
+    The bracket looks one index ahead, so the check runs over
+    n = 1..w.n_max - 1.  Established for 0 < p <= 1/3; larger p (up to
+    1/2) runs as exploratory.
     """
-    seq = levin_steckin_sequence(p, n_max + 1)
+    if not 0.0 < p < 0.5:
+        raise PreconditionError(f"reverse regime needs 0 < p < 1/2, got {p}")
+    n_max = w.n_max - 1
     e = 1.0 / (1.0 - p)
     s = p / (1.0 - p)
     slacks, log_rhs = _bracket_slacks(
-        _log_t(-e, seq.log_w, s),
+        _log_t(-e, w.log_w, s),
         np.full(n_max, s * math.log((1.0 - p) / p)),
-        (-e, seq.W[:n_max]),
+        (-e, w.W[:n_max]),
     )
     return build_report(
         f"reverse[p={p}]",

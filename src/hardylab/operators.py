@@ -47,6 +47,8 @@ class OperatorSpec:
         """Weights i**(alpha-1), i <= truncation, and their compensated prefix sums."""
         alpha = float(self.alpha)
         lam = np.arange(1, self.truncation + 1, dtype=float) ** (alpha - 1.0)
+        if alpha == 1.0:  # the ones sum exactly to 1..N, the scan's bits
+            return lam, np.arange(1, self.truncation + 1, dtype=float)
         total = neumaier_prefix_sums(lam)
         if math.isfinite(total[-1]):  # else the means would be NaN or 0
             return lam, total

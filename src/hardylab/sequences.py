@@ -100,7 +100,13 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     # libm per element: numpy's vector forms differ in the last bit for some
     # inputs, and the criterion brackets difference these logs finely
     # enough to turn one ulp into visible slack.  A leading 0.0 step makes
-    # the scan of the steps log_w itself.
+    # the scan of the steps log_w itself.  Shift 0 is built in closed form
+    # with the same bits: every step log1p(+-0.0) scans to +0.0, exp(0.0)
+    # is 1.0, and integer sums below 2**53 are exact, so the scan of the
+    # ones is 1..n with every error term +0.0.
+    if shift == 0.0:
+        n = np.arange(1, n_max + 1, dtype=float)
+        return AuxSequence(n_max, ("recurrence", shift), np.zeros(n_max), n)
     ratios = shift / np.arange(1, n_max)
     log_w = np.fromiter(
         chain((0.0,), map(math.log1p, memoryview(ratios))), float, n_max
@@ -144,6 +150,13 @@ def levin_steckin_sequence(p: float, n_max: int) -> AuxSequence:
     return _ratio_recurrence(shift, n_max)
 
 
+def _triangular_sums_exact(n_max: int) -> bool:
+    """Whether every sum 1 + 2 + ... + n, n <= n_max, is an integer of at
+    most 2**53, so that float cumsum forms it exactly; the compensated scan
+    then returns the same bits, each of its error terms being +0.0."""
+    return n_max * (n_max + 1) // 2 <= 2**53
+
+
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     """Power weights w_n = n**exponent (w_1 = 1 automatically)."""
     if n_max < 1:
@@ -152,7 +165,10 @@ def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     np.log(log_w, out=log_w)
     np.multiply(exponent, log_w, out=log_w)
     w = _power_weights(exponent, n_max)
-    W = neumaier_prefix_sums(w, out=w)
+    if exponent == 1.0 and _triangular_sums_exact(n_max):
+        W = np.cumsum(w, out=w)
+    else:
+        W = neumaier_prefix_sums(w, out=w)
     return AuxSequence(n_max, ("power", exponent), log_w, W)
 
 

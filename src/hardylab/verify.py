@@ -119,13 +119,16 @@ def reverse_machinery_claims(n_max: int) -> list[Verdict]:
     rows = []
     for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
         # the claim is min_slack >= 0: a non-strict check at tol_rel 0
-        report = reverse_criterion_check(p, n_max, Tolerances(tol_rel=0.0))
+        seq = levin_steckin_sequence(p, n_max + 1)
+        report = reverse_criterion_check(seq, p, Tolerances(tol_rel=0.0))
         rows.append(Verdict.from_report(report, f"3.1-reverse-p{p:.6g}"))
-        seq = levin_steckin_sequence(p, n_max)
+        # 3.2 reads the first n_max entries: the same bits as a sequence
+        # built to n_max, since the maps are elementwise and the scan causal
+        W = seq.W[:n_max]
         n = np.arange(1, n_max + 1, dtype=float)
         shift = 1.0 / p - 2.0
-        ident = (n + shift) / (1.0 + shift) * seq.weights()
-        worst = float(np.max(np.abs(seq.W - ident) / seq.W))
+        ident = (n + shift) / (1.0 + shift) * seq.weights()[:n_max]
+        worst = float(np.max(np.abs(W - ident) / W))
         rows.append(
             Verdict(
                 f"3.2-identity-p{p:.6g}",

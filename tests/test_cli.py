@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardylab import cli
+from hardylab import cli, sequences
+from hardylab.compsum import neumaier_prefix_sums
 from hardylab.cli import build_parser, main
 from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
 from hardylab.redheffer import scan_params
@@ -507,6 +508,53 @@ class TestHorizonMemory:
         capsys.readouterr()
         bound = 3.15 if argv[0] == "norm-ratio" else 4.5
         assert peak <= bound * 8 * self.N
+
+
+class TestClosedFormLaws:
+    """The exact-integer laws skip the libm maps and the scans their bits
+    do not need: shift 0 of the ratio recurrence (check-2-20 at alpha =
+    1/p), the power law w_n = n (check-2-3 at alpha = 1 + 1/p) and the
+    Cesaro weights.  Every scan left is a criterion's Lam or an operator's
+    means, one per trial family."""
+
+    SCANNED = ("compsum", "sequences", "criteria", "operators", "redheffer")
+
+    @pytest.mark.parametrize(
+        "argv, scans",
+        [
+            (("check-2-20", "--p", "2", "--alpha", "0.5"), 1),
+            (("check-2-3", "--p", "2", "--alpha", "1.5"), 1),
+            (("extremal-search", "--kind", "weighted-mean", "--alpha", "1",
+              "--p", "2"), 3),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else None,
+    )
+    def test_no_libm_maps_and_no_spare_scans(self, capsys, monkeypatch, argv, scans):
+        libm, scanned = [], []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log1p(self, x):
+                libm.append("log1p")
+                return math.log1p(x)
+
+            def exp(self, x):
+                libm.append("exp")
+                return math.exp(x)
+
+        def counted(values, out=None):
+            scanned.append(len(values))
+            return neumaier_prefix_sums(values, out=out)
+
+        monkeypatch.setattr(sequences, "math", CountingMath())
+        for name in self.SCANNED:
+            monkeypatch.setattr(f"hardylab.{name}.neumaier_prefix_sums", counted)
+        status, _, _ = run_cli(capsys, *argv, "--n-max", "20000", "--format", "json")
+        assert status == 0
+        assert libm == []
+        assert scanned == [20000] * scans
 
 
 def _declared_flags() -> dict[str, list[argparse.Action]]:

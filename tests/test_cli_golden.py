@@ -70,6 +70,11 @@ ARGVS = (
     ("extremal-search", "--kind", "copson-tail", "--p", "0.3333333",
      "--n-max", "2000"),
     ("verify-paper", "--n-max", "300"),
+    # the exact-integer laws, past one 2**14 scan block
+    ("check-2-20", "--p", "2", "--alpha", "0.5", "--n-max", "20000"),
+    ("check-2-3", "--p", "2", "--alpha", "1.5", "--n-max", "20000"),
+    ("extremal-search", "--kind", "weighted-mean", "--alpha", "1", "--p", "2",
+     "--n-max", "20000"),
 )
 
 # Starts with a literal, which the regex engine searches for quickly: a scan

@@ -22,12 +22,21 @@ from hardylab.errors import (
     PreconditionError,
 )
 from hardylab.reports import Tolerances, Verdict, build_report, classify_tail_trend
-from hardylab.sequences import AuxSequence, knopp_sequence, power_aux_sequence
+from hardylab.sequences import (
+    AuxSequence,
+    knopp_sequence,
+    levin_steckin_sequence,
+    power_aux_sequence,
+)
 from hardylab.verify import reverse_machinery_claims
 
 
 def classic_check(n_max, alpha=0.0, U=4.0, p=2.0):
     return knopp_criterion_check(knopp_sequence(p, alpha, n_max + 1), p, U=U)
+
+
+def reverse_check(p, n_max, tol=Tolerances()):
+    return reverse_criterion_check(levin_steckin_sequence(p, n_max + 1), p, tol)
 
 
 class TestForwardCriterion:
@@ -293,7 +302,7 @@ class TestCheckMemory:
         # its own sequence (two arrays) plus the two buffers and one bool
         # mask: about 4.2 x 8n bytes
         n = 200_000
-        peak = traced_peak(reverse_criterion_check, 0.25, n, Tolerances(tol_abs))
+        peak = traced_peak(reverse_check, 0.25, n, Tolerances(tol_abs))
         assert peak <= 4.5 * 8 * n
 
 
@@ -314,13 +323,13 @@ class TestAbsoluteToleranceVerdicts:
     def test_reverse_index_passes_only_through_tol_abs(self):
         # non-strict: tol_abs loosens, so it moves the first failure from
         # n = 6 to n = 7 at 5e-6 and clears every index at 5.5e-6
-        assert reverse_criterion_check(0.34, 2000).first_failure == 6
-        rep = reverse_criterion_check(0.34, 2000, Tolerances(tol_abs=5e-6))
+        assert reverse_check(0.34, 2000).first_failure == 6
+        rep = reverse_check(0.34, 2000, Tolerances(tol_abs=5e-6))
         assert not rep.holds
         assert rep.first_failure == 7
         assert rep.slacks[5] < 0.0
         assert rep.min_slack.hex() == "-0x1.0a0dd92a9d82ep-10"
-        rep = reverse_criterion_check(0.34, 2000, Tolerances(tol_abs=5.5e-6))
+        rep = reverse_check(0.34, 2000, Tolerances(tol_abs=5.5e-6))
         assert rep.holds and rep.first_failure is None
         assert rep.min_slack.hex() == "-0x1.0a0dd92a9d82ep-10"
 
@@ -337,7 +346,7 @@ class TestReverseCriterion:
         assert ": fails first at n=41127 " in row.detail
     @pytest.mark.parametrize("p", [0.1, 0.2, 0.25, 1.0 / 3.0])
     def test_established_range_holds(self, p):
-        rep = reverse_criterion_check(p, 2000)
+        rep = reverse_check(p, 2000)
         assert rep.holds
         assert rep.min_slack >= 0.0
         assert not rep.exploratory
@@ -346,7 +355,7 @@ class TestReverseCriterion:
         # with w_n = n everything is explicit; evaluate both sides with
         # 40-digit arithmetic
         mp.mp.dps = 40
-        rep = reverse_criterion_check(1.0 / 3.0, 2000)
+        rep = reverse_check(1.0 / 3.0, 2000)
 
         def oracle(n):
             nn = mp.mpf(n)
@@ -360,7 +369,7 @@ class TestReverseCriterion:
             assert rep.slacks[n - rep.n_lo] == pytest.approx(oracle(n), rel=1e-4)
 
     def test_exploratory_range_fails_and_is_flagged(self):
-        rep = reverse_criterion_check(0.45, 500)
+        rep = reverse_check(0.45, 500)
         assert rep.exploratory
         assert not rep.holds
         assert rep.first_failure == 1
@@ -368,7 +377,13 @@ class TestReverseCriterion:
     @pytest.mark.parametrize("p", [0.0, -0.1, 0.5, 0.75])
     def test_domain_errors(self, p):
         with pytest.raises(NonpositiveWeightError):
-            reverse_criterion_check(p, 10)
+            reverse_check(p, 10)
+        with pytest.raises(PreconditionError, match="reverse regime"):
+            reverse_criterion_check(levin_steckin_sequence(0.25, 11), p)
+
+    def test_horizon_is_one_short_of_the_sequence(self):
+        rep = reverse_criterion_check(levin_steckin_sequence(0.25, 301), 0.25)
+        assert (rep.n_lo, rep.n_hi) == (1, 300)
 
 
 class TestPowerChoiceChecks:
@@ -522,9 +537,9 @@ class TestTolerances:
             Tolerances(**kwargs)
 
     def test_infinite_tol_abs_cannot_turn_a_failure_into_a_pass(self):
-        assert not reverse_criterion_check(0.45, 1000).holds
+        assert not reverse_check(0.45, 1000).holds
         with pytest.raises(OutOfDomainError):
-            reverse_criterion_check(0.45, 1000, Tolerances(tol_abs=math.inf))
+            reverse_check(0.45, 1000, Tolerances(tol_abs=math.inf))
 
 
 class TestConstants:

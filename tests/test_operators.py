@@ -355,8 +355,24 @@ class TestOperatorMemory:
         assert traced_peak(extremal_search, *args) <= 4.5 * 8 * self.N
 
 
+class TestCesaroWeights:
+    @pytest.mark.parametrize("N", [1, 2, 16383, 16384, 16385, 10**5, 10**6])
+    def test_sums_match_scan(self, N):
+        # built as 1..N in closed form, with the scan's bits
+        lam, total = cesaro(N).mean_weights
+        assert lam.tobytes() == np.ones(N).tobytes()
+        assert total.tobytes() == neumaier_prefix_sums(np.ones(N)).tobytes()
+
+
 class TestWeightsOncePerSpec:
-    def test_weights_scanned_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "op, scans",
+        # the weights once, then one scan a family; the Cesaro weights are
+        # ones, whose sums 1..N need no scan
+        [(weighted_mean(2.5, 2000), 4), (cesaro(2000), 3)],
+        ids=["alpha2.5", "cesaro"],
+    )
+    def test_weights_scanned_once(self, monkeypatch, op, scans):
         calls = []
 
         def counted(values, out=None):
@@ -364,8 +380,8 @@ class TestWeightsOncePerSpec:
             return neumaier_prefix_sums(values, out=out)
 
         monkeypatch.setattr(operators, "neumaier_prefix_sums", counted)
-        extremal_search(cesaro(2000), 2.0, power_grid(2000))
-        assert calls == [2000] * 4  # the weights once, then one scan a family
+        extremal_search(op, 2.0, power_grid(2000))
+        assert calls == [2000] * scans
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 0.25])
     def test_shared_weights_same_bits(self, alpha):

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import warnings
@@ -14,9 +15,11 @@ from hardylab.errors import (
     OutOfDomainError,
     PreconditionError,
 )
+from hardylab import sequences
 from hardylab.sequences import (
     _ratio_recurrence,
     _running_fsums,
+    _triangular_sums_exact,
     conjugate_exponent,
     knopp_sequence,
     levin_steckin_sequence,
@@ -145,8 +148,9 @@ class TestLevinSteckinSequence:
             levin_steckin_sequence(0.75, 10)
         with pytest.raises(NonpositiveWeightError):
             levin_steckin_sequence(-0.1, 10)
-        assert not reverse_criterion_check(1.0 / 3.0, 5).exploratory
-        assert reverse_criterion_check(0.4, 5).exploratory
+        for p, exploratory in ((1.0 / 3.0, False), (0.4, True)):
+            w = levin_steckin_sequence(p, 6)
+            assert reverse_criterion_check(w, p).exploratory is exploratory
 
 
 def partial_sum_residuals(seq, shift):
@@ -287,6 +291,52 @@ class TestRecurrenceBitIdentity:
     def test_levin_steckin_sequence(self, p):
         seq = levin_steckin_sequence(p, 2 * _BLOCK + 3)
         assert_matches_loop(seq, 1.0 / p - 2.0)
+
+
+CLOSED_FORM_NS = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10**5, 10**6)
+
+
+@functools.lru_cache(maxsize=1)
+def loop_shift_zero():
+    # the loop is causal: every shorter horizon is a prefix of this one
+    return loop_ratio_recurrence(0.0, CLOSED_FORM_NS[-1])
+
+
+class TestClosedFormLaws:
+    """The exact-integer laws, built in closed form, carry the bits of the
+    general path: the loop, or the compensated scan of the same weights."""
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_NS)
+    @pytest.mark.parametrize("shift", [0.0, -0.0])
+    def test_shift_zero_matches_loop(self, n, shift):
+        seq = _ratio_recurrence(shift, n)
+        for got, want in zip((seq.weights(), seq.W, seq.log_w), loop_shift_zero()):
+            assert got.tobytes() == want[:n].tobytes()
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_NS)
+    def test_power_one_matches_scan(self, n):
+        seq = power_aux_sequence(1.0, n)
+        want = neumaier_prefix_sums(np.arange(1.0, n + 1))
+        assert seq.W.tobytes() == want.tobytes()
+
+    def test_triangular_guard(self):
+        # 1 + ... + n = n (n + 1) / 2 first passes 2**53 at n = 2**27
+        assert _triangular_sums_exact(2**27 - 1)
+        assert not _triangular_sums_exact(2**27)
+
+    def test_guard_sends_power_one_to_the_scan(self, monkeypatch):
+        scanned = []
+
+        def counted(values, out=None):
+            scanned.append(len(values))
+            return neumaier_prefix_sums(values, out=out)
+
+        monkeypatch.setattr(sequences, "neumaier_prefix_sums", counted)
+        want = power_aux_sequence(1.0, _BLOCK + 1).W
+        assert scanned == []
+        monkeypatch.setattr(sequences, "_triangular_sums_exact", lambda n: False)
+        assert power_aux_sequence(1.0, _BLOCK + 1).W.tobytes() == want.tobytes()
+        assert scanned == [_BLOCK + 1]
 
 
 class TestWeightsAccessor:
