@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compsum import neumaier_prefix_sums
 from .errors import OutOfDomainError, PreconditionError
 from .reports import CriterionReport, Tolerances, build_report
 from .sequences import (
@@ -28,6 +27,7 @@ from .sequences import (
     conjugate_exponent,
     knopp_sequence,
     power_aux_sequence,
+    power_sums,
 )
 
 
@@ -50,76 +50,63 @@ def _require_finite(values: np.ndarray) -> None:
         )
 
 
-def _log_power(power: float, sums: np.ndarray, out: np.ndarray) -> None:
-    """power * log(sums), written into out and checked finite."""
-    np.log(sums, out=out)
-    np.multiply(power, out, out=out)
-    _require_finite(out)
-
-
 # Length of the blocks that stand in for n-length temporaries.
 _BLOCK = 1 << 14
 
 
-def _log_t(coef: float, log_w: np.ndarray, *scales: float) -> np.ndarray:
-    """coef * log_w[k] - scales[-1] * (... * (scales[0] * log(k + 1))) for
-    every k, in a new array: log(k + 1) and its multiples pass through one
-    reused block, so the result is the only n-length array formed.
-    """
-    log_t = np.multiply(coef, log_w)
-    idx = np.arange(1, min(len(log_t), _BLOCK) + 1, dtype=float)
-    block = np.empty_like(idx)
-    for lo in range(0, len(log_t), _BLOCK):
-        rows = log_t[lo : lo + _BLOCK]
-        b = block[: len(rows)]
-        np.add(idx[: len(rows)], lo, out=b)
-        np.log(b, out=b)
-        for scale in scales:
-            np.multiply(scale, b, out=b)
-        np.subtract(rows, b, out=rows)
-    return log_t
-
-
 def _bracket_slacks(
-    log_t: np.ndarray,
+    w: AuxSequence,
+    coef: float,
+    scales: tuple[float, ...],
     log_rhs: np.ndarray,
-    lhs: tuple[float, np.ndarray],
-):
-    """Slacks of  LHS <= scale * factor_n * (t_n - t_{n+1}), all in logs.
+) -> np.ndarray:
+    """Slacks of  W_n**coef <= rhs_n * (t_n - t_{n+1}),  all in logs, with
 
-    log_t has n + 1 entries, and log_rhs holds the n logs of
-    scale * factor_n.  ``lhs`` is a (power, sums) pair standing for the n
-    logs power * log(sums).  Where t fails to decrease the bracket is
-    nonpositive and the slack is -inf.
+        log t_k = coef * log w_k - scales[-1] * (... * (scales[0] * log k)),
 
-    The bracket's log is added into log_rhs one block at a time, so
-    log_rhs becomes the log of the whole bounding side.  log_t is then
-    spent, and its first n entries take the slacks, which come back with
-    log_rhs.
+    for n = 1..len(log_rhs), which is w.n_max - 1.  log_rhs holds the logs
+    of rhs_n; the bracket's log is added into it, so it becomes the log of
+    the whole bounding side.  Where t fails to decrease the bracket is
+    nonpositive: the slack is -inf there and the bounding side +inf.
+
+    Each block forms its log t one index past its end, so the slacks are
+    the only n-length array formed.
     """
     n = len(log_rhs)
-    _require_finite(log_t)
-    rising = np.empty(n, dtype=bool)
-    block = np.empty(min(n, _BLOCK))
+    slacks = np.empty(n)
+    m = min(n, _BLOCK)
+    idx = np.arange(1, m + 2, dtype=float)
+    log_t, log_k = np.empty(m + 1), np.empty(m + 1)
+    bracket, rising = np.empty(m), np.empty(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            bracket = block[: hi - lo]
-            np.subtract(log_t[lo + 1 : hi + 1], log_t[lo:hi], out=bracket)
-            np.greater_equal(bracket, 0.0, out=rising[lo:hi])
-            np.expm1(bracket, out=bracket)
-            np.negative(bracket, out=bracket)
-            np.log(bracket, out=bracket)
-            np.add(log_t[lo:hi], bracket, out=bracket)
-            np.add(log_rhs[lo:hi], bracket, out=log_rhs[lo:hi])
-        slacks = log_t[:n]
-        _log_power(*lhs, out=slacks)
-        np.subtract(slacks, log_rhs, out=slacks)
-        np.expm1(slacks, out=slacks)
-        np.negative(slacks, out=slacks)
-    log_rhs[rising] = math.inf
-    slacks[rising] = -math.inf
-    return slacks, log_rhs
+            t, k = log_t[: hi - lo + 1], log_k[: hi - lo + 1]
+            np.multiply(coef, w.log_w[lo : hi + 1], out=t)
+            np.add(idx[: len(k)], lo, out=k)
+            np.log(k, out=k)
+            for scale in scales:
+                np.multiply(scale, k, out=k)
+            np.subtract(t, k, out=t)
+            _require_finite(t)
+            b, up = bracket[: hi - lo], rising[: hi - lo]
+            np.subtract(t[1:], t[:-1], out=b)
+            np.greater_equal(b, 0.0, out=up)
+            np.expm1(b, out=b)
+            np.negative(b, out=b)
+            np.log(b, out=b)
+            np.add(t[:-1], b, out=b)
+            rhs, slack = log_rhs[lo:hi], slacks[lo:hi]
+            np.add(rhs, b, out=rhs)
+            np.log(w.W[lo:hi], out=slack)
+            np.multiply(coef, slack, out=slack)
+            _require_finite(slack)
+            np.subtract(slack, rhs, out=slack)
+            np.expm1(slack, out=slack)
+            np.negative(slack, out=slack)
+            rhs[up] = math.inf
+            slack[up] = -math.inf
+    return slacks
 
 
 def knopp_criterion_check(
@@ -137,8 +124,9 @@ def knopp_criterion_check(
     sequence w against the power weights lambda_n = n**alpha.
 
     The bracket looks one index ahead, so the check runs over
-    n = 1..w.n_max - 1.  U defaults to weighted_mean_constant(p, alpha).
-    Besides w it holds two n-length arrays, Lam's and log_t's.
+    n = 1..w.n_max - 1.  U defaults to weighted_mean_constant(p, alpha);
+    it must be positive and finite.  Besides w it holds two n-length arrays: log_rhs, which starts as Lam,
+    and the slacks.
     """
     if not p > 1.0:
         raise PreconditionError(f"forward regime needs p > 1, got {p}")
@@ -146,22 +134,18 @@ def knopp_criterion_check(
         U = weighted_mean_constant(p, alpha)
     if not U > 0.0:
         raise OutOfDomainError("target constant must be positive")
-    n_max = w.n_max - 1
-    # Lam_n = sum_{i<=n} i**alpha, which is n itself at alpha = 0 (integer
-    # sums below 2**53 are exact, so a scan would return the same bits);
-    # its buffer then takes log(U Lam_n**p)
-    log_rhs = np.arange(1, n_max + 1, dtype=float)
-    if alpha != 0.0:
-        log_rhs **= alpha
-        neumaier_prefix_sums(log_rhs, out=log_rhs)
-    # log t_n = (p-1) log w_n - p (alpha log n), the log of
-    # w_n**(p-1) / lam_n**p; a huge p overflows the logs to inf, which is
-    # rejected
+    if not math.isfinite(U):
+        raise OutOfDomainError(f"target constant must be finite, got {U}")
+    # Lam_n = sum_{i<=n} i**alpha, whose buffer takes log(U Lam_n**p); the
+    # bracket's t_n = w_n**(p-1) / lam_n**p.  A huge p overflows the logs to
+    # inf, which is rejected
+    log_rhs = power_sums(alpha, w.n_max - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        _log_power(p, log_rhs, out=log_rhs)
+        np.log(log_rhs, out=log_rhs)
+        np.multiply(p, log_rhs, out=log_rhs)
+        _require_finite(log_rhs)
         np.add(math.log(U), log_rhs, out=log_rhs)
-        log_t = _log_t(p - 1.0, w.log_w, alpha, p)
-    slacks, log_rhs = _bracket_slacks(log_t, log_rhs, (p - 1.0, w.W[:n_max]))
+    slacks = _bracket_slacks(w, p - 1.0, (alpha, p), log_rhs)
     label = name or f"knopp[p={p},U={U}]"
     return build_report(
         label,
@@ -253,14 +237,9 @@ def reverse_criterion_check(
     """
     if not 0.0 < p < 0.5:
         raise PreconditionError(f"reverse regime needs 0 < p < 1/2, got {p}")
-    n_max = w.n_max - 1
-    e = 1.0 / (1.0 - p)
     s = p / (1.0 - p)
-    slacks, log_rhs = _bracket_slacks(
-        _log_t(-e, w.log_w, s),
-        np.full(n_max, s * math.log((1.0 - p) / p)),
-        (-e, w.W[:n_max]),
-    )
+    log_rhs = np.full(w.n_max - 1, s * math.log((1.0 - p) / p))
+    slacks = _bracket_slacks(w, -1.0 / (1.0 - p), (s,), log_rhs)
     return build_report(
         f"reverse[p={p}]",
         "3.1",

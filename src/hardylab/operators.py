@@ -18,6 +18,7 @@ import numpy as np
 
 from .compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from .errors import OutOfDomainError, ParameterMismatchError, UndefinedRatioError
+from .sequences import power_sums
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,7 @@ class OperatorSpec:
         """Weights i**(alpha-1), i <= truncation, and their compensated prefix sums."""
         alpha = float(self.alpha)
         lam = np.arange(1, self.truncation + 1, dtype=float) ** (alpha - 1.0)
-        if alpha == 1.0:  # the ones sum exactly to 1..N, the scan's bits
-            return lam, np.arange(1, self.truncation + 1, dtype=float)
-        total = neumaier_prefix_sums(lam)
+        total = power_sums(alpha - 1.0, self.truncation)
         if math.isfinite(total[-1]):  # else the means would be NaN or 0
             return lam, total
         raise OutOfDomainError(f"the weights i**(alpha-1) overflow at alpha={alpha}")

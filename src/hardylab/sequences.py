@@ -101,12 +101,11 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     # inputs, and the criterion brackets difference these logs finely
     # enough to turn one ulp into visible slack.  A leading 0.0 step makes
     # the scan of the steps log_w itself.  Shift 0 is built in closed form
-    # with the same bits: every step log1p(+-0.0) scans to +0.0, exp(0.0)
-    # is 1.0, and integer sums below 2**53 are exact, so the scan of the
-    # ones is 1..n with every error term +0.0.
+    # with the same bits: every step log1p(+-0.0) scans to +0.0 and exp(0.0)
+    # is 1.0, so W holds the power sums of the ones.
     if shift == 0.0:
-        n = np.arange(1, n_max + 1, dtype=float)
-        return AuxSequence(n_max, ("recurrence", shift), np.zeros(n_max), n)
+        W = power_sums(0.0, n_max)
+        return AuxSequence(n_max, ("recurrence", shift), np.zeros(n_max), W)
     ratios = shift / np.arange(1, n_max)
     log_w = np.fromiter(
         chain((0.0,), map(math.log1p, memoryview(ratios))), float, n_max
@@ -157,6 +156,21 @@ def _triangular_sums_exact(n_max: int) -> bool:
     return n_max * (n_max + 1) // 2 <= 2**53
 
 
+def power_sums(a: float, n_max: int) -> np.ndarray:
+    """Compensated sums sum_{i<=n} i**a for n = 1..n_max, in a new array.
+
+    The exact-integer cases skip the scan with its bits: at a = 0 the sums
+    are 1..n_max, and at a = 1 float cumsum forms them exactly while
+    _triangular_sums_exact holds.
+    """
+    if a == 0.0:
+        return np.arange(1, n_max + 1, dtype=float)
+    terms = _power_weights(a, n_max)
+    if a == 1.0 and _triangular_sums_exact(n_max):
+        return np.cumsum(terms, out=terms)
+    return neumaier_prefix_sums(terms, out=terms)
+
+
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     """Power weights w_n = n**exponent (w_1 = 1 automatically)."""
     if n_max < 1:
@@ -164,11 +178,7 @@ def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     log_w = np.arange(1, n_max + 1, dtype=float)
     np.log(log_w, out=log_w)
     np.multiply(exponent, log_w, out=log_w)
-    w = _power_weights(exponent, n_max)
-    if exponent == 1.0 and _triangular_sums_exact(n_max):
-        W = np.cumsum(w, out=w)
-    else:
-        W = neumaier_prefix_sums(w, out=w)
+    W = power_sums(exponent, n_max)
     return AuxSequence(n_max, ("power", exponent), log_w, W)
 
 

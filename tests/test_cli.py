@@ -514,10 +514,10 @@ class TestClosedFormLaws:
     """The exact-integer laws skip the libm maps and the scans their bits
     do not need: shift 0 of the ratio recurrence (check-2-20 at alpha =
     1/p), the power law w_n = n (check-2-3 at alpha = 1 + 1/p) and the
-    Cesaro weights.  Every scan left is a criterion's Lam or an operator's
-    means, one per trial family."""
+    Cesaro weights.  Every scan left is a criterion's Lam (formed by
+    sequences.power_sums) or an operator's means, one per trial family."""
 
-    SCANNED = ("compsum", "sequences", "criteria", "operators", "redheffer")
+    SCANNED = ("compsum", "sequences", "operators", "redheffer")
 
     @pytest.mark.parametrize(
         "argv, scans",

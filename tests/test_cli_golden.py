@@ -75,6 +75,9 @@ ARGVS = (
     ("check-2-3", "--p", "2", "--alpha", "1.5", "--n-max", "20000"),
     ("extremal-search", "--kind", "weighted-mean", "--alpha", "1", "--p", "2",
      "--n-max", "20000"),
+    # the reverse and the unit-weight forward bracket, past one 2**14 block
+    ("check-reverse", "--p", "0.25", "--n-max", "20000"),
+    ("check-2-30", "--p", "3", "--n-max", "20000"),
 )
 
 # Starts with a literal, which the regex engine searches for quickly: a scan

@@ -94,6 +94,13 @@ class TestForwardCriterion:
         with pytest.raises(OutOfDomainError, match="empty"):
             classic_check(0)
 
+    @pytest.mark.parametrize("U", [math.inf, math.nan, 0.0, -1.0])
+    def test_bounding_constant_rejected(self, U):
+        # an infinite U used to pass every index vacuously, at slack 1.0
+        message = "finite, got inf" if U == math.inf else "must be positive"
+        with pytest.raises(OutOfDomainError, match=message):
+            classic_check(10, U=U)
+
     def test_reverse_pair_rejected(self):
         with pytest.raises(PreconditionError):
             knopp_criterion_check(power_aux_sequence(0.0, 11), 0.5)
@@ -250,48 +257,77 @@ def masked_bracket_slacks(log_lhs, log_scale, log_factor, log_t):
 
 class TestBracketSlacks:
     N = 100_000
+    BLOCK = 1 << 14
 
-    def assert_matches_masked_formula(self, stalls, unit_factor):
-        # a Knopp bracket (p = 2, alpha = 0.3); "some" makes t flat at a
-        # few indices and rising at a few others, "all" makes it constant
-        p, n = 2.0, self.N
+    @staticmethod
+    def knopp_log_t(n):
+        # a Knopp bracket (p = 2, alpha = 0.3): its n + 1 logs of t and its
+        # W, whose slacks come with coef 1 (that is p - 1) and log scale 4
+        p = 2.0
         w = knopp_sequence(p, 0.3, n + 1)
         lam = power_aux_sequence(0.3, n + 1)
-        log_t = (p - 1.0) * w.log_w - p * lam.log_w
+        return (p - 1.0) * w.log_w - p * lam.log_w, w.W, lam.W
+
+    def assert_matches_masked_formula(self, log_t, W, log_factor):
+        # coef 1 and scales (0,) make the kernel's log t the given log_w
+        # exactly, so stalls are injected through log_w
+        n = len(log_t) - 1
+        want_slacks, want_log_rhs = masked_bracket_slacks(
+            np.log(W[:n]), math.log(4.0), log_factor, log_t
+        )
+        w = AuxSequence(n + 1, ("test", 0.0), log_t, W)
+        log_rhs = math.log(4.0) + log_factor
+        slacks = _bracket_slacks(w, 1.0, (0.0,), log_rhs)
+        assert slacks.tobytes() == want_slacks.tobytes()
+        assert log_rhs.tobytes() == want_log_rhs.tobytes()
+        return slacks
+
+    def assert_stalls_match_masked_formula(self, stalls, unit_factor):
+        # "some" makes t flat at a few indices and rising at a few others,
+        # "all" makes it constant
+        n = self.N
+        log_t, W, Lam = self.knopp_log_t(n)
         if stalls == "some":
             idx = np.random.default_rng(5).choice(n, 40, replace=False)
             log_t[idx[:20] + 1] = log_t[idx[:20]]
             log_t[idx[20:] + 1] = log_t[idx[20:]] + 0.5
         elif stalls == "all":
             log_t[:] = log_t[0]
-        log_factor = np.zeros(n) if unit_factor else p * np.log(lam.W[:n])
-        # the reference reads a copy: _bracket_slacks overwrites log_t
-        want_slacks, want_log_rhs = masked_bracket_slacks(
-            (p - 1.0) * np.log(w.W[:n]), math.log(4.0), log_factor, log_t.copy()
-        )
-        log_rhs = math.log(4.0) + log_factor
-        slacks, got_log_rhs = _bracket_slacks(log_t, log_rhs, (p - 1.0, w.W[:n]))
-        assert slacks.tobytes() == want_slacks.tobytes()
-        assert got_log_rhs.tobytes() == want_log_rhs.tobytes()
-        assert np.shares_memory(slacks, log_t) and got_log_rhs is log_rhs
-        if stalls != "none":
-            assert np.isneginf(slacks).any() and np.isposinf(log_rhs).any()
+        log_factor = np.zeros(n) if unit_factor else 2.0 * np.log(Lam[:n])
+        slacks = self.assert_matches_masked_formula(log_t, W, log_factor)
+        assert np.isneginf(slacks).any() == (stalls != "none")
 
     @pytest.mark.parametrize("stalls", ["none", "some", "all"])
     def test_matches_masked_formula_bit_for_bit(self, stalls):
-        self.assert_matches_masked_formula(stalls, unit_factor=False)
+        self.assert_stalls_match_masked_formula(stalls, unit_factor=False)
 
     @pytest.mark.parametrize("stalls", ["none", "some", "all"])
     def test_unit_factor_matches_masked_formula_bit_for_bit(self, stalls):
         # the reverse check's form: no factor sequence
-        self.assert_matches_masked_formula(stalls, unit_factor=True)
+        self.assert_stalls_match_masked_formula(stalls, unit_factor=True)
+
+    @pytest.mark.parametrize("step", ["none", "flat", "rising"])
+    def test_stalls_at_block_edges(self, step):
+        # each block forms log t one index past its end: the steps from
+        # 2**14 - 1 to 2**14 and from 2 * 2**14 - 1 to 2 * 2**14 need it
+        n = 2 * self.BLOCK + 3
+        log_t, W, Lam = self.knopp_log_t(n)
+        ks = [self.BLOCK - 2, self.BLOCK - 1, self.BLOCK, 2 * self.BLOCK - 1]
+        if step != "none":
+            for k in ks:  # in order: consecutive steps chain
+                log_t[k + 1] = log_t[k] + (0.0 if step == "flat" else 0.5)
+        slacks = self.assert_matches_masked_formula(
+            log_t, W, 2.0 * np.log(Lam[:n])
+        )
+        stalled = np.flatnonzero(np.isneginf(slacks)).tolist()
+        assert stalled == ([] if step == "none" else ks)
 
 
 class TestCheckMemory:
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
     def test_knopp_check_adds_two_buffers(self, traced_peak, tol_abs):
         # beyond its prebuilt w (log_w and W) a check holds two n-length
-        # buffers, Lam's and log_t's, and one bool mask: about 2.2 x 8n bytes
+        # buffers, Lam's and the slacks: about 2 x 8n bytes
         n = 200_000
         w = knopp_sequence(2.0, 0.0, n + 1)
         added = traced_peak(knopp_criterion_check, w, 2.0, Tolerances(tol_abs))
@@ -299,8 +335,8 @@ class TestCheckMemory:
 
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
     def test_reverse_check_peak_in_total(self, traced_peak, tol_abs):
-        # its own sequence (two arrays) plus the two buffers and one bool
-        # mask: about 4.2 x 8n bytes
+        # its own sequence (two arrays) plus the two buffers: about
+        # 4 x 8n bytes
         n = 200_000
         peak = traced_peak(reverse_check, 0.25, n, Tolerances(tol_abs))
         assert peak <= 4.5 * 8 * n

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hardylab import operators
+from hardylab import operators, sequences
 from hardylab.compsum import neumaier_prefix_sums
 from hardylab.errors import (
     OutOfDomainError,
@@ -363,6 +363,13 @@ class TestCesaroWeights:
         assert lam.tobytes() == np.ones(N).tobytes()
         assert total.tobytes() == neumaier_prefix_sums(np.ones(N)).tobytes()
 
+    @pytest.mark.parametrize("N", [1, 2, 16383, 16384, 16385, 10**5, 10**6])
+    def test_alpha_two_sums_match_scan(self, N):
+        # the weights are 1..N, whose sums cumsum forms with the scan's bits
+        lam, total = weighted_mean(2.0, N).mean_weights
+        assert lam.tobytes() == np.arange(1.0, N + 1).tobytes()
+        assert total.tobytes() == neumaier_prefix_sums(lam).tobytes()
+
 
 class TestWeightsOncePerSpec:
     @pytest.mark.parametrize(
@@ -379,7 +386,9 @@ class TestWeightsOncePerSpec:
             calls.append(len(values))
             return neumaier_prefix_sums(values, out=out)
 
-        monkeypatch.setattr(operators, "neumaier_prefix_sums", counted)
+        # the weights' sums come from sequences.power_sums
+        for module in (operators, sequences):
+            monkeypatch.setattr(module, "neumaier_prefix_sums", counted)
         extremal_search(op, 2.0, power_grid(2000))
         assert calls == [2000] * scans
 

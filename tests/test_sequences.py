@@ -25,6 +25,7 @@ from hardylab.sequences import (
     levin_steckin_sequence,
     power_aux_sequence,
     power_sum_bound_checks,
+    power_sums,
 )
 from hardylab.reports import Verdict
 from hardylab.verify import DEFAULT_SEED, lemma_suite_claims, reverse_machinery_claims
@@ -318,6 +319,14 @@ class TestClosedFormLaws:
         seq = power_aux_sequence(1.0, n)
         want = neumaier_prefix_sums(np.arange(1.0, n + 1))
         assert seq.W.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_NS)
+    @pytest.mark.parametrize("a", [0.0, 1.0, 0.5, 2.0])
+    def test_power_sums_match_scan(self, n, a):
+        # 1..n at a = 0 and cumsum at a = 1, with the scan's bits; past
+        # 2**53 the sums of i**2 need the scan
+        want = neumaier_prefix_sums(np.arange(1.0, n + 1) ** a)
+        assert power_sums(a, n).tobytes() == want.tobytes()
 
     def test_triangular_guard(self):
         # 1 + ... + n = n (n + 1) / 2 first passes 2**53 at n = 2**27
