@@ -36,7 +36,13 @@ def weighted_mean_constant(p: float, alpha: float) -> float:
     ap = (alpha + 1.0) * p
     if ap <= 1.0:
         raise OutOfDomainError(f"(alpha+1)p must exceed 1, got {ap}")
-    return (ap / (ap - 1.0)) ** p
+    try:
+        return (ap / (ap - 1.0)) ** p
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        raise OutOfDomainError(
+            f"weighted mean constant ((alpha+1)p / ((alpha+1)p - 1))**p "
+            f"overflows at p={p}, alpha={alpha}"
+        ) from None
 
 
 def _require_finite(values: np.ndarray) -> None:

@@ -388,14 +388,6 @@ class ScanResult:
     def n_points(self) -> int:
         return int(self.feasible.size)
 
-    def iter_rows(self):
-        """Yield the beta grid as a list, then (c, feasible, k) per c, with
-        the row's feasibility and k as lists over the beta grid (for CSV
-        export; plain Python values, one c row at a time)."""
-        yield self.beta_grid.tolist()
-        for c, feasible, k in zip(self.c_grid.tolist(), self.feasible, self.k):
-            yield c, feasible.tolist(), k.tolist()
-
 
 def scan_params(
     p: float,

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from hardylab import cli, sequences
 from hardylab.compsum import neumaier_prefix_sums
 from hardylab.cli import build_parser, main
 from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
-from hardylab.redheffer import scan_params
+from hardylab.redheffer import ScanResult, scan_params
 
 REQUIRED_VERDICT_KEYS = {
     "claim",
@@ -92,6 +93,17 @@ class TestExitCodes:
         )
         assert status == 2
         assert err == f"error: cannot write --out {out_path}: {reason}\n"
+        assert out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_out_exits_two(self, capsys):
+        # the scan CSV is written in several slices; the first one fails
+        status, out, err = run_cli(
+            capsys, "redheffer-scan", "--p", "0.45", "--format", "csv",
+            "--out", "/dev/full"
+        )
+        assert status == 2
+        assert err == "error: cannot write --out /dev/full: No space left on device\n"
         assert out == ""
 
 
@@ -375,6 +387,49 @@ def _csv_writer_scan_rows(res) -> str:
     return buf.getvalue()
 
 
+def _hand_built_scan(betas, rows) -> ScanResult:
+    """A ScanResult holding the given beta grid and (c, feasible, k) rows."""
+    return ScanResult(
+        c_grid=np.array([c for c, _, _ in rows], dtype=float),
+        beta_grid=np.array(betas, dtype=float),
+        k=np.array([k for _, _, k in rows], dtype=float),
+        feasible=np.array([feasible for _, feasible, _ in rows], dtype=bool),
+    )
+
+
+def _scan_report(scan: ScanResult) -> cli.Report:
+    return cli.Report("redheffer-scan", {}, 3, [], 0.0, scan=scan)
+
+
+def _nan_with_payload(payload: int, sign: int = 0) -> float:
+    return float(np.uint64((sign << 63) | (0x7FF << 52) | payload).view(np.float64))
+
+
+_N_EDGE = 8
+_INF_ENDS = [math.inf, *[0.5] * (_N_EDGE - 2), math.inf]
+
+# k rows whose runs are the edge cases of a run-based renderer: runs of
+# length 1, a row that is one run, equal floats with different bits, and
+# a run that would cross into the next row if runs were marked over the
+# flattened grid
+_RUN_EDGES = {
+    "alternating": [[0.5, 0.25] * (_N_EDGE // 2), [0.25, 0.5] * (_N_EDGE // 2)],
+    "single-run": [[0.6931471805599453] * _N_EDGE, [0.6931471805599453] * _N_EDGE,
+                   [1e300] * _N_EDGE],
+    "signed-zeros": [[0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0],
+                     [-0.0, 0.0, 1.0, -0.0, 0.0, 0.0, -0.0, -0.0]],
+    "nan-payloads": [
+        [_nan_with_payload(1 << 51), _nan_with_payload(1 << 51 | 1),
+         _nan_with_payload(1 << 51 | 1), _nan_with_payload(1 << 51, sign=1),
+         _nan_with_payload(1), _nan_with_payload(1 << 51 | 2), 1.0,
+         _nan_with_payload(1 << 51)],
+        [_nan_with_payload(1 << 51 | 3)] * _N_EDGE,
+    ],
+    "inf-ends": [_INF_ENDS, _INF_ENDS, [-math.inf, *_INF_ENDS[1:-1], -math.inf],
+                 [-math.inf] * _N_EDGE],
+}
+
+
 class TestCsvReports:
     def test_verdict_rows(self, capsys):
         status, out, _ = run_cli(
@@ -407,8 +462,7 @@ class TestCsvReports:
             warnings.simplefilter("error")
             res = scan_params(p, c_grid=c_grid, beta_grid=beta_grid, n_max=3)
         assert np.isnan(res.k).any()
-        report = cli.Report("redheffer-scan", {}, 3, [], 0.0,
-                            scan_rows=res.iter_rows())
+        report = _scan_report(res)
         header, rows = cli.render_csv(report).split("\r\n", 1)
         assert header.startswith("claim,paper_ref,holds")
         assert rows == _csv_writer_scan_rows(res)
@@ -430,8 +484,7 @@ class TestCsvReports:
             (0.4, alternating, [0.6931471805599453] * n),
             (0.5, alternating[::-1], [0.5] * (n // 2) + [math.inf] * (n // 2)),
         ]
-        report = cli.Report("redheffer-scan", {}, 3, [], 0.0,
-                            scan_rows=[betas, *rows])
+        report = _scan_report(_hand_built_scan(betas, rows))
         _, text = cli.render_csv(report).split("\r\n", 1)
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -442,6 +495,100 @@ class TestCsvReports:
                 )
         assert text == buf.getvalue()
         assert text.count("\r\n") == len(rows) * n
+
+    @pytest.mark.parametrize("case", sorted(_RUN_EDGES))
+    def test_run_edges_match_csv_writer(self, case):
+        betas = [0.125 * i for i in range(_N_EDGE)]
+        rows = [
+            (0.1 * (i + 1), [(i + j) % 3 == 0 for j in range(_N_EDGE)], k)
+            for i, k in enumerate(_RUN_EDGES[case])
+        ]
+        scan = _hand_built_scan(betas, rows)
+        _, text = cli.render_csv(_scan_report(scan)).split("\r\n", 1)
+        assert text == _csv_writer_scan_rows(scan)
+        assert text.count("\r\n") == len(rows) * _N_EDGE
+
+
+class _Sink:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.parts: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.parts.append(text)
+        return len(text)
+
+
+class TestSlicedWrite:
+    @pytest.mark.parametrize(
+        "length, sizes",
+        [(0, []), (cli.WRITE_SLICE, [cli.WRITE_SLICE]),
+         (cli.WRITE_SLICE + 1, [cli.WRITE_SLICE, 1])],
+        ids=["empty", "one-slice", "one-slice-plus-one"],
+    )
+    def test_slices(self, length, sizes):
+        text = ("0123456789" * (length // 10 + 1))[:length]
+        sink = _Sink()
+        cli._write_sliced(sink, text)
+        assert [len(part) for part in sink.parts] == sizes
+        assert "".join(sink.parts) == text
+
+    def test_scan_csv_out_stdout_and_render_agree(self, capsysbinary, monkeypatch,
+                                                  tmp_path):
+        rendered = []
+
+        def recording(report):
+            rendered.append(cli.render_csv(report))
+            return rendered[-1]
+
+        monkeypatch.setitem(cli._RENDERERS, "csv", recording)
+        argv = ["redheffer-scan", "--p", "0.45", "--format", "csv"]
+        out_path = tmp_path / "scan.csv"
+        assert main([*argv, "--out", str(out_path)]) == 0
+        assert main(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        sink = _Sink()
+        monkeypatch.setattr(cli.sys, "stdout", sink)
+        assert main(argv) == 0
+        text = rendered[0]
+        assert len(text) > 10 * cli.WRITE_SLICE
+        assert rendered[1:] == [text, text]
+        assert out_path.read_bytes() == stdout == text.encode()
+        # every write but the last is one whole slice
+        assert {len(part) for part in sink.parts[:-1]} == {cli.WRITE_SLICE}
+        assert "".join(sink.parts) == text
+
+
+class TestScanCsvMemory:
+    def test_peak_within_output_size_multiple(self, traced_peak, tmp_path):
+        # the render holds its StringIO buffer while getvalue copies it out
+        # (about 2.0x the output) and one c row's texts; the write adds one
+        # slice and its encoded bytes.  A first call makes the state every
+        # call keeps (the parser, imports) before the measured one.
+        out_path = tmp_path / "scan.csv"
+        argv = ["redheffer-scan", "--p", "0.45", "--format", "csv",
+                "--out", str(out_path)]
+        assert main(argv) == 0
+        peak = traced_peak(main, argv)
+        assert peak <= 2.3 * out_path.stat().st_size
+
+    @pytest.mark.parametrize("p", [0.34, 0.45])
+    def test_row_renderer_holds_one_row_of_texts(self, traced_peak, p):
+        # besides what it writes, the row renderer holds one c row's run
+        # marks, runs and texts: 0.06-0.07 x the bytes of the k grid on the
+        # default grid.  Any grid-sized array would stay resident under the
+        # returned text; a bool run-start mask over the grid reads 0.21-0.23,
+        # per-run arrays of the grid 1.3-1.4, formatting every distinct k of
+        # the grid up front (np.unique) 5.4
+        class Discard:
+            def write(self, text: str) -> int:
+                return len(text)
+
+        scan = scan_params(p, n_max=100)
+        cli._write_scan_rows(Discard(), scan)
+        peak = traced_peak(cli._write_scan_rows, Discard(), scan)
+        assert peak <= 0.15 * scan.k.nbytes
 
 
 class TestSubcommandSurface:

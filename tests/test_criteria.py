@@ -589,3 +589,14 @@ class TestConstants:
         assert weighted_mean_constant(2.0, 1.0) == pytest.approx((4.0 / 3.0) ** 2)
         with pytest.raises(OutOfDomainError):
             weighted_mean_constant(1.5, -0.5)
+
+    def test_weighted_mean_constant_overflow(self):
+        # (alpha+1)p = 1.001, so the base is about 1000 and its 1000th power
+        # is past the float range
+        p, alpha = 1000.0, -0.998999
+        match = r"weighted mean constant .* overflows at p=1000.0, alpha=-0.998999"
+        with pytest.raises(OutOfDomainError, match=match):
+            weighted_mean_constant(p, alpha)
+        w = knopp_sequence(p, alpha, 20)
+        with pytest.raises(OutOfDomainError, match=match):
+            knopp_criterion_check(w, p, alpha=alpha)

@@ -334,19 +334,6 @@ class TestScanner:
         assert np.isinf(inf_k.k[0, 0]) and inf_k.feasible_count == 0
         assert inf_k.best is None and inf_k.best_k is None
 
-    def test_row_iteration(self):
-        res = scan_params(0.45, c_grid=[1.0, 2.0], beta_grid=[0.0, 0.5], n_max=100)
-        betas, *rows = res.iter_rows()
-        assert betas == [0.0, 0.5]
-        assert [c for c, _, _ in rows] == [1.0, 2.0]
-        assert [feasible for _, feasible, _ in rows] == res.feasible.tolist()
-        assert [k for _, _, k in rows] == res.k.tolist()
-        # plain Python values, whose str is what the CSV rows print
-        assert {type(beta) for beta in betas} == {float}
-        assert {type(c) for c, _, _ in rows} == {float}
-        assert {type(ok) for _, feasible, _ in rows for ok in feasible} == {bool}
-        assert {type(k) for _, _, ks in rows for k in ks} == {float}
-
     @pytest.mark.parametrize("p", [0.34, 0.45, 0.46, 0.5, 0.66, 0.9])
     def test_k_grid_matches_inline_branches(self, p):
         # the scan's k, bit for bit against the n = 2 branches written out
