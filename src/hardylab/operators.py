@@ -146,9 +146,17 @@ def apply_copson_tail(a, N: int, tail_mass: float = 0.0) -> np.ndarray:
         if math.isnan(tail_mass):
             raise OutOfDomainError("tail mass must not be NaN")
         raise OutOfDomainError("tail mass must be nonnegative")
-    means = neumaier_suffix_sums(arr)
-    means += tail_mass
-    means /= np.arange(1, N + 1, dtype=float)
+    suffix = neumaier_suffix_sums(arr)
+    return _tail_means(suffix, tail_mass, out=suffix)
+
+
+def _tail_means(
+    suffix: np.ndarray, tail_mass: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """T_n = (suffix_n + tail_mass) / n from the suffix sums; ``out`` may be
+    suffix itself."""
+    means = np.add(suffix, tail_mass, out=out)
+    means /= np.arange(1, len(suffix) + 1, dtype=float)
     return means
 
 
@@ -203,38 +211,41 @@ def _power_sum(x: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
     return total
 
 
+def _check_exponent(p: float) -> None:
+    if not p > 0.0:
+        raise OutOfDomainError(f"p must be positive, got {p}")
+
+
+def _denominator(arr: np.ndarray, N: int, p: float) -> float:
+    """sum arr_n**p, nonzero; a denominator that fails checks the input
+    first, so an input error still comes before the denominator's own."""
+    try:
+        denom = _power_sum(arr, p)
+        if denom == 0.0:
+            raise UndefinedRatioError("input is identically zero on the truncation")
+    except ValueError:  # fsum's own (-inf + inf) needs a negative input
+        _materialize(arr, N)
+        raise
+    return denom
+
+
 def constant_ratio(op: OperatorSpec, a, p: float, tail_mass: float = 0.0) -> float:
     """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p.
 
-    The operator checks the input once, before it reads its weights.  A
-    denominator that fails checks it first, so an input error still comes
-    before the denominator's own.
+    The operator checks the input once, before it reads its weights.
     """
-    if not p > 0.0:
-        raise OutOfDomainError(f"p must be positive, got {p}")
+    _check_exponent(p)
     N = op.truncation
     # overflowed terms become inf, and _power_sum rejects their sum
     with np.errstate(over="ignore"):
         arr = _values(a)[:N]
-        try:
-            denom = _power_sum(arr, p)
-            if denom == 0.0:
-                raise UndefinedRatioError("input is identically zero on the truncation")
-        except ValueError:  # fsum's own (-inf + inf) needs a negative input
-            _materialize(arr, N)
-            raise
+        denom = _denominator(arr, N, p)
         means = _apply(op, arr, tail_mass)
         return _power_sum(means, p, out=means) / denom
 
 
-def norm_ratio(op: OperatorSpec, a, p: float) -> float:
-    """Ratio in the norm convention, (sum (op a)_n**p / sum a_n**p)**(1/p).
-
-    For p > 1 this lower-bounds the operator norm; for 0 < p < 1 on the
-    tail operator it upper-bounds the best reverse constant (p-th root
-    convention).
-    """
-    ratio = constant_ratio(op, a, p)
+def _root(ratio: float, p: float) -> float:
+    """ratio**(1/p), out of domain once it leaves the float range."""
     try:
         root = ratio ** (1.0 / p)
     except OverflowError:  # a ratio above 1 under a tiny p
@@ -246,6 +257,32 @@ def norm_ratio(op: OperatorSpec, a, p: float) -> float:
     return root
 
 
+def norm_ratio(op: OperatorSpec, a, p: float) -> float:
+    """Ratio in the norm convention, (sum (op a)_n**p / sum a_n**p)**(1/p).
+
+    For p > 1 this lower-bounds the operator norm; for 0 < p < 1 on the
+    tail operator it upper-bounds the best reverse constant (p-th root
+    convention).
+    """
+    return _root(constant_ratio(op, a, p), p)
+
+
+def norm_ratios(op: OperatorSpec, a, ps) -> list[float]:
+    """norm_ratio(op, a, p) for each p of ps, with the operator applied once.
+
+    The denominators are formed, and so checked, before the operator runs.
+    """
+    for p in ps:
+        _check_exponent(p)
+    N = op.truncation
+    with np.errstate(over="ignore"):
+        arr = _values(a)[:N]
+        denoms = [_denominator(arr, N, p) for p in ps]
+        means = _apply(op, arr, 0.0)
+        # each power sum reads means afresh: no out=, so nothing in place
+        return [_root(_power_sum(means, p) / d, p) for p, d in zip(ps, denoms)]
+
+
 class TailCorrectedRatio(NamedTuple):
     uncorrected: float
     corrected_low: float
@@ -255,15 +292,23 @@ class TailCorrectedRatio(NamedTuple):
 def copson_ratio_with_tail(s: float, p: float, N: int) -> TailCorrectedRatio:
     """Constant-convention tail-operator ratio for a_k = k**-s, with and
     without the analytic correction for the dropped tail mass beyond N (both
-    bracket ends)."""
+    bracket ends).
+
+    The family, its denominator and its suffix sums are formed once, for
+    all three tail masses; each ratio has constant_ratio's bits.
+    """
     fam = SequenceFamily("power_decay", N, s)
     lo, hi = power_decay_tail_bounds(s, N)
-    op = copson_tail(N)
-    return TailCorrectedRatio(
-        constant_ratio(op, fam, p),
-        constant_ratio(op, fam, p, tail_mass=lo),
-        constant_ratio(op, fam, p, tail_mass=hi),
-    )
+    _check_exponent(p)
+    with np.errstate(over="ignore"):
+        arr = fam.values()  # k**-s lies in [0, 1] for s > 1: nothing to check
+        denom = _power_sum(arr, p)  # >= 1, the k = 1 term
+        suffix = neumaier_suffix_sums(arr)
+        ratios = []
+        for tail_mass in (0.0, lo, hi):
+            means = _tail_means(suffix, tail_mass)
+            ratios.append(_power_sum(means, p, out=means) / denom)
+    return TailCorrectedRatio(*ratios)
 
 
 class ExtremalResult(NamedTuple):

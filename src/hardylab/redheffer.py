@@ -31,7 +31,7 @@ from .errors import (
     TailTruncationWarning,
 )
 from .reports import CriterionReport, Tolerances, build_report
-from .sequences import conjugate_exponent
+from .sequences import _libm_map, conjugate_exponent
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ class RecurrentSequences:
         object.__setattr__(self, "eta", eta)
         if mu.shape != eta.shape:
             raise PreconditionError("mu and eta must have equal length")
+        if not (np.isfinite(mu).all() and np.isfinite(eta).all()):
+            raise OutOfDomainError("multiplier sequences must be finite")
         if np.any(mu <= 0.0) or np.any(eta <= 0.0):
             raise PreconditionError("multiplier sequences must be positive")
 
@@ -86,10 +88,13 @@ class RecurrentSequences:
             raise PreconditionError(f"lemma regime needs p < 1, p != 0; got {p}")
 
 
-def _as_lambda_array(lam, length: int) -> np.ndarray:
-    arr = np.asarray(lam, dtype=float)[:length]
+def _positive_input(x, length: int, name: str) -> np.ndarray:
+    """The first ``length`` entries of x, checked finite and positive."""
+    arr = np.asarray(x, dtype=float)[:length]
     if len(arr) < length or np.any(arr <= 0.0):
-        raise PreconditionError("lambda must be positive and long enough")
+        raise PreconditionError(f"{name} must be positive and long enough")
+    if not np.isfinite(arr).all():
+        raise OutOfDomainError(f"{name} must be finite")
     return arr
 
 
@@ -113,12 +118,12 @@ def lemma_6_1_residual(
     """
     if n < 2:
         raise OutOfDomainError("horizon must satisfy n >= 2")
+    if not math.isfinite(p):
+        raise OutOfDomainError(f"p must be finite, got {p}")
     multipliers.require_ordering(p)
     q = conjugate_exponent(p)
-    lam_arr = _as_lambda_array(lam, n)
-    a_arr = np.asarray(a, dtype=float)[:n]
-    if len(a_arr) < n or np.any(a_arr <= 0.0):
-        raise PreconditionError("a must be positive and long enough")
+    lam_arr = _positive_input(lam, n, "lambda")
+    a_arr = _positive_input(a, n, "a")
     if len(multipliers.mu) < n:
         raise PreconditionError("multiplier sequences shorter than horizon")
     mu, eta = multipliers.mu, multipliers.eta
@@ -144,26 +149,48 @@ def lemma_6_1_residual(
 
 
 class StepBound(NamedTuple):
-    lhs: float
-    rhs: float
-    residual: float
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
+    residual: float | np.ndarray
 
 
-def lemma_6_2_step(mu: float, eta: float, p: float, t: float) -> StepBound:
+def lemma_6_2_step(mu, eta, p, t) -> StepBound:
     """Single-step tail-sum bound: for mu >= eta > 0, 0 < p < 1, t >= 0,
 
         mu (1+t)**p - eta t**p >= (mu**(1/(1-p)) - eta**(1/(1-p)))**(1-p).
+
+    Each argument is a float or a 1-d array, and the arrays have equal
+    lengths; the bound is formed elementwise, a float standing for every
+    element.  With four floats the fields are floats, else arrays.  Every
+    value must be finite.  Each field has the bits of the Python float
+    expression above: the powers come from the C library per element, the
+    rest is IEEE arithmetic.
     """
-    if not 0.0 < p < 1.0:
-        raise PreconditionError(f"needs 0 < p < 1, got {p}")
-    if not (mu >= eta > 0.0):
+    args = [np.asarray(x, dtype=float) for x in (mu, eta, p, t)]
+    if any(a.ndim > 1 for a in args):
+        raise PreconditionError("mu, eta, p and t must be floats or 1-d arrays")
+    try:
+        mu, eta, p, t = np.broadcast_arrays(*(np.atleast_1d(a) for a in args))
+    except ValueError:
+        raise PreconditionError("mu, eta, p and t must have equal lengths") from None
+    if not all(np.isfinite(a).all() for a in (mu, eta, p, t)):
+        raise OutOfDomainError("mu, eta, p and t must be finite")
+    bad = ~((0.0 < p) & (p < 1.0))
+    if bad.any():
+        raise PreconditionError(f"needs 0 < p < 1, got {p[bad][0]}")
+    if not ((mu >= eta) & (eta > 0.0)).all():
         raise PreconditionError("needs mu >= eta > 0")
-    if t < 0.0:
+    if (t < 0.0).any():
         raise OutOfDomainError("t must be nonnegative")
-    lhs = mu * (1.0 + t) ** p - eta * t**p
-    base = mu ** (1.0 / (1.0 - p)) - eta ** (1.0 / (1.0 - p))
-    rhs = max(base, 0.0) ** (1.0 - p)
-    return StepBound(lhs, rhs, lhs - rhs)
+    lhs = mu * _libm_map(pow, 1.0 + t, p) - eta * _libm_map(pow, t, p)
+    e = 1.0 / (1.0 - p)
+    base = _libm_map(pow, mu, e) - _libm_map(pow, eta, e)
+    # the sign of a zero base is lost to the power: 0**(1-p) is +0.0
+    rhs = _libm_map(pow, np.maximum(base, 0.0), 1.0 - p)
+    residual = lhs - rhs
+    if all(a.ndim == 0 for a in args):
+        return StepBound(float(lhs[0]), float(rhs[0]), float(residual[0]))
+    return StepBound(lhs, rhs, residual)
 
 
 def lemma_6_2_residual(
@@ -193,9 +220,8 @@ def lemma_6_2_residual(
     length = len(a_arr)
     if n > length:
         raise PreconditionError("horizon exceeds the truncated input")
-    if np.any(a_arr <= 0.0):
-        raise PreconditionError("a must be positive")
-    lam_arr = _as_lambda_array(lam, length)
+    a_arr = _positive_input(a_arr, length, "a")
+    lam_arr = _positive_input(lam, length, "lambda")
     if len(multipliers.mu) < n:
         raise PreconditionError("multiplier sequences shorter than horizon")
     mu, eta = multipliers.mu, multipliers.eta

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -182,11 +182,29 @@ def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     return AuxSequence(n_max, ("power", exponent), log_w, W)
 
 
-class PowerSumBound(NamedTuple):
-    lhs: float
-    rhs: float
-    holds: bool
+class PowerSumBounds(NamedTuple):
+    """A power-sum bound at every n = 1..n_max: entry n - 1 of each array
+    holds the sum, the bound and whether the bound holds at n."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
     direction: str
+
+
+def _libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn(x_i, args_i...) per element, through the C library, in a new array.
+
+    Arrays are read through a memoryview, which yields Python floats
+    without building one numpy scalar per element; a float in ``args`` is
+    passed to every call.  numpy's vector pow, log1p and expm1 differ from
+    the C library in the last bit for some inputs on AVX-512 machines, so
+    the transcendental parts of the lemma checks stay on libm.
+    """
+    columns = [
+        memoryview(a) if isinstance(a, np.ndarray) else repeat(a) for a in args
+    ]
+    return np.fromiter(map(fn, memoryview(x), *columns), float, len(x))
 
 
 def _running_fsums(terms: list[float]) -> list[float]:
@@ -203,45 +221,39 @@ def _running_fsums(terms: list[float]) -> list[float]:
     return [s / D for s in accumulate(m * (D // d) for m, d in ratios)]
 
 
-def _power_sum_bounds(r: float, form: str, lhs: list[float]) -> list[PowerSumBound]:
+def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
     """Compare each lhs[n - 1] = sum_{i<=n} i**r with the bound at n, for an
-    already validated (form, r)."""
-    rows = []
-    for n, lhs_n in enumerate(lhs, start=1):
-        if form == "product":
-            rhs = n * (n + 1.0) ** r / (r + 1.0)
-            direction = ">="
-        else:
-            # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is
-            # stable; r u underflows to 0 for a subnormal r, where the factor
-            # r / expm1(r u) is its limit 1/u
-            u = math.log1p(1.0 / n)
-            factor = 1.0 / u if r * u == 0.0 else r / math.expm1(r * u)
-            rhs = (n + 1.0) ** r / (r + 1.0) * factor
-            direction = ">=" if r >= 1.0 else "<="
-        tol = 1e-12 * max(abs(lhs_n), abs(rhs))
-        if direction == ">=":
-            holds = lhs_n - rhs >= -tol
-        else:
-            holds = rhs - lhs_n >= -tol
-        rows.append(PowerSumBound(lhs_n, rhs, holds, direction))
-    return rows
+    already validated (form, r).
 
-
-def power_sum_bound_checks(
-    r: float, n_max: int, form: str = "product"
-) -> list[PowerSumBound]:
-    """Check a classical bound on sum_{i<=n} i**r for every n = 1..n_max.
-
-    form="product":  sum >= n (n+1)**r / (r+1),  for 0 <= r <= 1.
-    form="ratio":    sum >= (r/(r+1)) n**r (n+1)**r / ((n+1)**r - n**r)
-                     for r >= 1; the comparison reverses for -1 < r <= 1.
-
-    Row n - 1 holds both sides at n and whether the inequality appropriate
-    to (form, r) holds (non-strict, relative tolerance 1e-12).  The sums are
-    exactly rounded running sums: each lhs equals
-    math.fsum(float(i) ** r for i in range(1, n + 1)) bit for bit.
+    The same operations as one Python float expression per n: pow, log1p
+    and expm1 per element from libm, the rest IEEE arithmetic in numpy.
     """
+    n = np.arange(1, len(lhs) + 1, dtype=float)
+    if form == "product":
+        # n (n+1)^r / (r+1)
+        rhs = _libm_map(pow, n + 1.0, r)
+        rhs *= n
+        rhs /= r + 1.0
+        direction = ">="
+    else:
+        # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is
+        # stable; r u underflows to 0 for a subnormal r, where the factor
+        # r / expm1(r u) is its limit 1/u
+        u = _libm_map(math.log1p, 1.0 / n)
+        ru = r * u
+        denom = _libm_map(math.expm1, ru)
+        factor = np.divide(r, denom, out=1.0 / u, where=ru != 0.0)
+        rhs = _libm_map(pow, n + 1.0, r)
+        rhs /= r + 1.0
+        rhs *= factor
+        direction = ">=" if r >= 1.0 else "<="
+    # rhs is never NaN, so maximum picks what Python's max(lhs, rhs) does
+    tol = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
+    gap = lhs - rhs if direction == ">=" else rhs - lhs
+    return PowerSumBounds(lhs, rhs, gap >= -tol, direction)
+
+
+def _check_bound_domain(r: float, n_max: int, form: str) -> None:
     if n_max < 1:
         raise OutOfDomainError("n must be >= 1")
     if form == "product":
@@ -254,5 +266,30 @@ def power_sum_bound_checks(
             raise OutOfDomainError(f"ratio form needs a finite r, got r={r}")
     else:
         raise OutOfDomainError(f"unknown form {form!r}")
-    lhs = _running_fsums([float(i) ** r for i in range(1, n_max + 1)])
-    return _power_sum_bounds(r, form, lhs)
+
+
+def power_sum_bounds(
+    cases: list[tuple[str, float]], n_max: int
+) -> list[PowerSumBounds]:
+    """Check a classical bound on sum_{i<=n} i**r for every n = 1..n_max,
+    for each (form, r) of ``cases``, in order.
+
+    form="product":  sum >= n (n+1)**r / (r+1),  for 0 <= r <= 1.
+    form="ratio":    sum >= (r/(r+1)) n**r (n+1)**r / ((n+1)**r - n**r)
+                     for r >= 1; the comparison reverses for -1 < r <= 1.
+
+    The bound holds non-strictly, at relative tolerance 1e-12.  Every case
+    is validated before any sum is formed.  The sums are exactly rounded
+    running sums, formed once per distinct r: each lhs equals
+    math.fsum(float(i) ** r for i in range(1, n + 1)) bit for bit.
+    """
+    for form, r in cases:
+        _check_bound_domain(r, n_max, form)
+    ns = np.arange(1, n_max + 1, dtype=float).tolist()
+    sums: dict[float, np.ndarray] = {}  # i**(-0.0) is i**0.0, so 0.0 keys both
+    bounds = []
+    for form, r in cases:
+        if r not in sums:
+            sums[r] = np.array(_running_fsums(list(map(pow, ns, repeat(r)))))
+        bounds.append(_power_sum_bounds(r, form, sums[r]))
+    return bounds

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardylab import operators, sequences
-from hardylab.compsum import neumaier_prefix_sums
+from hardylab.compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.errors import (
     OutOfDomainError,
     ParameterMismatchError,
@@ -26,6 +26,7 @@ from hardylab.operators import (
     default_power_grid,
     extremal_search,
     norm_ratio,
+    norm_ratios,
     power_decay_tail_bounds,
 )
 from hardylab.redheffer import RedhefferParams
@@ -264,6 +265,71 @@ class TestTailCorrectedRatio:
                 copson_ratio_with_tail(s, 0.5, 100)
         with pytest.raises(OutOfDomainError):
             copson_ratio_with_tail(2.0, 0.0, 100)
+
+
+class TestOperatorAppliedOnce:
+    FAMILIES = [
+        SequenceFamily("delta", 2000),
+        SequenceFamily("geometric", 2000, 0.5),
+        SequenceFamily("power_decay", 2000, 0.6),
+        SequenceFamily("random", 2000, 7),
+    ]
+
+    @pytest.mark.parametrize(
+        "op", [cesaro(2000), weighted_mean(2.5, 2000), copson_tail(2000)],
+        ids=["cesaro", "alpha2.5", "tail"],
+    )
+    def test_norm_ratios_match_norm_ratio(self, op):
+        ps = (1.25, 2.0, 3.0, 0.5)
+        for fam in self.FAMILIES:
+            got = norm_ratios(op, fam, ps)
+            assert [r.hex() for r in got] == [
+                norm_ratio(op, fam, p).hex() for p in ps
+            ], fam
+
+    def test_norm_ratios_scans_once(self, monkeypatch):
+        calls = []
+
+        def counted(values, out=None):
+            calls.append(len(values))
+            return neumaier_prefix_sums(values, out=out)
+
+        monkeypatch.setattr(operators, "neumaier_prefix_sums", counted)
+        norm_ratios(cesaro(2000), self.FAMILIES[2], (1.25, 2.0, 3.0))
+        assert calls == [2000]
+
+    @pytest.mark.parametrize(
+        "a, ps, error",
+        [
+            ([1.0, math.nan, 1.0], (2.0, 3.0), OutOfDomainError),
+            ([0.0, 0.0, 0.0], (2.0, 3.0), UndefinedRatioError),
+            ([1.0, 1.0, 1.0], (2.0, 0.0), OutOfDomainError),
+        ],
+        ids=["nan", "zero", "p"],
+    )
+    def test_norm_ratios_errors(self, a, ps, error):
+        with pytest.raises(error):
+            norm_ratios(cesaro(3), a, ps)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_tail_ratios_match_constant_ratio(self, monkeypatch, s):
+        N = 10000
+        fam = SequenceFamily("power_decay", N, s)
+        masses = (0.0, *power_decay_tail_bounds(s, N))
+        want = [
+            constant_ratio(copson_tail(N), fam, 0.5, tail_mass=m).hex()
+            for m in masses
+        ]
+        calls = []
+
+        def counted(values):
+            calls.append(len(values))
+            return neumaier_suffix_sums(values)
+
+        monkeypatch.setattr(operators, "neumaier_suffix_sums", counted)
+        got = copson_ratio_with_tail(s, 0.5, N)
+        assert [r.hex() for r in got] == want
+        assert calls == [N]
 
 
 class TestExtremalSearch:

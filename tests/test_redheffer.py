@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardylab.errors import (
     OutOfDomainError,
@@ -182,6 +182,121 @@ class TestTailSumLemma:
         mult = RecurrentSequences(np.ones(4), np.full(4, 2.0))
         with pytest.raises(PreconditionError):
             lemma_6_2_residual(np.ones(29), a, mult, 0.5, 4)
+
+
+def step_oracle(mu, eta, p, t):
+    """The single-step bound as one Python float expression: the reference
+    every element of an array lemma_6_2_step must reproduce bit for bit."""
+    lhs = mu * (1.0 + t) ** p - eta * t**p
+    base = mu ** (1.0 / (1.0 - p)) - eta ** (1.0 / (1.0 - p))
+    rhs = max(base, 0.0) ** (1.0 - p)
+    return lhs, rhs, lhs - rhs
+
+
+# mu = eta + bump stays below 2, so mu**(1/(1-p)) is finite for p <= 0.999
+STEP_CASES = st.lists(
+    st.tuples(
+        st.floats(0.01, 1.0),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),  # 0 is mu == eta
+        st.one_of(
+            st.floats(1e-12, 1e-3), st.floats(0.01, 0.99), st.floats(0.99, 0.999)
+        ),
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestStepArrays:
+    @settings(max_examples=200, deadline=None)
+    @given(STEP_CASES)
+    @example([(0.5, 0.0, 0.5, 0.0)])  # length 1: mu == eta at t = 0
+    @example([(1.0, 1.0, 1e-12, 3.0), (0.3, 0.0, 0.999, 10.0)])
+    def test_array_matches_scalar_oracle(self, cases):
+        eta = np.array([c[0] for c in cases])
+        mu = eta + np.array([c[1] for c in cases])
+        p = np.array([c[2] for c in cases])
+        t = np.array([c[3] for c in cases])
+        got = lemma_6_2_step(mu, eta, p, t)
+        for field in got:
+            assert isinstance(field, np.ndarray) and field.shape == (len(cases),)
+        for i, args in enumerate(zip(mu.tolist(), eta.tolist(), p.tolist(), t.tolist())):
+            want = step_oracle(*args)
+            assert [float(f[i]).hex() for f in got] == [w.hex() for w in want], args
+
+    def test_float_input_returns_floats(self):
+        step = lemma_6_2_step(2.0, 1.0, 0.5, 0.5)
+        assert all(type(field) is float for field in step)
+        assert [f.hex() for f in step] == [w.hex() for w in step_oracle(2.0, 1.0, 0.5, 0.5)]
+
+    def test_floats_broadcast_against_arrays(self):
+        t = np.array([0.0, 0.5, 2.0])
+        got = lemma_6_2_step(2.0, 1.0, 0.5, t)
+        for i, tt in enumerate(t.tolist()):
+            assert got.residual[i].hex() == lemma_6_2_step(2.0, 1.0, 0.5, tt).residual.hex()
+
+    def test_shape_errors(self):
+        with pytest.raises(PreconditionError, match="equal lengths"):
+            lemma_6_2_step(np.full(3, 2.0), np.ones(2), 0.5, 1.0)
+        with pytest.raises(PreconditionError, match="1-d arrays"):
+            lemma_6_2_step(np.full((2, 2), 2.0), 1.0, 0.5, 1.0)
+
+    def test_array_preconditions_name_the_value(self):
+        with pytest.raises(PreconditionError, match="got 1.5"):
+            lemma_6_2_step(2.0, 1.0, np.array([0.5, 1.5]), 1.0)
+        with pytest.raises(PreconditionError, match="mu >= eta"):
+            lemma_6_2_step(np.array([2.0, 0.5]), 1.0, 0.5, 1.0)
+        with pytest.raises(OutOfDomainError, match="nonnegative"):
+            lemma_6_2_step(2.0, 1.0, 0.5, np.array([1.0, -1e-300]))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1.0, 0.5, 0.5, math.nan),
+            (math.inf, 1.0, 0.5, 1.0),
+            (2.0, 1.0, 0.5, math.inf),
+            (2.0, 1.0, math.nan, 1.0),
+            (np.array([2.0, math.nan]), 1.0, 0.5, 1.0),
+        ],
+    )
+    def test_step(self, args):
+        with pytest.raises(OutOfDomainError, match="finite"):
+            lemma_6_2_step(*args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_multipliers(self, bad):
+        with pytest.raises(OutOfDomainError, match="finite"):
+            RecurrentSequences(np.array([1.0, bad]), np.ones(2))
+        with pytest.raises(OutOfDomainError, match="finite"):
+            RecurrentSequences(np.full(2, 2.0), np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["lam", "a"])
+    def test_partial_sum_lemma(self, which, bad):
+        x = np.ones(4)
+        x[2] = bad
+        lam, a = (x, np.ones(4)) if which == "lam" else (np.ones(4), x)
+        mult = RecurrentSequences(np.full(4, 0.5), np.ones(4))
+        with pytest.raises(OutOfDomainError, match="finite"):
+            lemma_6_1_residual(lam, a, mult, 0.5, 4)
+
+    def test_partial_sum_lemma_exponent(self):
+        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
+        with pytest.raises(OutOfDomainError, match="finite"):
+            lemma_6_1_residual(np.ones(4), np.ones(4), mult, -math.inf, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["lam", "a"])
+    def test_tail_sum_lemma(self, which, bad):
+        x = 0.5 ** np.arange(1, 60)
+        x[2] = bad
+        lam, a = (x, 0.5 ** np.arange(1, 60)) if which == "lam" else (np.ones(59), x)
+        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
+        with pytest.raises(OutOfDomainError, match="finite"):
+            lemma_6_2_residual(lam, a, mult, 0.5, 4)
 
 
 class TestFeasibilityConditions:

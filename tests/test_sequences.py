@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,11 +25,29 @@ from hardylab.sequences import (
     knopp_sequence,
     levin_steckin_sequence,
     power_aux_sequence,
-    power_sum_bound_checks,
+    power_sum_bounds,
     power_sums,
 )
 from hardylab.reports import Verdict
 from hardylab.verify import DEFAULT_SEED, lemma_suite_claims, reverse_machinery_claims
+
+
+class PowerSumBound(NamedTuple):
+    lhs: float
+    rhs: float
+    holds: bool
+    direction: str
+
+
+def power_sum_bound_checks(r, n_max, form="product"):
+    """power_sum_bounds for one (form, r) as one row of Python values per
+    n: row n - 1 holds both sides at n, whether the bound holds there and
+    its direction."""
+    (b,) = power_sum_bounds([(form, r)], n_max)
+    return [
+        PowerSumBound(lhs, rhs, holds, b.direction)
+        for lhs, rhs, holds in zip(b.lhs.tolist(), b.rhs.tolist(), b.holds.tolist())
+    ]
 
 
 class TestConjugateExponent:
@@ -594,6 +613,28 @@ class TestPowerSumRunningSums:
         with pytest.raises(OverflowError):
             power_sum_bound_checks(r, 1000, "ratio")
         assert_rows_match_fsum(r, 600, "ratio")
+
+    def test_grid_sums_formed_once_per_distinct_r(self, monkeypatch):
+        calls = []
+
+        def counted(terms):
+            calls.append(len(terms))
+            return _running_fsums(terms)
+
+        monkeypatch.setattr(sequences, "_running_fsums", counted)
+        bounds = power_sum_bounds(LEMMA_GRID, 1000)
+        # 0, 0.5 and 1 appear in both forms, ("ratio", 1.0) twice
+        assert calls == [1000] * len({r for _, r in LEMMA_GRID}) == [1000] * 16
+        monkeypatch.undo()
+        for (form, r), b in zip(LEMMA_GRID, bounds):
+            (alone,) = power_sum_bounds([(form, r)], 1000)
+            assert b.direction == alone.direction
+            for got, want in zip(b[:3], alone[:3]):
+                assert got.tobytes() == want.tobytes(), (form, r)
+
+    def test_grid_validates_every_case_before_summing(self):
+        with pytest.raises(OutOfDomainError):
+            power_sum_bounds([("product", 0.5), ("ratio", math.inf)], 10**12)
 
     def test_lemma_suite_rows_unchanged(self):
         rows = lemma_suite_claims(DEFAULT_SEED)
