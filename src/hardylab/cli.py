@@ -192,6 +192,8 @@ def _family(args: argparse.Namespace) -> SequenceFamily:
         return SequenceFamily(kind, length, 1.5 if param is None else param)
     if kind == "geometric":
         return SequenceFamily(kind, length, 0.5 if param is None else param)
+    if param is not None:  # it would be echoed as if applied
+        raise WorkbenchError(f"--family-param does not apply to --family {kind}")
     if kind == "random":
         return SequenceFamily(kind, length, args.seed)
     return SequenceFamily(kind, length)
@@ -201,6 +203,8 @@ def _operator(args: argparse.Namespace) -> OperatorSpec:
     if args.kind == "weighted-mean":
         alpha = 1.0 if args.alpha is None else args.alpha
         return OperatorSpec("weighted_mean", args.n_max, alpha=alpha)
+    if args.alpha is not None:  # it would be echoed as if applied
+        raise WorkbenchError("--alpha does not apply to --kind copson-tail")
     return OperatorSpec("copson_tail", args.n_max)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from .errors import OutOfDomainError, ParameterMismatchError, UndefinedRatioError
-from .sequences import power_sums
+from .sequences import power_sums, power_weights
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class OperatorSpec:
     def mean_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Weights i**(alpha-1), i <= truncation, and their compensated prefix sums."""
         alpha = float(self.alpha)
-        lam = np.arange(1, self.truncation + 1, dtype=float) ** (alpha - 1.0)
+        lam = power_weights(alpha - 1.0, self.truncation)
         total = power_sums(alpha - 1.0, self.truncation)
         if math.isfinite(total[-1]):  # else the means would be NaN or 0
             return lam, total
@@ -89,16 +89,14 @@ class SequenceFamily:
             raise OutOfDomainError("power_decay needs a finite exponent")
 
     def values(self) -> np.ndarray:
-        k = np.arange(1, self.length + 1, dtype=float)
         if self.kind == "power_decay":
-            k **= -float(self.param)
-            return k
+            return power_weights(-float(self.param), self.length)
         if self.kind == "delta":
             out = np.zeros(self.length)
             out[0] = 1.0
             return out
         if self.kind == "geometric":
-            return float(self.param) ** (k - 1.0)
+            return float(self.param) ** np.arange(self.length, dtype=float)
         rng = np.random.default_rng(int(self.param or 0))
         return rng.random(self.length)
 

@@ -31,7 +31,7 @@ from .errors import (
     TailTruncationWarning,
 )
 from .reports import CriterionReport, Tolerances, build_report
-from .sequences import _libm_map, conjugate_exponent
+from .sequences import conjugate_exponent, libm_map
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,18 @@ def lemma_6_1_residual(
     return rhs - lhs
 
 
+def _gap(mu: np.ndarray, eta: np.ndarray, p) -> np.ndarray:
+    """(mu**(1/(1-p)) - eta**(1/(1-p)))**(1-p) per element through libm_map,
+    for a float p or an array as long as mu.  A negative rounded base is
+    clamped to 0, whose power is +0.0."""
+    e = 1.0 / (1.0 - p)
+    try:
+        base = libm_map(pow, mu, e) - libm_map(pow, eta, e)
+    except OverflowError:
+        raise OutOfDomainError("mu**(1/(1-p)) overflows the float range") from None
+    return libm_map(pow, np.maximum(base, 0.0), 1.0 - p)
+
+
 class StepBound(NamedTuple):
     lhs: float | np.ndarray
     rhs: float | np.ndarray
@@ -182,11 +194,8 @@ def lemma_6_2_step(mu, eta, p, t) -> StepBound:
         raise PreconditionError("needs mu >= eta > 0")
     if (t < 0.0).any():
         raise OutOfDomainError("t must be nonnegative")
-    lhs = mu * _libm_map(pow, 1.0 + t, p) - eta * _libm_map(pow, t, p)
-    e = 1.0 / (1.0 - p)
-    base = _libm_map(pow, mu, e) - _libm_map(pow, eta, e)
-    # the sign of a zero base is lost to the power: 0**(1-p) is +0.0
-    rhs = _libm_map(pow, np.maximum(base, 0.0), 1.0 - p)
+    lhs = mu * libm_map(pow, 1.0 + t, p) - eta * libm_map(pow, t, p)
+    rhs = _gap(mu, eta, p)
     residual = lhs - rhs
     if all(a.ndim == 0 for a in args):
         return StepBound(float(lhs[0]), float(rhs[0]), float(residual[0]))
@@ -236,14 +245,9 @@ def lemma_6_2_residual(
     def S(k: int) -> float:
         return float(tails[k - 1]) if k <= length else 0.0
 
-    e = 1.0 / (1.0 - p)
-
-    def D(i: int) -> float:
-        base = mu[i - 1] ** e - eta[i - 1] ** e
-        return max(base, 0.0) ** (1.0 - p)
-
-    lhs = mu[0] * S(1) ** p - D(n) * S(n + 1) ** p
-    lhs += math.fsum((mu[i - 1] - D(i - 1)) * S(i) ** p for i in range(2, n + 1))
+    D = _gap(mu[:n], eta[:n], p)  # D[i - 1] is D_i
+    lhs = mu[0] * S(1) ** p - D[n - 1] * S(n + 1) ** p
+    lhs += math.fsum((mu[i - 1] - D[i - 2]) * S(i) ** p for i in range(2, n + 1))
     rhs = math.fsum(
         eta[i - 1] * lam_arr[i - 1] ** p * a_arr[i - 1] ** p for i in range(1, n + 1)
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -62,25 +62,34 @@ class AuxSequence:
         """w_1..w_{n_max}, with the builder's bits (a fresh n-length array)."""
         kind, param = self.law
         if kind == "power":
-            return _power_weights(param, self.n_max)
+            return power_weights(param, self.n_max)
         return _exp_weights(self.log_w)
 
 
-def _exp_weights(log_w: np.ndarray) -> np.ndarray:
-    """exp(log_w) through libm per element; inf from 709 up.
+def libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
+    """fn(x_i, args_i...) per element through the C library, in a new array:
+    the package's one libm map.
 
-    libm rather than numpy's vector exp: see _ratio_recurrence.  Each array
-    is read through a memoryview, which yields Python floats without
-    building one numpy scalar per element.
+    Arrays are read through a memoryview (Python floats, no numpy scalars);
+    a float in ``args`` is passed to every call.  numpy's vector exp, log1p,
+    expm1 and pow differ from libm in the last bit for some inputs on
+    AVX-512, which the brackets and lemma checks turn into visible slack.
     """
-    w = np.fromiter(
-        map(math.exp, memoryview(np.minimum(log_w, 709.0))), float, len(log_w)
-    )
+    columns = [
+        memoryview(a) if isinstance(a, np.ndarray) else repeat(a) for a in args
+    ]
+    return np.fromiter(map(fn, memoryview(x), *columns), float, len(x))
+
+
+def _exp_weights(log_w: np.ndarray) -> np.ndarray:
+    """exp(log_w) through libm_map; inf from 709 up."""
+    w = libm_map(math.exp, np.minimum(log_w, 709.0))
     w[~(log_w < 709.0)] = math.inf
     return w
 
 
-def _power_weights(exponent: float, n_max: int) -> np.ndarray:
+def power_weights(exponent: float, n_max: int) -> np.ndarray:
+    """n**exponent for n = 1..n_max in a new array: the package's one n**e."""
     w = np.arange(1, n_max + 1, dtype=float)
     w **= exponent
     return w
@@ -96,20 +105,17 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
         )
     # the compensated log accumulator is authoritative; the direct value is
     # its exponential while representable (sequential products would drift
-    # past the consistency tolerance near n ~ 10^6).  log1p and exp stay on
-    # libm per element: numpy's vector forms differ in the last bit for some
-    # inputs, and the criterion brackets difference these logs finely
-    # enough to turn one ulp into visible slack.  A leading 0.0 step makes
-    # the scan of the steps log_w itself.  Shift 0 is built in closed form
-    # with the same bits: every step log1p(+-0.0) scans to +0.0 and exp(0.0)
-    # is 1.0, so W holds the power sums of the ones.
+    # past the consistency tolerance near n ~ 10^6).  log1p and exp go
+    # through libm_map.  Entry 0 of the ratios is +0.0, whose log1p is +0.0,
+    # so the scan of the steps is log_w itself.  Shift 0 is built in closed
+    # form with the same bits: every step log1p(+-0.0) scans to +0.0 and
+    # exp(0.0) is 1.0, so W holds the power sums of the ones.
     if shift == 0.0:
         W = power_sums(0.0, n_max)
         return AuxSequence(n_max, ("recurrence", shift), np.zeros(n_max), W)
-    ratios = shift / np.arange(1, n_max)
-    log_w = np.fromiter(
-        chain((0.0,), map(math.log1p, memoryview(ratios))), float, n_max
-    )
+    ratios = np.arange(n_max, dtype=float)
+    np.divide(shift, ratios[1:], out=ratios[1:])
+    log_w = libm_map(math.log1p, ratios)
     del ratios
     neumaier_prefix_sums(log_w, out=log_w)
     w = _exp_weights(log_w)
@@ -165,7 +171,7 @@ def power_sums(a: float, n_max: int) -> np.ndarray:
     """
     if a == 0.0:
         return np.arange(1, n_max + 1, dtype=float)
-    terms = _power_weights(a, n_max)
+    terms = power_weights(a, n_max)
     if a == 1.0 and _triangular_sums_exact(n_max):
         return np.cumsum(terms, out=terms)
     return neumaier_prefix_sums(terms, out=terms)
@@ -192,21 +198,6 @@ class PowerSumBounds(NamedTuple):
     direction: str
 
 
-def _libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
-    """fn(x_i, args_i...) per element, through the C library, in a new array.
-
-    Arrays are read through a memoryview, which yields Python floats
-    without building one numpy scalar per element; a float in ``args`` is
-    passed to every call.  numpy's vector pow, log1p and expm1 differ from
-    the C library in the last bit for some inputs on AVX-512 machines, so
-    the transcendental parts of the lemma checks stay on libm.
-    """
-    columns = [
-        memoryview(a) if isinstance(a, np.ndarray) else repeat(a) for a in args
-    ]
-    return np.fromiter(map(fn, memoryview(x), *columns), float, len(x))
-
-
 def _running_fsums(terms: list[float]) -> list[float]:
     """math.fsum of every prefix of ``terms``, positive finite floats.
 
@@ -231,7 +222,7 @@ def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
     n = np.arange(1, len(lhs) + 1, dtype=float)
     if form == "product":
         # n (n+1)^r / (r+1)
-        rhs = _libm_map(pow, n + 1.0, r)
+        rhs = libm_map(pow, n + 1.0, r)
         rhs *= n
         rhs /= r + 1.0
         direction = ">="
@@ -239,11 +230,11 @@ def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
         # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is
         # stable; r u underflows to 0 for a subnormal r, where the factor
         # r / expm1(r u) is its limit 1/u
-        u = _libm_map(math.log1p, 1.0 / n)
+        u = libm_map(math.log1p, 1.0 / n)
         ru = r * u
-        denom = _libm_map(math.expm1, ru)
+        denom = libm_map(math.expm1, ru)
         factor = np.divide(r, denom, out=1.0 / u, where=ru != 0.0)
-        rhs = _libm_map(pow, n + 1.0, r)
+        rhs = libm_map(pow, n + 1.0, r)
         rhs /= r + 1.0
         rhs *= factor
         direction = ">=" if r >= 1.0 else "<="
@@ -285,11 +276,23 @@ def power_sum_bounds(
     """
     for form, r in cases:
         _check_bound_domain(r, n_max, form)
-    ns = np.arange(1, n_max + 1, dtype=float).tolist()
+    ns = np.arange(1, n_max + 1, dtype=float)
     sums: dict[float, np.ndarray] = {}  # i**(-0.0) is i**0.0, so 0.0 keys both
     bounds = []
     for form, r in cases:
         if r not in sums:
-            sums[r] = np.array(_running_fsums(list(map(pow, ns, repeat(r)))))
+            sums[r] = _fsum_power_sums(r, ns)
         bounds.append(_power_sum_bounds(r, form, sums[r]))
     return bounds
+
+
+def _fsum_power_sums(r: float, ns: np.ndarray) -> np.ndarray:
+    """math.fsum(i**r for i <= n) for each n of ns = 1..n_max, in a new array.
+
+    For an integer r >= 0 with n_max**(r+1) <= 2**53 every term and running
+    sum is an integer of at most 2**53, which power_sums forms exactly.
+    """
+    n_max = len(ns)
+    if 0.0 <= r < 53.0 and r == int(r) and n_max ** (int(r) + 1) <= 2**53:
+        return power_sums(r, n_max)
+    return np.array(_running_fsums(libm_map(pow, ns, r).tolist()))

@@ -42,6 +42,7 @@ from .redheffer import (
 )
 from .reports import Tolerances, Verdict
 from .sequences import (
+    conjugate_exponent,
     knopp_sequence,
     levin_steckin_sequence,
     power_sum_bounds,
@@ -126,7 +127,7 @@ def reverse_machinery_claims(n_max: int) -> list[Verdict]:
         # built to n_max, since the maps are elementwise and the scan causal
         W = seq.W[:n_max]
         n = np.arange(1, n_max + 1, dtype=float)
-        shift = 1.0 / p - 2.0
+        shift = seq.law[1]
         ident = (n + shift) / (1.0 + shift) * seq.weights()[:n_max]
         worst = float(np.max(np.abs(W - ident) / W))
         rows.append(
@@ -283,7 +284,7 @@ def hardy_bracketing_claims(n_max: int) -> list[Verdict]:
     ps = (1.25, 2.0, 3.0)
     for fam in HARDY_TEST_FAMILIES:
         for p, r in zip(ps, norm_ratios(ops[fam.length], fam, ps)):
-            q = p / (p - 1.0)
+            q = conjugate_exponent(p)
             cap_ok = cap_ok and r <= q + 1e-9
             worst_gap = min(worst_gap, q - r)
     rows.append(

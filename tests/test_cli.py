@@ -5,7 +5,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,44 @@ class TestExitCodes:
         assert status == 2
         assert err == f"error: cannot write --out {out_path}: {reason}\n"
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [
+            (("norm-ratio", "--kind", "copson-tail", "--alpha", "5", "--p", "0.5",
+              "--n-max", "100"), "--alpha", "does not apply to --kind copson-tail"),
+            (("extremal-search", "--kind", "copson-tail", "--alpha", "1",
+              "--p", "0.5", "--n-max", "100"),
+             "--alpha", "does not apply to --kind copson-tail"),
+            (("norm-ratio", "--family", "delta", "--family-param", "2", "--p", "2",
+              "--n-max", "10"), "--family-param", "does not apply to --family delta"),
+            (("norm-ratio", "--family", "random", "--family-param", "2", "--p", "2",
+              "--n-max", "10"), "--family-param", "does not apply to --family random"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_ignored_flag_exits_two(self, capsys, argv, flag, message):
+        # a value the run would not read is rejected, not echoed as applied
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert err == f"error: {flag} {message}\n"
+        assert out == ""
+
+    def test_module_entry_point_runs(self):
+        # python -m hardylab goes through __main__.py, as the console script
+        # goes through cli.main
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "hardylab", "check-2-30", "--p", "3",
+             "--n-max", "100"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("command: check-2-30\n")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_out_exits_two(self, capsys):

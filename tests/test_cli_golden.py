@@ -78,6 +78,15 @@ ARGVS = (
     # the reverse and the unit-weight forward bracket, past one 2**14 block
     ("check-reverse", "--p", "0.25", "--n-max", "20000"),
     ("check-2-30", "--p", "3", "--n-max", "20000"),
+    # a given value the run would not read
+    ("norm-ratio", "--kind", "copson-tail", "--alpha", "5", "--p", "0.5",
+     "--n-max", "100"),
+    ("extremal-search", "--kind", "copson-tail", "--alpha", "1", "--p", "0.5",
+     "--n-max", "100"),
+    ("norm-ratio", "--family", "delta", "--family-param", "2", "--p", "2",
+     "--n-max", "10"),
+    ("norm-ratio", "--family", "random", "--family-param", "2", "--p", "2",
+     "--n-max", "10"),
 )
 
 # Starts with a literal, which the regex engine searches for quickly: a scan

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hardylab.compsum import neumaier_suffix_sums
 from hardylab.errors import (
     OutOfDomainError,
     PreconditionError,
@@ -182,6 +183,43 @@ class TestTailSumLemma:
         mult = RecurrentSequences(np.ones(4), np.full(4, 2.0))
         with pytest.raises(PreconditionError):
             lemma_6_2_residual(np.ones(29), a, mult, 0.5, 4)
+
+    def test_residual_matches_python_float_expression(self):
+        # D_1..D_n come from one array pass with the bits of the scalar
+        # expression, a negative rounded base clamped to 0
+        rng = np.random.default_rng(3)
+        for i in range(40):
+            n = int(rng.integers(2, 20))
+            length = n + 40
+            lam = rng.uniform(0.5, 1.5, length)
+            a = rng.uniform(0.5, 1.5, length) * 0.5 ** np.arange(length)
+            p = float(rng.uniform(0.05, 0.95))
+            eta = rng.uniform(0.1, 1.1, n)
+            mu = eta + rng.uniform(0.0, 1.0, n) * (i % 3 != 0)  # some mu = eta
+            got = lemma_6_2_residual(lam, a, RecurrentSequences(mu, eta), p, n)
+            assert got.hex() == tail_residual_oracle(lam, a, mu, eta, p, n).hex()
+
+    @pytest.mark.parametrize("mu, p", [(1e4, 0.99), (1e300, 0.5)])
+    def test_gap_overflow_is_a_domain_error(self, mu, p):
+        a = 0.5 ** np.arange(1, 60)
+        mult = RecurrentSequences(np.full(3, mu), np.ones(3))
+        with pytest.raises(OutOfDomainError, match="overflows"):
+            lemma_6_2_residual(np.ones(59), a, mult, p, 3)
+        with pytest.raises(OutOfDomainError, match="overflows"):
+            lemma_6_2_step(mu, 1.0, p, 1.0)
+
+
+def tail_residual_oracle(lam, a, mu, eta, p, n):
+    """lemma_6_2_residual as Python float expressions, D_i one at a time."""
+    tails = neumaier_suffix_sums(lam * a).tolist()
+    S = [*tails, 0.0]  # S[k - 1] is S_k
+    e = 1.0 / (1.0 - p)
+    mu, eta, lam, a = mu.tolist(), eta.tolist(), lam.tolist(), a.tolist()
+    D = [max(m**e - h**e, 0.0) ** (1.0 - p) for m, h in zip(mu, eta)]
+    lhs = mu[0] * S[0] ** p - D[n - 1] * S[n] ** p
+    lhs += math.fsum((mu[i - 1] - D[i - 2]) * S[i - 1] ** p for i in range(2, n + 1))
+    rhs = math.fsum(eta[i] * lam[i] ** p * a[i] ** p for i in range(n))
+    return lhs - rhs
 
 
 def step_oracle(mu, eta, p, t):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import sys
 import warnings
@@ -24,6 +25,7 @@ from hardylab.sequences import (
     conjugate_exponent,
     knopp_sequence,
     levin_steckin_sequence,
+    libm_map,
     power_aux_sequence,
     power_sum_bounds,
     power_sums,
@@ -311,6 +313,44 @@ class TestRecurrenceBitIdentity:
     def test_levin_steckin_sequence(self, p):
         seq = levin_steckin_sequence(p, 2 * _BLOCK + 3)
         assert_matches_loop(seq, 1.0 / p - 2.0)
+
+
+class TestLibmMap:
+    """libm_map against one C library call per element, by bits."""
+
+    X = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.3, 1.0, 2.5, 7.0, 123.456, 700.0])
+
+    @pytest.mark.parametrize("fn", [math.log1p, math.expm1, math.exp])
+    def test_one_argument(self, fn):
+        got = libm_map(fn, self.X)
+        assert [x.hex() for x in got] == [fn(x).hex() for x in self.X.tolist()]
+
+    def test_pow_with_float_and_array_exponents(self):
+        x = self.X[self.X < 100.0]
+        exps = np.linspace(0.1, 3.7, len(x))
+        for args, calls in (
+            ((0.37,), [pow(v, 0.37) for v in x.tolist()]),
+            ((exps,), [pow(v, e) for v, e in zip(x.tolist(), exps.tolist())]),
+        ):
+            assert [v.hex() for v in libm_map(pow, x, *args)] == [
+                v.hex() for v in calls
+            ]
+        # a float exponent equals the same exponent repeated as an array
+        same = np.full(len(x), 0.37)
+        assert libm_map(pow, x, same).tobytes() == libm_map(pow, x, 0.37).tobytes()
+
+    @pytest.mark.parametrize("args", [(), (0.5,), (np.empty(0),)])
+    def test_empty_input(self, args):
+        fn = pow if args else math.exp
+        got = libm_map(fn, np.empty(0), *args)
+        assert got.dtype == np.float64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("shift", [-0.5, 1e-12, 2.0])
+    def test_recurrence_log_w_starts_at_positive_zero(self, shift):
+        # entry 0 of the steps is log1p(+0.0), sign bit included
+        seq = _ratio_recurrence(shift, 50)
+        assert seq.log_w[0].hex() == "0x0.0p+0"
+        assert math.copysign(1.0, seq.log_w[0]) == 1.0
 
 
 CLOSED_FORM_NS = (1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10**5, 10**6)
@@ -615,22 +655,43 @@ class TestPowerSumRunningSums:
         assert_rows_match_fsum(r, 600, "ratio")
 
     def test_grid_sums_formed_once_per_distinct_r(self, monkeypatch):
+        # the integer r of the grid take the exact power_sums route, the
+        # other 12 the running fsums; each distinct r is summed once
         calls = []
 
-        def counted(terms):
-            calls.append(len(terms))
+        def counted_fsums(terms):
+            calls.append(("fsum", len(terms)))
             return _running_fsums(terms)
 
-        monkeypatch.setattr(sequences, "_running_fsums", counted)
+        def counted_power_sums(a, n_max):
+            calls.append((a, n_max))
+            return power_sums(a, n_max)
+
+        monkeypatch.setattr(sequences, "_running_fsums", counted_fsums)
+        monkeypatch.setattr(sequences, "power_sums", counted_power_sums)
         bounds = power_sum_bounds(LEMMA_GRID, 1000)
         # 0, 0.5 and 1 appear in both forms, ("ratio", 1.0) twice
-        assert calls == [1000] * len({r for _, r in LEMMA_GRID}) == [1000] * 16
+        assert len(calls) == len({r for _, r in LEMMA_GRID}) == 16
+        assert sorted(c for c in calls if c[0] != "fsum") == [
+            (0.0, 1000), (1.0, 1000), (2.0, 1000), (3.0, 1000)
+        ]
+        assert calls.count(("fsum", 1000)) == 12
         monkeypatch.undo()
         for (form, r), b in zip(LEMMA_GRID, bounds):
             (alone,) = power_sum_bounds([(form, r)], 1000)
             assert b.direction == alone.direction
             for got, want in zip(b[:3], alone[:3]):
                 assert got.tobytes() == want.tobytes(), (form, r)
+
+    @pytest.mark.parametrize("r, n_max", [(2, 208063), (3, 9741)])
+    def test_exact_route_matches_integer_sums_at_its_bound(self, r, n_max):
+        # the largest n_max with n_max**(r+1) <= 2**53 sums through
+        # power_sums, the next through the running fsums
+        assert n_max ** (r + 1) <= 2**53 < (n_max + 1) ** (r + 1)
+        exact = list(itertools.accumulate(i**r for i in range(1, n_max + 2)))
+        for n in (n_max, n_max + 1):
+            (b,) = power_sum_bounds([("ratio", float(r))], n)
+            assert b.lhs.tolist() == [float(s) for s in exact[:n]]
 
     def test_grid_validates_every_case_before_summing(self):
         with pytest.raises(OutOfDomainError):
