@@ -87,6 +87,16 @@ class SequenceFamily:
             self.param is not None and math.isfinite(self.param)
         ):
             raise OutOfDomainError("power_decay needs a finite exponent")
+        if self.kind == "random" and not (
+            isinstance(self.param, (int, np.integer))
+            and not isinstance(self.param, bool)
+            and self.param >= 0
+        ):
+            raise OutOfDomainError(
+                f"random needs an integer seed >= 0, got {self.param!r}"
+            )
+        if self.kind == "delta" and self.param is not None:
+            raise OutOfDomainError("delta takes no parameter")
 
     def values(self) -> np.ndarray:
         if self.kind == "power_decay":
@@ -97,7 +107,7 @@ class SequenceFamily:
             return out
         if self.kind == "geometric":
             return float(self.param) ** np.arange(self.length, dtype=float)
-        rng = np.random.default_rng(int(self.param or 0))
+        rng = np.random.default_rng(int(self.param))
         return rng.random(self.length)
 
     def label(self) -> str:
@@ -121,31 +131,6 @@ def _materialize(a, N: int) -> np.ndarray:
             raise OutOfDomainError("inputs must not be NaN")
         raise OutOfDomainError("inputs must be nonnegative")
     return arr
-
-
-def apply_weighted_mean(op: OperatorSpec, a) -> np.ndarray:
-    """A_n = (sum_{i<=n} i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)), n <= N."""
-    arr = _materialize(a, op.truncation)
-    lam, total = op.mean_weights  # after the input checks, as their errors go first
-    means = np.multiply(lam, arr)
-    neumaier_prefix_sums(means, out=means)
-    return np.divide(means, total, out=means)
-
-
-def apply_copson_tail(a, N: int, tail_mass: float = 0.0) -> np.ndarray:
-    """T_n = (sum_{k=n}^{N} a_k + tail_mass) / n for n <= N.
-
-    ``tail_mass`` is an analytic estimate of the dropped sum beyond N
-    (see power_decay_tail_bounds); zero means plain truncation, which for
-    nonnegative input is itself a valid finite-support instance.
-    """
-    arr = _materialize(a, N)
-    if not tail_mass >= 0.0:  # NaN fails the comparison too
-        if math.isnan(tail_mass):
-            raise OutOfDomainError("tail mass must not be NaN")
-        raise OutOfDomainError("tail mass must be nonnegative")
-    suffix = neumaier_suffix_sums(arr)
-    return _tail_means(suffix, tail_mass, out=suffix)
 
 
 def _tail_means(
@@ -186,19 +171,29 @@ def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray
     return np.exp(out, out=out, where=pos)
 
 
-def _apply(op: OperatorSpec, arr: np.ndarray, tail_mass: float) -> np.ndarray:
+def _apply(op: OperatorSpec, arr: np.ndarray) -> np.ndarray:
+    """op applied, in a new array, to an input _materialize has checked:
+    A_n = (sum_{i<=n} i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)), or
+    T_n = (1/n) sum_{k=n}^{N} a_k, whose plain truncation is for nonnegative
+    input itself a valid finite-support instance."""
     if op.kind == "weighted_mean":
-        return apply_weighted_mean(op, arr)
-    return apply_copson_tail(arr, op.truncation, tail_mass)
+        lam, total = op.mean_weights
+        means = np.multiply(lam, arr)
+        neumaier_prefix_sums(means, out=means)
+        return np.divide(means, total, out=means)
+    suffix = neumaier_suffix_sums(arr)
+    return _tail_means(suffix, 0.0, out=suffix)
 
 
 def _power_sum(x: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
     """Exactly rounded sum of x**p; out of domain once it leaves the float range.
 
-    The powers are formed in ``out``, which may be x itself.
+    The powers, inf where they overflow, are formed in ``out``, which may be x.
     """
+    with np.errstate(over="ignore"):
+        powers = _pow_p(x, p, out)
     try:
-        total = math.fsum(memoryview(_pow_p(x, p, out)))  # the doubles, no list
+        total = math.fsum(memoryview(powers))  # the doubles, no list
     except OverflowError:  # finite terms whose sum overflows
         total = math.inf
     if not math.isfinite(total):
@@ -214,32 +209,31 @@ def _check_exponent(p: float) -> None:
         raise OutOfDomainError(f"p must be positive, got {p}")
 
 
-def _denominator(arr: np.ndarray, N: int, p: float) -> float:
-    """sum arr_n**p, nonzero; a denominator that fails checks the input
-    first, so an input error still comes before the denominator's own."""
-    try:
-        denom = _power_sum(arr, p)
-        if denom == 0.0:
-            raise UndefinedRatioError("input is identically zero on the truncation")
-    except ValueError:  # fsum's own (-inf + inf) needs a negative input
-        _materialize(arr, N)
-        raise
-    return denom
+def _constant_ratios(op: OperatorSpec, a, ps):
+    """sum (op a)_n**p / sum a_n**p for each p of ps, each yielded before
+    the next is formed, so a caller's own error for one p comes in turn.
 
-
-def constant_ratio(op: OperatorSpec, a, p: float, tail_mass: float = 0.0) -> float:
-    """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p.
-
-    The operator checks the input once, before it reads its weights.
+    Every p is checked, then the input, once, then every denominator, all
+    before the operator runs, once; the last power sum forms its powers in
+    the means' own buffer.
     """
-    _check_exponent(p)
-    N = op.truncation
-    # overflowed terms become inf, and _power_sum rejects their sum
+    for p in ps:
+        _check_exponent(p)
+    # an entry that overflows is inf, and _power_sum rejects its powers' sum
     with np.errstate(over="ignore"):
-        arr = _values(a)[:N]
-        denom = _denominator(arr, N, p)
-        means = _apply(op, arr, tail_mass)
-        return _power_sum(means, p, out=means) / denom
+        arr = _materialize(a, op.truncation)
+        denoms = [_power_sum(arr, p) for p in ps]
+        if 0.0 in denoms:
+            raise UndefinedRatioError("input is identically zero on the truncation")
+        means = _apply(op, arr)
+    last = len(denoms) - 1
+    for i, (p, denom) in enumerate(zip(ps, denoms)):
+        yield _power_sum(means, p, out=means if i == last else None) / denom
+
+
+def constant_ratio(op: OperatorSpec, a, p: float) -> float:
+    """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p."""
+    return next(_constant_ratios(op, a, (p,)))
 
 
 def _root(ratio: float, p: float) -> float:
@@ -266,19 +260,8 @@ def norm_ratio(op: OperatorSpec, a, p: float) -> float:
 
 
 def norm_ratios(op: OperatorSpec, a, ps) -> list[float]:
-    """norm_ratio(op, a, p) for each p of ps, with the operator applied once.
-
-    The denominators are formed, and so checked, before the operator runs.
-    """
-    for p in ps:
-        _check_exponent(p)
-    N = op.truncation
-    with np.errstate(over="ignore"):
-        arr = _values(a)[:N]
-        denoms = [_denominator(arr, N, p) for p in ps]
-        means = _apply(op, arr, 0.0)
-        # each power sum reads means afresh: no out=, so nothing in place
-        return [_root(_power_sum(means, p) / d, p) for p, d in zip(ps, denoms)]
+    """norm_ratio(op, a, p) for each p of ps, with the operator applied once."""
+    return [_root(r, p) for r, p in zip(_constant_ratios(op, a, ps), ps)]
 
 
 class TailCorrectedRatio(NamedTuple):
@@ -298,14 +281,13 @@ def copson_ratio_with_tail(s: float, p: float, N: int) -> TailCorrectedRatio:
     fam = SequenceFamily("power_decay", N, s)
     lo, hi = power_decay_tail_bounds(s, N)
     _check_exponent(p)
-    with np.errstate(over="ignore"):
-        arr = fam.values()  # k**-s lies in [0, 1] for s > 1: nothing to check
-        denom = _power_sum(arr, p)  # >= 1, the k = 1 term
-        suffix = neumaier_suffix_sums(arr)
-        ratios = []
-        for tail_mass in (0.0, lo, hi):
-            means = _tail_means(suffix, tail_mass)
-            ratios.append(_power_sum(means, p, out=means) / denom)
+    arr = fam.values()  # k**-s lies in [0, 1] for s > 1: nothing to check
+    denom = _power_sum(arr, p)  # >= 1, the k = 1 term
+    suffix = neumaier_suffix_sums(arr)
+    ratios = []
+    for tail_mass in (0.0, lo, hi):
+        means = _tail_means(suffix, tail_mass)
+        ratios.append(_power_sum(means, p, out=means) / denom)
     return TailCorrectedRatio(*ratios)
 
 

@@ -114,7 +114,8 @@ def lemma_6_1_residual(
 
     with S_n the weighted partial sums.  A nonnegative return confirms the
     instance.  When mu_i = eta_i the coefficient degenerates (for
-    0 < p < 1 it blows up to +inf) and the inequality holds trivially.
+    0 < p < 1 it blows up to +inf) and the inequality holds trivially.  The
+    terms are Python floats, so a power that leaves the float range raises.
     """
     if n < 2:
         raise OutOfDomainError("horizon must satisfy n >= 2")
@@ -126,8 +127,10 @@ def lemma_6_1_residual(
     a_arr = _positive_input(a, n, "a")
     if len(multipliers.mu) < n:
         raise PreconditionError("multiplier sequences shorter than horizon")
-    mu, eta = multipliers.mu, multipliers.eta
-    S = neumaier_prefix_sums(lam_arr * a_arr)
+    mu, eta = multipliers.mu[:n].tolist(), multipliers.eta[:n].tolist()
+    lam_a = lam_arr * a_arr
+    S = neumaier_prefix_sums(lam_a).tolist()
+    lam_a = lam_a.tolist()
 
     def coef(i: int) -> float:
         d = mu[i - 1] ** q - eta[i - 1] ** q
@@ -138,13 +141,17 @@ def lemma_6_1_residual(
         return d ** (1.0 / q)
 
     inv_p = 1.0 / p
-    lhs = mu[n - 1] * S[n - 1] ** inv_p
-    for i in range(2, n):
-        lhs += (mu[i - 1] - coef(i + 1)) * S[i - 1] ** inv_p
-    rhs = coef(2) * (lam_arr[0] * a_arr[0]) ** inv_p
-    rhs += math.fsum(
-        eta[i - 1] * (lam_arr[i - 1] * a_arr[i - 1]) ** inv_p for i in range(2, n + 1)
-    )
+    try:
+        lhs = mu[n - 1] * S[n - 1] ** inv_p
+        for i in range(2, n):
+            lhs += (mu[i - 1] - coef(i + 1)) * S[i - 1] ** inv_p
+        rhs = coef(2) * lam_a[0] ** inv_p
+        rhs += math.fsum(eta[i - 1] * lam_a[i - 1] ** inv_p for i in range(2, n + 1))
+    except OverflowError:
+        raise OutOfDomainError(
+            f"a power of the multipliers or of the sums overflows the float "
+            f"range (p={p})"
+        ) from None
     return rhs - lhs
 
 

@@ -17,8 +17,6 @@ from hardylab.operators import (
     SequenceFamily,
     _pow_p,
     _power_sum,
-    apply_copson_tail,
-    apply_weighted_mean,
     cesaro,
     constant_ratio,
     copson_ratio_with_tail,
@@ -38,6 +36,11 @@ def weighted_mean(alpha: float, N: int) -> OperatorSpec:
     return OperatorSpec("weighted_mean", N, alpha=alpha)
 
 
+def apply(op: OperatorSpec, a) -> np.ndarray:
+    """The operator kernel on the input checked as the ratios check it."""
+    return operators._apply(op, operators._materialize(a, op.truncation))
+
+
 class TestSpecs:
     def test_operator_validation(self):
         with pytest.raises(OutOfDomainError):
@@ -55,6 +58,12 @@ class TestSpecs:
             SequenceFamily("geometric", 5, 1.5)
         with pytest.raises(OutOfDomainError):
             SequenceFamily("power_decay", 5)
+        # no coerced parameter: 7.9 ran seed 7, None seed 0, -1 failed only
+        # in values(), and delta's label showed a parameter it ignored
+        for kind, param in [("random", 7.9), ("random", None), ("random", -1),
+                            ("random", True), ("delta", 3.0)]:
+            with pytest.raises(OutOfDomainError):
+                SequenceFamily(kind, 5, param)
 
     @pytest.mark.parametrize(
         "make",
@@ -86,54 +95,42 @@ class TestSpecs:
 
 class TestWeightedMean:
     def test_delta_input_gives_reciprocal_weights(self):
-        out = apply_weighted_mean(cesaro(5), np.array([1.0, 0, 0, 0, 0]))
+        out = apply(cesaro(5), np.array([1.0, 0, 0, 0, 0]))
         assert out == pytest.approx(1.0 / np.arange(1, 6))
 
     def test_rows_sum_to_one(self):
         for alpha in (0.5, 1.0, 1.5, 2.0):
-            out = apply_weighted_mean(weighted_mean(alpha, 1000), np.ones(1000))
+            out = apply(weighted_mean(alpha, 1000), np.ones(1000))
             assert np.max(np.abs(out - 1.0)) <= 1e-12
 
     def test_quadratic_weights_spot_value(self):
-        out = apply_weighted_mean(weighted_mean(2.0, 3), np.array([1.0, 0, 0]))
+        out = apply(weighted_mean(2.0, 3), np.array([1.0, 0, 0]))
         assert out[2] == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_input_validation(self):
-        with pytest.raises(ParameterMismatchError):
-            apply_weighted_mean(cesaro(5), np.ones(3))
-        with pytest.raises(OutOfDomainError):
-            apply_weighted_mean(cesaro(2), np.array([1.0, -2.0]))
+        with pytest.raises(ParameterMismatchError, match="input length 3 < truncation 5"):
+            constant_ratio(cesaro(5), np.ones(3), 2.0)
+        with pytest.raises(OutOfDomainError, match="^inputs must be nonnegative$"):
+            constant_ratio(cesaro(2), np.array([1.0, -2.0]), 2.0)
 
 
 class TestCopsonTail:
     def test_finite_support_values(self):
-        assert apply_copson_tail(np.array([1.0, 0, 0]), 3) == pytest.approx([1, 0, 0])
-        assert apply_copson_tail(np.array([1.0, 1, 0, 0]), 4) == pytest.approx(
+        assert apply(copson_tail(3), np.array([1.0, 0, 0])) == pytest.approx([1, 0, 0])
+        assert apply(copson_tail(4), np.array([1.0, 1, 0, 0])) == pytest.approx(
             [2.0, 0.5, 0.0, 0.0]
         )
 
     def test_tail_correction_brackets_infinite_sum(self):
         N = 10000
         lo, hi = power_decay_tail_bounds(3.0, N)
-        vals = SequenceFamily("power_decay", N, 3.0).values()
-        t_lo = apply_copson_tail(vals, N, lo)[0]
-        t_hi = apply_copson_tail(vals, N, hi)[0]
-        assert t_lo <= APERY <= t_hi + 1e-15
-        assert t_hi - t_lo <= 2e-12
+        t1 = apply(copson_tail(N), SequenceFamily("power_decay", N, 3.0))[0]
+        assert t1 + lo <= APERY <= t1 + hi + 1e-15
+        assert hi - lo <= 2e-12
 
     def test_tail_bounds_domain(self):
         with pytest.raises(OutOfDomainError):
             power_decay_tail_bounds(1.0, 100)
-        with pytest.raises(OutOfDomainError):
-            apply_copson_tail(np.ones(5), 5, -1.0)
-
-    def test_nan_tail_mass_rejected(self):
-        # NaN passes a plain `< 0` test; unchecked it gives NaN means, and
-        # through constant_ratio a misleading "overflows" error
-        with pytest.raises(OutOfDomainError, match="^tail mass must not be NaN$"):
-            apply_copson_tail([1.0, 1.0], 2, math.nan)
-        with pytest.raises(OutOfDomainError, match="^tail mass must not be NaN$"):
-            constant_ratio(copson_tail(2), [1.0, 1.0], 2.0, tail_mass=math.nan)
 
 
 class TestNormRatio:
@@ -299,26 +296,66 @@ class TestOperatorAppliedOnce:
         assert calls == [2000]
 
     @pytest.mark.parametrize(
-        "a, ps, error",
+        "a, ps, error, message",
         [
-            ([1.0, math.nan, 1.0], (2.0, 3.0), OutOfDomainError),
-            ([0.0, 0.0, 0.0], (2.0, 3.0), UndefinedRatioError),
-            ([1.0, 1.0, 1.0], (2.0, 0.0), OutOfDomainError),
+            ([1.0, math.nan, 1.0], (2.0, 3.0), OutOfDomainError,
+             "^inputs must not be NaN$"),
+            ([0.0, 0.0, 0.0], (2.0, 3.0), UndefinedRatioError, "identically zero"),
+            ([1.0, 1.0, 1.0], (2.0, 0.0), OutOfDomainError, "p must be positive"),
         ],
         ids=["nan", "zero", "p"],
     )
-    def test_norm_ratios_errors(self, a, ps, error):
-        with pytest.raises(error):
+    def test_norm_ratios_errors(self, a, ps, error, message):
+        with pytest.raises(error, match=message):
             norm_ratios(cesaro(3), a, ps)
+
+    def test_norm_ratios_roots_each_ratio_in_turn(self):
+        # the p = 1e-3 root overflows, and so, one p later, does the sum of
+        # the means' 300th powers: norm_ratio's error for the first p comes
+        op = weighted_mean(-20.0, 10)
+        a = [10.59] + [0.0] * 9
+        with pytest.raises(OutOfDomainError, match=r"p=300.0\) overflows"):
+            norm_ratios(op, a, (300.0,))
+        with pytest.raises(OutOfDomainError, match=r"power overflows \(p=0.001\)"):
+            norm_ratios(op, a, (1e-3, 300.0))
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [
+            lambda op, fam: constant_ratio(op, fam, 2.0),
+            lambda op, fam: norm_ratio(op, fam, 2.0),
+            lambda op, fam: norm_ratios(op, fam, (1.25, 2.0, 3.0)),
+        ],
+        ids=["constant_ratio", "norm_ratio", "norm_ratios"],
+    )
+    def test_input_checked_once(self, monkeypatch, ratios):
+        calls = []
+        materialize = operators._materialize
+
+        def counted(a, N):
+            calls.append(N)
+            return materialize(a, N)
+
+        monkeypatch.setattr(operators, "_materialize", counted)
+        for op in (cesaro(2000), copson_tail(2000)):
+            calls.clear()
+            ratios(op, self.FAMILIES[2])
+            assert calls == [2000]
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_tail_ratios_match_constant_ratio(self, monkeypatch, s):
         N = 10000
         fam = SequenceFamily("power_decay", N, s)
-        masses = (0.0, *power_decay_tail_bounds(s, N))
-        want = [
-            constant_ratio(copson_tail(N), fam, 0.5, tail_mass=m).hex()
-            for m in masses
+        lo, hi = power_decay_tail_bounds(s, N)
+        # the exact oracle: the family's suffix sums plus the mass over n,
+        # then the same exp/log powers, each sum rounded once by fsum
+        vals = fam.values()
+        denom = math.fsum(gather_pow(vals, 0.5).tolist())
+        ramp = np.arange(1, N + 1, dtype=float)
+        want = [constant_ratio(copson_tail(N), fam, 0.5).hex()] + [
+            (math.fsum(gather_pow((neumaier_suffix_sums(vals) + m) / ramp, 0.5)
+                       .tolist()) / denom).hex()
+            for m in (lo, hi)
         ]
         calls = []
 

@@ -321,6 +321,21 @@ class TestNonFiniteInputs:
         with pytest.raises(OutOfDomainError, match="finite"):
             lemma_6_1_residual(lam, a, mult, 0.5, 4)
 
+    @pytest.mark.parametrize(
+        "lam, mu, eta, p",
+        [
+            (1.0, 1e-5, 2e-5, 0.99),  # mu**q with q = -99
+            (1e10, 0.5, 1.0, 0.01),  # S**(1/p) with 1/p = 100
+        ],
+        ids=["multiplier-power", "sum-power"],
+    )
+    def test_partial_sum_lemma_power_overflow(self, lam, mu, eta, p):
+        # these powers used to overflow to inf inside numpy, with warnings,
+        # and the residual came out NaN
+        mult = RecurrentSequences(np.full(4, mu), np.full(4, eta))
+        with pytest.raises(OutOfDomainError, match="overflows the float range"):
+            lemma_6_1_residual(np.full(4, lam), np.full(4, lam), mult, p, 4)
+
     def test_partial_sum_lemma_exponent(self):
         mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
         with pytest.raises(OutOfDomainError, match="finite"):
