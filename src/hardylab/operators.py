@@ -157,18 +157,18 @@ def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
 def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise x**p for nonnegative x; exp/log route for non-integer p.
 
-    ``out`` may be x itself.
+    A NaN entry stays NaN.  ``out`` may be x itself.
     """
     if p == round(p):
         return np.power(x, float(p), out=out)
-    pos = x > 0.0
+    nonzero = x != 0.0
     if out is None:
         out = np.zeros_like(x)
     else:
-        out[~pos] = 0.0
-    np.log(x, out=out, where=pos)
-    np.multiply(p, out, out=out, where=pos)
-    return np.exp(out, out=out, where=pos)
+        out[~nonzero] = 0.0
+    np.log(x, out=out, where=nonzero)
+    np.multiply(p, out, out=out, where=nonzero)
+    return np.exp(out, out=out, where=nonzero)
 
 
 def _apply(op: OperatorSpec, arr: np.ndarray) -> np.ndarray:

@@ -128,8 +128,13 @@ def lemma_6_1_residual(
     if len(multipliers.mu) < n:
         raise PreconditionError("multiplier sequences shorter than horizon")
     mu, eta = multipliers.mu[:n].tolist(), multipliers.eta[:n].tolist()
-    lam_a = lam_arr * a_arr
+    with np.errstate(over="ignore"):
+        lam_a = lam_arr * a_arr
     S = neumaier_prefix_sums(lam_a).tolist()
+    if not (np.all(lam_a > 0.0) and math.isfinite(S[-1])):
+        raise OutOfDomainError(
+            "each lam_i a_i and their sum must be positive and finite floats"
+        )
     lam_a = lam_a.tolist()
 
     def coef(i: int) -> float:
@@ -274,9 +279,11 @@ def _second_branch(p: float, c, beta, n) -> np.ndarray:
     e = 1.0 - p
     low = n - 1.0 - beta
     safe_low = np.where(low > 0.0, low, 1.0)
+    with np.errstate(over="ignore"):  # an inf ratio gives an inf branch
+        ratio = (c + 1.0) / safe_low
     diff = np.where(
         low > 0.0,
-        safe_low**e * np.expm1(e * np.log1p((c + 1.0) / safe_low)),
+        safe_low**e * np.expm1(e * np.log1p(ratio)),
         (low + c + 1.0) ** e,
     )
     return n**p * diff
@@ -311,7 +318,8 @@ def condition_6_49_check(
     rhs = c ** (1.0 - p) * k
     if not 0.0 < rhs < math.inf:  # every slack would be NaN or -inf
         raise OutOfDomainError(f"c**(1-p) k must be positive and finite, got {rhs}")
-    slacks = (rhs - values) / rhs
+    with np.errstate(over="ignore"):  # an overflowing slack is -inf
+        slacks = (rhs - values) / rhs
     return build_report(
         f"6.49[p={p},c={c},beta={beta}]",
         "6.49",

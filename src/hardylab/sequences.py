@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -198,20 +198,6 @@ class PowerSumBounds(NamedTuple):
     direction: str
 
 
-def _running_fsums(terms: list[float]) -> list[float]:
-    """math.fsum of every prefix of ``terms``, positive finite floats.
-
-    Each float is m / d with d a power of two (float.as_integer_ratio), so
-    over the largest denominator D every prefix is an exact integer; the
-    int / int division rounds it once, correctly (round-half-even), as
-    math.fsum does.  Entry n - 1 therefore equals math.fsum(terms[:n]) bit
-    for bit, and a prefix past the float range raises OverflowError.
-    """
-    ratios = [x.as_integer_ratio() for x in terms]
-    D = max(d for _, d in ratios)
-    return [s / D for s in accumulate(m * (D // d) for m, d in ratios)]
-
-
 def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
     """Compare each lhs[n - 1] = sum_{i<=n} i**r with the bound at n, for an
     already validated (form, r).
@@ -270,29 +256,18 @@ def power_sum_bounds(
                      for r >= 1; the comparison reverses for -1 < r <= 1.
 
     The bound holds non-strictly, at relative tolerance 1e-12.  Every case
-    is validated before any sum is formed.  The sums are exactly rounded
-    running sums, formed once per distinct r: each lhs equals
-    math.fsum(float(i) ** r for i in range(1, n + 1)) bit for bit.
+    is validated before any sum is formed.  The sums come from power_sums,
+    once per distinct r; a sum past the float range is out of domain.
     """
     for form, r in cases:
         _check_bound_domain(r, n_max, form)
-    ns = np.arange(1, n_max + 1, dtype=float)
     sums: dict[float, np.ndarray] = {}  # i**(-0.0) is i**0.0, so 0.0 keys both
     bounds = []
     for form, r in cases:
         if r not in sums:
-            sums[r] = _fsum_power_sums(r, ns)
+            with np.errstate(over="ignore"):
+                sums[r] = power_sums(r, n_max)
+            if not math.isfinite(sums[r][-1]):  # the sums never decrease
+                raise OutOfDomainError(f"sum_(i<={n_max}) i**{r} overflows")
         bounds.append(_power_sum_bounds(r, form, sums[r]))
     return bounds
-
-
-def _fsum_power_sums(r: float, ns: np.ndarray) -> np.ndarray:
-    """math.fsum(i**r for i <= n) for each n of ns = 1..n_max, in a new array.
-
-    For an integer r >= 0 with n_max**(r+1) <= 2**53 every term and running
-    sum is an integer of at most 2**53, which power_sums forms exactly.
-    """
-    n_max = len(ns)
-    if 0.0 <= r < 53.0 and r == int(r) and n_max ** (int(r) + 1) <= 2**53:
-        return power_sums(r, n_max)
-    return np.array(_running_fsums(libm_map(pow, ns, r).tolist()))

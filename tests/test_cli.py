@@ -215,6 +215,10 @@ class TestExplicitArguments:
             # every term is finite, their sum is not
             ("norm-ratio", "--kind", "copson-tail", "--family", "power_decay",
              "--family-param", "-308.1", "--n-max", "10", "--p", "1"),
+            # the weighted means overflow to NaN, whose power is NaN, not 0
+            ("norm-ratio", "--kind=weighted-mean", "--alpha=2",
+             "--family=power_decay", "--family-param=-307.9", "--n-max=10",
+             "--p=0.5"),
             # a ratio above 1 to the power 1/p = 1e300 overflows
             ("extremal-search", "--p", "1e-300", "--n-max", "10"),
             ("norm-ratio", "--p", "1e-300", "--family", "delta", "--n-max", "10"),
@@ -223,6 +227,8 @@ class TestExplicitArguments:
             # numpy's generator takes no negative seed
             ("norm-ratio", "--family", "random", "--seed", "-1", "--p", "2",
              "--n-max", "10"),
+            # (c + 1)/(n - 1 - beta) overflows before c**(1-p) k does
+            ("redheffer-check", "--p=0.5", "--c=1e308", "--beta=0.5"),
             # k(p) = 1/c**(1-p) overflows, so every 6.49 slack would be NaN
             ("redheffer-check", "--p=5e-324", "--c=5e-324", "--beta=0.0"),
             # i**(alpha-1) overflows, and inf * 0 is NaN
@@ -262,6 +268,21 @@ class TestExplicitArguments:
         assert [str(w.message) for w in caught] == []
         assert status == want
         assert err == ""
+
+    def test_slack_past_float_range_is_a_failure(self, capsys):
+        # (rhs - values) / rhs overflows for a subnormal k: slack -inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, out, err = run_cli(
+                capsys, "redheffer-check", "--p=0.3", "--c=2", "--beta=0.2",
+                "--k=1e-320", "--n-max=10", "--format=json",
+            )
+        assert [str(w.message) for w in caught] == []
+        assert (status, err) == (1, "")
+        (v, *_) = json.loads(out)["verdicts"]
+        assert (v["claim"], v["first_failure"], v["min_slack"]) == (
+            "6.49[p=0.3,c=2.0,beta=0.2]", 2, None
+        )
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -831,3 +852,62 @@ class TestArgvFuzz:
         assert "Traceback" not in err.getvalue()
         # a warning would print on stderr ahead of the report or error line
         assert [str(w.message) for w in caught] == [], argv
+
+
+# Each subcommand's in-domain flags and the float flags the sweep moves
+# one at a time to the edges of the float range, at both signs.
+_SWEEP = {
+    "check-knopp": (["--p=2"], ("--p", "--alpha", "--U")),
+    "check-2-20": (["--p=2", "--alpha=0.5"], ("--p", "--alpha")),
+    "check-reverse": (["--p=0.25"], ("--p",)),
+    "check-2-30": (["--p=3"], ("--p",)),
+    "check-2-4": (["--p=5"], ("--p",)),
+    "check-2-3": (["--p=2", "--alpha=1.5"], ("--p", "--alpha")),
+    "redheffer-solve": (["--c=2.5"], ("--c",)),
+    "redheffer-check": (["--p=0.5", "--c=2", "--beta=0.5"], ("--p", "--c", "--k")),
+    "redheffer-scan": (["--p=0.34"], ("--p",)),
+    "norm-ratio": (
+        ["--p=0.5", "--kind=weighted-mean", "--alpha=2", "--family=power_decay"],
+        ("--p", "--alpha", "--family-param"),
+    ),
+    "extremal-search": (
+        ["--p=2", "--kind=weighted-mean", "--alpha=1"], ("--p", "--alpha")
+    ),
+    "verify-paper": ([], ()),
+}
+_SWEEP_VALUES = (
+    1e-320, 1e-300, 1e-10, 1e10, 1e300, 1e308,
+    -0.4999, -1.0, -1e10, -1e100, -1e300, -1e308,
+)
+
+
+def _sweep_argvs(name: str) -> list[list[str]]:
+    """The subcommand at its base flags, then with each swept flag at each
+    edge value, every one at --n-max 3 and 50."""
+    base, swept = _SWEEP[name]
+    variants = [base] + [
+        [b for b in base if not b.startswith(flag + "=")] + [f"{flag}={v!r}"]
+        for flag in swept
+        for v in _SWEEP_VALUES
+    ]
+    return [[name, *flags, f"--n-max={n}"] for n in (3, 50) for flags in variants]
+
+
+class TestExtremeFlagSweep:
+    def test_covers_every_subcommand(self):
+        assert set(_SWEEP) == set(_declared_flags())
+        assert sum(len(_sweep_argvs(name)) for name in _SWEEP) == 504
+
+    @pytest.mark.parametrize("name", sorted(_SWEEP))
+    def test_exit_status_and_one_stderr_line(self, name):
+        # in-process, so a numpy warning is an error here and would reach
+        # the CLI as exit 3 ("internal error")
+        faults = []
+        for argv in _sweep_argvs(name):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                status = main(argv)
+            if status not in (0, 1, 2) or err.getvalue().count("\n") > 1:
+                faults.append((argv, status, err.getvalue()))
+        assert faults == []

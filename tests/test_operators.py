@@ -209,6 +209,9 @@ class TestNormRatio:
             constant_ratio(copson_tail(3), [1.0, math.inf, 1.0], 2.0)
         with pytest.raises(OutOfDomainError, match="^inputs must be nonnegative$"):
             constant_ratio(copson_tail(3), [1.0, -1.0, 1.0], 2.0)
+        # 2 * 1e308 overflows in the mean's scan, which leaves NaN
+        with pytest.raises(OutOfDomainError, match=r"powers \(p=0.5\) overflows"):
+            constant_ratio(weighted_mean(2.0, 3), [1e308, 1e308, 1.0], 0.5)
 
     @pytest.mark.parametrize("unread", [-1.0, math.nan])
     def test_entries_past_truncation_are_not_validated(self, unread):
@@ -239,9 +242,10 @@ class TestPowerSum:
             (np.full(8, 1e205), 1.5),  # finite terms near 3e307
             (np.array([1.0, math.inf]), 2.0),
             (np.array([1.0, math.inf]), 0.5),
+            (np.array([1.0, math.nan]), 0.5),  # its power is NaN, not 0
         ],
         ids=["finite-integer-p", "finite-fractional-p", "inf-integer-p",
-             "inf-fractional-p"],
+             "inf-fractional-p", "nan-fractional-p"],
     )
     def test_overflow_out_of_domain(self, x, p):
         with pytest.raises(OutOfDomainError, match="overflows"):

@@ -336,6 +336,19 @@ class TestNonFiniteInputs:
         with pytest.raises(OutOfDomainError, match="overflows the float range"):
             lemma_6_1_residual(np.full(4, lam), np.full(4, lam), mult, p, 4)
 
+    @pytest.mark.parametrize(
+        "x, mu",
+        [
+            (1e200, 0.5),  # lam a overflows: inf - inf
+            (1e-200, 1.0),  # lam a underflows to 0 under an inf coefficient
+        ],
+        ids=["product-overflow", "product-underflow"],
+    )
+    def test_partial_sum_lemma_product_out_of_range(self, x, mu):
+        mult = RecurrentSequences(np.full(4, mu), np.ones(4))
+        with pytest.raises(OutOfDomainError, match="positive and finite"):
+            lemma_6_1_residual(np.full(4, x), np.full(4, x), mult, 0.5, 4)
+
     def test_partial_sum_lemma_exponent(self):
         mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
         with pytest.raises(OutOfDomainError, match="finite"):
