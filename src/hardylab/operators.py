@@ -26,7 +26,7 @@ class OperatorSpec:
     """Operator kind plus truncation horizon.
 
     kind "weighted_mean" uses weights i**(alpha-1); kind "copson_tail" is
-    the tail mean and ignores alpha.
+    the tail mean and takes no alpha.
     """
 
     kind: str
@@ -42,6 +42,8 @@ class OperatorSpec:
             self.alpha is not None and math.isfinite(self.alpha)
         ):
             raise OutOfDomainError("weighted_mean needs a finite alpha")
+        if self.kind == "copson_tail" and self.alpha is not None:
+            raise OutOfDomainError("copson_tail takes no alpha")
 
     @cached_property
     def mean_weights(self) -> tuple[np.ndarray, np.ndarray]:

@@ -76,13 +76,15 @@ class RecurrentSequences:
         if np.any(mu <= 0.0) or np.any(eta <= 0.0):
             raise PreconditionError("multiplier sequences must be positive")
 
-    def require_ordering(self, p: float) -> None:
-        """Partial-sum regime (p < 1): mu <= eta for 0 < p < 1, mu >= eta for p < 0."""
+    def require_ordering(self, p: float, n: int) -> None:
+        """Partial-sum regime (p < 1) at horizon n: mu_i <= eta_i for
+        0 < p < 1, mu_i >= eta_i for p < 0, over i <= n."""
+        mu, eta = self.mu[:n], self.eta[:n]
         if 0.0 < p < 1.0:
-            if np.any(self.mu > self.eta):
+            if np.any(mu > eta):
                 raise PreconditionError("0 < p < 1 requires mu_i <= eta_i")
         elif p < 0.0:
-            if np.any(self.mu < self.eta):
+            if np.any(mu < eta):
                 raise PreconditionError("p < 0 requires mu_i >= eta_i")
         else:
             raise PreconditionError(f"lemma regime needs p < 1, p != 0; got {p}")
@@ -121,7 +123,7 @@ def lemma_6_1_residual(
         raise OutOfDomainError("horizon must satisfy n >= 2")
     if not math.isfinite(p):
         raise OutOfDomainError(f"p must be finite, got {p}")
-    multipliers.require_ordering(p)
+    multipliers.require_ordering(p, n)
     q = conjugate_exponent(p)
     lam_arr = _positive_input(lam, n, "lambda")
     a_arr = _positive_input(a, n, "a")
@@ -235,7 +237,7 @@ def lemma_6_2_residual(
         raise PreconditionError(f"needs 0 < p < 1, got {p}")
     if n < 2:
         raise OutOfDomainError("horizon must satisfy n >= 2")
-    if np.any(multipliers.mu < multipliers.eta):
+    if np.any(multipliers.mu[:n] < multipliers.eta[:n]):
         raise PreconditionError("tail-sum regime requires mu_i >= eta_i")
     a_arr = np.asarray(a, dtype=float)
     length = len(a_arr)

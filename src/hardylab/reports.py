@@ -3,9 +3,8 @@
 A criterion verdict is decided per index from the signed slack
 (RHS - LHS)/RHS: a strict inequality holds at n only when the slack
 clears tol_rel (plus tol_abs scaled by RHS), a non-strict one when it
-stays above the negated threshold.  Reports carry the verified horizon
-and a tail-trend diagnostic; they are finite-horizon evidence, not
-proofs.
+stays above the negated threshold.  Reports carry the verified horizon;
+they are finite-horizon evidence, not proofs.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from .errors import OutOfDomainError
 
 FINITE_HORIZON_NOTE = (
     "finite-horizon verification: criteria quantified over all n are "
-    "checked up to n_max with a tail-trend diagnostic; this is evidence, "
-    "not a proof"
+    "checked up to n_max; this is evidence, not a proof"
 )
 
 
@@ -52,7 +50,6 @@ class CriterionReport:
     holds: bool
     min_slack: float
     first_failure: int | None
-    tail_trend: str
     exploratory: bool = False
     slacks: np.ndarray | None = field(default=None, repr=False)
 
@@ -63,7 +60,7 @@ class CriterionReport:
         tag = " [exploratory]" if self.exploratory else ""
         return (
             f"{self.name}: {verdict} (verified up to n_max={self.n_hi}, "
-            f"min_slack={self.min_slack:.3e}, tail_trend={self.tail_trend}){tag}"
+            f"min_slack={self.min_slack:.3e}){tag}"
         )
 
 
@@ -110,24 +107,6 @@ class Verdict:
         return row
 
 
-def classify_tail_trend(slacks: np.ndarray, n_lo: int) -> str:
-    """Trend of the slack over the last decade of checked indices."""
-    n_hi = n_lo + len(slacks) - 1
-    if n_hi < n_lo + 9:
-        return "flat"
-    start = max(n_lo, n_hi // 10)
-    seg = slacks[start - n_lo :]
-    a, b = float(seg[0]), float(seg[-1])
-    if not (np.isfinite(a) and np.isfinite(b)):
-        return "degrading"
-    scale = max(abs(a), abs(b), 1e-300)
-    if b - a > 0.01 * scale:
-        return "improving"
-    if a - b > 0.01 * scale:
-        return "degrading"
-    return "flat"
-
-
 def build_report(
     name: str,
     ref: str,
@@ -172,7 +151,6 @@ def build_report(
         holds=holds,
         min_slack=float(np.min(slacks)),
         first_failure=first_failure,
-        tail_trend=classify_tail_trend(slacks, n_lo),
         exploratory=exploratory,
         slacks=slacks,
     )

@@ -203,27 +203,33 @@ def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
     already validated (form, r).
 
     The same operations as one Python float expression per n: pow, log1p
-    and expm1 per element from libm, the rest IEEE arithmetic in numpy.
+    and expm1 per element from libm, the rest IEEE arithmetic in numpy.  A
+    pow or expm1 past the float range, which a finite sum does not rule
+    out, is out of domain.
     """
     n = np.arange(1, len(lhs) + 1, dtype=float)
-    if form == "product":
-        # n (n+1)^r / (r+1)
+    try:
         rhs = libm_map(pow, n + 1.0, r)
-        rhs *= n
-        rhs /= r + 1.0
-        direction = ">="
-    else:
-        # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is
-        # stable; r u underflows to 0 for a subnormal r, where the factor
-        # r / expm1(r u) is its limit 1/u
-        u = libm_map(math.log1p, 1.0 / n)
-        ru = r * u
-        denom = libm_map(math.expm1, ru)
-        factor = np.divide(r, denom, out=1.0 / u, where=ru != 0.0)
-        rhs = libm_map(pow, n + 1.0, r)
-        rhs /= r + 1.0
-        rhs *= factor
-        direction = ">=" if r >= 1.0 else "<="
+        if form == "product":
+            # n (n+1)^r / (r+1)
+            rhs *= n
+            rhs /= r + 1.0
+            direction = ">="
+        else:
+            # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is
+            # stable; r u underflows to 0 for a subnormal r, where the factor
+            # r / expm1(r u) is its limit 1/u
+            u = libm_map(math.log1p, 1.0 / n)
+            ru = r * u
+            denom = libm_map(math.expm1, ru)
+            factor = np.divide(r, denom, out=1.0 / u, where=ru != 0.0)
+            rhs /= r + 1.0
+            rhs *= factor
+            direction = ">=" if r >= 1.0 else "<="
+    except OverflowError:
+        raise OutOfDomainError(
+            f"the bound on sum_(i<={len(lhs)}) i**{r} overflows"
+        ) from None
     # rhs is never NaN, so maximum picks what Python's max(lhs, rhs) does
     tol = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
     gap = lhs - rhs if direction == ">=" else rhs - lhs

@@ -319,6 +319,37 @@ class TestExplicitArguments:
         assert status == 0
         assert json.loads(out)["params"]["c"] == 2.5
 
+    def test_family_default_is_echoed(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "norm-ratio", "--family", "geometric", "--p", "2",
+            "--n-max", "100", "--format", "json",
+        )
+        assert status == 0
+        (v,) = json.loads(out)["verdicts"]
+        assert v["claim"] == "norm-ratio[weighted_mean,geometric(0.5)[N=100]]"
+
+    def test_tol_abs_threshold_is_per_index(self, capsys):
+        # tol_abs / rhs_n is formed per index: at p = 0.34 it lets n = 6 pass
+        argv = ("check-reverse", "--p", "0.34", "--n-max", "2000", "--format", "json")
+        firsts = []
+        for extra in ((), ("--tol-abs", "5e-6")):
+            status, out, _ = run_cli(capsys, *argv, *extra)
+            assert status == 1
+            (v,) = json.loads(out)["verdicts"]
+            firsts.append(v["first_failure"])
+        assert firsts == [6, 7]
+
+    def test_scan_without_feasible_point_exits_one(self, capsys):
+        status, out, err = run_cli(
+            capsys, "redheffer-scan", "--p", "0.7", "--n-max", "50",
+            "--tol-rel", "1e10", "--format", "json",
+        )
+        assert (status, err) == (1, "")
+        (v,) = json.loads(out)["verdicts"]
+        assert (v["holds"], v["value"], v["detail"]) == (
+            False, None, "no feasible point among 396400"
+        )
+
     def test_unexpected_error_exits_three(self, capsys, monkeypatch):
         def broken(args, tol):
             raise RuntimeError("broken handler")

@@ -7,6 +7,9 @@ A refactor that keeps the verdicts but changes a byte of any report fails
 here.  After an intended change of output, re-record the digests with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints each case whose digests were added, removed or changed, with
+the changed fields named.
 """
 
 from __future__ import annotations
@@ -87,6 +90,11 @@ ARGVS = (
      "--n-max", "10"),
     ("norm-ratio", "--family", "random", "--family-param", "2", "--p", "2",
      "--n-max", "10"),
+    # the per-index tol_abs threshold, a family's default parameter and a
+    # scan with no feasible point
+    ("check-reverse", "--p", "0.34", "--n-max", "2000", "--tol-abs", "5e-6"),
+    ("norm-ratio", "--family", "geometric", "--p", "2", "--n-max", "100"),
+    ("redheffer-scan", "--p", "0.7", "--n-max", "50", "--tol-rel", "1e10"),
 )
 
 # Starts with a literal, which the regex engine searches for quickly: a scan
@@ -136,6 +144,31 @@ def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
 
 
+def scope(old: dict, new: dict) -> list[str]:
+    """One line per case whose outcome a re-record adds, removes or changes."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old:
+            lines.append(f"added    {key}")
+        elif key not in new:
+            lines.append(f"removed  {key}")
+        elif old[key] != new[key]:
+            fields = ",".join(f for f in new[key] if old[key].get(f) != new[key][f])
+            lines.append(f"changed  {key}  [{fields}]")
+    return lines
+
+
+def test_scope_names_every_difference():
+    old = {"a": {"exit": 0, "stdout": "x", "stderr": "y"},
+           "b": {"exit": 0, "stdout": "x", "stderr": "y"},
+           "c": {"exit": 0, "stdout": "x", "stderr": "y"}}
+    new = {"b": {"exit": 1, "stdout": "z", "stderr": "y"},
+           "c": dict(old["c"]), "d": {"exit": 0, "stdout": "x", "stderr": "y"}}
+    assert scope(old, new) == ["removed  a", "changed  b  [exit,stdout]", "added    d"]
+
+
 if __name__ == "__main__":
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     record = {" ".join(argv): outcome(argv) for argv in cases()}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print("\n".join(scope(recorded, record)) or "no digest changed")

@@ -21,7 +21,7 @@ from hardylab.errors import (
     OutOfDomainError,
     PreconditionError,
 )
-from hardylab.reports import Tolerances, Verdict, build_report, classify_tail_trend
+from hardylab.reports import Tolerances, Verdict, build_report
 from hardylab.sequences import (
     AuxSequence,
     knopp_sequence,
@@ -48,7 +48,6 @@ class TestForwardCriterion:
         n = np.arange(1, 10001)
         assert np.max(np.abs(rep.slacks - 0.5 / n)) <= 1e-9
         assert rep.min_slack == pytest.approx(5e-5, rel=1e-4)
-        assert rep.tail_trend == "degrading"
         assert rep.first_failure is None
 
     def test_constant_weights_fail_immediately(self):
@@ -532,7 +531,9 @@ class TestReportAssembly:
         assert not rep.holds
         assert rep.first_failure == 4
         assert rep.min_slack == -0.3
-        assert rep.summary().startswith("x: fails first at n=4 (verified up to n_max=6")
+        assert rep.summary() == (
+            "x: fails first at n=4 (verified up to n_max=6, min_slack=-3.000e-01)"
+        )
 
     def test_strict_rejects_zero_slack(self):
         slacks = np.array([0.5, 0.0, 0.25])
@@ -543,18 +544,19 @@ class TestReportAssembly:
         with pytest.raises(OutOfDomainError):
             build_report("x", "0", 1, [], strict=False, log_rhs=np.zeros(0))
 
-    def test_tail_trend_classes(self):
-        rising = np.linspace(0.1, 0.2, 100)
-        assert classify_tail_trend(rising[:9], 1) == "flat"
-        assert classify_tail_trend(rising, 1) == "improving"
-        assert classify_tail_trend(rising[::-1], 1) == "degrading"
-        assert classify_tail_trend(np.full(100, 0.3), 1) == "flat"
+    def test_holding_summary_is_tagged_exploratory(self):
+        rep = build_report(
+            "x", "0", 1, [0.5, 0.25], strict=True, log_rhs=np.zeros(2),
+            exploratory=True,
+        )
+        assert rep.summary() == (
+            "x: holds (verified up to n_max=2, min_slack=2.500e-01) [exploratory]"
+        )
 
-    def test_nonfinite_slack_is_degrading_and_serializes_as_none(self):
+    def test_nonfinite_slack_serializes_as_none(self):
         slacks = np.linspace(0.1, 0.2, 20)
         slacks[-1] = -np.inf
         rep = build_report("x", "9.9", 1, slacks, strict=False, log_rhs=np.zeros(20))
-        assert rep.tail_trend == "degrading"
         row = Verdict.from_report(rep, claim="9.9-x").to_dict()
         assert row["claim"] == "9.9-x" and row["paper_ref"] == "9.9"
         assert "ref" not in row

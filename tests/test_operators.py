@@ -49,6 +49,9 @@ class TestSpecs:
             OperatorSpec("weighted_mean", 10)
         with pytest.raises(OutOfDomainError):
             OperatorSpec("copson_tail", 0)
+        # an alpha the tail mean never reads would be accepted as if applied
+        with pytest.raises(OutOfDomainError, match="copson_tail takes no alpha"):
+            OperatorSpec("copson_tail", 3, alpha=7.0)
         assert cesaro(5).alpha == 1.0
 
     def test_family_validation(self):

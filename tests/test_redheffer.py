@@ -74,15 +74,20 @@ class TestParams:
 class TestMultiplierSequences:
     def test_ordering_requirements(self):
         mult = RecurrentSequences(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
-        mult.require_ordering(0.5)
+        mult.require_ordering(0.5, 2)
         with pytest.raises(PreconditionError):
-            mult.require_ordering(-1.0)
+            mult.require_ordering(-1.0, 2)
         rev = RecurrentSequences(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
-        rev.require_ordering(-1.0)
+        rev.require_ordering(-1.0, 2)
         with pytest.raises(PreconditionError):
-            rev.require_ordering(0.5)
+            rev.require_ordering(0.5, 2)
         with pytest.raises(PreconditionError):
-            mult.require_ordering(2.0)
+            mult.require_ordering(2.0, 2)
+        # entries past the horizon are not read
+        longer = RecurrentSequences(np.array([0.5, 0.5, 2.0]), np.ones(3))
+        longer.require_ordering(0.5, 2)
+        with pytest.raises(PreconditionError):
+            longer.require_ordering(0.5, 3)
 
     def test_positivity_enforced(self):
         with pytest.raises(PreconditionError):
@@ -110,6 +115,14 @@ class TestPartialSumLemma:
         mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
         with pytest.raises(PreconditionError):
             lemma_6_1_residual(np.ones(4), np.ones(4), mult, 0.5, 4)
+
+    def test_multipliers_past_the_horizon_are_not_read(self):
+        # mu_3 > eta_3 breaks the ordering, but horizon 2 reads only i <= 2
+        mult = RecurrentSequences([0.5, 0.5, 2.0], [1.0, 1.0, 1.0])
+        short = RecurrentSequences([0.5, 0.5], [1.0, 1.0])
+        got = lemma_6_1_residual(np.ones(3), np.ones(3), mult, 0.5, 2)
+        want = lemma_6_1_residual(np.ones(3), np.ones(3), short, 0.5, 2)
+        assert got.hex() == want.hex() == (0.0).hex()
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -183,6 +196,17 @@ class TestTailSumLemma:
         mult = RecurrentSequences(np.ones(4), np.full(4, 2.0))
         with pytest.raises(PreconditionError):
             lemma_6_2_residual(np.ones(29), a, mult, 0.5, 4)
+
+    def test_multipliers_past_the_horizon_are_not_read(self):
+        # mu_3 < eta_3 breaks the ordering, but horizon 2 reads only i <= 2
+        a = 0.5 ** np.arange(40)
+        mult = RecurrentSequences([2.0, 2.0, 0.5], [1.0, 1.0, 1.0])
+        short = RecurrentSequences([2.0, 2.0], [1.0, 1.0])
+        got = lemma_6_2_residual(np.ones(40), a, mult, 0.5, 2)
+        want = lemma_6_2_residual(np.ones(40), a, short, 0.5, 2)
+        assert got.hex() == want.hex() == (0.16452466459987436).hex()
+        with pytest.raises(PreconditionError, match="mu_i >= eta_i"):
+            lemma_6_2_residual(np.ones(40), a, mult, 0.5, 3)
 
     def test_residual_matches_python_float_expression(self):
         # D_1..D_n come from one array pass with the bits of the scalar

@@ -646,6 +646,16 @@ class TestPowerSumRunningSums:
                     power_sum_bound_checks(r_out, 1000, "ratio")
         assert_rows_match_fsum(r, 600, "ratio")
 
+    @pytest.mark.parametrize("r, n_max", [(440.0, 5), (2000.0, 1)])
+    def test_bound_overflow_is_a_domain_error(self, r, n_max):
+        # the sums are finite (5**440 ~ 4e307, 1**2000 = 1), but the bound's
+        # (n+1)**r is not
+        assert math.isfinite(power_sums(r, n_max)[-1])
+        match = rf"^the bound on sum_\(i<={n_max}\) i\*\*{r} overflows$"
+        with pytest.raises(OutOfDomainError, match=match) as info:
+            power_sum_bounds([("ratio", r)], n_max)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_grid_sums_formed_once_per_distinct_r(self, monkeypatch):
         # every sum of the grid comes from power_sums, once per distinct r
         calls = []
