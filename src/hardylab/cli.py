@@ -8,7 +8,9 @@ one, with exit status 2.  Exit status: 0 when every verdict holds, 1 when
 some verdict fails, 2 on invalid parameters, an unwritable --out path or a
 size (--n-max, --grid-points) too large to fit in memory, 3 on an
 unexpected internal error (reported on one line of standard error, without
-a traceback).  Identical configurations (including the seed) produce
+a traceback).  A standard output whose reader has gone (a closed pipe) is
+not an error: the rest of the output is dropped and the status is the
+verdicts'.  Identical configurations (including the seed) produce
 byte-identical JSON apart from the wall_time field.
 """
 
@@ -19,11 +21,11 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import getitem
 
 import numpy as np
 
@@ -82,6 +84,10 @@ Outcome = tuple[list[Verdict], ScanResult | None]
 # Rendered text is written in slices of this many characters (bytes: the
 # output is ASCII), so encoding it never holds a copy of a whole scan CSV.
 WRITE_SLICE = 1 << 20
+
+# The scan CSV's k runs are marked over blocks of this many c rows: one
+# numpy pass per block, while the texts of only one row are held at once.
+RUN_BLOCK_ROWS = 8
 
 
 def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
@@ -268,32 +274,56 @@ def _write_scan_rows(buf: io.StringIO, scan: ScanResult) -> None:
     write.
 
     The label always holds a comma, so it is quoted; floats print as repr,
-    bools as str.  Each beta has two prebuilt tails, one per verdict.  Along
-    a c row, equal k sit in runs: one pass over the row's bit patterns marks
-    where each run starts, and each run's k is formatted once and repeated
-    over the run.  Equal bits are the same double and print the same, where
-    equal floats would merge 0.0 with -0.0.  The marks are made per row, not
-    over the whole grid: under glibc's malloc a grid-sized array freed
-    before the text is returned stays resident under it (a 0.25 MiB mask
-    added 0.18 MiB of peak RSS on the default grid).
+    bools as str.  A row's text is its prefix ('"scan-point[c=<c>,') and
+    then two pieces per point: the beta tail (through the verdict and the
+    empty fields) and the point's k run text, repr(k) + CRLF + the prefix,
+    or repr(k) + CRLF for the row's last point.  The tails are prebuilt for
+    feasible points and patched where a point is not.  Along a c row, equal
+    k sit in runs: one pass over a block of RUN_BLOCK_ROWS rows' bit
+    patterns marks where each run starts (column 0 always), and each run's
+    text is formed once, per row, and repeated over the run.  Equal bits are
+    the same double and print the same, where equal floats would merge 0.0
+    with -0.0.  The marks are made per block, not over the whole grid:
+    under glibc's malloc a grid-sized array freed before the text is
+    returned stays resident under it (a 0.25 MiB mask added 0.18 MiB of
+    peak RSS on the default grid).
     """
-    tails = [(f'beta={beta}]",6.49,False,,,,', f'beta={beta}]",6.49,True,,,,')
-             for beta in scan.beta_grid.tolist()]
+    betas = scan.beta_grid.tolist()
+    width = len(betas)
+    holds = [f'beta={beta}]",6.49,True,,,,' for beta in betas]
+    fails = [f'beta={beta}]",6.49,False,,,,' for beta in betas]
     k = np.ascontiguousarray(scan.k, dtype=np.float64)
-    for c, feasible, k_row in zip(scan.c_grid.tolist(), scan.feasible, k):
-        bits = k_row.view(np.int64)
-        first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-        k_texts = chain.from_iterable(map(
-            repeat,
-            map(repr, k_row[first].tolist()),
-            np.diff(first, append=k_row.size).tolist(),
-        ))
-        buf.write("".join(chain.from_iterable(zip(
-            repeat(f'"scan-point[c={c},'),
-            map(getitem, tails, feasible.tolist()),
-            k_texts,
-            repeat("\r\n"),
-        ))))
+    bits = k.view(np.int64)
+    marks = np.empty((RUN_BLOCK_ROWS, width), dtype=bool)
+    parts = [""] * (2 * width + 1)
+    for top in range(0, len(k), RUN_BLOCK_ROWS):
+        rows = slice(top, top + RUN_BLOCK_ROWS)
+        block = bits[rows]
+        mark = marks[:len(block)]
+        np.not_equal(block[:, 1:], block[:, :-1], out=mark[:, 1:])
+        mark[:, 0] = True
+        first = np.flatnonzero(mark)
+        values = k[rows].ravel()[first]
+        lengths = np.diff(first, append=mark.size).tolist()
+        ends = np.count_nonzero(mark, axis=1).cumsum().tolist()
+        feasible = scan.feasible[rows]
+        start = 0
+        for c, end, row_holds, row_feasible in zip(
+            scan.c_grid[rows].tolist(), ends, feasible.all(axis=1).tolist(),
+            feasible,
+        ):
+            parts[0] = prefix = f'"scan-point[c={c},'
+            parts[1::2] = holds
+            if not row_holds:
+                for j in np.flatnonzero(~row_feasible).tolist():
+                    parts[2 * j + 1] = fails[j]
+            runs = values[start:end].tolist()
+            parts[2::2] = chain.from_iterable(map(
+                repeat, [f"{x!r}\r\n{prefix}" for x in runs], lengths[start:end]
+            ))
+            parts[-1] = f"{runs[-1]!r}\r\n"
+            buf.write("".join(parts))
+            start = end
 
 
 def _write_sliced(fh, text: str) -> None:
@@ -428,7 +458,15 @@ def main(argv=None) -> int:
                     f"cannot write --out {args.out}: {exc.strerror or exc}"
                 ) from exc
         else:
-            _write_sliced(sys.stdout, rendered)
+            try:
+                _write_sliced(sys.stdout, rendered)
+                sys.stdout.flush()
+            except BrokenPipeError:  # the reader has gone, as under `| head`
+                # the rest has no reader; what is still buffered goes to
+                # os.devnull, so the flush at exit does not fail again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,6 +36,18 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def _module_argv(*argv) -> list[str]:
+    return [sys.executable, "-m", "hardylab", *argv]
+
+
+def _module_env() -> dict:
+    """The environment under which a child `python -m hardylab` imports
+    this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestExitCodes:
     def test_holding_check_exits_zero(self, capsys):
         status, out, _ = run_cli(
@@ -123,18 +135,49 @@ class TestExitCodes:
     def test_module_entry_point_runs(self):
         # python -m hardylab goes through __main__.py, as the console script
         # goes through cli.main
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         done = subprocess.run(
-            [sys.executable, "-m", "hardylab", "check-2-30", "--p", "3",
-             "--n-max", "100"],
-            env={**os.environ, "PYTHONPATH": path},
+            _module_argv("check-2-30", "--p", "3", "--n-max", "100"),
+            env=_module_env(),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.startswith("command: check-2-30\n")
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [(("redheffer-scan", "--p", "0.34"), 0),
+         (("redheffer-scan", "--p", "0.7", "--n-max", "50", "--tol-rel", "1e10"),
+          1)],
+        ids=["holds", "fails"],
+    )
+    def test_closed_stdout_pipe_exits_with_verdict_status(self, argv, status):
+        # `hardylab redheffer-scan ... --format csv | head -1`: the reader
+        # takes one line of a CSV of megabytes and closes the pipe
+        with subprocess.Popen(
+            _module_argv(*argv, "--format", "csv"), env=_module_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"claim,paper_ref,holds")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=120), stderr) == (status, b"")
+
+    def test_stdout_pipe_closed_before_writing_exits_with_verdict_status(self):
+        # the report fits in stdout's buffer, so the write that fails is
+        # the final flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                _module_argv("check-2-30", "--p", "3", "--n-max", "100"),
+                env=_module_env(), stdout=write_end, stderr=subprocess.PIPE,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_out_exits_two(self, capsys):
@@ -523,6 +566,28 @@ _RUN_EDGES = {
 }
 
 
+_BLOCK = cli.RUN_BLOCK_ROWS
+
+
+def _block_edge_rows(width: int, n_rows: int) -> list:
+    """(c, feasible, k) rows whose k fall in runs of two along a row, with
+    the edge cases of a renderer that marks runs over blocks of rows: a
+    row whose last k is the next row's first, inside a block (rows 1 and
+    2) and across each block boundary; a row with no feasible point (row
+    3); infeasible first and last points (the first row of the second
+    block and the last row)."""
+    rows = []
+    for i in range(n_rows):
+        k = [1.0 + i + 0.125 * (j // 2) for j in range(width)]
+        if i - 1 in (1, _BLOCK - 1, 2 * _BLOCK - 1):
+            k[0] = rows[-1][2][-1]
+        feasible = [i != 3] * width
+        if i in (_BLOCK, n_rows - 1):
+            feasible[0] = feasible[-1] = False
+        rows.append((0.25 * (i + 1), feasible, k))
+    return rows
+
+
 class TestCsvReports:
     def test_verdict_rows(self, capsys):
         status, out, _ = run_cli(
@@ -602,6 +667,19 @@ class TestCsvReports:
         assert text.count("\r\n") == len(rows) * _N_EDGE
 
 
+    @pytest.mark.parametrize(
+        "width, n_rows",
+        [(6, 2 * _BLOCK + 3), (1, 2 * _BLOCK + 3), (5, 1)],
+        ids=["block-edges", "one-column", "one-row"],
+    )
+    def test_block_edges_match_csv_writer(self, width, n_rows):
+        betas = [0.125 * j - 0.5 for j in range(width)]
+        scan = _hand_built_scan(betas, _block_edge_rows(width, n_rows))
+        _, text = cli.render_csv(_scan_report(scan)).split("\r\n", 1)
+        assert text == _csv_writer_scan_rows(scan)
+        assert text.count("\r\n") == n_rows * width
+
+
 class _Sink:
     """A text stream that keeps each write."""
 
@@ -611,6 +689,9 @@ class _Sink:
     def write(self, text: str) -> int:
         self.parts.append(text)
         return len(text)
+
+    def flush(self) -> None:
+        pass
 
 
 class TestSlicedWrite:
@@ -668,12 +749,15 @@ class TestScanCsvMemory:
 
     @pytest.mark.parametrize("p", [0.34, 0.45])
     def test_row_renderer_holds_one_row_of_texts(self, traced_peak, p):
-        # besides what it writes, the row renderer holds one c row's run
-        # marks, runs and texts: 0.06-0.07 x the bytes of the k grid on the
-        # default grid.  Any grid-sized array would stay resident under the
-        # returned text; a bool run-start mask over the grid reads 0.21-0.23,
-        # per-run arrays of the grid 1.3-1.4, formatting every distinct k of
-        # the grid up front (np.unique) 5.4
+        # besides what it writes, the row renderer holds one block of rows'
+        # run marks and run values and one c row's texts: 0.086-0.087 x the
+        # bytes of the k grid on the default grid.  The run texts stay per
+        # row: the early rows are one run per point, so a block's values as
+        # Python floats read 0.13 and its reprs 0.17 at 8-row blocks.  Any
+        # grid-sized array would stay resident under the returned text; a
+        # bool run-start mask over the grid reads 0.21-0.23, per-run arrays
+        # of the grid 1.3-1.4, formatting every distinct k of the grid up
+        # front (np.unique) 5.4
         class Discard:
             def write(self, text: str) -> int:
                 return len(text)

@@ -95,6 +95,10 @@ ARGVS = (
     ("check-reverse", "--p", "0.34", "--n-max", "2000", "--tol-abs", "5e-6"),
     ("norm-ratio", "--family", "geometric", "--p", "2", "--n-max", "100"),
     ("redheffer-scan", "--p", "0.7", "--n-max", "50", "--tol-rel", "1e10"),
+    # a slack past the float range and the solver's tolerance flags
+    ("redheffer-check", "--p", "0.3", "--c", "2", "--beta", "0.2", "--k",
+     "1e-320", "--n-max", "10"),
+    ("redheffer-solve", "--n-max", "2000", "--tol-rel", "1"),
 )
 
 # Starts with a literal, which the regex engine searches for quickly: a scan
