@@ -2,21 +2,22 @@
 
 Subcommands run individual checks, parameter scans, or the full
 verification suite, and emit reports as text, JSON, or CSV.  Each
-subcommand accepts the common flags plus only the flags its check reads
+subcommand accepts only the flags it reads, --format and --out
 (``_COMMANDS``); argparse rejects any other flag, and a missing required
 one, with exit status 2.  Exit status: 0 when every verdict holds, 1 when
-some verdict fails, 2 on invalid parameters, an unwritable --out path or a
-size (--n-max, --grid-points) too large to fit in memory, 3 on an
-unexpected internal error (reported on one line of standard error, without
-a traceback).  A standard output whose reader has gone (a closed pipe) is
-not an error: the rest of the output is dropped and the status is the
-verdicts'.  Identical configurations (including the seed) produce
+some verdict fails, 2 on invalid parameters, an output that cannot be
+written or a size (--n-max, --grid-points) too large to fit in memory, 3 on
+an unexpected internal error (reported on one line of standard error,
+without a traceback).  A standard output whose reader has gone (a closed
+pipe) is not an error: the rest of the output is dropped and the status is
+the verdicts'.  Identical configurations (including the seed) produce
 byte-identical JSON apart from the wall_time field.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -135,12 +136,13 @@ def _handle_check_2_3(args: argparse.Namespace, tol: Tolerances) -> Outcome:
 
 def _handle_redheffer_solve(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     sol = balance_solution_half(args.c, args.n_max)
-    beta, k = sol.params.beta, sol.k
+    params, k = sol.params, sol.k
     return [
         Verdict("x", "x(c')", sol.residual < 1e-12, value=sol.x,
                 detail=f"balance residual {sol.residual:.2e}"),
-        Verdict("beta", "x(c')", beta <= 1.0, value=beta),
-        Verdict("k", "k(p)", condition_6_50_check(sol.params, k, tol), value=k),
+        Verdict("beta", "x(c')", params.beta <= 1.0, value=params.beta),
+        Verdict("k", "k(p)", condition_6_50_check(params.p, params.c, k, tol),
+                value=k),
         Verdict("reciprocal", "thm6", 1.0 / k > THEOREM6_FLOOR, value=1.0 / k),
     ], None
 
@@ -154,7 +156,7 @@ def _handle_redheffer_check(args: argparse.Namespace, tol: Tolerances) -> Outcom
         Verdict.from_report(full),
         Verdict(
             f"6.50[p={params.p},c={params.c}]", "6.50",
-            condition_6_50_check(params, k_val, tol), value=k_val,
+            condition_6_50_check(params.p, params.c, k_val, tol), value=k_val,
         ),
         Verdict(
             f"6.51[p={params.p},c={params.c},beta={params.beta}]", "6.51",
@@ -214,7 +216,7 @@ def _operator(args: argparse.Namespace) -> OperatorSpec:
     return OperatorSpec("copson_tail", args.n_max)
 
 
-def _handle_norm_ratio(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+def _handle_norm_ratio(args: argparse.Namespace) -> Outcome:
     op = _operator(args)
     fam = _family(args)
     ratio = norm_ratio(op, fam, args.p)
@@ -226,7 +228,7 @@ def _handle_norm_ratio(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     ], None
 
 
-def _handle_extremal_search(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+def _handle_extremal_search(args: argparse.Namespace) -> Outcome:
     op = _operator(args)
     p = args.p
     result = extremal_search(op, p, default_power_grid(p, args.n_max))
@@ -238,7 +240,7 @@ def _handle_extremal_search(args: argparse.Namespace, tol: Tolerances) -> Outcom
     ], None
 
 
-def _handle_verify_paper(args: argparse.Namespace, tol: Tolerances) -> Outcome:
+def _handle_verify_paper(args: argparse.Namespace) -> Outcome:
     return run_verification(args.n_max, args.seed), None
 
 
@@ -326,12 +328,6 @@ def _write_scan_rows(buf: io.StringIO, scan: ScanResult) -> None:
             start = end
 
 
-def _write_sliced(fh, text: str) -> None:
-    """Write text to fh in slices of WRITE_SLICE characters."""
-    for start in range(0, len(text), WRITE_SLICE):
-        fh.write(text[start:start + WRITE_SLICE])
-
-
 def render_text(report: Report) -> str:
     lines = [f"command: {report.command}"]
     lines.append(
@@ -364,35 +360,46 @@ _ALPHA = ("--alpha", {"type": float, "required": True})
 _KIND = ("--kind", {"choices": ("weighted-mean", "copson-tail"),
                     "default": "weighted-mean"})
 _MEAN_ALPHA = ("--alpha", {"type": float})  # the weighted mean's; 1 if not given
+# The flags every subcommand reads; _TOLERANT adds the tolerances that decide
+# the verdicts of the check-* and redheffer-* subcommands.
+_COMMON = (("--n-max", {"type": int, "default": 10000}),
+           ("--seed", {"type": int, "default": DEFAULT_SEED}))
+_TOLERANT = (*_COMMON,
+             ("--tol-rel", {"type": float, "default": Tolerances.tol_rel}),
+             ("--tol-abs", {"type": float, "default": Tolerances.tol_abs}))
 
-# Each subcommand's handler and the flags it reads, besides the common ones
-# every subcommand takes.  A default that depends on other flags is left to
-# the handler.
+# Each subcommand's handler and the flags it reads, in usage order; every
+# subcommand also takes --format and --out.  A default that depends on
+# other flags is left to the handler.
 _COMMANDS = {
     "check-knopp": (_handle_check_knopp,
                     (_P, ("--alpha", {"type": float, "default": 0.0}),
-                     ("--U", {"type": float}))),  # q**p if not given
-    "check-2-20": (_handle_check_2_20, (_P, _ALPHA)),
-    "check-reverse": (_handle_check_reverse, (_P,)),
-    "check-2-30": (_handle_check_2_30, (_P,)),
+                     ("--U", {"type": float}), *_TOLERANT)),  # U: q**p if not given
+    "check-2-20": (_handle_check_2_20, (_P, _ALPHA, *_TOLERANT)),
+    "check-reverse": (_handle_check_reverse, (_P, *_TOLERANT)),
+    "check-2-30": (_handle_check_2_30, (_P, *_TOLERANT)),
     "check-2-4": (_handle_check_2_4,
-                  (_P, ("--grid-points", {"type": int, "default": 50}))),
-    "check-2-3": (_handle_check_2_3, (_P, _ALPHA)),
+                  (_P, ("--grid-points", {"type": int, "default": 50}),
+                   *_TOLERANT)),
+    "check-2-3": (_handle_check_2_3, (_P, _ALPHA, *_TOLERANT)),
     "redheffer-solve": (_handle_redheffer_solve,
-                        (("--c", {"type": float, "default": 2.5}),)),
+                        (("--c", {"type": float, "default": 2.5}), *_TOLERANT)),
     "redheffer-check": (_handle_redheffer_check,
                         (_P, ("--c", {"type": float, "required": True}),
                          ("--beta", {"type": float, "required": True}),
-                         ("--k", {"type": float}))),  # k_of_p if not given
-    "redheffer-scan": (_handle_redheffer_scan, (_P,)),
+                         ("--k", {"type": float}),  # k_of_p if not given
+                         *_TOLERANT)),
+    "redheffer-scan": (_handle_redheffer_scan, (_P, *_TOLERANT)),
     "norm-ratio": (_handle_norm_ratio,
                    (_P, _KIND, _MEAN_ALPHA,
                     ("--family", {"choices": ("power_decay", "delta",
                                               "geometric", "random"),
                                   "default": "power_decay"}),
-                    ("--family-param", {"type": float}))),  # per family if not given
-    "extremal-search": (_handle_extremal_search, (_P, _KIND, _MEAN_ALPHA)),
-    "verify-paper": (_handle_verify_paper, ()),
+                    ("--family-param", {"type": float}),  # per family if not given
+                    *_COMMON)),
+    "extremal-search": (_handle_extremal_search,
+                        (_P, _KIND, _MEAN_ALPHA, *_COMMON)),
+    "verify-paper": (_handle_verify_paper, _COMMON),
 }
 
 
@@ -406,10 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         for flag, spec in flags:
             cmd.add_argument(flag, **spec)
-        cmd.add_argument("--n-max", type=int, default=10000)
-        cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        cmd.add_argument("--tol-rel", type=float, default=Tolerances.tol_rel)
-        cmd.add_argument("--tol-abs", type=float, default=Tolerances.tol_abs)
         cmd.add_argument("--format", choices=tuple(_RENDERERS), default="text")
         cmd.add_argument("--out")
     return parser
@@ -417,13 +420,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _echo_params(args: argparse.Namespace) -> dict:
     """The subcommand's own flags that have a value, sorted, then the common ones."""
-    common = {"command", "n_max", "seed", "tol_rel", "tol_abs", "format", "out"}
+    common = [k for k in ("seed", "tol_abs", "tol_rel", "format") if k in args]
     own = {
         k: v for k, v in sorted(vars(args).items())
-        if k not in common and v is not None
+        if k not in {"command", "n_max", "out", *common} and v is not None
     }
-    return {**own, "seed": args.seed, "tol_abs": args.tol_abs,
-            "tol_rel": args.tol_rel, "format": args.format}
+    return {**own, **{k: vars(args)[k] for k in common}}
+
+
+def _write_report(text: str, out: str | None) -> None:
+    """Write text to the file out, or to standard output, in slices of
+    WRITE_SLICE characters, then flush it once.  A failed write raises
+    WorkbenchError, except that a closed standard output pipe drops the rest.
+    """
+    try:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+            for start in range(0, len(text), WRITE_SLICE):
+                fh.write(text[start:start + WRITE_SLICE])
+            fh.flush()
+    except OSError as exc:
+        if not out:
+            # what is still buffered goes to os.devnull, so the flush at
+            # exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):  # no reader, as under `| head`
+                return
+        target = f"--out {out}" if out else "standard output"
+        raise WorkbenchError(f"cannot write {target}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -437,9 +462,10 @@ def main(argv=None) -> int:
             raise WorkbenchError("n_max must be >= 1")
         if args.seed < 0:
             raise WorkbenchError("seed must be >= 0")
-        tol = Tolerances(tol_abs=args.tol_abs, tol_rel=args.tol_rel)
+        # only a subcommand whose verdicts a tolerance decides takes one
+        tol = [Tolerances(args.tol_abs, args.tol_rel)] if "tol_abs" in args else []
         start = time.perf_counter()
-        verdicts, scan = _COMMANDS[args.command][0](args, tol)
+        verdicts, scan = _COMMANDS[args.command][0](args, *tol)
         report = Report(
             command=args.command,
             params=_echo_params(args),
@@ -448,25 +474,7 @@ def main(argv=None) -> int:
             wall_time=time.perf_counter() - start,
             scan=scan,
         )
-        rendered = _RENDERERS[args.format](report)
-        if args.out:
-            try:
-                with open(args.out, "w") as fh:
-                    _write_sliced(fh, rendered)
-            except OSError as exc:
-                raise WorkbenchError(
-                    f"cannot write --out {args.out}: {exc.strerror or exc}"
-                ) from exc
-        else:
-            try:
-                _write_sliced(sys.stdout, rendered)
-                sys.stdout.flush()
-            except BrokenPipeError:  # the reader has gone, as under `| head`
-                # the rest has no reader; what is still buffered goes to
-                # os.devnull, so the flush at exit does not fail again
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+        _write_report(_RENDERERS[args.format](report), args.out)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

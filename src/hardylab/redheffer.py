@@ -333,23 +333,15 @@ def condition_6_49_check(
     )
 
 
-def _slope_holds(p: float, c, k, tol: Tolerances):
-    """(1 - p)(1 + c) < c**(1-p) k beyond the tolerance; c and k broadcast."""
-    rhs = c ** (1.0 - p) * k
-    return rhs - (1.0 - p) * (1.0 + c) > tol.tol_abs + tol.tol_rel * abs(rhs)
-
-
-def condition_6_50_check(
-    params: RedhefferParams,
-    k: float,
-    tol: Tolerances = Tolerances(),
-) -> bool:
-    """Slope condition (1 - p)(1 + c) < c**(1-p) k, strict.
+def condition_6_50_check(p: float, c, k, tol: Tolerances = Tolerances()):
+    """Slope condition (1 - p)(1 + c) < c**(1-p) k, strict, beyond the
+    tolerance (elementwise for arrays of c and k, which broadcast).
 
     Decided with the standard relative tolerance so an exact-equality
     configuration (the boundary route) reports False deterministically.
     """
-    return _slope_holds(params.p, params.c, k, tol)
+    rhs = c ** (1.0 - p) * k
+    return rhs - (1.0 - p) * (1.0 + c) > tol.tol_abs + tol.tol_rel * abs(rhs)
 
 
 def condition_6_54_check(p: float, beta):
@@ -475,7 +467,7 @@ def scan_params(
         b2 = _second_branch(p, C, B, 2.0)
         limit = np.broadcast_to((1.0 - p) * (1.0 + C), b2.shape)
         k = np.maximum(np.maximum(b1, b2), limit) / C**e
-        slope_ok = _slope_holds(p, C, k, tol)
+        slope_ok = condition_6_50_check(p, C, k, tol)
     curvature_ok = condition_6_54_check(p, B) if p < 0.5 else False
     feasible = valid & np.isfinite(k) & (slope_ok | curvature_ok)
     result = ScanResult(c_grid=c_vals, beta_grid=b_vals, k=k, feasible=feasible)

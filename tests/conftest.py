@@ -1,6 +1,12 @@
+import os
 import tracemalloc
 
 import pytest
+
+# (where, argv) of each call tests/test_cli.py makes to cli.main: the names
+# of the test class and function making it, then "_traced_peak" for a call
+# a memory gate measures, and the argv without --format and --out
+_CLI_CALLS: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:
@@ -21,3 +27,41 @@ def traced_peak():
     """The memory gates' measure: bytes of the largest allocation peak of
     one call, numpy arrays included."""
     return _traced_peak
+
+
+def _without_output_flags(argv) -> tuple[str, ...]:
+    """argv without --format and --out, spaced or with '='."""
+    kept, args = [], iter(argv)
+    for arg in args:
+        if arg in ("--format", "--out"):
+            next(args, None)  # its value
+        elif not arg.startswith(("--format=", "--out=")):
+            kept.append(arg)
+    return tuple(kept)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _record_cli_calls(request):
+    """Record each call the module tests/test_cli.py makes to its main."""
+    if request.module.__name__ != "test_cli":
+        yield
+        return
+    main = request.module.main
+
+    def recording(argv):
+        test = os.environ["PYTEST_CURRENT_TEST"].split(" ")[0].split("[")[0]
+        where = test.split("::")[1:]
+        if tracemalloc.is_tracing():
+            where.append("_traced_peak")
+        _CLI_CALLS.append((tuple(where), _without_output_flags(argv)))
+        return main(argv)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(request.module, "main", recording)
+        yield
+
+
+@pytest.fixture(scope="session")
+def cli_calls():
+    """The calls recorded so far in this session (see _CLI_CALLS)."""
+    return _CLI_CALLS

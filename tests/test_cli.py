@@ -190,6 +190,25 @@ class TestExitCodes:
         assert err == "error: cannot write --out /dev/full: No space left on device\n"
         assert out == ""
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [("check-2-30", "--p", "3", "--n-max", "100"),
+         ("redheffer-scan", "--p", "0.45", "--n-max", "100", "--format", "csv")],
+        ids=["final-flush", "first-slice"],
+    )
+    def test_full_device_stdout_exits_two(self, argv):
+        # `hardylab ... > /dev/full`: the write that fails is the final flush
+        # of a report that fits in stdout's buffer, or a scan CSV's first slice
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                _module_argv(*argv), env=_module_env(), stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write standard output: No space left on device\n"
+        )
+
 
 class TestExplicitArguments:
     """A value given on the command line is used as given: an explicit zero
@@ -334,6 +353,10 @@ class TestExplicitArguments:
              "--alpha"),
             (("extremal-search", "--p", "2", "--family", "delta", "--n-max", "100"),
              "--family"),
+            # no tolerance decides a measurement or the paper's claims
+            (("verify-paper", "--n-max", "10", "--tol-rel", "0"), "--tol-rel"),
+            (("extremal-search", "--p", "2", "--n-max", "10", "--tol-abs", "1"),
+             "--tol-abs"),
         ],
     )
     def test_unread_flag_exits_two(self, capsys, argv, flag):
@@ -412,7 +435,7 @@ class TestExplicitArguments:
         reason = ("Unable to allocate 7.28 TiB for an array with shape "
                   "(1000000000001,) and data type float64")
 
-        def exhausted(args, tol):
+        def exhausted(args, *tol):
             raise MemoryError(reason)
 
         _, flags = cli._COMMANDS[command]
@@ -701,10 +724,11 @@ class TestSlicedWrite:
          (cli.WRITE_SLICE + 1, [cli.WRITE_SLICE, 1])],
         ids=["empty", "one-slice", "one-slice-plus-one"],
     )
-    def test_slices(self, length, sizes):
+    def test_slices(self, monkeypatch, length, sizes):
         text = ("0123456789" * (length // 10 + 1))[:length]
         sink = _Sink()
-        cli._write_sliced(sink, text)
+        monkeypatch.setattr(cli.sys, "stdout", sink)
+        cli._write_report(text, None)
         assert [len(part) for part in sink.parts] == sizes
         assert "".join(sink.parts) == text
 
@@ -893,29 +917,75 @@ def _declared_flags() -> dict[str, list[argparse.Action]]:
     }
 
 
+def _tolerant_commands() -> list[str]:
+    """The subcommands that declare the tolerance flags."""
+    return sorted(
+        name for name, actions in _declared_flags().items()
+        if any(a.dest == "tol_rel" for a in actions)
+    )
+
+
+# Per subcommand with the tolerance flags: an argv, and a tolerance whose
+# value moves one of the argv's verdict fields
+_TOLERANCE_MOVES = {
+    "check-knopp": (("check-knopp", "--p", "2", "--alpha", "0", "--U", "4",
+                     "--n-max", "500"), ("--tol-rel", "1")),
+    "check-2-20": (("check-2-20", "--p", "2", "--alpha", "0.3", "--n-max", "200"),
+                   ("--tol-rel", "1")),
+    # tol_abs / rhs_n is formed per index: at p = 0.34 it lets n = 6 pass
+    "check-reverse": (("check-reverse", "--p", "0.34", "--n-max", "2000"),
+                      ("--tol-abs", "5e-6")),
+    "check-2-30": (("check-2-30", "--p", "3", "--n-max", "20000"),
+                   ("--tol-rel", "1")),
+    "check-2-4": (("check-2-4", "--p", "3"), ("--tol-rel", "1")),
+    "check-2-3": (("check-2-3", "--p", "2", "--alpha", "1.0", "--n-max", "200"),
+                  ("--tol-rel", "1")),
+    "redheffer-solve": (("redheffer-solve", "--n-max", "2000"), ("--tol-rel", "1")),
+    "redheffer-check": (("redheffer-check", "--p", "0.5", "--c", "2.5", "--beta",
+                         "0.3912", "--n-max", "200"), ("--tol-rel", "1")),
+    "redheffer-scan": (("redheffer-scan", "--p", "0.7", "--n-max", "50"),
+                       ("--tol-rel", "1e10")),
+}
+
+
 class TestFlagSurface:
     def test_each_subcommand_declares_only_what_it_reads(self):
-        common = {"--n-max", "--seed", "--tol-rel", "--tol-abs", "--format", "--out"}
         declared = {
-            name: {a.option_strings[0] for a in actions} - common
+            name: {a.option_strings[0] for a in actions}
             for name, actions in _declared_flags().items()
         }
-        mean = {"--p", "--kind", "--alpha"}
+        common = {"--n-max", "--seed", "--format", "--out"}
+        tolerant = common | {"--tol-rel", "--tol-abs"}
+        mean = common | {"--p", "--kind", "--alpha"}
         assert declared == {
-            "check-knopp": {"--p", "--alpha", "--U"},
-            "check-2-20": {"--p", "--alpha"},
-            "check-reverse": {"--p"},
-            "check-2-30": {"--p"},
-            "check-2-4": {"--p", "--grid-points"},
-            "check-2-3": {"--p", "--alpha"},
-            "redheffer-solve": {"--c"},
-            "redheffer-check": {"--p", "--c", "--beta", "--k"},
-            "redheffer-scan": {"--p"},
+            "check-knopp": tolerant | {"--p", "--alpha", "--U"},
+            "check-2-20": tolerant | {"--p", "--alpha"},
+            "check-reverse": tolerant | {"--p"},
+            "check-2-30": tolerant | {"--p"},
+            "check-2-4": tolerant | {"--p", "--grid-points"},
+            "check-2-3": tolerant | {"--p", "--alpha"},
+            "redheffer-solve": tolerant | {"--c"},
+            "redheffer-check": tolerant | {"--p", "--c", "--beta", "--k"},
+            "redheffer-scan": tolerant | {"--p"},
             "norm-ratio": mean | {"--family", "--family-param"},
             "extremal-search": mean,
-            "verify-paper": set(),
+            "verify-paper": common,
         }
-        assert sum(map(len, _declared_flags().values())) == 97
+        assert sum(map(len, _declared_flags().values())) == 91
+
+    @pytest.mark.parametrize("name", _tolerant_commands())
+    def test_tolerance_flags_are_read(self, capsys, name):
+        # a tolerance the verdicts do not read would be echoed as if applied
+        argv, tol = _TOLERANCE_MOVES[name]
+        fields = []
+        for extra in ((), tol):
+            _, out, _ = run_cli(capsys, *argv, *extra, "--format", "json")
+            fields.append([
+                {k: v[k] for k in ("claim", "holds", "min_slack", "first_failure",
+                                   "value")}
+                for v in json.loads(out)["verdicts"]
+            ])
+        assert fields[0] != fields[1]
 
 
 # Finite floats with the edges of the range drawn often: zeros, the

@@ -392,11 +392,11 @@ class TestNonFiniteInputs:
 class TestFeasibilityConditions:
     def test_slope_condition_cases(self):
         half = RedhefferParams(p=0.5, c=2.5, beta=0.39119099438661153)
-        assert condition_6_50_check(half, 1.1152)
-        assert not condition_6_50_check(THIRD, 2.0 ** (1.0 / 3.0))
+        assert condition_6_50_check(half.p, half.c, 1.1152)
+        assert not condition_6_50_check(THIRD.p, THIRD.c, 2.0 ** (1.0 / 3.0))
         c34 = 1.0 / 0.34 - 1.0
         p34 = RedhefferParams(p=0.34, c=c34, beta=0.21)
-        assert not condition_6_50_check(p34, c34**0.34)
+        assert not condition_6_50_check(p34.p, p34.c, c34**0.34)
 
     def test_curvature_condition_cases(self):
         assert condition_6_54_check(1.0 / 3.0, BETA_THIRD)
@@ -414,13 +414,13 @@ class TestFeasibilityConditions:
         n2 = second_branch(THIRD, 2.0)
         assert n2 == pytest.approx(1.9720173102012157, rel=1e-9)
         assert n2 <= rhs
-        assert not condition_6_50_check(THIRD, k3)
+        assert not condition_6_50_check(THIRD.p, THIRD.c, k3)
 
     def test_two_branch_half_configuration(self):
         half = RedhefferParams(p=0.5, c=2.5, beta=0.39119099438661153)
         rep = condition_6_49_check(half, 10000, 1.1152)
         assert rep.holds
-        assert condition_6_50_check(half, 1.1152)
+        assert condition_6_50_check(half.p, half.c, 1.1152)
         # under the slope condition the n-branch peaks at n = 2, so the
         # n = 2 case decides the whole family
         assert int(np.argmax(second_branch(half, np.arange(2, 10001.0)))) == 0
