@@ -95,7 +95,7 @@ def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     p, alpha = args.p, args.alpha
     w = knopp_sequence(p, alpha, args.n_max + 1)  # rejects p <= 1 first
     U = weighted_mean_constant(p, 0.0) if args.U is None else args.U
-    report = knopp_criterion_check(
+    verdict = knopp_criterion_check(
         w,
         p,
         tol,
@@ -103,35 +103,30 @@ def _handle_check_knopp(args: argparse.Namespace, tol: Tolerances) -> Outcome:
         name=f"knopp[p={p},alpha={alpha},U={U}]",
         exploratory=alpha != 0.0,
     )
-    return [Verdict.from_report(report)], None
+    return [verdict], None
 
 
 def _handle_check_2_20(args: argparse.Namespace, tol: Tolerances) -> Outcome:
-    report = criterion_2_20_check(args.alpha, args.p, args.n_max, tol)
-    return [Verdict.from_report(report)], None
+    return [criterion_2_20_check(args.alpha, args.p, args.n_max, tol)], None
 
 
 def _handle_check_reverse(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     w = levin_steckin_sequence(args.p, args.n_max + 1)
-    report = reverse_criterion_check(w, args.p, tol)
-    return [Verdict.from_report(report)], None
+    return [reverse_criterion_check(w, args.p, tol)], None
 
 
 def _handle_check_2_30(args: argparse.Namespace, tol: Tolerances) -> Outcome:
-    report = check_2_30(args.p, args.n_max, tol)
-    return [Verdict.from_report(report)], None
+    return [check_2_30(args.p, args.n_max, tol)], None
 
 
 def _handle_check_2_4(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     if args.grid_points < 1:
         raise WorkbenchError("--grid-points must be >= 1")
-    report = check_2_4(args.p, args.grid_points, tol)
-    return [Verdict.from_report(report)], None
+    return [check_2_4(args.p, args.grid_points, tol)], None
 
 
 def _handle_check_2_3(args: argparse.Namespace, tol: Tolerances) -> Outcome:
-    report = check_2_3(args.alpha, args.p, args.n_max, tol)
-    return [Verdict.from_report(report)], None
+    return [check_2_3(args.alpha, args.p, args.n_max, tol)], None
 
 
 def _handle_redheffer_solve(args: argparse.Namespace, tol: Tolerances) -> Outcome:
@@ -150,10 +145,9 @@ def _handle_redheffer_solve(args: argparse.Namespace, tol: Tolerances) -> Outcom
 def _handle_redheffer_check(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     params = RedhefferParams(p=args.p, c=args.c, beta=args.beta)
     k_val = k_of_p(params, args.n_max) if args.k is None else args.k
-    full = condition_6_49_check(params, args.n_max, k_val, tol)
     reduced = condition_6_49_check(params, 2, k_val, tol)
     verdicts = [
-        Verdict.from_report(full),
+        condition_6_49_check(params, args.n_max, k_val, tol),
         Verdict(
             f"6.50[p={params.p},c={params.c}]", "6.50",
             condition_6_50_check(params.p, params.c, k_val, tol), value=k_val,
@@ -452,7 +446,14 @@ def _write_report(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # rejected under the subcommand's usage line, which shows its flags
+        (commands,) = (a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        commands.choices[args.command].error(
+            f"unrecognized arguments: {' '.join(extra)}"
+        )
     try:
         for key, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):

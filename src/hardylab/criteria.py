@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfDomainError, PreconditionError
-from .reports import CriterionReport, Tolerances, build_report
+from .reports import Tolerances, Verdict, build_report
 from .sequences import (
     AuxSequence,
     conjugate_exponent,
@@ -125,7 +125,7 @@ def knopp_criterion_check(
     name: str | None = None,
     ref: str = "eq7",
     exploratory: bool = False,
-) -> CriterionReport:
+) -> Verdict:
     """Forward criterion check (strict inequality) of the auxiliary
     sequence w against the power weights lambda_n = n**alpha.
 
@@ -176,7 +176,7 @@ def criterion_2_20_check(
     p: float,
     n_max: int,
     tol: Tolerances = Tolerances(),
-) -> CriterionReport:
+) -> Verdict:
     """Forward criterion with lambda_n = n**alpha and the matching Knopp w
     (knopp_sequence rejects p <= 1)."""
     if not 0.0 <= alpha <= 1.0:
@@ -230,7 +230,7 @@ def reverse_criterion_check(
     w: AuxSequence,
     p: float,
     tol: Tolerances = Tolerances(),
-) -> CriterionReport:
+) -> Verdict:
     """Reverse criterion check (non-strict inequality) of the auxiliary
     sequence w, levin_steckin_sequence(p, n_max + 1):
 
@@ -262,7 +262,7 @@ def check_2_30(
     p: float,
     n_max: int,
     tol: Tolerances = Tolerances(),
-) -> CriterionReport:
+) -> Verdict:
     """Forward criterion for the power choice w_n = n**(-1/p), lambda = 1:
 
         (sum_{i<=n} i**(-1/p))**(p-1) < (p/(p-1))**p n**p (n**(-1/q) - (n+1)**(-1/q))
@@ -286,13 +286,13 @@ def check_2_4(
     p: float,
     count: int,
     tol: Tolerances = Tolerances(),
-) -> CriterionReport:
+) -> Verdict:
     """Scalar family behind the n = 1 case of the power-choice criterion:
 
         1 - 2**(-(p-1)/p - alpha) > (1 - 1/((alpha+1)p))**p
 
     on ``count`` evenly spaced alphas over [0, 1/p], for p >= 3.  Grid
-    positions stand in for indices in the report.
+    positions stand in for indices in the verdict.
     """
     if not p >= 3.0:
         raise OutOfDomainError(f"established range needs p >= 3, got {p}")
@@ -319,7 +319,7 @@ def check_2_3(
     p: float,
     n_max: int,
     tol: Tolerances = Tolerances(),
-) -> CriterionReport:
+) -> Verdict:
     """Forward criterion for the power choice w_n = n**(alpha - 1/p) against
     weights lambda_n = n**alpha, established for 1 <= alpha <= 1 + 1/p."""
     if not p > 1.0:

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
     TailTruncationWarning,
 )
-from .reports import CriterionReport, Tolerances, build_report
+from .reports import Tolerances, Verdict, build_report
 from .sequences import conjugate_exponent, libm_map
 
 
@@ -175,9 +175,9 @@ def _gap(mu: np.ndarray, eta: np.ndarray, p) -> np.ndarray:
 
 
 class StepBound(NamedTuple):
-    lhs: float | np.ndarray
-    rhs: float | np.ndarray
-    residual: float | np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residual: np.ndarray
 
 
 def lemma_6_2_step(mu, eta, p, t) -> StepBound:
@@ -187,16 +187,16 @@ def lemma_6_2_step(mu, eta, p, t) -> StepBound:
 
     Each argument is a float or a 1-d array, and the arrays have equal
     lengths; the bound is formed elementwise, a float standing for every
-    element.  With four floats the fields are floats, else arrays.  Every
-    value must be finite.  Each field has the bits of the Python float
-    expression above: the powers come from the C library per element, the
-    rest is IEEE arithmetic.
+    element.  The fields are 1-d arrays, of length 1 when every argument
+    is a float.  Every value must be finite.  Each field has the bits of
+    the Python float expression above: the powers come from the C library
+    per element, the rest is IEEE arithmetic.
     """
-    args = [np.asarray(x, dtype=float) for x in (mu, eta, p, t)]
+    args = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (mu, eta, p, t)]
     if any(a.ndim > 1 for a in args):
         raise PreconditionError("mu, eta, p and t must be floats or 1-d arrays")
     try:
-        mu, eta, p, t = np.broadcast_arrays(*(np.atleast_1d(a) for a in args))
+        mu, eta, p, t = np.broadcast_arrays(*args)
     except ValueError:
         raise PreconditionError("mu, eta, p and t must have equal lengths") from None
     if not all(np.isfinite(a).all() for a in (mu, eta, p, t)):
@@ -210,10 +210,7 @@ def lemma_6_2_step(mu, eta, p, t) -> StepBound:
         raise OutOfDomainError("t must be nonnegative")
     lhs = mu * libm_map(pow, 1.0 + t, p) - eta * libm_map(pow, t, p)
     rhs = _gap(mu, eta, p)
-    residual = lhs - rhs
-    if all(a.ndim == 0 for a in args):
-        return StepBound(float(lhs[0]), float(rhs[0]), float(residual[0]))
-    return StepBound(lhs, rhs, residual)
+    return StepBound(lhs, rhs, lhs - rhs)
 
 
 def lemma_6_2_residual(
@@ -305,7 +302,7 @@ def condition_6_49_check(
     n_max: int,
     k: float,
     tol: Tolerances = Tolerances(),
-) -> CriterionReport:
+) -> Verdict:
     """Two-branch feasibility condition over 2 <= n <= n_max (non-strict)
     for the constant k.
 
@@ -329,7 +326,7 @@ def condition_6_49_check(
         slacks,
         strict=False,
         tol=tol,
-        log_rhs=np.full(len(values), math.log(rhs)),
+        log_rhs=math.log(rhs),
     )
 
 
@@ -417,7 +414,7 @@ class ScanResult:
     feasible: np.ndarray = field(repr=False)
     best: RedhefferParams | None = None
     best_k: float | None = None
-    best_report: CriterionReport | None = None
+    best_report: Verdict | None = None
 
     @property
     def feasible_count(self) -> int:

@@ -1,16 +1,16 @@
-"""Report types shared by the criterion checkers.
+"""The verdict type every claim, criterion check and CLI command returns.
 
 A criterion verdict is decided per index from the signed slack
 (RHS - LHS)/RHS: a strict inequality holds at n only when the slack
 clears tol_rel (plus tol_abs scaled by RHS), a non-strict one when it
-stays above the negated threshold.  Reports carry the verified horizon;
+stays above the negated threshold.  Verdicts carry the verified horizon;
 they are finite-horizon evidence, not proofs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,36 +34,6 @@ class Tolerances:
             raise OutOfDomainError("tolerances must be nonnegative")
 
 
-@dataclass(eq=False)
-class CriterionReport:
-    """Verdict of a finite per-index criterion check.
-
-    ``min_slack`` is the worst signed slack over the range (it is -inf at
-    an index whose bounding side collapses to a nonpositive value);
-    ``first_failure`` is set exactly when ``holds`` is False.
-    """
-
-    name: str
-    ref: str
-    n_lo: int
-    n_hi: int
-    holds: bool
-    min_slack: float
-    first_failure: int | None
-    exploratory: bool = False
-    slacks: np.ndarray | None = field(default=None, repr=False)
-
-    def summary(self) -> str:
-        verdict = (
-            "holds" if self.holds else f"fails first at n={self.first_failure}"
-        )
-        tag = " [exploratory]" if self.exploratory else ""
-        return (
-            f"{self.name}: {verdict} (verified up to n_max={self.n_hi}, "
-            f"min_slack={self.min_slack:.3e}){tag}"
-        )
-
-
 def _plain(x):
     if isinstance(x, np.generic):
         x = x.item()
@@ -84,26 +54,17 @@ class Verdict:
     first_failure: int | None = None
     exploratory: bool = False
     detail: str = ""
-
-    @classmethod
-    def from_report(cls, report: CriterionReport, claim: str | None = None) -> Verdict:
-        """The verdict of a criterion check, named ``claim`` or after the report."""
-        return cls(
-            claim=report.name if claim is None else claim,
-            ref=report.ref,
-            holds=report.holds,
-            min_slack=report.min_slack,
-            first_failure=report.first_failure,
-            exploratory=report.exploratory,
-            detail=report.summary(),
-        )
+    # a criterion check's index range, which is not rendered
+    n_lo: int | None = None
+    n_hi: int | None = None
 
     def to_dict(self) -> dict:
         """Plain Python values for JSON and the other renderers: ``ref`` is
-        written as ``paper_ref``, and a non-finite number (a slack of a
-        collapsed bounding side) as None."""
+        written as ``paper_ref``, a non-finite number (a slack of a
+        collapsed bounding side) as None, and the index range not at all."""
         row = {k: _plain(v) for k, v in asdict(self).items()}
         row["paper_ref"] = row.pop("ref")
+        del row["n_lo"], row["n_hi"]
         return row
 
 
@@ -114,16 +75,20 @@ def build_report(
     slacks: np.ndarray,
     *,
     strict: bool,
-    log_rhs: np.ndarray,
+    log_rhs: np.ndarray | float,
     tol: Tolerances = Tolerances(),
     exploratory: bool = False,
-) -> CriterionReport:
-    """Assemble a CriterionReport from per-index slacks.
+) -> Verdict:
+    """The verdict, under ``name``, of the per-index slacks at indices
+    n_lo, n_lo + 1, ...: ``min_slack`` is the worst slack (-inf at an index
+    whose bounding side collapses to a nonpositive value),
+    ``first_failure`` is set exactly when ``holds`` is False, and the
+    detail states both and the horizon.
 
-    ``log_rhs`` is the log of the bounding side per index; it converts
-    tol_abs into slack units index by index.  With tol_abs > 0 the
-    per-index threshold is formed in log_rhs's own buffer, which it
-    overwrites.
+    ``log_rhs`` is the log of the bounding side, per index or one float
+    for every index; it converts tol_abs into slack units.  With
+    tol_abs > 0 the threshold is formed in the buffer of an array
+    log_rhs, which it overwrites.
     """
     slacks = np.asarray(slacks, dtype=float)
     if len(slacks) == 0:
@@ -143,14 +108,19 @@ def build_report(
     ok = slacks > thr if strict else slacks >= thr
     holds = bool(np.all(ok))
     first_failure = None if holds else int(n_lo + np.argmin(ok))
-    return CriterionReport(
-        name=name,
+    n_hi = n_lo + len(slacks) - 1
+    min_slack = float(np.min(slacks))
+    verdict = "holds" if holds else f"fails first at n={first_failure}"
+    tag = " [exploratory]" if exploratory else ""
+    return Verdict(
+        claim=name,
         ref=ref,
-        n_lo=n_lo,
-        n_hi=n_lo + len(slacks) - 1,
         holds=holds,
-        min_slack=float(np.min(slacks)),
+        min_slack=min_slack,
         first_failure=first_failure,
         exploratory=exploratory,
-        slacks=slacks,
+        detail=f"{name}: {verdict} (verified up to n_max={n_hi}, "
+        f"min_slack={min_slack:.3e}){tag}",
+        n_lo=n_lo,
+        n_hi=n_hi,
     )

@@ -9,6 +9,7 @@ the same functions.  All verdicts are finite-horizon evidence, not proofs.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -121,8 +122,8 @@ def reverse_machinery_claims(n_max: int) -> list[Verdict]:
     for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
         # the claim is min_slack >= 0: a non-strict check at tol_rel 0
         seq = levin_steckin_sequence(p, n_max + 1)
-        report = reverse_criterion_check(seq, p, Tolerances(tol_rel=0.0))
-        rows.append(Verdict.from_report(report, f"3.1-reverse-p{p:.6g}"))
+        verdict = reverse_criterion_check(seq, p, Tolerances(tol_rel=0.0))
+        rows.append(replace(verdict, claim=f"3.1-reverse-p{p:.6g}"))
         # 3.2 reads the first n_max entries: the same bits as a sequence
         # built to n_max, since the maps are elementwise and the scan causal
         W = seq.W[:n_max]
@@ -204,8 +205,8 @@ def forward_sample_claims(n_max: int) -> list[Verdict]:
     """Shifted weighted-mean criterion samples plus the slope sign table."""
     rows = []
     for p, alpha in FORWARD_SAMPLES:
-        report = criterion_2_20_check(alpha, p, n_max)
-        rows.append(Verdict.from_report(report, f"5.1-forward-p{p:.6g}-a{alpha:.6g}"))
+        verdict = criterion_2_20_check(alpha, p, n_max)
+        rows.append(replace(verdict, claim=f"5.1-forward-p{p:.6g}-a{alpha:.6g}"))
     neg = all(
         f_alpha_analysis(0.5, 2.0, n).fprime_at_inv_p < 0.0 for n in range(1, 101)
     )
@@ -222,8 +223,8 @@ def power_choice_claims(n_max: int) -> list[Verdict]:
     """Alternative power-sequence checks."""
     rows = []
     for p in (3.0, 4.0, 10.0):
-        report = check_2_30(p, n_max)
-        rows.append(Verdict.from_report(report, f"6.1-power-choice-p{p:.6g}"))
+        verdict = check_2_30(p, n_max)
+        rows.append(replace(verdict, claim=f"6.1-power-choice-p{p:.6g}"))
     fail = check_2_30(1.05, 1)
     rows.append(
         Verdict(
@@ -236,12 +237,12 @@ def power_choice_claims(n_max: int) -> list[Verdict]:
         )
     )
     for p in (3.0, 5.0, 10.0):
-        report = check_2_4(p, 50)
-        rows.append(Verdict.from_report(report, f"6.3-scalar-family-p{p:.6g}"))
+        verdict = check_2_4(p, 50)
+        rows.append(replace(verdict, claim=f"6.3-scalar-family-p{p:.6g}"))
     for p, alpha in ((2.0, 1.0), (2.0, 1.5), (3.0, 4.0 / 3.0)):
-        report = check_2_3(alpha, p, n_max)
+        verdict = check_2_3(alpha, p, n_max)
         claim = f"6.4-shifted-power-p{p:.6g}-a{alpha:.6g}"
-        rows.append(Verdict.from_report(report, claim))
+        rows.append(replace(verdict, claim=claim))
     return rows
 
 
@@ -259,10 +260,10 @@ def hardy_bracketing_claims(n_max: int) -> list[Verdict]:
     """Classic forward criterion, extremal bracketing, and the norm cap."""
     rows = []
     for p in (1.25, 2.0, 3.0):
-        report = knopp_criterion_check(
+        verdict = knopp_criterion_check(
             knopp_sequence(p, 0.0, n_max + 1), p, name=f"knopp[p={p}]"
         )
-        rows.append(Verdict.from_report(report, f"7.1-classic-knopp-p{p:.6g}"))
+        rows.append(replace(verdict, claim=f"7.1-classic-knopp-p{p:.6g}"))
     grid = [SequenceFamily("power_decay", 100000, s) for s in (0.5001, 0.501, 0.51)]
     best = extremal_search(cesaro(100000), 2.0, grid)
     rows.append(

@@ -1,7 +1,11 @@
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from hardylab import criteria, redheffer
+from hardylab.reports import build_report
 
 # (where, argv) of each call tests/test_cli.py makes to cli.main: the names
 # of the test class and function making it, then "_traced_peak" for a call
@@ -27,6 +31,30 @@ def traced_peak():
     """The memory gates' measure: bytes of the largest allocation peak of
     one call, numpy arrays included."""
     return _traced_peak
+
+
+def _with_slacks(check, *args, **kwargs):
+    """(verdict, slacks) of check(*args, **kwargs): its verdict and the
+    per-index slacks it gave build_report, which a verdict does not keep."""
+    seen = []
+
+    def spy(name, ref, n_lo, slacks, **options):
+        seen.append(np.asarray(slacks, dtype=float))
+        return build_report(name, ref, n_lo, slacks, **options)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (criteria, redheffer):  # where the checks import it
+            patch.setattr(module, "build_report", spy)
+        verdict = check(*args, **kwargs)
+    (slacks,) = seen
+    return verdict, slacks
+
+
+@pytest.fixture(scope="session")
+def with_slacks():
+    """Run one criterion check and return its verdict and per-index slacks
+    (see _with_slacks).  It holds no state, so property tests may use it."""
+    return _with_slacks
 
 
 def _without_output_flags(argv) -> tuple[str, ...]:

@@ -19,6 +19,7 @@ over to ``L``.
 """
 
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from hardylab.verify import (
     power_choice_claims,
     redheffer_constant_claims,
     reverse_machinery_claims,
+    run_verification,
     theorem6_floor_claims,
 )
 
@@ -234,3 +236,13 @@ def test_criterion_8_lemma_suites():
             assert row.value >= -1e-12
     assert elapsed < 10.0
     assert ok, failing
+
+
+def test_verdict_rows_hold_no_arrays_and_render_their_fields():
+    # a verdict keeps no per-index array alive until it is rendered, and
+    # its index range is not rendered
+    rendered = {"claim", "paper_ref", "holds", "value", "min_slack",
+                "first_failure", "exploratory", "detail"}
+    for row in run_verification(N_MAX, DEFAULT_SEED):
+        assert not any(isinstance(v, np.ndarray) for v in astuple(row)), row.claim
+        assert row.to_dict().keys() == rendered, row.claim

@@ -364,6 +364,8 @@ class TestExplicitArguments:
             main(list(argv))
         assert exc.value.code == 2
         captured = capsys.readouterr()
+        # under the subcommand's usage line, which shows the flags it takes
+        assert captured.err.startswith(f"usage: hardylab {argv[0]} ")
         assert f"unrecognized arguments: {flag}" in captured.err
         assert captured.out == ""
 

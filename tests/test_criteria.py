@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -21,7 +22,7 @@ from hardylab.errors import (
     OutOfDomainError,
     PreconditionError,
 )
-from hardylab.reports import Tolerances, Verdict, build_report
+from hardylab.reports import Tolerances, build_report
 from hardylab.sequences import (
     AuxSequence,
     knopp_sequence,
@@ -40,13 +41,13 @@ def reverse_check(p, n_max, tol=Tolerances()):
 
 
 class TestForwardCriterion:
-    def test_classic_holds_and_matches_closed_form_slack(self):
+    def test_classic_holds_and_matches_closed_form_slack(self, with_slacks):
         # at p=2, lambda=1, the partial-sum identity collapses the slack
         # to exactly 1/(2n)
-        rep = classic_check(10000)
+        rep, slacks = with_slacks(classic_check, 10000)
         assert rep.holds
         n = np.arange(1, 10001)
-        assert np.max(np.abs(rep.slacks - 0.5 / n)) <= 1e-9
+        assert np.max(np.abs(slacks - 0.5 / n)) <= 1e-9
         assert rep.min_slack == pytest.approx(5e-5, rel=1e-4)
         assert rep.first_failure is None
 
@@ -56,13 +57,13 @@ class TestForwardCriterion:
         assert rep.first_failure == 1
         assert rep.min_slack == -math.inf
 
-    def test_power_choice_fails_at_one_for_p_near_one(self):
+    def test_power_choice_fails_at_one_for_p_near_one(self, with_slacks):
         p = 1.05
-        rep = check_2_30(p, 5)
+        rep, slacks = with_slacks(check_2_30, p, 5)
         assert not rep.holds and rep.first_failure == 1
         U = (p / (p - 1.0)) ** p
         rhs = U * (1.0 - 2.0 ** (-(p - 1.0) / p))
-        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
+        assert slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
         assert rhs == pytest.approx(0.7939419675524638, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -106,18 +107,18 @@ class TestForwardCriterion:
 
     @given(st.floats(min_value=1e-8, max_value=1e8))
     @settings(max_examples=40, deadline=None)
-    def test_scale_invariance_of_verdicts(self, factor):
+    def test_scale_invariance_of_verdicts(self, with_slacks, factor):
         base = knopp_sequence(2.0, 0.0, 201)
-        r1 = knopp_criterion_check(base, 2.0)
+        r1, s1 = with_slacks(knopp_criterion_check, base, 2.0)
         scaled = AuxSequence(
             n_max=base.n_max,
             law=base.law,
             log_w=base.log_w + math.log(factor),
             W=base.W * factor,
         )
-        r2 = knopp_criterion_check(scaled, 2.0)
+        r2, s2 = with_slacks(knopp_criterion_check, scaled, 2.0)
         assert r1.holds == r2.holds
-        assert np.max(np.abs(r1.slacks - r2.slacks)) <= 1e-10
+        assert np.max(np.abs(s1 - s2)) <= 1e-10
 
 
 class TestShiftedWeightedMeanCriterion:
@@ -148,12 +149,12 @@ class TestShiftedWeightedMeanCriterion:
         with pytest.raises(OutOfDomainError):
             criterion_2_20_check(-0.2, 2.0, 10)
 
-    def test_slacks_match_direct_evaluation(self):
+    def test_slacks_match_direct_evaluation(self, with_slacks):
         # independent route: closed-form weights through gamma ratios and
         # plain float arithmetic
         p, alpha = 2.0, 0.3
         n_max = 100
-        rep = criterion_2_20_check(alpha, p, n_max)
+        _, slacks = with_slacks(criterion_2_20_check, alpha, p, n_max)
         s = alpha - 1.0 / p
         w = np.array(
             [math.gamma(n + s) / (math.gamma(n) * math.gamma(1.0 + s))
@@ -166,7 +167,7 @@ class TestShiftedWeightedMeanCriterion:
         t = w ** (p - 1.0) / lam**p
         rhs = U * Lam[:n_max] ** p * (t[:n_max] - t[1:])
         direct = (rhs - W[:n_max] ** (p - 1.0)) / rhs
-        assert np.max(np.abs(rep.slacks - direct)) <= 1e-10
+        assert np.max(np.abs(slacks - direct)) <= 1e-10
 
 
 class TestScalarReduction:
@@ -188,15 +189,15 @@ class TestScalarReduction:
             assert f_alpha_analysis(0.5, 2.0, n).fprime_at_inv_p < 0.0
             assert f_alpha_analysis(0.75, 4.0 / 3.0, n).fprime_at_inv_p > 0.0
 
-    def test_positive_reduction_implies_criterion_passes(self):
+    def test_positive_reduction_implies_criterion_passes(self, with_slacks):
         # one-sided implication: f(alpha) > 0 at an index forces the full
         # per-index check to pass there
         tol = Tolerances()
         for p, alpha in ((2.0, 0.3), (2.0, 0.5), (3.0, 0.2), (4.0 / 3.0, 0.9)):
-            rep = criterion_2_20_check(alpha, p, 300)
+            rep, slacks = with_slacks(criterion_2_20_check, alpha, p, 300)
             for n in range(1, 301):
                 if f_alpha_analysis(alpha, p, n).f_value > 1e-12:
-                    assert rep.slacks[n - rep.n_lo] > tol.tol_rel
+                    assert slacks[n - rep.n_lo] > tol.tol_rel
 
     def test_convex_in_alpha(self):
         grid = np.linspace(0.0, 1.0, 100)
@@ -346,23 +347,25 @@ class TestAbsoluteToleranceVerdicts:
     # in a reused work buffer; each case has an index whose verdict only
     # tol_abs decides (the pinned values agree with an out-of-place
     # evaluation of the same formulas)
-    def test_knopp_indices_fail_only_through_tol_abs(self):
+    def test_knopp_indices_fail_only_through_tol_abs(self, with_slacks):
         assert classic_check(2000).holds
         w = knopp_sequence(2.0, 0.0, 2001)
-        rep = knopp_criterion_check(w, 2.0, Tolerances(tol_abs=0.05))
+        rep, slacks = with_slacks(
+            knopp_criterion_check, w, 2.0, Tolerances(tol_abs=0.05)
+        )
         assert not rep.holds
         assert rep.first_failure == 129
-        assert rep.slacks[128] > 1e-12
+        assert slacks[128] > 1e-12
         assert rep.min_slack.hex() == "0x1.0624dd34f89f4p-12"
 
-    def test_reverse_index_passes_only_through_tol_abs(self):
+    def test_reverse_index_passes_only_through_tol_abs(self, with_slacks):
         # non-strict: tol_abs loosens, so it moves the first failure from
         # n = 6 to n = 7 at 5e-6 and clears every index at 5.5e-6
         assert reverse_check(0.34, 2000).first_failure == 6
-        rep = reverse_check(0.34, 2000, Tolerances(tol_abs=5e-6))
+        rep, slacks = with_slacks(reverse_check, 0.34, 2000, Tolerances(tol_abs=5e-6))
         assert not rep.holds
         assert rep.first_failure == 7
-        assert rep.slacks[5] < 0.0
+        assert slacks[5] < 0.0
         assert rep.min_slack.hex() == "-0x1.0a0dd92a9d82ep-10"
         rep = reverse_check(0.34, 2000, Tolerances(tol_abs=5.5e-6))
         assert rep.holds and rep.first_failure is None
@@ -386,11 +389,11 @@ class TestReverseCriterion:
         assert rep.min_slack >= 0.0
         assert not rep.exploratory
 
-    def test_slacks_match_high_precision_oracle_at_one_third(self):
+    def test_slacks_match_high_precision_oracle_at_one_third(self, with_slacks):
         # with w_n = n everything is explicit; evaluate both sides with
         # 40-digit arithmetic
         mp.mp.dps = 40
-        rep = reverse_check(1.0 / 3.0, 2000)
+        rep, slacks = with_slacks(reverse_check, 1.0 / 3.0, 2000)
 
         def oracle(n):
             nn = mp.mpf(n)
@@ -399,9 +402,9 @@ class TestReverseCriterion:
             return float(1 - lhs / rhs)
 
         for n in (1, 2, 10, 100):
-            assert rep.slacks[n - rep.n_lo] == pytest.approx(oracle(n), rel=1e-8)
+            assert slacks[n - rep.n_lo] == pytest.approx(oracle(n), rel=1e-8)
         for n in (1000, 2000):
-            assert rep.slacks[n - rep.n_lo] == pytest.approx(oracle(n), rel=1e-4)
+            assert slacks[n - rep.n_lo] == pytest.approx(oracle(n), rel=1e-4)
 
     def test_exploratory_range_fails_and_is_flagged(self):
         rep = reverse_check(0.45, 500)
@@ -422,21 +425,21 @@ class TestReverseCriterion:
 
 
 class TestPowerChoiceChecks:
-    def test_first_index_direct_evaluation(self):
-        rep = check_2_30(3.0, 10)
+    def test_first_index_direct_evaluation(self, with_slacks):
+        rep, slacks = with_slacks(check_2_30, 3.0, 10)
         rhs = 3.375 * (1.0 - 2.0 ** (-2.0 / 3.0))
         assert rhs == pytest.approx(1.2488832283024415, rel=1e-12)
-        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
+        assert slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 10.0])
     def test_established_range_holds(self, p):
         rep = check_2_30(p, 2000)
         assert rep.holds and not rep.exploratory
 
-    def test_slacks_match_plain_float_route(self):
+    def test_slacks_match_plain_float_route(self, with_slacks):
         p = 3.0
         n_max = 500
-        rep = check_2_30(p, n_max)
+        _, slacks = with_slacks(check_2_30, p, n_max)
         q = p / (p - 1.0)
         i = np.arange(1, n_max + 1, dtype=float)
         W = np.cumsum(i ** (-1.0 / p))
@@ -447,18 +450,18 @@ class TestPowerChoiceChecks:
             * (i ** (-1.0 / q) - (i + 1.0) ** (-1.0 / q))
         )
         direct = (rhs - lhs) / rhs
-        assert np.max(np.abs(rep.slacks - direct)) <= 1e-6
+        assert np.max(np.abs(slacks - direct)) <= 1e-6
 
 
 class TestScalarPowerFamily:
-    def test_spot_values(self):
-        rep = check_2_4(3.0, 2)  # the points 0 and 1/3
+    def test_spot_values(self, with_slacks):
+        rep, slacks = with_slacks(check_2_4, 3.0, 2)  # the points 0 and 1/3
         lhs0 = (1.0 - 1.0 / 3.0) ** 3
         rhs0 = 1.0 - 2.0 ** (-2.0 / 3.0)
-        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs0 - lhs0) / rhs0, rel=1e-12)
+        assert slacks[1 - rep.n_lo] == pytest.approx((rhs0 - lhs0) / rhs0, rel=1e-12)
         lhs1 = (1.0 - 0.25) ** 3
         rhs1 = 0.5
-        assert rep.slacks[2 - rep.n_lo] == pytest.approx((rhs1 - lhs1) / rhs1, rel=1e-12)
+        assert slacks[2 - rep.n_lo] == pytest.approx((rhs1 - lhs1) / rhs1, rel=1e-12)
         assert rep.holds
 
     @pytest.mark.parametrize("p", [3.0, 5.0, 10.0])
@@ -466,11 +469,12 @@ class TestScalarPowerFamily:
         rep = check_2_4(p, 50)
         assert rep.holds
 
-    def test_point_count_spans_zero_to_inverse_p(self):
+    def test_point_count_spans_zero_to_inverse_p(self, with_slacks):
         p, alpha = 5.0, np.linspace(0.0, 1.0 / 5.0, 7)
         lhs = (1.0 - 1.0 / ((alpha + 1.0) * p)) ** p
         rhs = 1.0 - 2.0 ** (-(p - 1.0) / p - alpha)
-        assert check_2_4(p, 7).slacks == pytest.approx((rhs - lhs) / rhs, rel=1e-12)
+        _, slacks = with_slacks(check_2_4, p, 7)
+        assert slacks == pytest.approx((rhs - lhs) / rhs, rel=1e-12)
         # the regime is checked before 1/p is formed
         with pytest.raises(OutOfDomainError, match="p >= 3"):
             check_2_4(0.0, 7)
@@ -483,11 +487,11 @@ class TestScalarPowerFamily:
 
 
 class TestShiftedPowerChoice:
-    def test_first_index_direct_evaluation(self):
-        rep = check_2_3(1.0, 2.0, 10)
+    def test_first_index_direct_evaluation(self, with_slacks):
+        rep, slacks = with_slacks(check_2_3, 1.0, 2.0, 10)
         rhs = (4.0 / 3.0) ** 2 * (1.0 - 2.0**-1.5)
         assert rhs == pytest.approx(1.1492384167230689, rel=1e-12)
-        assert rep.slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
+        assert slacks[1 - rep.n_lo] == pytest.approx((rhs - 1.0) / rhs, rel=1e-10)
 
     @pytest.mark.parametrize(
         "p,alpha", [(2.0, 1.0), (2.0, 1.5), (3.0, 4.0 / 3.0)]
@@ -531,7 +535,7 @@ class TestReportAssembly:
         assert not rep.holds
         assert rep.first_failure == 4
         assert rep.min_slack == -0.3
-        assert rep.summary() == (
+        assert rep.detail == (
             "x: fails first at n=4 (verified up to n_max=6, min_slack=-3.000e-01)"
         )
 
@@ -544,12 +548,12 @@ class TestReportAssembly:
         with pytest.raises(OutOfDomainError):
             build_report("x", "0", 1, [], strict=False, log_rhs=np.zeros(0))
 
-    def test_holding_summary_is_tagged_exploratory(self):
+    def test_holding_detail_is_tagged_exploratory(self):
         rep = build_report(
             "x", "0", 1, [0.5, 0.25], strict=True, log_rhs=np.zeros(2),
             exploratory=True,
         )
-        assert rep.summary() == (
+        assert rep.detail == (
             "x: holds (verified up to n_max=2, min_slack=2.500e-01) [exploratory]"
         )
 
@@ -557,9 +561,9 @@ class TestReportAssembly:
         slacks = np.linspace(0.1, 0.2, 20)
         slacks[-1] = -np.inf
         rep = build_report("x", "9.9", 1, slacks, strict=False, log_rhs=np.zeros(20))
-        row = Verdict.from_report(rep, claim="9.9-x").to_dict()
+        row = replace(rep, claim="9.9-x").to_dict()
         assert row["claim"] == "9.9-x" and row["paper_ref"] == "9.9"
-        assert "ref" not in row
+        assert "ref" not in row and "n_lo" not in row and "n_hi" not in row
         assert row["min_slack"] is None
         assert row["first_failure"] == 20 and row["holds"] is False
 

@@ -28,6 +28,7 @@ from hardylab.redheffer import (
     scan_params,
     solve_x_half,
 )
+from hardylab.reports import Tolerances, build_report
 
 SQRT2 = math.sqrt(2.0)
 BETA_THIRD = 3.0 - 2.0 * SQRT2
@@ -145,12 +146,12 @@ class TestPartialSumLemma:
 class TestTailSumLemma:
     def test_single_step_spot_values(self):
         step = lemma_6_2_step(1.0, 1.0, 0.5, 1.0)
-        assert step.lhs == pytest.approx(SQRT2 - 1.0, rel=1e-14)
-        assert step.rhs == 0.0
+        assert step.lhs[0] == pytest.approx(SQRT2 - 1.0, rel=1e-14)
+        assert step.rhs[0] == 0.0
         step = lemma_6_2_step(2.0, 1.0, 0.5, 0.5)
-        assert step.lhs == pytest.approx(1.7423829615966304, rel=1e-12)
-        assert step.rhs == pytest.approx(math.sqrt(3.0), rel=1e-14)
-        assert step.residual >= 0.0
+        assert step.lhs[0] == pytest.approx(1.7423829615966304, rel=1e-12)
+        assert step.rhs[0] == pytest.approx(math.sqrt(3.0), rel=1e-14)
+        assert step.residual[0] >= 0.0
 
     def test_single_step_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -168,7 +169,7 @@ class TestTailSumLemma:
     )
     @settings(max_examples=300, deadline=None)
     def test_single_step_property(self, eta, bump, t, p):
-        assert lemma_6_2_step(eta + bump, eta, p, t).residual >= -1e-12
+        assert lemma_6_2_step(eta + bump, eta, p, t).residual[0] >= -1e-12
 
     def test_full_inequality_geometric_example(self):
         length = 40
@@ -287,16 +288,16 @@ class TestStepArrays:
             want = step_oracle(*args)
             assert [float(f[i]).hex() for f in got] == [w.hex() for w in want], args
 
-    def test_float_input_returns_floats(self):
+    def test_float_input_returns_length_one_arrays(self):
         step = lemma_6_2_step(2.0, 1.0, 0.5, 0.5)
-        assert all(type(field) is float for field in step)
-        assert [f.hex() for f in step] == [w.hex() for w in step_oracle(2.0, 1.0, 0.5, 0.5)]
+        assert all(isinstance(f, np.ndarray) and f.shape == (1,) for f in step)
+        assert [f[0].hex() for f in step] == [w.hex() for w in step_oracle(2.0, 1.0, 0.5, 0.5)]
 
     def test_floats_broadcast_against_arrays(self):
         t = np.array([0.0, 0.5, 2.0])
         got = lemma_6_2_step(2.0, 1.0, 0.5, t)
         for i, tt in enumerate(t.tolist()):
-            assert got.residual[i].hex() == lemma_6_2_step(2.0, 1.0, 0.5, tt).residual.hex()
+            assert got.residual[i].hex() == lemma_6_2_step(2.0, 1.0, 0.5, tt).residual[0].hex()
 
     def test_shape_errors(self):
         with pytest.raises(PreconditionError, match="equal lengths"):
@@ -425,6 +426,26 @@ class TestFeasibilityConditions:
         # n = 2 case decides the whole family
         assert int(np.argmax(second_branch(half, np.arange(2, 10001.0)))) == 0
         assert k_of_p(half, 2) == k_of_p(half, 10000)
+
+    def test_scalar_bound_matches_per_index_bound(self, with_slacks):
+        # the check converts tol_abs through one log of its constant bound;
+        # the verdicts equal those of that log repeated per index, over
+        # tol_abs values on both sides of the one that clears n = 2
+        half = RedhefferParams(p=0.5, c=2.5, beta=0.39119099438661153)
+        k = k_of_p(half, 200) * (1.0 - 1e-9)
+        log_rhs = math.log(half.c ** (1.0 - half.p) * k)
+        verdicts = []
+        for tol_abs in np.linspace(1.7e-9, 1.8e-9, 41).tolist():
+            tol = Tolerances(tol_abs=tol_abs)
+            got, slacks = with_slacks(condition_6_49_check, half, 200, k, tol)
+            want = build_report(
+                got.claim, "6.49", 2, slacks, strict=False, tol=tol,
+                log_rhs=np.full(len(slacks), log_rhs),
+            )
+            assert got == want
+            assert got.min_slack.hex() == want.min_slack.hex()
+            verdicts.append(got.holds)
+        assert False in verdicts and True in verdicts
 
     def test_requires_constant(self):
         # k has no default and no second source
