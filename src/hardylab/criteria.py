@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfDomainError, PreconditionError
+from .errors import WorkbenchError
 from .reports import Tolerances, Verdict, build_report
 from .sequences import (
     AuxSequence,
@@ -35,11 +35,11 @@ def weighted_mean_constant(p: float, alpha: float) -> float:
     """((alpha+1)p / ((alpha+1)p - 1))**p for power weights lambda_n = n**alpha."""
     ap = (alpha + 1.0) * p
     if ap <= 1.0:
-        raise OutOfDomainError(f"(alpha+1)p must exceed 1, got {ap}")
+        raise WorkbenchError(f"(alpha+1)p must exceed 1, got {ap}")
     try:
         return (ap / (ap - 1.0)) ** p
     except OverflowError:  # a Python float power raises where numpy gives inf
-        raise OutOfDomainError(
+        raise WorkbenchError(
             f"weighted mean constant ((alpha+1)p / ((alpha+1)p - 1))**p "
             f"overflows at p={p}, alpha={alpha}"
         ) from None
@@ -51,7 +51,7 @@ def _require_finite(values: np.ndarray) -> None:
     if values.size and not (
         math.isfinite(values.min()) and math.isfinite(values.max())
     ):
-        raise OutOfDomainError(
+        raise WorkbenchError(
             "values left the representable range at this horizon; reduce n_max"
         )
 
@@ -131,17 +131,17 @@ def knopp_criterion_check(
 
     The bracket looks one index ahead, so the check runs over
     n = 1..w.n_max - 1.  U defaults to weighted_mean_constant(p, alpha);
-    it must be positive and finite.  Besides w it holds two n-length arrays: log_rhs, which starts as Lam,
-    and the slacks.
+    it must be positive and finite.  Besides w it holds two n-length
+    arrays: log_rhs, which starts as Lam, and the slacks.
     """
     if not p > 1.0:
-        raise PreconditionError(f"forward regime needs p > 1, got {p}")
+        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
     if U is None:
         U = weighted_mean_constant(p, alpha)
     if not U > 0.0:
-        raise OutOfDomainError("target constant must be positive")
+        raise WorkbenchError("target constant must be positive")
     if not math.isfinite(U):
-        raise OutOfDomainError(f"target constant must be finite, got {U}")
+        raise WorkbenchError(f"target constant must be finite, got {U}")
     # Lam_n = sum_{i<=n} i**alpha, whose buffer takes log(U Lam_n**p); the
     # bracket's t_n = w_n**(p-1) / lam_n**p.  A huge p overflows the logs to
     # inf, which is rejected
@@ -180,7 +180,7 @@ def criterion_2_20_check(
     """Forward criterion with lambda_n = n**alpha and the matching Knopp w
     (knopp_sequence rejects p <= 1)."""
     if not 0.0 <= alpha <= 1.0:
-        raise OutOfDomainError(f"alpha must lie in [0, 1], got {alpha}")
+        raise WorkbenchError(f"alpha must lie in [0, 1], got {alpha}")
     return knopp_criterion_check(
         knopp_sequence(p, alpha, n_max + 1),
         p,
@@ -208,15 +208,15 @@ def f_alpha_analysis(alpha: float, p: float, n: int) -> FAlpha:
     which side of 1/p stays positive.
     """
     if not p > 1.0:
-        raise PreconditionError(f"forward regime needs p > 1, got {p}")
+        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
     q = conjugate_exponent(p)
     if n < 1:
-        raise OutOfDomainError("n must be >= 1")
+        raise WorkbenchError("n must be >= 1")
     if not 0.0 <= alpha <= 1.0:
-        raise OutOfDomainError(f"alpha must lie in [0, 1], got {alpha}")
+        raise WorkbenchError(f"alpha must lie in [0, 1], got {alpha}")
     args = ((alpha + 1.0 / q) / n, (alpha - 1.0 / p) / n)
     if any(a <= -1.0 for a in args):
-        raise OutOfDomainError("logarithm argument is nonpositive")
+        raise WorkbenchError("logarithm argument is nonpositive")
     f_value = (
         alpha * math.log1p(1.0 / n)
         - math.log1p(args[0]) / p
@@ -242,7 +242,7 @@ def reverse_criterion_check(
     1/2) runs as exploratory.
     """
     if not 0.0 < p < 0.5:
-        raise PreconditionError(f"reverse regime needs 0 < p < 1/2, got {p}")
+        raise WorkbenchError(f"reverse regime needs 0 < p < 1/2, got {p}")
     s = p / (1.0 - p)
     log_rhs = np.full(w.n_max - 1, s * math.log((1.0 - p) / p))
     slacks = _bracket_slacks(w, -1.0 / (1.0 - p), (s,), log_rhs)
@@ -271,7 +271,7 @@ def check_2_30(
     n = 1 once p is close enough to 1).
     """
     if not p > 1.0:
-        raise PreconditionError(f"forward regime needs p > 1, got {p}")
+        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
     return knopp_criterion_check(
         power_aux_sequence(-1.0 / p, n_max + 1),
         p,
@@ -295,9 +295,9 @@ def check_2_4(
     positions stand in for indices in the verdict.
     """
     if not p >= 3.0:
-        raise OutOfDomainError(f"established range needs p >= 3, got {p}")
+        raise WorkbenchError(f"established range needs p >= 3, got {p}")
     if count < 1:
-        raise OutOfDomainError("empty grid")
+        raise WorkbenchError("empty grid")
     alphas = np.linspace(0.0, 1.0 / p, count)
     log_lhs = p * np.log1p(-1.0 / ((alphas + 1.0) * p))
     with np.errstate(divide="ignore"):
@@ -323,9 +323,9 @@ def check_2_3(
     """Forward criterion for the power choice w_n = n**(alpha - 1/p) against
     weights lambda_n = n**alpha, established for 1 <= alpha <= 1 + 1/p."""
     if not p > 1.0:
-        raise PreconditionError(f"forward regime needs p > 1, got {p}")
+        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
     if not 1.0 <= alpha <= 1.0 + 1.0 / p:
-        raise OutOfDomainError(
+        raise WorkbenchError(
             f"established range is 1 <= alpha <= 1 + 1/p, got alpha={alpha}"
         )
     return knopp_criterion_check(

@@ -2,31 +2,7 @@
 
 
 class WorkbenchError(ValueError):
-    """Base class for domain and precondition violations."""
-
-
-class InvalidExponentError(WorkbenchError):
-    """The exponent p sits where the conjugate q = p/(p-1) is undefined."""
-
-
-class NonpositiveWeightError(WorkbenchError):
-    """A weight recurrence would leave the positive domain."""
-
-
-class ParameterMismatchError(WorkbenchError):
-    """An operator input is shorter than the operator's truncation."""
-
-
-class OutOfDomainError(WorkbenchError):
-    """Numeric argument outside the domain of the requested quantity."""
-
-
-class PreconditionError(WorkbenchError):
-    """A lemma hypothesis (ordering, positivity, range) is violated."""
-
-
-class UndefinedRatioError(WorkbenchError):
-    """A norm ratio was requested for an identically zero input."""
+    """An input outside the domain or the hypotheses of the requested quantity."""
 
 
 class TailTruncationWarning(RuntimeWarning):

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compsum import neumaier_prefix_sums, neumaier_suffix_sums
-from .errors import OutOfDomainError, ParameterMismatchError, UndefinedRatioError
+from .errors import WorkbenchError
 from .sequences import power_sums, power_weights
 
 
@@ -35,15 +35,15 @@ class OperatorSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("weighted_mean", "copson_tail"):
-            raise OutOfDomainError(f"unknown operator kind {self.kind!r}")
+            raise WorkbenchError(f"unknown operator kind {self.kind!r}")
         if self.truncation < 1:
-            raise OutOfDomainError("truncation must be >= 1")
+            raise WorkbenchError("truncation must be >= 1")
         if self.kind == "weighted_mean" and not (
             self.alpha is not None and math.isfinite(self.alpha)
         ):
-            raise OutOfDomainError("weighted_mean needs a finite alpha")
+            raise WorkbenchError("weighted_mean needs a finite alpha")
         if self.kind == "copson_tail" and self.alpha is not None:
-            raise OutOfDomainError("copson_tail takes no alpha")
+            raise WorkbenchError("copson_tail takes no alpha")
 
     @cached_property
     def mean_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +53,7 @@ class OperatorSpec:
         total = power_sums(alpha - 1.0, self.truncation)
         if math.isfinite(total[-1]):  # else the means would be NaN or 0
             return lam, total
-        raise OutOfDomainError(f"the weights i**(alpha-1) overflow at alpha={alpha}")
+        raise WorkbenchError(f"the weights i**(alpha-1) overflow at alpha={alpha}")
 
 
 def cesaro(truncation: int) -> OperatorSpec:
@@ -78,27 +78,27 @@ class SequenceFamily:
 
     def __post_init__(self) -> None:
         if self.kind not in ("power_decay", "delta", "geometric", "random"):
-            raise OutOfDomainError(f"unknown family kind {self.kind!r}")
+            raise WorkbenchError(f"unknown family kind {self.kind!r}")
         if self.length < 1:
-            raise OutOfDomainError("length must be >= 1")
+            raise WorkbenchError("length must be >= 1")
         if self.kind == "geometric" and not (
             self.param is not None and 0.0 <= float(self.param) < 1.0
         ):
-            raise OutOfDomainError("geometric needs 0 <= r < 1")
+            raise WorkbenchError("geometric needs 0 <= r < 1")
         if self.kind == "power_decay" and not (
             self.param is not None and math.isfinite(self.param)
         ):
-            raise OutOfDomainError("power_decay needs a finite exponent")
+            raise WorkbenchError("power_decay needs a finite exponent")
         if self.kind == "random" and not (
             isinstance(self.param, (int, np.integer))
             and not isinstance(self.param, bool)
             and self.param >= 0
         ):
-            raise OutOfDomainError(
+            raise WorkbenchError(
                 f"random needs an integer seed >= 0, got {self.param!r}"
             )
         if self.kind == "delta" and self.param is not None:
-            raise OutOfDomainError("delta takes no parameter")
+            raise WorkbenchError("delta takes no parameter")
 
     def values(self) -> np.ndarray:
         if self.kind == "power_decay":
@@ -126,12 +126,12 @@ def _materialize(a, N: int) -> np.ndarray:
     """The first N input values, checked."""
     arr = _values(a)
     if len(arr) < N:
-        raise ParameterMismatchError(f"input length {len(arr)} < truncation {N}")
+        raise WorkbenchError(f"input length {len(arr)} < truncation {N}")
     arr = arr[:N]  # entries past N are never read, so never validated
     if not np.all(arr >= 0.0):  # one pass; NaN fails the comparison too
         if np.isnan(arr).any():
-            raise OutOfDomainError("inputs must not be NaN")
-        raise OutOfDomainError("inputs must be nonnegative")
+            raise WorkbenchError("inputs must not be NaN")
+        raise WorkbenchError("inputs must be nonnegative")
     return arr
 
 
@@ -151,7 +151,7 @@ def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
         N**(1-s)/(s-1) - N**(-s)  <=  tail  <=  N**(1-s)/(s-1).
     """
     if not s > 1.0:
-        raise OutOfDomainError("tail converges only for s > 1")
+        raise WorkbenchError("tail converges only for s > 1")
     hi = N ** (1.0 - s) / (s - 1.0)
     return max(hi - N ** (-1.0 * s), 0.0), hi
 
@@ -199,7 +199,7 @@ def _power_sum(x: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
     except OverflowError:  # finite terms whose sum overflows
         total = math.inf
     if not math.isfinite(total):
-        raise OutOfDomainError(
+        raise WorkbenchError(
             f"the sum of p-th powers (p={p}) overflows; "
             "choose a smaller family exponent or horizon"
         )
@@ -208,7 +208,7 @@ def _power_sum(x: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
 
 def _check_exponent(p: float) -> None:
     if not p > 0.0:
-        raise OutOfDomainError(f"p must be positive, got {p}")
+        raise WorkbenchError(f"p must be positive, got {p}")
 
 
 def _constant_ratios(op: OperatorSpec, a, ps):
@@ -226,7 +226,7 @@ def _constant_ratios(op: OperatorSpec, a, ps):
         arr = _materialize(a, op.truncation)
         denoms = [_power_sum(arr, p) for p in ps]
         if 0.0 in denoms:
-            raise UndefinedRatioError("input is identically zero on the truncation")
+            raise WorkbenchError("input is identically zero on the truncation")
         means = _apply(op, arr)
     last = len(denoms) - 1
     for i, (p, denom) in enumerate(zip(ps, denoms)):
@@ -245,7 +245,7 @@ def _root(ratio: float, p: float) -> float:
     except OverflowError:  # a ratio above 1 under a tiny p
         root = math.inf
     if not math.isfinite(root):
-        raise OutOfDomainError(
+        raise WorkbenchError(
             f"the ratio's (1/p)-th power overflows (p={p}); choose a larger p"
         )
     return root
@@ -307,10 +307,10 @@ def extremal_search(op: OperatorSpec, p: float, family_grid) -> ExtremalResult:
     constant in the p-th root convention).
     """
     if not (p > 1.0 or 0.0 < p < 1.0):
-        raise OutOfDomainError(f"extremal search needs p > 1 or 0 < p < 1, got {p}")
+        raise WorkbenchError(f"extremal search needs p > 1 or 0 < p < 1, got {p}")
     families = list(family_grid)
     if not families:
-        raise OutOfDomainError("family grid must be nonempty")
+        raise WorkbenchError("family grid must be nonempty")
     ratios = tuple(norm_ratio(op, fam, p) for fam in families)
     pick = max if p > 1.0 else min
     idx = ratios.index(pick(ratios))
@@ -320,7 +320,7 @@ def extremal_search(op: OperatorSpec, p: float, family_grid) -> ExtremalResult:
 def default_power_grid(p: float, N: int) -> list[SequenceFamily]:
     """Near-extremal power families, exponents just above 1/p."""
     if not p > 0.0:
-        raise OutOfDomainError(f"p must be positive, got {p}")
+        raise WorkbenchError(f"p must be positive, got {p}")
     return [
         SequenceFamily("power_decay", N, 1.0 / p + eps)
         for eps in (1e-4, 1e-3, 1e-2)

@@ -25,11 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compsum import neumaier_prefix_sums, neumaier_suffix_sums
-from .errors import (
-    OutOfDomainError,
-    PreconditionError,
-    TailTruncationWarning,
-)
+from .errors import TailTruncationWarning, WorkbenchError
 from .reports import Tolerances, Verdict, build_report
 from .sequences import conjugate_exponent, libm_map
 
@@ -48,13 +44,13 @@ class RedhefferParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
-            raise OutOfDomainError(f"p must lie in (0, 1), got {self.p}")
+            raise WorkbenchError(f"p must lie in (0, 1), got {self.p}")
         if not self.c > 0.0:
-            raise OutOfDomainError(f"c must be positive, got {self.c}")
+            raise WorkbenchError(f"c must be positive, got {self.c}")
         if not self.beta <= 1.0:  # written so that a NaN beta fails it
-            raise OutOfDomainError(f"beta must be <= 1, got {self.beta}")
+            raise WorkbenchError(f"beta must be <= 1, got {self.beta}")
         if self.c < self.beta:
-            raise OutOfDomainError(f"need c >= beta, got c={self.c} < {self.beta}")
+            raise WorkbenchError(f"need c >= beta, got c={self.c} < {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -70,11 +66,11 @@ class RecurrentSequences:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "eta", eta)
         if mu.shape != eta.shape:
-            raise PreconditionError("mu and eta must have equal length")
+            raise WorkbenchError("mu and eta must have equal length")
         if not (np.isfinite(mu).all() and np.isfinite(eta).all()):
-            raise OutOfDomainError("multiplier sequences must be finite")
+            raise WorkbenchError("multiplier sequences must be finite")
         if np.any(mu <= 0.0) or np.any(eta <= 0.0):
-            raise PreconditionError("multiplier sequences must be positive")
+            raise WorkbenchError("multiplier sequences must be positive")
 
     def require_ordering(self, p: float, n: int) -> None:
         """Partial-sum regime (p < 1) at horizon n: mu_i <= eta_i for
@@ -82,22 +78,36 @@ class RecurrentSequences:
         mu, eta = self.mu[:n], self.eta[:n]
         if 0.0 < p < 1.0:
             if np.any(mu > eta):
-                raise PreconditionError("0 < p < 1 requires mu_i <= eta_i")
+                raise WorkbenchError("0 < p < 1 requires mu_i <= eta_i")
         elif p < 0.0:
             if np.any(mu < eta):
-                raise PreconditionError("p < 0 requires mu_i >= eta_i")
+                raise WorkbenchError("p < 0 requires mu_i >= eta_i")
         else:
-            raise PreconditionError(f"lemma regime needs p < 1, p != 0; got {p}")
+            raise WorkbenchError(f"lemma regime needs p < 1, p != 0; got {p}")
 
 
 def _positive_input(x, length: int, name: str) -> np.ndarray:
     """The first ``length`` entries of x, checked finite and positive."""
     arr = np.asarray(x, dtype=float)[:length]
     if len(arr) < length or np.any(arr <= 0.0):
-        raise PreconditionError(f"{name} must be positive and long enough")
+        raise WorkbenchError(f"{name} must be positive and long enough")
     if not np.isfinite(arr).all():
-        raise OutOfDomainError(f"{name} must be finite")
+        raise WorkbenchError(f"{name} must be finite")
     return arr
+
+
+def _weighted_terms(lam_arr: np.ndarray, a_arr: np.ndarray, scan):
+    """The products lam_i a_i and their compensated ``scan`` (prefix or
+    suffix sums).  An overflowed or underflowed product, or a sum past the
+    float range, would put an inf, NaN or zero term into the lemma."""
+    with np.errstate(over="ignore"):
+        lam_a = lam_arr * a_arr
+    sums = scan(lam_a)
+    if not (np.all(lam_a > 0.0) and np.isfinite(sums).all()):
+        raise WorkbenchError(
+            "each lam_i a_i and their sum must be positive and finite floats"
+        )
+    return lam_a, sums
 
 
 def lemma_6_1_residual(
@@ -120,29 +130,23 @@ def lemma_6_1_residual(
     terms are Python floats, so a power that leaves the float range raises.
     """
     if n < 2:
-        raise OutOfDomainError("horizon must satisfy n >= 2")
+        raise WorkbenchError("horizon must satisfy n >= 2")
     if not math.isfinite(p):
-        raise OutOfDomainError(f"p must be finite, got {p}")
+        raise WorkbenchError(f"p must be finite, got {p}")
     multipliers.require_ordering(p, n)
     q = conjugate_exponent(p)
     lam_arr = _positive_input(lam, n, "lambda")
     a_arr = _positive_input(a, n, "a")
     if len(multipliers.mu) < n:
-        raise PreconditionError("multiplier sequences shorter than horizon")
+        raise WorkbenchError("multiplier sequences shorter than horizon")
     mu, eta = multipliers.mu[:n].tolist(), multipliers.eta[:n].tolist()
-    with np.errstate(over="ignore"):
-        lam_a = lam_arr * a_arr
-    S = neumaier_prefix_sums(lam_a).tolist()
-    if not (np.all(lam_a > 0.0) and math.isfinite(S[-1])):
-        raise OutOfDomainError(
-            "each lam_i a_i and their sum must be positive and finite floats"
-        )
-    lam_a = lam_a.tolist()
+    lam_a, S = _weighted_terms(lam_arr, a_arr, neumaier_prefix_sums)
+    lam_a, S = lam_a.tolist(), S.tolist()
 
     def coef(i: int) -> float:
         d = mu[i - 1] ** q - eta[i - 1] ** q
         if d < 0.0:
-            raise PreconditionError("multiplier ordering violated numerically")
+            raise WorkbenchError("multiplier ordering violated numerically")
         if d == 0.0:
             return math.inf if q < 0.0 else 0.0
         return d ** (1.0 / q)
@@ -155,7 +159,7 @@ def lemma_6_1_residual(
         rhs = coef(2) * lam_a[0] ** inv_p
         rhs += math.fsum(eta[i - 1] * lam_a[i - 1] ** inv_p for i in range(2, n + 1))
     except OverflowError:
-        raise OutOfDomainError(
+        raise WorkbenchError(
             f"a power of the multipliers or of the sums overflows the float "
             f"range (p={p})"
         ) from None
@@ -170,7 +174,7 @@ def _gap(mu: np.ndarray, eta: np.ndarray, p) -> np.ndarray:
     try:
         base = libm_map(pow, mu, e) - libm_map(pow, eta, e)
     except OverflowError:
-        raise OutOfDomainError("mu**(1/(1-p)) overflows the float range") from None
+        raise WorkbenchError("mu**(1/(1-p)) overflows the float range") from None
     return libm_map(pow, np.maximum(base, 0.0), 1.0 - p)
 
 
@@ -194,22 +198,23 @@ def lemma_6_2_step(mu, eta, p, t) -> StepBound:
     """
     args = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (mu, eta, p, t)]
     if any(a.ndim > 1 for a in args):
-        raise PreconditionError("mu, eta, p and t must be floats or 1-d arrays")
+        raise WorkbenchError("mu, eta, p and t must be floats or 1-d arrays")
     try:
         mu, eta, p, t = np.broadcast_arrays(*args)
     except ValueError:
-        raise PreconditionError("mu, eta, p and t must have equal lengths") from None
+        raise WorkbenchError("mu, eta, p and t must have equal lengths") from None
     if not all(np.isfinite(a).all() for a in (mu, eta, p, t)):
-        raise OutOfDomainError("mu, eta, p and t must be finite")
+        raise WorkbenchError("mu, eta, p and t must be finite")
     bad = ~((0.0 < p) & (p < 1.0))
     if bad.any():
-        raise PreconditionError(f"needs 0 < p < 1, got {p[bad][0]}")
+        raise WorkbenchError(f"needs 0 < p < 1, got {p[bad][0]}")
     if not ((mu >= eta) & (eta > 0.0)).all():
-        raise PreconditionError("needs mu >= eta > 0")
+        raise WorkbenchError("needs mu >= eta > 0")
     if (t < 0.0).any():
-        raise OutOfDomainError("t must be nonnegative")
-    lhs = mu * libm_map(pow, 1.0 + t, p) - eta * libm_map(pow, t, p)
+        raise WorkbenchError("t must be nonnegative")
+    # the gap first: where mu**(1/(1-p)) is a float, mu (1+t)**p is too
     rhs = _gap(mu, eta, p)
+    lhs = mu * libm_map(pow, 1.0 + t, p) - eta * libm_map(pow, t, p)
     return StepBound(lhs, rhs, lhs - rhs)
 
 
@@ -231,21 +236,21 @@ def lemma_6_2_residual(
     term is not negligible a TailTruncationWarning is emitted.
     """
     if not 0.0 < p < 1.0:
-        raise PreconditionError(f"needs 0 < p < 1, got {p}")
+        raise WorkbenchError(f"needs 0 < p < 1, got {p}")
     if n < 2:
-        raise OutOfDomainError("horizon must satisfy n >= 2")
+        raise WorkbenchError("horizon must satisfy n >= 2")
     if np.any(multipliers.mu[:n] < multipliers.eta[:n]):
-        raise PreconditionError("tail-sum regime requires mu_i >= eta_i")
+        raise WorkbenchError("tail-sum regime requires mu_i >= eta_i")
     a_arr = np.asarray(a, dtype=float)
     length = len(a_arr)
     if n > length:
-        raise PreconditionError("horizon exceeds the truncated input")
+        raise WorkbenchError("horizon exceeds the truncated input")
     a_arr = _positive_input(a_arr, length, "a")
     lam_arr = _positive_input(lam, length, "lambda")
     if len(multipliers.mu) < n:
-        raise PreconditionError("multiplier sequences shorter than horizon")
+        raise WorkbenchError("multiplier sequences shorter than horizon")
     mu, eta = multipliers.mu, multipliers.eta
-    tails = neumaier_suffix_sums(lam_arr * a_arr)
+    _, tails = _weighted_terms(lam_arr, a_arr, neumaier_suffix_sums)
     if lam_arr[-1] * a_arr[-1] > 1e-8 * tails[0]:
         warnings.warn(
             "last retained term is not negligible; tail truncation may bias S",
@@ -291,7 +296,7 @@ def _second_branch(p: float, c, beta, n) -> np.ndarray:
 def _branch_values(params: RedhefferParams, n_max: int) -> np.ndarray:
     """The larger of the two branches at each n = 2..n_max."""
     if n_max < 2:
-        raise OutOfDomainError("need n_max >= 2")
+        raise WorkbenchError("need n_max >= 2")
     p, c, beta = params.p, params.c, params.beta
     ns = np.arange(2, n_max + 1)
     return np.maximum(_first_branch(p, c, beta), _second_branch(p, c, beta, ns))
@@ -311,12 +316,12 @@ def condition_6_49_check(
     whole family follows from the n = 2 case.
     """
     if not k > 0.0:
-        raise OutOfDomainError(f"k must be positive, got {k}")
+        raise WorkbenchError(f"k must be positive, got {k}")
     values = _branch_values(params, n_max)
     p, c, beta = params.p, params.c, params.beta
     rhs = c ** (1.0 - p) * k
     if not 0.0 < rhs < math.inf:  # every slack would be NaN or -inf
-        raise OutOfDomainError(f"c**(1-p) k must be positive and finite, got {rhs}")
+        raise WorkbenchError(f"c**(1-p) k must be positive and finite, got {rhs}")
     with np.errstate(over="ignore"):  # an overflowing slack is -inf
         slacks = (rhs - values) / rhs
     return build_report(
@@ -345,7 +350,7 @@ def condition_6_54_check(p: float, beta):
     """Curvature condition beta < 1/(2p) - 1 for the equality route, 0 < p < 1/2
     (elementwise for an array of beta)."""
     if not 0.0 < p < 0.5:
-        raise OutOfDomainError(f"needs 0 < p < 1/2, got {p}")
+        raise WorkbenchError(f"needs 0 < p < 1/2, got {p}")
     return beta < 1.0 / (2.0 * p) - 1.0
 
 
@@ -357,12 +362,12 @@ def solve_x_half(c_prime: float) -> float:
     in closed form: x = (sqrt((10+4c')**2 + 28 (1+2c')**2) - (10+4c'))/14.
     """
     if c_prime < 0.0:
-        raise OutOfDomainError("c' must be nonnegative")
+        raise WorkbenchError("c' must be nonnegative")
     u = 10.0 + 4.0 * c_prime
     v = 1.0 + 2.0 * c_prime
     disc = u * u + 28.0 * v * v
     if not math.isfinite(disc):
-        raise OutOfDomainError(f"the closed-form root overflows at c' = 1/c = {c_prime}")
+        raise WorkbenchError(f"the closed-form root overflows at c' = 1/c = {c_prime}")
     return (math.sqrt(disc) - u) / 14.0
 
 
@@ -378,7 +383,7 @@ def balance_solution_half(c: float, n_max: int) -> BalanceSolution:
     beta = 1 - c x, k = k(1/2) over 2 <= n <= n_max, and the residual of
     the balancing equation at x."""
     if not c > 0.0:
-        raise OutOfDomainError("c must be positive")
+        raise WorkbenchError("c must be positive")
     x = solve_x_half(1.0 / c)
     residual = abs(
         math.sqrt(1.0 + x)
@@ -445,13 +450,13 @@ def scan_params(
     full n <= n_max family.
     """
     if not 0.0 < p < 1.0:
-        raise OutOfDomainError(f"p must lie in (0, 1), got {p}")
+        raise WorkbenchError(f"p must lie in (0, 1), got {p}")
     c_vals = np.asarray(default_c_grid() if c_grid is None else list(c_grid), float)
     b_vals = np.asarray(
         default_beta_grid(p) if beta_grid is None else list(beta_grid), float
     )
     if len(c_vals) == 0 or len(b_vals) == 0:
-        raise OutOfDomainError("grids must be nonempty")
+        raise WorkbenchError("grids must be nonempty")
     C = c_vals[:, None]
     B = b_vals[None, :]
     valid = (C > 0.0) & (C >= B) & (B <= 1.0)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import WorkbenchError
 
 FINITE_HORIZON_NOTE = (
     "finite-horizon verification: criteria quantified over all n are "
@@ -29,9 +29,9 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol_abs) and math.isfinite(self.tol_rel)):
-            raise OutOfDomainError("tolerances must be finite")
+            raise WorkbenchError("tolerances must be finite")
         if self.tol_abs < 0.0 or self.tol_rel < 0.0:
-            raise OutOfDomainError("tolerances must be nonnegative")
+            raise WorkbenchError("tolerances must be nonnegative")
 
 
 def _plain(x):
@@ -92,7 +92,7 @@ def build_report(
     """
     slacks = np.asarray(slacks, dtype=float)
     if len(slacks) == 0:
-        raise OutOfDomainError("no index to check: the index range is empty")
+        raise WorkbenchError("no index to check: the index range is empty")
     # a strict slack must exceed the threshold, a non-strict one reach its
     # negative; negating both tolerances negates the threshold exactly
     sign = 1.0 if strict else -1.0

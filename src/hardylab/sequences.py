@@ -25,18 +25,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .compsum import neumaier_prefix_sums
-from .errors import (
-    InvalidExponentError,
-    NonpositiveWeightError,
-    OutOfDomainError,
-    PreconditionError,
-)
+from .errors import WorkbenchError
 
 
 def conjugate_exponent(p: float) -> float:
     """Conjugate exponent q = p/(p-1), so that 1/p + 1/q = 1."""
     if p == 0.0 or p == 1.0:
-        raise InvalidExponentError(f"conjugate exponent undefined at p={p}")
+        raise WorkbenchError(f"conjugate exponent undefined at p={p}")
     return p / (p - 1.0)
 
 
@@ -98,9 +93,9 @@ def power_weights(exponent: float, n_max: int) -> np.ndarray:
 def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     """Generate w_{n+1} = ((n + shift)/n) w_n with compensated W and log w."""
     if n_max < 1:
-        raise OutOfDomainError("n_max must be >= 1")
+        raise WorkbenchError("n_max must be >= 1")
     if 1.0 + shift <= 0.0:
-        raise NonpositiveWeightError(
+        raise WorkbenchError(
             f"recurrence shift {shift} <= -1 leaves the positive domain at n=2"
         )
     # the compensated log accumulator is authoritative; the direct value is
@@ -130,10 +125,10 @@ def knopp_sequence(p: float, alpha: float, n_max: int) -> AuxSequence:
     nonpositive ratio at n = 1.
     """
     if not p > 1.0:
-        raise PreconditionError(f"forward regime needs p > 1, got {p}")
+        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
     shift = alpha - 1.0 / p
     if 1.0 + shift <= 0.0:
-        raise NonpositiveWeightError(
+        raise WorkbenchError(
             f"alpha={alpha} <= -1/q={-1.0 / conjugate_exponent(p)}: "
             "weights become nonpositive"
         )
@@ -148,9 +143,7 @@ def levin_steckin_sequence(p: float, n_max: int) -> AuxSequence:
     flags the larger p).
     """
     if not 0.0 < p < 0.5:
-        raise NonpositiveWeightError(
-            f"reverse weights are defined for 0 < p < 1/2, got p={p}"
-        )
+        raise WorkbenchError(f"reverse weights are defined for 0 < p < 1/2, got p={p}")
     shift = 1.0 / p - 2.0
     return _ratio_recurrence(shift, n_max)
 
@@ -180,7 +173,7 @@ def power_sums(a: float, n_max: int) -> np.ndarray:
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     """Power weights w_n = n**exponent (w_1 = 1 automatically)."""
     if n_max < 1:
-        raise OutOfDomainError("n_max must be >= 1")
+        raise WorkbenchError("n_max must be >= 1")
     log_w = np.arange(1, n_max + 1, dtype=float)
     np.log(log_w, out=log_w)
     np.multiply(exponent, log_w, out=log_w)
@@ -227,7 +220,7 @@ def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
             rhs *= factor
             direction = ">=" if r >= 1.0 else "<="
     except OverflowError:
-        raise OutOfDomainError(
+        raise WorkbenchError(
             f"the bound on sum_(i<={len(lhs)}) i**{r} overflows"
         ) from None
     # rhs is never NaN, so maximum picks what Python's max(lhs, rhs) does
@@ -238,17 +231,17 @@ def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
 
 def _check_bound_domain(r: float, n_max: int, form: str) -> None:
     if n_max < 1:
-        raise OutOfDomainError("n must be >= 1")
+        raise WorkbenchError("n must be >= 1")
     if form == "product":
         if not 0.0 <= r <= 1.0:
-            raise OutOfDomainError(f"product form needs 0 <= r <= 1, got r={r}")
+            raise WorkbenchError(f"product form needs 0 <= r <= 1, got r={r}")
     elif form == "ratio":
         if r <= -1.0:
-            raise OutOfDomainError(f"ratio form needs r > -1, got r={r}")
+            raise WorkbenchError(f"ratio form needs r > -1, got r={r}")
         if not math.isfinite(r):
-            raise OutOfDomainError(f"ratio form needs a finite r, got r={r}")
+            raise WorkbenchError(f"ratio form needs a finite r, got r={r}")
     else:
-        raise OutOfDomainError(f"unknown form {form!r}")
+        raise WorkbenchError(f"unknown form {form!r}")
 
 
 def power_sum_bounds(
@@ -274,6 +267,6 @@ def power_sum_bounds(
             with np.errstate(over="ignore"):
                 sums[r] = power_sums(r, n_max)
             if not math.isfinite(sums[r][-1]):  # the sums never decrease
-                raise OutOfDomainError(f"sum_(i<={n_max}) i**{r} overflows")
+                raise WorkbenchError(f"sum_(i<={n_max}) i**{r} overflows")
         bounds.append(_power_sum_bounds(r, form, sums[r]))
     return bounds

@@ -17,11 +17,7 @@ from hardylab.criteria import (
     reverse_criterion_check,
     weighted_mean_constant,
 )
-from hardylab.errors import (
-    NonpositiveWeightError,
-    OutOfDomainError,
-    PreconditionError,
-)
+from hardylab.errors import WorkbenchError
 from hardylab.reports import Tolerances, build_report
 from hardylab.sequences import (
     AuxSequence,
@@ -91,18 +87,18 @@ class TestForwardCriterion:
     def test_empty_index_range_rejected(self):
         # n_max = 0 leaves no index to check; it used to report holds with
         # a NaN slack
-        with pytest.raises(OutOfDomainError, match="empty"):
+        with pytest.raises(WorkbenchError, match="empty"):
             classic_check(0)
 
     @pytest.mark.parametrize("U", [math.inf, math.nan, 0.0, -1.0])
     def test_bounding_constant_rejected(self, U):
         # an infinite U used to pass every index vacuously, at slack 1.0
         message = "finite, got inf" if U == math.inf else "must be positive"
-        with pytest.raises(OutOfDomainError, match=message):
+        with pytest.raises(WorkbenchError, match=message):
             classic_check(10, U=U)
 
     def test_reverse_pair_rejected(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="forward regime needs p > 1, got 0.5"):
             knopp_criterion_check(power_aux_sequence(0.0, 11), 0.5)
 
     @given(st.floats(min_value=1e-8, max_value=1e8))
@@ -144,9 +140,9 @@ class TestShiftedWeightedMeanCriterion:
         assert rep.exploratory
 
     def test_alpha_domain(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match=r"alpha must lie in \[0, 1\], got 1.5"):
             criterion_2_20_check(1.5, 2.0, 10)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match=r"alpha must lie in \[0, 1\], got -0.2"):
             criterion_2_20_check(-0.2, 2.0, 10)
 
     def test_slacks_match_direct_evaluation(self, with_slacks):
@@ -207,9 +203,9 @@ class TestScalarReduction:
             assert np.min(second) >= -1e-10
 
     def test_domain_errors(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match=r"alpha must lie in \[0, 1\], got 1.2"):
             f_alpha_analysis(1.2, 2.0, 3)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="n must be >= 1"):
             f_alpha_analysis(0.5, 2.0, 0)
 
 
@@ -414,9 +410,9 @@ class TestReverseCriterion:
 
     @pytest.mark.parametrize("p", [0.0, -0.1, 0.5, 0.75])
     def test_domain_errors(self, p):
-        with pytest.raises(NonpositiveWeightError):
+        with pytest.raises(WorkbenchError, match=f"0 < p < 1/2, got p={p}"):
             reverse_check(p, 10)
-        with pytest.raises(PreconditionError, match="reverse regime"):
+        with pytest.raises(WorkbenchError, match="reverse regime"):
             reverse_criterion_check(levin_steckin_sequence(0.25, 11), p)
 
     def test_horizon_is_one_short_of_the_sequence(self):
@@ -476,13 +472,13 @@ class TestScalarPowerFamily:
         _, slacks = with_slacks(check_2_4, p, 7)
         assert slacks == pytest.approx((rhs - lhs) / rhs, rel=1e-12)
         # the regime is checked before 1/p is formed
-        with pytest.raises(OutOfDomainError, match="p >= 3"):
+        with pytest.raises(WorkbenchError, match="p >= 3"):
             check_2_4(0.0, 7)
 
     def test_domain_errors(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="range needs p >= 3, got 2.5"):
             check_2_4(2.5, 1)
-        with pytest.raises(OutOfDomainError, match="empty grid"):
+        with pytest.raises(WorkbenchError, match="empty grid"):
             check_2_4(3.0, 0)
 
 
@@ -501,9 +497,9 @@ class TestShiftedPowerChoice:
         assert rep.holds
 
     def test_domain_errors(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match=r"alpha <= 1 \+ 1/p, got alpha=0.5"):
             check_2_3(0.5, 2.0, 10)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match=r"alpha <= 1 \+ 1/p, got alpha=1.6"):
             check_2_3(1.6, 2.0, 10)
 
 
@@ -522,7 +518,7 @@ FORWARD_CALLS = {
 def test_forward_exponent_rejected(call, p):
     # NaN fails the p > 1 test like any p <= 1, with the message the CLI prints
     message = f"^forward regime needs p > 1, got {p}$"
-    with pytest.raises(PreconditionError, match=message):
+    with pytest.raises(WorkbenchError, match=message):
         call(p)
 
 
@@ -545,7 +541,7 @@ class TestReportAssembly:
         strict = build_report("x", "0", 1, slacks, strict=True, log_rhs=np.zeros(3))
         assert loose.holds and loose.first_failure is None
         assert not strict.holds and strict.first_failure == 2
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="the index range is empty"):
             build_report("x", "0", 1, [], strict=False, log_rhs=np.zeros(0))
 
     def test_holding_detail_is_tagged_exploratory(self):
@@ -575,12 +571,12 @@ class TestTolerances:
          {"tol_rel": math.inf}, {"tol_rel": math.nan}],
     )
     def test_nonfinite_rejected(self, kwargs):
-        with pytest.raises(OutOfDomainError, match="finite"):
+        with pytest.raises(WorkbenchError, match="finite"):
             Tolerances(**kwargs)
 
     def test_infinite_tol_abs_cannot_turn_a_failure_into_a_pass(self):
         assert not reverse_check(0.45, 1000).holds
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="tolerances must be finite"):
             reverse_check(0.45, 1000, Tolerances(tol_abs=math.inf))
 
 
@@ -593,7 +589,7 @@ class TestConstants:
     def test_weighted_mean_constant(self):
         assert weighted_mean_constant(2.0, 0.0) == pytest.approx(4.0)
         assert weighted_mean_constant(2.0, 1.0) == pytest.approx((4.0 / 3.0) ** 2)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match=r"\)p must exceed 1, got 0.75"):
             weighted_mean_constant(1.5, -0.5)
 
     def test_weighted_mean_constant_overflow(self):
@@ -601,8 +597,8 @@ class TestConstants:
         # is past the float range
         p, alpha = 1000.0, -0.998999
         match = r"weighted mean constant .* overflows at p=1000.0, alpha=-0.998999"
-        with pytest.raises(OutOfDomainError, match=match):
+        with pytest.raises(WorkbenchError, match=match):
             weighted_mean_constant(p, alpha)
         w = knopp_sequence(p, alpha, 20)
-        with pytest.raises(OutOfDomainError, match=match):
+        with pytest.raises(WorkbenchError, match=match):
             knopp_criterion_check(w, p, alpha=alpha)

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hardylab.compsum import neumaier_suffix_sums
-from hardylab.errors import (
-    OutOfDomainError,
-    PreconditionError,
-    TailTruncationWarning,
-)
+from hardylab.errors import TailTruncationWarning, WorkbenchError
 from hardylab.redheffer import (
     RecurrentSequences,
     RedhefferParams,
@@ -47,13 +43,13 @@ def second_branch(params, n):
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match=r"p must lie in \(0, 1\), got 1.2"):
             RedhefferParams(p=1.2, c=1.0, beta=0.0)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="c must be positive, got -1.0"):
             RedhefferParams(p=0.5, c=-1.0, beta=-1.5)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="beta must be <= 1, got 1.5"):
             RedhefferParams(p=0.5, c=1.0, beta=1.5)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="need c >= beta, got c=0.1 < 0.5"):
             RedhefferParams(p=0.5, c=0.1, beta=0.5)
 
     def test_derived_quantities(self):
@@ -68,7 +64,7 @@ class TestParams:
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, 1e-300])
     def test_balance_solution_domain(self, c):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="c must be positive|root overflows"):
             balance_solution_half(c, 100)
 
 
@@ -76,22 +72,22 @@ class TestMultiplierSequences:
     def test_ordering_requirements(self):
         mult = RecurrentSequences(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
         mult.require_ordering(0.5, 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="p < 0 requires mu_i >= eta_i"):
             mult.require_ordering(-1.0, 2)
         rev = RecurrentSequences(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
         rev.require_ordering(-1.0, 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="0 < p < 1 requires mu_i <= eta_i"):
             rev.require_ordering(0.5, 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="regime needs p < 1, p != 0; got 2.0"):
             mult.require_ordering(2.0, 2)
         # entries past the horizon are not read
         longer = RecurrentSequences(np.array([0.5, 0.5, 2.0]), np.ones(3))
         longer.require_ordering(0.5, 2)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="0 < p < 1 requires mu_i <= eta_i"):
             longer.require_ordering(0.5, 3)
 
     def test_positivity_enforced(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="multiplier sequences must be positive"):
             RecurrentSequences(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
 
@@ -114,7 +110,7 @@ class TestPartialSumLemma:
 
     def test_hypothesis_ordering_violation_raises(self):
         mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="0 < p < 1 requires mu_i <= eta_i"):
             lemma_6_1_residual(np.ones(4), np.ones(4), mult, 0.5, 4)
 
     def test_multipliers_past_the_horizon_are_not_read(self):
@@ -154,11 +150,11 @@ class TestTailSumLemma:
         assert step.residual[0] >= 0.0
 
     def test_single_step_preconditions(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="needs mu >= eta > 0"):
             lemma_6_2_step(1.0, 2.0, 0.5, 1.0)
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="needs 0 < p < 1, got 1.5"):
             lemma_6_2_step(2.0, 1.0, 1.5, 1.0)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="t must be nonnegative"):
             lemma_6_2_step(2.0, 1.0, 0.5, -1.0)
 
     @given(
@@ -195,7 +191,7 @@ class TestTailSumLemma:
     def test_ordering_violation_raises(self):
         a = 0.5 ** np.arange(1, 30)
         mult = RecurrentSequences(np.ones(4), np.full(4, 2.0))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(WorkbenchError, match="tail-sum regime requires mu_i >="):
             lemma_6_2_residual(np.ones(29), a, mult, 0.5, 4)
 
     def test_multipliers_past_the_horizon_are_not_read(self):
@@ -206,7 +202,7 @@ class TestTailSumLemma:
         got = lemma_6_2_residual(np.ones(40), a, mult, 0.5, 2)
         want = lemma_6_2_residual(np.ones(40), a, short, 0.5, 2)
         assert got.hex() == want.hex() == (0.16452466459987436).hex()
-        with pytest.raises(PreconditionError, match="mu_i >= eta_i"):
+        with pytest.raises(WorkbenchError, match="mu_i >= eta_i"):
             lemma_6_2_residual(np.ones(40), a, mult, 0.5, 3)
 
     def test_residual_matches_python_float_expression(self):
@@ -228,9 +224,9 @@ class TestTailSumLemma:
     def test_gap_overflow_is_a_domain_error(self, mu, p):
         a = 0.5 ** np.arange(1, 60)
         mult = RecurrentSequences(np.full(3, mu), np.ones(3))
-        with pytest.raises(OutOfDomainError, match="overflows"):
+        with pytest.raises(WorkbenchError, match="overflows"):
             lemma_6_2_residual(np.ones(59), a, mult, p, 3)
-        with pytest.raises(OutOfDomainError, match="overflows"):
+        with pytest.raises(WorkbenchError, match="overflows"):
             lemma_6_2_step(mu, 1.0, p, 1.0)
 
 
@@ -300,17 +296,17 @@ class TestStepArrays:
             assert got.residual[i].hex() == lemma_6_2_step(2.0, 1.0, 0.5, tt).residual[0].hex()
 
     def test_shape_errors(self):
-        with pytest.raises(PreconditionError, match="equal lengths"):
+        with pytest.raises(WorkbenchError, match="equal lengths"):
             lemma_6_2_step(np.full(3, 2.0), np.ones(2), 0.5, 1.0)
-        with pytest.raises(PreconditionError, match="1-d arrays"):
+        with pytest.raises(WorkbenchError, match="1-d arrays"):
             lemma_6_2_step(np.full((2, 2), 2.0), 1.0, 0.5, 1.0)
 
     def test_array_preconditions_name_the_value(self):
-        with pytest.raises(PreconditionError, match="got 1.5"):
+        with pytest.raises(WorkbenchError, match="got 1.5"):
             lemma_6_2_step(2.0, 1.0, np.array([0.5, 1.5]), 1.0)
-        with pytest.raises(PreconditionError, match="mu >= eta"):
+        with pytest.raises(WorkbenchError, match="mu >= eta"):
             lemma_6_2_step(np.array([2.0, 0.5]), 1.0, 0.5, 1.0)
-        with pytest.raises(OutOfDomainError, match="nonnegative"):
+        with pytest.raises(WorkbenchError, match="nonnegative"):
             lemma_6_2_step(2.0, 1.0, 0.5, np.array([1.0, -1e-300]))
 
 
@@ -326,14 +322,14 @@ class TestNonFiniteInputs:
         ],
     )
     def test_step(self, args):
-        with pytest.raises(OutOfDomainError, match="finite"):
+        with pytest.raises(WorkbenchError, match="finite"):
             lemma_6_2_step(*args)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_multipliers(self, bad):
-        with pytest.raises(OutOfDomainError, match="finite"):
+        with pytest.raises(WorkbenchError, match="finite"):
             RecurrentSequences(np.array([1.0, bad]), np.ones(2))
-        with pytest.raises(OutOfDomainError, match="finite"):
+        with pytest.raises(WorkbenchError, match="finite"):
             RecurrentSequences(np.full(2, 2.0), np.array([bad, 1.0]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -343,7 +339,7 @@ class TestNonFiniteInputs:
         x[2] = bad
         lam, a = (x, np.ones(4)) if which == "lam" else (np.ones(4), x)
         mult = RecurrentSequences(np.full(4, 0.5), np.ones(4))
-        with pytest.raises(OutOfDomainError, match="finite"):
+        with pytest.raises(WorkbenchError, match="finite"):
             lemma_6_1_residual(lam, a, mult, 0.5, 4)
 
     @pytest.mark.parametrize(
@@ -358,7 +354,7 @@ class TestNonFiniteInputs:
         # these powers used to overflow to inf inside numpy, with warnings,
         # and the residual came out NaN
         mult = RecurrentSequences(np.full(4, mu), np.full(4, eta))
-        with pytest.raises(OutOfDomainError, match="overflows the float range"):
+        with pytest.raises(WorkbenchError, match="overflows the float range"):
             lemma_6_1_residual(np.full(4, lam), np.full(4, lam), mult, p, 4)
 
     @pytest.mark.parametrize(
@@ -371,12 +367,12 @@ class TestNonFiniteInputs:
     )
     def test_partial_sum_lemma_product_out_of_range(self, x, mu):
         mult = RecurrentSequences(np.full(4, mu), np.ones(4))
-        with pytest.raises(OutOfDomainError, match="positive and finite"):
+        with pytest.raises(WorkbenchError, match="positive and finite"):
             lemma_6_1_residual(np.full(4, x), np.full(4, x), mult, 0.5, 4)
 
     def test_partial_sum_lemma_exponent(self):
         mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
-        with pytest.raises(OutOfDomainError, match="finite"):
+        with pytest.raises(WorkbenchError, match="finite"):
             lemma_6_1_residual(np.ones(4), np.ones(4), mult, -math.inf, 4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -386,8 +382,28 @@ class TestNonFiniteInputs:
         x[2] = bad
         lam, a = (x, 0.5 ** np.arange(1, 60)) if which == "lam" else (np.ones(59), x)
         mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
-        with pytest.raises(OutOfDomainError, match="finite"):
+        with pytest.raises(WorkbenchError, match="finite"):
             lemma_6_2_residual(lam, a, mult, 0.5, 4)
+
+    @pytest.mark.parametrize(
+        "lam, scale",
+        [
+            (1e200, 1e200),  # lam a overflows: NaN, after a numpy warning
+            (1e300, 1e10),  # lam a overflows from a small a: NaN
+            (1e-200, 1e-200),  # lam a underflows to 0: a false violation
+        ],
+        ids=["product-overflow", "large-lambda", "product-underflow"],
+    )
+    def test_tail_sum_lemma_product_out_of_range(self, lam, scale):
+        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
+        a = scale * 0.5 ** np.arange(40)
+        with pytest.raises(WorkbenchError, match="lam_i a_i and their sum must be"):
+            lemma_6_2_residual(np.full(40, lam), a, mult, 0.5, 4)
+
+    def test_step_gap_overflow_comes_before_the_powers(self):
+        # mu (1+t)**p used to overflow in numpy, with a warning, first
+        with pytest.raises(WorkbenchError, match=r"mu\*\*\(1/\(1-p\)\) overflows"):
+            lemma_6_2_step(1e300, 1e300, 0.5, 1e300)
 
 
 class TestFeasibilityConditions:
@@ -403,7 +419,7 @@ class TestFeasibilityConditions:
         assert condition_6_54_check(1.0 / 3.0, BETA_THIRD)
         assert condition_6_54_check(0.34, 0.21)
         assert not condition_6_54_check(0.34, 0.48)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="needs 0 < p < 1/2, got 0.6"):
             condition_6_54_check(0.6, 0.1)
 
     def test_two_branch_boundary_configuration(self):
@@ -455,11 +471,11 @@ class TestFeasibilityConditions:
 
     def test_domain_errors(self):
         for k in (0.0, -1.0, math.nan):
-            with pytest.raises(OutOfDomainError):
+            with pytest.raises(WorkbenchError, match=f"k must be positive, got {k}"):
                 condition_6_49_check(THIRD, 100, k)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="need n_max >= 2"):
             condition_6_49_check(THIRD, 1, 1.26)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="need n_max >= 2"):
             k_of_p(THIRD, 1)
 
 
@@ -471,10 +487,10 @@ class TestClosedFormSolver:
         beta = 1.0 - 2.5 * x
         assert beta == pytest.approx(0.3912, abs=5e-4)
         assert solve_x_half(0.0) == pytest.approx((math.sqrt(128.0) - 10.0) / 14.0)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(WorkbenchError, match="c' must be nonnegative"):
             solve_x_half(-0.1)
         # u * u overflows for c' above about 3e153 (c below about 3e-154)
-        with pytest.raises(OutOfDomainError, match="overflows"):
+        with pytest.raises(WorkbenchError, match="overflows"):
             solve_x_half(1e200)
 
     @given(st.floats(min_value=0.0, max_value=10.0))
