@@ -96,7 +96,9 @@ def _positive_input(x, length: int, name: str) -> np.ndarray:
     return arr
 
 
-def _weighted_terms(lam_arr: np.ndarray, a_arr: np.ndarray, scan):
+def _weighted_terms(
+    lam_arr: np.ndarray, a_arr: np.ndarray, scan
+) -> tuple[np.ndarray, np.ndarray]:
     """The products lam_i a_i and their compensated ``scan`` (prefix or
     suffix sums).  An overflowed or underflowed product, or a sum past the
     float range, would put an inf, NaN or zero term into the lemma."""
