@@ -354,8 +354,11 @@ _ALPHA = ("--alpha", {"type": float, "required": True})
 _KIND = ("--kind", {"choices": ("weighted-mean", "copson-tail"),
                     "default": "weighted-mean"})
 _MEAN_ALPHA = ("--alpha", {"type": float})  # the weighted mean's; 1 if not given
-# The flags every subcommand reads; _TOLERANT adds the tolerances that decide
-# the verdicts of the check-* and redheffer-* subcommands.
+# The flags every subcommand accepts and echoes.  Only verify-paper and
+# norm-ratio --family random read --seed, and check-2-4 does not read
+# --n-max; the others take both so that one call line (perfbench passes
+# --seed to every call) fits them all.  _TOLERANT adds the tolerances that
+# decide the verdicts of the check-* and redheffer-* subcommands.
 _COMMON = (("--n-max", {"type": int, "default": 10000}),
            ("--seed", {"type": int, "default": DEFAULT_SEED}))
 _TOLERANT = (*_COMMON,

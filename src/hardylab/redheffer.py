@@ -53,39 +53,6 @@ class RedhefferParams:
             raise WorkbenchError(f"need c >= beta, got c={self.c} < {self.beta}")
 
 
-@dataclass(frozen=True)
-class RecurrentSequences:
-    """Multiplier pair (mu_i, eta_i) for the recurrent inequalities."""
-
-    mu: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        eta = np.asarray(self.eta, dtype=float)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eta", eta)
-        if mu.shape != eta.shape:
-            raise WorkbenchError("mu and eta must have equal length")
-        if not (np.isfinite(mu).all() and np.isfinite(eta).all()):
-            raise WorkbenchError("multiplier sequences must be finite")
-        if np.any(mu <= 0.0) or np.any(eta <= 0.0):
-            raise WorkbenchError("multiplier sequences must be positive")
-
-    def require_ordering(self, p: float, n: int) -> None:
-        """Partial-sum regime (p < 1) at horizon n: mu_i <= eta_i for
-        0 < p < 1, mu_i >= eta_i for p < 0, over i <= n."""
-        mu, eta = self.mu[:n], self.eta[:n]
-        if 0.0 < p < 1.0:
-            if np.any(mu > eta):
-                raise WorkbenchError("0 < p < 1 requires mu_i <= eta_i")
-        elif p < 0.0:
-            if np.any(mu < eta):
-                raise WorkbenchError("p < 0 requires mu_i >= eta_i")
-        else:
-            raise WorkbenchError(f"lemma regime needs p < 1, p != 0; got {p}")
-
-
 def _positive_input(x, length: int, name: str) -> np.ndarray:
     """The first ``length`` entries of x, checked finite and positive."""
     arr = np.asarray(x, dtype=float)[:length]
@@ -112,13 +79,7 @@ def _weighted_terms(
     return lam_a, sums
 
 
-def lemma_6_1_residual(
-    lam,
-    a,
-    multipliers: RecurrentSequences,
-    p: float,
-    n: int,
-) -> float:
+def lemma_6_1_residual(lam, a, mu, eta, p: float, n: int) -> float:
     """RHS - LHS of the partial-sum recurrent inequality at horizon n >= 2:
 
         sum_{i=2}^{n-1} (mu_i - (mu_{i+1}**q - eta_{i+1}**q)**(1/q)) S_i**(1/p)
@@ -126,22 +87,31 @@ def lemma_6_1_residual(
         <= (mu_2**q - eta_2**q)**(1/q) (lam_1 a_1)**(1/p)
             + sum_{i=2}^{n} eta_i (lam_i a_i)**(1/p)
 
-    with S_n the weighted partial sums.  A nonnegative return confirms the
-    instance.  When mu_i = eta_i the coefficient degenerates (for
-    0 < p < 1 it blows up to +inf) and the inequality holds trivially.  The
-    terms are Python floats, so a power that leaves the float range raises.
+    with S_n the weighted partial sums, for mu_i <= eta_i when 0 < p < 1 and
+    mu_i >= eta_i when p < 0; only mu_i, eta_i with i <= n are read.  A
+    nonnegative return confirms the instance.  When mu_i = eta_i the
+    coefficient degenerates (for 0 < p < 1 it blows up to +inf) and the
+    inequality holds trivially.  The terms are Python floats, so a power that
+    leaves the float range raises.
     """
     if n < 2:
         raise WorkbenchError("horizon must satisfy n >= 2")
     if not math.isfinite(p):
         raise WorkbenchError(f"p must be finite, got {p}")
-    multipliers.require_ordering(p, n)
+    mu = _positive_input(mu, n, "mu")
+    eta = _positive_input(eta, n, "eta")
+    if 0.0 < p < 1.0:
+        if np.any(mu > eta):
+            raise WorkbenchError("0 < p < 1 requires mu_i <= eta_i")
+    elif p < 0.0:
+        if np.any(mu < eta):
+            raise WorkbenchError("p < 0 requires mu_i >= eta_i")
+    else:
+        raise WorkbenchError(f"lemma regime needs p < 1, p != 0; got {p}")
     q = conjugate_exponent(p)
     lam_arr = _positive_input(lam, n, "lambda")
     a_arr = _positive_input(a, n, "a")
-    if len(multipliers.mu) < n:
-        raise WorkbenchError("multiplier sequences shorter than horizon")
-    mu, eta = multipliers.mu[:n].tolist(), multipliers.eta[:n].tolist()
+    mu, eta = mu.tolist(), eta.tolist()
     lam_a, S = _weighted_terms(lam_arr, a_arr, neumaier_prefix_sums)
     lam_a, S = lam_a.tolist(), S.tolist()
 
@@ -220,13 +190,7 @@ def lemma_6_2_step(mu, eta, p, t) -> StepBound:
     return StepBound(lhs, rhs, lhs - rhs)
 
 
-def lemma_6_2_residual(
-    lam,
-    a,
-    multipliers: RecurrentSequences,
-    p: float,
-    n: int,
-) -> float:
+def lemma_6_2_residual(lam, a, mu, eta, p: float, n: int) -> float:
     """LHS - RHS of the tail-sum recurrent inequality at horizon n >= 2:
 
         mu_1 S_1**p
@@ -234,14 +198,17 @@ def lemma_6_2_residual(
         >= sum_{i=1}^{n} eta_i lam_i**p a_i**p,
 
     D_i = (mu_i**(1/(1-p)) - eta_i**(1/(1-p)))**(1-p) and S_k the tail sums
-    of lam*a.  Inputs are finite-support truncations; if the last retained
-    term is not negligible a TailTruncationWarning is emitted.
+    of lam*a, for mu_i >= eta_i; only mu_i, eta_i with i <= n are read.
+    Inputs are finite-support truncations; if the last retained term is not
+    negligible a TailTruncationWarning is emitted.
     """
     if not 0.0 < p < 1.0:
         raise WorkbenchError(f"needs 0 < p < 1, got {p}")
     if n < 2:
         raise WorkbenchError("horizon must satisfy n >= 2")
-    if np.any(multipliers.mu[:n] < multipliers.eta[:n]):
+    mu = _positive_input(mu, n, "mu")
+    eta = _positive_input(eta, n, "eta")
+    if np.any(mu < eta):
         raise WorkbenchError("tail-sum regime requires mu_i >= eta_i")
     a_arr = np.asarray(a, dtype=float)
     length = len(a_arr)
@@ -249,9 +216,6 @@ def lemma_6_2_residual(
         raise WorkbenchError("horizon exceeds the truncated input")
     a_arr = _positive_input(a_arr, length, "a")
     lam_arr = _positive_input(lam, length, "lambda")
-    if len(multipliers.mu) < n:
-        raise WorkbenchError("multiplier sequences shorter than horizon")
-    mu, eta = multipliers.mu, multipliers.eta
     _, tails = _weighted_terms(lam_arr, a_arr, neumaier_suffix_sums)
     if lam_arr[-1] * a_arr[-1] > 1e-8 * tails[0]:
         warnings.warn(
@@ -263,7 +227,7 @@ def lemma_6_2_residual(
     def S(k: int) -> float:
         return float(tails[k - 1]) if k <= length else 0.0
 
-    D = _gap(mu[:n], eta[:n], p)  # D[i - 1] is D_i
+    D = _gap(mu, eta, p)  # D[i - 1] is D_i
     lhs = mu[0] * S(1) ** p - D[n - 1] * S(n + 1) ** p
     lhs += math.fsum((mu[i - 1] - D[i - 2]) * S(i) ** p for i in range(2, n + 1))
     rhs = math.fsum(

@@ -94,10 +94,6 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     """Generate w_{n+1} = ((n + shift)/n) w_n with compensated W and log w."""
     if n_max < 1:
         raise WorkbenchError("n_max must be >= 1")
-    if 1.0 + shift <= 0.0:
-        raise WorkbenchError(
-            f"recurrence shift {shift} <= -1 leaves the positive domain at n=2"
-        )
     # the compensated log accumulator is authoritative; the direct value is
     # its exponential while representable (sequential products would drift
     # past the consistency tolerance near n ~ 10^6).  log1p and exp go

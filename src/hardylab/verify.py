@@ -32,7 +32,6 @@ from .operators import (
     norm_ratios,
 )
 from .redheffer import (
-    RecurrentSequences,
     RedhefferParams,
     balance_solution_half,
     condition_6_49_check,
@@ -319,12 +318,12 @@ def lemma_suite_claims(seed: int) -> list[Verdict]:
         if i % 4 == 3:
             p = float(rng.uniform(-2.0, -0.2))
             eta = rng.uniform(0.1, 1.0, n)
-            mult = RecurrentSequences(eta + rng.uniform(0.0, 1.0, n), eta)
+            mu = eta + rng.uniform(0.0, 1.0, n)
         else:
             p = float(rng.uniform(0.15, 0.85))
             eta = rng.uniform(0.1, 1.1, n)
-            mult = RecurrentSequences(eta * rng.uniform(0.05, 1.0, n), eta)
-        residuals.append(lemma_6_1_residual(lam, a, mult, p, n))
+            mu = eta * rng.uniform(0.05, 1.0, n)
+        residuals.append(lemma_6_1_residual(lam, a, mu, eta, p, n))
     worst61 = float(np.min(residuals))  # a NaN residual propagates
     rows.append(
         Verdict("8.4-partial-sum-lemma", "6.1", worst61 >= -1e-12, value=worst61)
@@ -338,8 +337,8 @@ def lemma_suite_claims(seed: int) -> list[Verdict]:
         a = rng.uniform(0.5, 1.5, length) * 0.5 ** np.arange(length)
         p = float(rng.uniform(0.1, 0.9))
         eta = rng.uniform(0.1, 1.1, n)
-        mult = RecurrentSequences(eta + rng.uniform(0.0, 1.0, n), eta)
-        residuals.append(lemma_6_2_residual(lam, a, mult, p, n))
+        mu = eta + rng.uniform(0.0, 1.0, n)
+        residuals.append(lemma_6_2_residual(lam, a, mu, eta, p, n))
     worst62 = float(np.min(residuals))
     rows.append(
         Verdict("8.5-tail-sum-lemma", "6.5", worst62 >= -1e-12, value=worst62)

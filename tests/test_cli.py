@@ -829,6 +829,24 @@ class TestSubcommandSurface:
             payload["verdicts"], key=lambda v: v["claim"]
         )
 
+    def test_verify_paper_verdicts_agree_across_dispatch_levels(self):
+        # on AVX-512, numpy's exp, log and ** differ from libm in the last
+        # bit; a slack may move by an ulp, but no verdict may
+        env = {k: v for k, v in _module_env().items()
+               if k != "NPY_DISABLE_CPU_FEATURES"}
+        verdicts = []
+        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+            done = subprocess.run(
+                _module_argv("verify-paper", "--n-max", "10000", "--format", "json"),
+                env={**env, **extra}, capture_output=True, text=True, timeout=300,
+            )
+            rows = json.loads(done.stdout)["verdicts"]
+            verdicts.append((done.returncode, [
+                (v["claim"], v["holds"], v["first_failure"]) for v in rows
+            ]))
+        assert len(verdicts[0][1]) == 52
+        assert verdicts[0] == verdicts[1]
+
 
 # The README's seven horizon commands, without their horizon.
 HORIZON_COMMANDS = [

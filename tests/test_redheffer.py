@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hardylab.compsum import neumaier_suffix_sums
+from hardylab.compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.errors import TailTruncationWarning, WorkbenchError
 from hardylab.redheffer import (
-    RecurrentSequences,
     RedhefferParams,
     balance_solution_half,
     condition_6_49_check,
@@ -70,56 +69,81 @@ class TestParams:
 
 class TestMultiplierSequences:
     def test_ordering_requirements(self):
-        mult = RecurrentSequences(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
-        mult.require_ordering(0.5, 2)
+        ones, low, high = np.ones(3), np.full(2, 0.5), np.full(2, 2.0)
+        lemma_6_1_residual(ones, ones, low, ones, 0.5, 2)
         with pytest.raises(WorkbenchError, match="p < 0 requires mu_i >= eta_i"):
-            mult.require_ordering(-1.0, 2)
-        rev = RecurrentSequences(np.array([2.0, 2.0]), np.array([1.0, 1.0]))
-        rev.require_ordering(-1.0, 2)
+            lemma_6_1_residual(ones, ones, low, ones, -1.0, 2)
+        lemma_6_1_residual(ones, ones, high, ones, -1.0, 2)
         with pytest.raises(WorkbenchError, match="0 < p < 1 requires mu_i <= eta_i"):
-            rev.require_ordering(0.5, 2)
+            lemma_6_1_residual(ones, ones, high, ones, 0.5, 2)
         with pytest.raises(WorkbenchError, match="regime needs p < 1, p != 0; got 2.0"):
-            mult.require_ordering(2.0, 2)
+            lemma_6_1_residual(ones, ones, low, ones, 2.0, 2)
+        with pytest.raises(WorkbenchError, match="regime needs p < 1, p != 0; got 0.0"):
+            lemma_6_1_residual(ones, ones, low, ones, 0.0, 2)
         # entries past the horizon are not read
-        longer = RecurrentSequences(np.array([0.5, 0.5, 2.0]), np.ones(3))
-        longer.require_ordering(0.5, 2)
+        longer = np.array([0.5, 0.5, 2.0])
+        lemma_6_1_residual(ones, ones, longer, ones, 0.5, 2)
         with pytest.raises(WorkbenchError, match="0 < p < 1 requires mu_i <= eta_i"):
-            longer.require_ordering(0.5, 3)
+            lemma_6_1_residual(ones, ones, longer, ones, 0.5, 3)
 
-    def test_positivity_enforced(self):
-        with pytest.raises(WorkbenchError, match="multiplier sequences must be positive"):
-            RecurrentSequences(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.0, "must be positive and long enough"),
+            (-1.0, "must be positive and long enough"),
+            (None, "must be positive and long enough"),  # one entry short
+            (math.nan, "must be finite"),
+            (math.inf, "must be finite"),
+        ],
+        ids=["zero", "negative", "short", "nan", "inf"],
+    )
+    @pytest.mark.parametrize("which", ["mu", "eta"])
+    def test_positivity_enforced(self, which, bad, message):
+        # the multipliers are checked like lambda and a, in both lemmas
+        for lemma, lam, a, mu in (
+            (lemma_6_1_residual, np.ones(3), np.ones(3), [0.5, 0.5, 0.5]),
+            (lemma_6_2_residual, np.ones(40), 0.5 ** np.arange(40), [2.0, 2.0, 2.0]),
+        ):
+            mult = {"mu": mu, "eta": [1.0, 1.0, 1.0]}
+            mult[which] = mult[which][:2] if bad is None else [1.0, bad, 1.0]
+            with pytest.raises(WorkbenchError, match=f"^{which} {message}$"):
+                lemma(lam, a, mult["mu"], mult["eta"], 0.5, 3)
 
 
 class TestPartialSumLemma:
     def test_equal_multipliers_hold_trivially(self):
-        mult = RecurrentSequences(np.ones(3), np.ones(3))
-        res = lemma_6_1_residual(np.ones(3), np.ones(3), mult, 0.5, 3)
+        ones = np.ones(3)
+        res = lemma_6_1_residual(ones, ones, ones, ones, 0.5, 3)
         assert res == math.inf
 
     def test_strictly_ordered_instance(self):
         rng = np.random.default_rng(42)
         a = rng.random(10) + 0.1
-        mult = RecurrentSequences(np.full(10, 0.5), np.ones(10))
-        assert lemma_6_1_residual(np.ones(10), a, mult, 0.5, 10) >= 0.0
+        mu, eta = np.full(10, 0.5), np.ones(10)
+        assert lemma_6_1_residual(np.ones(10), a, mu, eta, 0.5, 10) >= 0.0
 
     def test_negative_exponent_regime(self):
-        mult = RecurrentSequences(np.full(5, 2.0), np.ones(5))
-        res = lemma_6_1_residual(np.ones(5), 1.0 / np.arange(1, 6), mult, -1.0, 5)
+        a = 1.0 / np.arange(1, 6)
+        res = lemma_6_1_residual(np.ones(5), a, np.full(5, 2.0), np.ones(5), -1.0, 5)
         assert res >= 0.0
 
     def test_hypothesis_ordering_violation_raises(self):
-        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
+        ones = np.ones(4)
         with pytest.raises(WorkbenchError, match="0 < p < 1 requires mu_i <= eta_i"):
-            lemma_6_1_residual(np.ones(4), np.ones(4), mult, 0.5, 4)
+            lemma_6_1_residual(ones, ones, np.full(4, 2.0), ones, 0.5, 4)
 
     def test_multipliers_past_the_horizon_are_not_read(self):
-        # mu_3 > eta_3 breaks the ordering, but horizon 2 reads only i <= 2
-        mult = RecurrentSequences([0.5, 0.5, 2.0], [1.0, 1.0, 1.0])
-        short = RecurrentSequences([0.5, 0.5], [1.0, 1.0])
-        got = lemma_6_1_residual(np.ones(3), np.ones(3), mult, 0.5, 2)
-        want = lemma_6_1_residual(np.ones(3), np.ones(3), short, 0.5, 2)
-        assert got.hex() == want.hex() == (0.0).hex()
+        # mu_3 > eta_3 breaks the ordering, a NaN mu_3 or a missing eta_3
+        # is no multiplier, but horizon 2 reads and checks only i <= 2
+        ones = np.ones(3)
+        want = lemma_6_1_residual(ones, ones, [0.5, 0.5], [1.0, 1.0], 0.5, 2)
+        assert want.hex() == (0.0).hex()
+        for mu, eta in (
+            ([0.5, 0.5, 2.0], [1.0, 1.0, 1.0]),
+            ([0.5, 0.5, math.nan], [1.0, 1.0]),
+        ):
+            got = lemma_6_1_residual(ones, ones, mu, eta, 0.5, 2)
+            assert got.hex() == want.hex()
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -131,12 +155,46 @@ class TestPartialSumLemma:
         if seed % 3 == 0:
             p = float(rng.uniform(-2.0, -0.2))
             eta = rng.uniform(0.1, 1.0, n)
-            mult = RecurrentSequences(eta + rng.uniform(0.0, 1.0, n), eta)
+            mu = eta + rng.uniform(0.0, 1.0, n)
         else:
             p = float(rng.uniform(0.15, 0.85))
             eta = rng.uniform(0.1, 1.1, n)
-            mult = RecurrentSequences(eta * rng.uniform(0.05, 1.0, n), eta)
-        assert lemma_6_1_residual(lam, a, mult, p, n) >= -1e-12
+            mu = eta * rng.uniform(0.05, 1.0, n)
+        assert lemma_6_1_residual(lam, a, mu, eta, p, n) >= -1e-12
+
+    def test_residual_matches_python_float_expression(self):
+        # both regimes, some with mu = eta: a +inf coefficient for 0 < p < 1
+        # and a zero one for p < 0
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            n = int(rng.integers(2, 20))
+            lam = rng.uniform(0.5, 1.5, n)
+            a = rng.uniform(0.5, 1.5, n)
+            eta = rng.uniform(0.1, 1.1, n)
+            bump = rng.uniform(0.0, 1.0, n) * (i % 3 != 0)  # some mu = eta
+            if i % 2:
+                p, mu = float(rng.uniform(-2.0, -0.2)), eta + bump
+            else:
+                p, mu = float(rng.uniform(0.15, 0.85)), eta / (1.0 + bump)
+            got = lemma_6_1_residual(lam, a, mu, eta, p, n)
+            assert got.hex() == partial_residual_oracle(lam, a, mu, eta, p, n).hex()
+
+
+def partial_residual_oracle(lam, a, mu, eta, p, n):
+    """lemma_6_1_residual as Python float expressions, with the coefficient
+    C_i = (mu_i**q - eta_i**q)**(1/q) formed once per i."""
+    lam_a = (lam * a).tolist()
+    S = neumaier_prefix_sums(lam * a).tolist()
+    q = p / (p - 1.0)
+    mu, eta = mu.tolist(), eta.tolist()
+    C = [m**q - h**q for m, h in zip(mu, eta)]  # C[i - 1] is C_i
+    C = [d ** (1.0 / q) if d else (math.inf if q < 0.0 else 0.0) for d in C]
+    lhs = mu[n - 1] * S[n - 1] ** (1.0 / p)
+    for i in range(2, n):
+        lhs += (mu[i - 1] - C[i]) * S[i - 1] ** (1.0 / p)
+    rhs = C[1] * lam_a[0] ** (1.0 / p)
+    rhs += math.fsum(eta[i] * lam_a[i] ** (1.0 / p) for i in range(1, n))
+    return rhs - lhs
 
 
 class TestTailSumLemma:
@@ -170,40 +228,41 @@ class TestTailSumLemma:
     def test_full_inequality_geometric_example(self):
         length = 40
         a = 0.5 ** np.arange(1, length + 1)
-        mult = RecurrentSequences(1.0 + 1.0 / np.arange(1, 9), np.ones(8))
-        res = lemma_6_2_residual(np.ones(length), a, mult, 1.0 / 3.0, 8)
+        mu = 1.0 + 1.0 / np.arange(1, 9)
+        res = lemma_6_2_residual(np.ones(length), a, mu, np.ones(8), 1.0 / 3.0, 8)
         assert res == pytest.approx(0.10153373779005515, rel=1e-10)
         assert res >= 0.0
 
     def test_truncation_warning(self):
         a = 0.5 ** np.arange(1, 7)
-        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
         with pytest.warns(TailTruncationWarning):
-            lemma_6_2_residual(np.ones(6), a, mult, 0.5, 4)
+            lemma_6_2_residual(np.ones(6), a, np.full(4, 2.0), np.ones(4), 0.5, 4)
 
     def test_no_warning_when_tail_negligible(self):
         a = 0.5 ** np.arange(1, 60)
-        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
         with warnings.catch_warnings():
             warnings.simplefilter("error", TailTruncationWarning)
-            lemma_6_2_residual(np.ones(59), a, mult, 0.5, 4)
+            lemma_6_2_residual(np.ones(59), a, np.full(4, 2.0), np.ones(4), 0.5, 4)
 
     def test_ordering_violation_raises(self):
         a = 0.5 ** np.arange(1, 30)
-        mult = RecurrentSequences(np.ones(4), np.full(4, 2.0))
         with pytest.raises(WorkbenchError, match="tail-sum regime requires mu_i >="):
-            lemma_6_2_residual(np.ones(29), a, mult, 0.5, 4)
+            lemma_6_2_residual(np.ones(29), a, np.ones(4), np.full(4, 2.0), 0.5, 4)
 
     def test_multipliers_past_the_horizon_are_not_read(self):
-        # mu_3 < eta_3 breaks the ordering, but horizon 2 reads only i <= 2
-        a = 0.5 ** np.arange(40)
-        mult = RecurrentSequences([2.0, 2.0, 0.5], [1.0, 1.0, 1.0])
-        short = RecurrentSequences([2.0, 2.0], [1.0, 1.0])
-        got = lemma_6_2_residual(np.ones(40), a, mult, 0.5, 2)
-        want = lemma_6_2_residual(np.ones(40), a, short, 0.5, 2)
-        assert got.hex() == want.hex() == (0.16452466459987436).hex()
+        # mu_3 < eta_3 breaks the ordering, a missing mu_3 or a zero eta_3
+        # is no multiplier, but horizon 2 reads and checks only i <= 2
+        lam, a = np.ones(40), 0.5 ** np.arange(40)
+        want = lemma_6_2_residual(lam, a, [2.0, 2.0], [1.0, 1.0], 0.5, 2)
+        assert want.hex() == (0.16452466459987436).hex()
+        for mu, eta in (
+            ([2.0, 2.0, 0.5], [1.0, 1.0, 1.0]),
+            ([2.0, 2.0], [1.0, 1.0, 0.0]),
+        ):
+            got = lemma_6_2_residual(lam, a, mu, eta, 0.5, 2)
+            assert got.hex() == want.hex()
         with pytest.raises(WorkbenchError, match="mu_i >= eta_i"):
-            lemma_6_2_residual(np.ones(40), a, mult, 0.5, 3)
+            lemma_6_2_residual(lam, a, [2.0, 2.0, 0.5], [1.0, 1.0, 1.0], 0.5, 3)
 
     def test_residual_matches_python_float_expression(self):
         # D_1..D_n come from one array pass with the bits of the scalar
@@ -217,15 +276,14 @@ class TestTailSumLemma:
             p = float(rng.uniform(0.05, 0.95))
             eta = rng.uniform(0.1, 1.1, n)
             mu = eta + rng.uniform(0.0, 1.0, n) * (i % 3 != 0)  # some mu = eta
-            got = lemma_6_2_residual(lam, a, RecurrentSequences(mu, eta), p, n)
+            got = lemma_6_2_residual(lam, a, mu, eta, p, n)
             assert got.hex() == tail_residual_oracle(lam, a, mu, eta, p, n).hex()
 
     @pytest.mark.parametrize("mu, p", [(1e4, 0.99), (1e300, 0.5)])
     def test_gap_overflow_is_a_domain_error(self, mu, p):
         a = 0.5 ** np.arange(1, 60)
-        mult = RecurrentSequences(np.full(3, mu), np.ones(3))
         with pytest.raises(WorkbenchError, match="overflows"):
-            lemma_6_2_residual(np.ones(59), a, mult, p, 3)
+            lemma_6_2_residual(np.ones(59), a, np.full(3, mu), np.ones(3), p, 3)
         with pytest.raises(WorkbenchError, match="overflows"):
             lemma_6_2_step(mu, 1.0, p, 1.0)
 
@@ -326,21 +384,13 @@ class TestNonFiniteInputs:
             lemma_6_2_step(*args)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_multipliers(self, bad):
-        with pytest.raises(WorkbenchError, match="finite"):
-            RecurrentSequences(np.array([1.0, bad]), np.ones(2))
-        with pytest.raises(WorkbenchError, match="finite"):
-            RecurrentSequences(np.full(2, 2.0), np.array([bad, 1.0]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("which", ["lam", "a"])
     def test_partial_sum_lemma(self, which, bad):
         x = np.ones(4)
         x[2] = bad
         lam, a = (x, np.ones(4)) if which == "lam" else (np.ones(4), x)
-        mult = RecurrentSequences(np.full(4, 0.5), np.ones(4))
         with pytest.raises(WorkbenchError, match="finite"):
-            lemma_6_1_residual(lam, a, mult, 0.5, 4)
+            lemma_6_1_residual(lam, a, np.full(4, 0.5), np.ones(4), 0.5, 4)
 
     @pytest.mark.parametrize(
         "lam, mu, eta, p",
@@ -353,9 +403,9 @@ class TestNonFiniteInputs:
     def test_partial_sum_lemma_power_overflow(self, lam, mu, eta, p):
         # these powers used to overflow to inf inside numpy, with warnings,
         # and the residual came out NaN
-        mult = RecurrentSequences(np.full(4, mu), np.full(4, eta))
+        x, mu, eta = np.full(4, lam), np.full(4, mu), np.full(4, eta)
         with pytest.raises(WorkbenchError, match="overflows the float range"):
-            lemma_6_1_residual(np.full(4, lam), np.full(4, lam), mult, p, 4)
+            lemma_6_1_residual(x, x, mu, eta, p, 4)
 
     @pytest.mark.parametrize(
         "x, mu",
@@ -366,14 +416,14 @@ class TestNonFiniteInputs:
         ids=["product-overflow", "product-underflow"],
     )
     def test_partial_sum_lemma_product_out_of_range(self, x, mu):
-        mult = RecurrentSequences(np.full(4, mu), np.ones(4))
+        x, mu = np.full(4, x), np.full(4, mu)
         with pytest.raises(WorkbenchError, match="positive and finite"):
-            lemma_6_1_residual(np.full(4, x), np.full(4, x), mult, 0.5, 4)
+            lemma_6_1_residual(x, x, mu, np.ones(4), 0.5, 4)
 
     def test_partial_sum_lemma_exponent(self):
-        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
+        ones = np.ones(4)
         with pytest.raises(WorkbenchError, match="finite"):
-            lemma_6_1_residual(np.ones(4), np.ones(4), mult, -math.inf, 4)
+            lemma_6_1_residual(ones, ones, np.full(4, 2.0), ones, -math.inf, 4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("which", ["lam", "a"])
@@ -381,9 +431,8 @@ class TestNonFiniteInputs:
         x = 0.5 ** np.arange(1, 60)
         x[2] = bad
         lam, a = (x, 0.5 ** np.arange(1, 60)) if which == "lam" else (np.ones(59), x)
-        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
         with pytest.raises(WorkbenchError, match="finite"):
-            lemma_6_2_residual(lam, a, mult, 0.5, 4)
+            lemma_6_2_residual(lam, a, np.full(4, 2.0), np.ones(4), 0.5, 4)
 
     @pytest.mark.parametrize(
         "lam, scale",
@@ -395,10 +444,10 @@ class TestNonFiniteInputs:
         ids=["product-overflow", "large-lambda", "product-underflow"],
     )
     def test_tail_sum_lemma_product_out_of_range(self, lam, scale):
-        mult = RecurrentSequences(np.full(4, 2.0), np.ones(4))
         a = scale * 0.5 ** np.arange(40)
+        lam, mu, eta = np.full(40, lam), np.full(4, 2.0), np.ones(4)
         with pytest.raises(WorkbenchError, match="lam_i a_i and their sum must be"):
-            lemma_6_2_residual(np.full(40, lam), a, mult, 0.5, 4)
+            lemma_6_2_residual(lam, a, mu, eta, 0.5, 4)
 
     def test_step_gap_overflow_comes_before_the_powers(self):
         # mu (1+t)**p used to overflow in numpy, with a warning, first
