@@ -42,8 +42,8 @@ def main() -> int:
         if result.best is None:
             print(f"{p:8.4f} {'none':>10}")
             continue
-        best, k = result.best, result.best_k
-        verified = "yes" if result.best_report.holds else "NO"
+        best, k = result.best, result.verdict.value
+        verified = "yes" if result.verdict.holds else "NO"
         print(f"{p:8.4f} {result.feasible_count:>10} {best.c:9.4f} "
               f"{best.beta:10.4f} {k:10.6f} {1.0 / k:10.6f} "
               f"{reference:12.6f} {verified:>9}")

@@ -169,23 +169,7 @@ def _handle_redheffer_check(args: argparse.Namespace, tol: Tolerances) -> Outcom
 
 def _handle_redheffer_scan(args: argparse.Namespace, tol: Tolerances) -> Outcome:
     result = scan_params(args.p, n_max=args.n_max, tol=tol)
-    if result.best is None:
-        verdict = Verdict(
-            "scan-best", "6.49", False,
-            detail=f"no feasible point among {result.n_points}",
-        )
-    else:
-        verdict = Verdict(
-            "scan-best", "6.49",
-            result.best_report.holds,
-            min_slack=result.best_report.min_slack,
-            value=result.best_k,
-            detail=(
-                f"c={result.best.c}, beta={result.best.beta}, "
-                f"feasible {result.feasible_count}/{result.n_points}"
-            ),
-        )
-    return [verdict], result
+    return [result.verdict], result
 
 
 def _family(args: argparse.Namespace) -> SequenceFamily:

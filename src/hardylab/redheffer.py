@@ -54,8 +54,11 @@ class RedhefferParams:
 
 
 def _positive_input(x, length: int, name: str) -> np.ndarray:
-    """The first ``length`` entries of x, checked finite and positive."""
-    arr = np.asarray(x, dtype=float)[:length]
+    """The first ``length`` entries of 1-d x, checked finite and positive."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise WorkbenchError(f"{name} must be a 1-d array")
+    arr = arr[:length]
     if len(arr) < length or np.any(arr <= 0.0):
         raise WorkbenchError(f"{name} must be positive and long enough")
     if not np.isfinite(arr).all():
@@ -150,31 +153,21 @@ def _gap(mu: np.ndarray, eta: np.ndarray, p) -> np.ndarray:
     return libm_map(pow, np.maximum(base, 0.0), 1.0 - p)
 
 
-class StepBound(NamedTuple):
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual: np.ndarray
-
-
-def lemma_6_2_step(mu, eta, p, t) -> StepBound:
-    """Single-step tail-sum bound: for mu >= eta > 0, 0 < p < 1, t >= 0,
+def lemma_6_2_step(mu, eta, p, t) -> np.ndarray:
+    """Residual LHS - RHS of the single-step tail-sum bound: for
+    mu >= eta > 0, 0 < p < 1, t >= 0,
 
         mu (1+t)**p - eta t**p >= (mu**(1/(1-p)) - eta**(1/(1-p)))**(1-p).
 
-    Each argument is a float or a 1-d array, and the arrays have equal
-    lengths; the bound is formed elementwise, a float standing for every
-    element.  The fields are 1-d arrays, of length 1 when every argument
-    is a float.  Every value must be finite.  Each field has the bits of
-    the Python float expression above: the powers come from the C library
-    per element, the rest is IEEE arithmetic.
+    The arguments are 1-d arrays of one length, and the residual is formed
+    elementwise; a nonnegative element confirms that instance.  Every value
+    must be finite.  Each element has the bits of the Python float
+    expression above: the powers come from the C library per element, the
+    rest is IEEE arithmetic.
     """
-    args = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (mu, eta, p, t)]
-    if any(a.ndim > 1 for a in args):
-        raise WorkbenchError("mu, eta, p and t must be floats or 1-d arrays")
-    try:
-        mu, eta, p, t = np.broadcast_arrays(*args)
-    except ValueError:
-        raise WorkbenchError("mu, eta, p and t must have equal lengths") from None
+    mu, eta, p, t = (np.asarray(x, dtype=float) for x in (mu, eta, p, t))
+    if mu.ndim != 1 or not mu.shape == eta.shape == p.shape == t.shape:
+        raise WorkbenchError("mu, eta, p and t must be 1-d arrays of one length")
     if not all(np.isfinite(a).all() for a in (mu, eta, p, t)):
         raise WorkbenchError("mu, eta, p and t must be finite")
     bad = ~((0.0 < p) & (p < 1.0))
@@ -185,9 +178,9 @@ def lemma_6_2_step(mu, eta, p, t) -> StepBound:
     if (t < 0.0).any():
         raise WorkbenchError("t must be nonnegative")
     # the gap first: where mu**(1/(1-p)) is a float, mu (1+t)**p is too
-    rhs = _gap(mu, eta, p)
+    gap = _gap(mu, eta, p)
     lhs = mu * libm_map(pow, 1.0 + t, p) - eta * libm_map(pow, t, p)
-    return StepBound(lhs, rhs, lhs - rhs)
+    return lhs - gap
 
 
 def lemma_6_2_residual(lam, a, mu, eta, p: float, n: int) -> float:
@@ -210,11 +203,10 @@ def lemma_6_2_residual(lam, a, mu, eta, p: float, n: int) -> float:
     eta = _positive_input(eta, n, "eta")
     if np.any(mu < eta):
         raise WorkbenchError("tail-sum regime requires mu_i >= eta_i")
-    a_arr = np.asarray(a, dtype=float)
+    a_arr = _positive_input(a, np.size(a), "a")
     length = len(a_arr)
     if n > length:
         raise WorkbenchError("horizon exceeds the truncated input")
-    a_arr = _positive_input(a_arr, length, "a")
     lam_arr = _positive_input(lam, length, "lambda")
     _, tails = _weighted_terms(lam_arr, a_arr, neumaier_suffix_sums)
     if lam_arr[-1] * a_arr[-1] > 1e-8 * tails[0]:
@@ -376,16 +368,16 @@ def default_beta_grid(p: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class ScanResult:
-    """Grid scan outcome; ``best`` and ``best_k`` are None when no grid
-    point is feasible."""
+    """Grid scan outcome: k and feasibility per (c, beta) point, the best
+    feasible point (None if there is none) and the ``scan-best`` verdict,
+    whose value is the best k."""
 
     c_grid: np.ndarray = field(repr=False)
     beta_grid: np.ndarray = field(repr=False)
     k: np.ndarray = field(repr=False)
     feasible: np.ndarray = field(repr=False)
     best: RedhefferParams | None = None
-    best_k: float | None = None
-    best_report: Verdict | None = None
+    verdict: Verdict | None = None
 
     @property
     def feasible_count(self) -> int:
@@ -413,7 +405,7 @@ def scan_params(
     condition then holds strictly or, on the equality route with
     p < 1/2, the curvature condition does; a point whose k is NaN or
     infinite is not.  The best point is re-verified directly against the
-    full n <= n_max family.
+    full n <= n_max family, and that check decides the result's verdict.
     """
     if not 0.0 < p < 1.0:
         raise WorkbenchError(f"p must lie in (0, 1), got {p}")
@@ -439,12 +431,18 @@ def scan_params(
     curvature_ok = condition_6_54_check(p, B) if p < 0.5 else False
     feasible = valid & np.isfinite(k) & (slope_ok | curvature_ok)
     result = ScanResult(c_grid=c_vals, beta_grid=b_vals, k=k, feasible=feasible)
-    if result.feasible_count:
-        masked = np.where(feasible, k, np.inf)
-        i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-        result.best = RedhefferParams(p=p, c=float(c_vals[i]), beta=float(b_vals[j]))
-        result.best_k = float(k[i, j])
-        result.best_report = condition_6_49_check(
-            result.best, n_max, result.best_k, tol
-        )
+    if not result.feasible_count:
+        detail = f"no feasible point among {result.n_points}"
+        result.verdict = Verdict("scan-best", "6.49", False, detail=detail)
+        return result
+    masked = np.where(feasible, k, np.inf)
+    i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
+    best = result.best = RedhefferParams(p=p, c=float(c_vals[i]), beta=float(b_vals[j]))
+    k_best = float(k[i, j])
+    check = condition_6_49_check(best, n_max, k_best, tol)
+    result.verdict = Verdict(
+        "scan-best", "6.49", check.holds, value=k_best, min_slack=check.min_slack,
+        detail=f"c={best.c}, beta={best.beta}, "
+        f"feasible {result.feasible_count}/{result.n_points}",
+    )
     return result

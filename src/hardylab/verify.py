@@ -348,7 +348,7 @@ def lemma_suite_claims(seed: int) -> list[Verdict]:
     mu = eta + rng.uniform(0.0, 5.0, 10000)
     t = rng.uniform(1e-6, 10.0, 10000)
     ps = rng.uniform(0.01, 0.99, 10000)
-    worst_step = float(np.min(lemma_6_2_step(mu, eta, ps, t).residual))
+    worst_step = float(np.min(lemma_6_2_step(mu, eta, ps, t)))
     rows.append(
         Verdict(
             "8.6-single-step-grid", "6.6", worst_step >= -1e-12, value=worst_step

@@ -19,6 +19,7 @@ from hardylab.compsum import neumaier_prefix_sums
 from hardylab.cli import build_parser, main
 from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
 from hardylab.redheffer import ScanResult, scan_params
+from hardylab.reports import Tolerances
 
 REQUIRED_VERDICT_KEYS = {
     "claim",
@@ -488,6 +489,30 @@ class TestJsonReports:
         verdict = payload["verdicts"][0]
         assert verdict["min_slack"] is None
         assert verdict["first_failure"] == 1
+
+    @pytest.mark.parametrize(
+        "flags, p, n_max, tol, holds",
+        [
+            (("--p", "0.45", "--n-max", "100"), 0.45, 100, Tolerances(), True),
+            # a tolerance past the float range is an inf threshold, and at
+            # p < 1/2 the curvature condition still admits points
+            (("--p", "0.45", "--tol-rel", "1e308", "--n-max", "10"),
+             0.45, 10, Tolerances(tol_rel=1e308), True),
+            (("--p", "0.7", "--n-max", "50", "--tol-rel", "1e10"),
+             0.7, 50, Tolerances(tol_rel=1e10), False),
+        ],
+        ids=["p0.45", "inf-threshold", "no-feasible-point"],
+    )
+    def test_scan_verdict_is_the_library_verdict(
+        self, capsys, flags, p, n_max, tol, holds
+    ):
+        status, out, _ = run_cli(capsys, "redheffer-scan", *flags, "--format", "json")
+        assert status == (0 if holds else 1)
+        [row] = json.loads(out)["verdicts"]
+        verdict = scan_params(p, n_max=n_max, tol=tol).verdict
+        assert verdict.to_dict() == row
+        assert verdict.holds is holds
+        assert verdict.detail.startswith("c=" if holds else "no feasible point")
 
     def test_determinism_modulo_wall_time(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

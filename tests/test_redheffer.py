@@ -109,6 +109,28 @@ class TestMultiplierSequences:
             with pytest.raises(WorkbenchError, match=f"^{which} {message}$"):
                 lemma(lam, a, mult["mu"], mult["eta"], 0.5, 3)
 
+    @pytest.mark.parametrize(
+        "lemma, inputs",
+        [
+            (lemma_6_1_residual, (np.ones(3), np.ones(3), np.full(3, 0.5), np.ones(3))),
+            (
+                lemma_6_2_residual,
+                (np.ones(40), 0.5 ** np.arange(40), np.full(3, 2.0), np.ones(3)),
+            ),
+        ],
+        ids=["6.1", "6.5"],
+    )
+    @pytest.mark.parametrize("shape", ["float", "2-d"])
+    @pytest.mark.parametrize("which", ["lam", "a", "mu", "eta"])
+    def test_non_1d_input_is_rejected(self, which, shape, lemma, inputs):
+        # named by the lemma, not left to numpy's indexing or broadcasting
+        args = dict(zip(("lam", "a", "mu", "eta"), inputs))
+        x = args[which]
+        args[which] = float(x[0]) if shape == "float" else np.stack([x, x], axis=1)
+        name = "lambda" if which == "lam" else which
+        with pytest.raises(WorkbenchError, match=f"^{name} must be a 1-d array$"):
+            lemma(*args.values(), 0.5, 3)
+
 
 class TestPartialSumLemma:
     def test_equal_multipliers_hold_trivially(self):
@@ -197,23 +219,29 @@ def partial_residual_oracle(lam, a, mu, eta, p, n):
     return rhs - lhs
 
 
+def step_at(mu, eta, p, t):
+    """lemma_6_2_step at one point, each float passed as a length-1 array."""
+    return lemma_6_2_step(*(np.array([x]) for x in (mu, eta, p, t)))
+
+
 class TestTailSumLemma:
     def test_single_step_spot_values(self):
-        step = lemma_6_2_step(1.0, 1.0, 0.5, 1.0)
-        assert step.lhs[0] == pytest.approx(SQRT2 - 1.0, rel=1e-14)
-        assert step.rhs[0] == 0.0
-        step = lemma_6_2_step(2.0, 1.0, 0.5, 0.5)
-        assert step.lhs[0] == pytest.approx(1.7423829615966304, rel=1e-12)
-        assert step.rhs[0] == pytest.approx(math.sqrt(3.0), rel=1e-14)
-        assert step.residual[0] >= 0.0
+        # mu = eta: the gap is 0 and the residual is the whole LHS
+        assert step_at(1.0, 1.0, 0.5, 1.0)[0] == pytest.approx(SQRT2 - 1.0, rel=1e-14)
+        # LHS 1.7423829615966304 against the gap sqrt(3)
+        residual = step_at(2.0, 1.0, 0.5, 0.5)[0]
+        assert residual == pytest.approx(1.7423829615966304 - math.sqrt(3.0), rel=1e-9)
+        assert residual >= 0.0
 
     def test_single_step_preconditions(self):
         with pytest.raises(WorkbenchError, match="needs mu >= eta > 0"):
-            lemma_6_2_step(1.0, 2.0, 0.5, 1.0)
+            step_at(1.0, 2.0, 0.5, 1.0)
+        with pytest.raises(WorkbenchError, match="needs mu >= eta > 0"):
+            step_at(1.0, 0.0, 0.5, 1.0)
         with pytest.raises(WorkbenchError, match="needs 0 < p < 1, got 1.5"):
-            lemma_6_2_step(2.0, 1.0, 1.5, 1.0)
+            step_at(2.0, 1.0, 1.5, 1.0)
         with pytest.raises(WorkbenchError, match="t must be nonnegative"):
-            lemma_6_2_step(2.0, 1.0, 0.5, -1.0)
+            step_at(2.0, 1.0, 0.5, -1.0)
 
     @given(
         st.floats(min_value=0.01, max_value=5.0),
@@ -223,7 +251,7 @@ class TestTailSumLemma:
     )
     @settings(max_examples=300, deadline=None)
     def test_single_step_property(self, eta, bump, t, p):
-        assert lemma_6_2_step(eta + bump, eta, p, t).residual[0] >= -1e-12
+        assert step_at(eta + bump, eta, p, t)[0] >= -1e-12
 
     def test_full_inequality_geometric_example(self):
         length = 40
@@ -285,7 +313,7 @@ class TestTailSumLemma:
         with pytest.raises(WorkbenchError, match="overflows"):
             lemma_6_2_residual(np.ones(59), a, np.full(3, mu), np.ones(3), p, 3)
         with pytest.raises(WorkbenchError, match="overflows"):
-            lemma_6_2_step(mu, 1.0, p, 1.0)
+            step_at(mu, 1.0, p, 1.0)
 
 
 def tail_residual_oracle(lam, a, mu, eta, p, n):
@@ -302,12 +330,12 @@ def tail_residual_oracle(lam, a, mu, eta, p, n):
 
 
 def step_oracle(mu, eta, p, t):
-    """The single-step bound as one Python float expression: the reference
-    every element of an array lemma_6_2_step must reproduce bit for bit."""
+    """The single-step residual as one Python float expression: the
+    reference every element of lemma_6_2_step must reproduce bit for bit."""
     lhs = mu * (1.0 + t) ** p - eta * t**p
     base = mu ** (1.0 / (1.0 - p)) - eta ** (1.0 / (1.0 - p))
     rhs = max(base, 0.0) ** (1.0 - p)
-    return lhs, rhs, lhs - rhs
+    return lhs - rhs
 
 
 # mu = eta + bump stays below 2, so mu**(1/(1-p)) is finite for p <= 0.999
@@ -336,52 +364,50 @@ class TestStepArrays:
         p = np.array([c[2] for c in cases])
         t = np.array([c[3] for c in cases])
         got = lemma_6_2_step(mu, eta, p, t)
-        for field in got:
-            assert isinstance(field, np.ndarray) and field.shape == (len(cases),)
+        assert isinstance(got, np.ndarray) and got.shape == (len(cases),)
         for i, args in enumerate(zip(mu.tolist(), eta.tolist(), p.tolist(), t.tolist())):
-            want = step_oracle(*args)
-            assert [float(f[i]).hex() for f in got] == [w.hex() for w in want], args
+            assert float(got[i]).hex() == step_oracle(*args).hex(), args
 
-    def test_float_input_returns_length_one_arrays(self):
-        step = lemma_6_2_step(2.0, 1.0, 0.5, 0.5)
-        assert all(isinstance(f, np.ndarray) and f.shape == (1,) for f in step)
-        assert [f[0].hex() for f in step] == [w.hex() for w in step_oracle(2.0, 1.0, 0.5, 0.5)]
-
-    def test_floats_broadcast_against_arrays(self):
-        t = np.array([0.0, 0.5, 2.0])
-        got = lemma_6_2_step(2.0, 1.0, 0.5, t)
-        for i, tt in enumerate(t.tolist()):
-            assert got.residual[i].hex() == lemma_6_2_step(2.0, 1.0, 0.5, tt).residual[0].hex()
-
-    def test_shape_errors(self):
-        with pytest.raises(WorkbenchError, match="equal lengths"):
-            lemma_6_2_step(np.full(3, 2.0), np.ones(2), 0.5, 1.0)
-        with pytest.raises(WorkbenchError, match="1-d arrays"):
-            lemma_6_2_step(np.full((2, 2), 2.0), 1.0, 0.5, 1.0)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (2.0, 1.0, 0.5, 0.5),
+            (np.array(2.0), np.array(1.0), np.array(0.5), np.array(0.5)),
+            (np.full(2, 2.0), np.ones(2), np.full(2, 0.5), np.ones((2, 1))),
+            (np.full((2, 2), 2.0), np.ones((2, 2)), np.full((2, 2), 0.5),
+             np.ones((2, 2))),
+            (np.full(3, 2.0), np.ones(2), np.full(3, 0.5), np.ones(3)),
+        ],
+        ids=["floats", "0-d", "one-2-d", "all-2-d", "unequal-lengths"],
+    )
+    def test_shape_errors(self, args):
+        with pytest.raises(WorkbenchError, match="1-d arrays of one length"):
+            lemma_6_2_step(*args)
 
     def test_array_preconditions_name_the_value(self):
+        two, one, half = np.full(2, 2.0), np.ones(2), np.full(2, 0.5)
         with pytest.raises(WorkbenchError, match="got 1.5"):
-            lemma_6_2_step(2.0, 1.0, np.array([0.5, 1.5]), 1.0)
+            lemma_6_2_step(two, one, np.array([0.5, 1.5]), one)
         with pytest.raises(WorkbenchError, match="mu >= eta"):
-            lemma_6_2_step(np.array([2.0, 0.5]), 1.0, 0.5, 1.0)
+            lemma_6_2_step(np.array([2.0, 0.5]), one, half, one)
         with pytest.raises(WorkbenchError, match="nonnegative"):
-            lemma_6_2_step(2.0, 1.0, 0.5, np.array([1.0, -1e-300]))
+            lemma_6_2_step(two, one, half, np.array([1.0, -1e-300]))
 
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "args",
         [
-            (1.0, 0.5, 0.5, math.nan),
-            (math.inf, 1.0, 0.5, 1.0),
-            (2.0, 1.0, 0.5, math.inf),
-            (2.0, 1.0, math.nan, 1.0),
-            (np.array([2.0, math.nan]), 1.0, 0.5, 1.0),
+            ([1.0], [0.5], [0.5], [math.nan]),
+            ([math.inf], [1.0], [0.5], [1.0]),
+            ([2.0], [1.0], [0.5], [math.inf]),
+            ([2.0], [1.0], [math.nan], [1.0]),
+            ([2.0, math.nan], [1.0, 1.0], [0.5, 0.5], [1.0, 1.0]),
         ],
     )
     def test_step(self, args):
         with pytest.raises(WorkbenchError, match="finite"):
-            lemma_6_2_step(*args)
+            lemma_6_2_step(*(np.array(x) for x in args))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("which", ["lam", "a"])
@@ -452,7 +478,7 @@ class TestNonFiniteInputs:
     def test_step_gap_overflow_comes_before_the_powers(self):
         # mu (1+t)**p used to overflow in numpy, with a warning, first
         with pytest.raises(WorkbenchError, match=r"mu\*\*\(1/\(1-p\)\) overflows"):
-            lemma_6_2_step(1e300, 1e300, 0.5, 1e300)
+            step_at(1e300, 1e300, 0.5, 1e300)
 
 
 class TestFeasibilityConditions:
@@ -581,8 +607,8 @@ class TestScanner:
             n_max=2000,
         )
         assert res.best is not None
-        assert res.best_k <= 1.1152
-        assert res.best_report.holds
+        assert res.verdict.value <= 1.1152
+        assert res.verdict.holds
         assert res.feasible_count > 0
 
     def test_p034_grid_recovers_equality_route(self):
@@ -594,18 +620,20 @@ class TestScanner:
             n_max=2000,
         )
         assert res.best is not None
-        assert res.best_k == pytest.approx(c34**0.34, rel=1e-9)
-        assert res.best_report.holds
+        assert res.verdict.value == pytest.approx(c34**0.34, rel=1e-9)
+        assert res.verdict.holds
 
     def test_exploratory_scan_records_verdict(self):
         res = scan_params(0.45, n_max=500)
         assert res.best is not None
-        assert res.best_report.holds
+        assert res.verdict.holds
         assert 0 < res.feasible_count <= res.n_points
 
     def test_no_feasible_point_is_reported_not_raised(self):
         res = scan_params(0.45, c_grid=[0.05], beta_grid=[0.9], n_max=100)
-        assert res.best is None and res.best_k is None
+        assert res.best is None and res.verdict.value is None
+        assert not res.verdict.holds
+        assert res.verdict.detail == "no feasible point among 1"
         assert res.feasible_count == 0
 
     def test_library_grids_run_without_warnings(self):
@@ -621,9 +649,9 @@ class TestScanner:
         assert [str(w.message) for w in caught] == []
         assert np.isnan(nan_k.k[0, 2]) and not nan_k.feasible[0, 2]
         assert not nan_k.feasible[2].any()
-        assert nan_k.best_report.holds
+        assert nan_k.verdict.holds
         assert np.isinf(inf_k.k[0, 0]) and inf_k.feasible_count == 0
-        assert inf_k.best is None and inf_k.best_k is None
+        assert inf_k.best is None and inf_k.verdict.value is None
 
     @pytest.mark.parametrize("p", [0.34, 0.45, 0.46, 0.5, 0.66, 0.9])
     def test_k_grid_matches_inline_branches(self, p):
