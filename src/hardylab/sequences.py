@@ -66,7 +66,7 @@ def libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
     the package's one libm map.
 
     Arrays are read through a memoryview (Python floats, no numpy scalars);
-    a float in ``args`` is passed to every call.  numpy's vector exp, log1p,
+    a float in ``args`` is passed to every call.  numpy's vector log1p,
     expm1 and pow differ from libm in the last bit for some inputs on
     AVX-512, which the brackets and lemma checks turn into visible slack.
     """
@@ -77,8 +77,14 @@ def libm_map(fn, x: np.ndarray, *args) -> np.ndarray:
 
 
 def _exp_weights(log_w: np.ndarray) -> np.ndarray:
-    """exp(log_w) through libm_map; inf from 709 up."""
-    w = libm_map(math.exp, np.minimum(log_w, 709.0))
+    """exp(log_w) by numpy's vector exp, in a new array; inf from 709 up.
+
+    numpy's exp is libm's below AVX-512 and is 1 ulp off it for some inputs
+    with it, so the bits of w and W, and claim 3.2's residual, depend on the
+    dispatch level; the brackets read w only through log W, never differenced.
+    """
+    w = np.minimum(log_w, 709.0)
+    np.exp(w, out=w)
     w[~(log_w < 709.0)] = math.inf
     return w
 
@@ -96,11 +102,12 @@ def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
         raise WorkbenchError("n_max must be >= 1")
     # the compensated log accumulator is authoritative; the direct value is
     # its exponential while representable (sequential products would drift
-    # past the consistency tolerance near n ~ 10^6).  log1p and exp go
-    # through libm_map.  Entry 0 of the ratios is +0.0, whose log1p is +0.0,
-    # so the scan of the steps is log_w itself.  Shift 0 is built in closed
-    # form with the same bits: every step log1p(+-0.0) scans to +0.0 and
-    # exp(0.0) is 1.0, so W holds the power sums of the ones.
+    # past the consistency tolerance near n ~ 10^6).  log1p goes through
+    # libm_map, exp is numpy's (see _exp_weights).  Entry 0 of the ratios is
+    # +0.0, whose log1p is +0.0, so the scan of the steps is log_w itself.
+    # Shift 0 is built in closed form with the same bits: every step
+    # log1p(+-0.0) scans to +0.0 and exp(0.0) is 1.0, so W holds the power
+    # sums of the ones.
     if shift == 0.0:
         W = power_sums(0.0, n_max)
         return AuxSequence(n_max, ("recurrence", shift), np.zeros(n_max), W)

@@ -318,7 +318,8 @@ class TestExplicitArguments:
             # a strict check cannot clear
             (("check-2-4", "--p=1e308", "--tol-rel=6.2e299",
               "--tol-abs=1e308"), 1),
-            # tol_rel * rhs passes it: every point clears the slope condition
+            # tol_rel * rhs passes it: no point clears the slope condition,
+            # and the 220991 feasible points are all the curvature route's
             (("redheffer-scan", "--p", "0.45", "--tol-rel", "1e308",
               "--n-max", "10"), 0),
         ],

@@ -5,7 +5,9 @@ the tests ``UNGOLDEN`` names) runs in each output format, and the exit code
 plus the SHA-256 of standard output and standard error (with the
 ``wall_time`` field blanked) must match ``cli_golden.json``.
 A refactor that keeps the verdicts but changes a byte of any report fails
-here.  After an intended change of output, re-record the digests with
+here.  The cases ``DISPATCH_UFUNCS`` names keep a second standard-output
+digest, for numpy's loops below AVX-512.  After an intended change of
+output, re-record the digests, on a CPU with AVX-512, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -21,11 +23,15 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from numpy.lib.introspect import opt_func_info
 
+import hardylab
 from hardylab.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -162,6 +168,38 @@ ARGVS = (
     ("redheffer-scan", "--p", "0.7", "--n-max", "50"),
 )
 
+# The cases whose standard output depends on numpy's dispatch level, each
+# with the ufuncs whose AVX-512 loops differ from libm in the last bit and
+# move it: exp forms the weights behind claim 3.2's value, and check_2_4's
+# log1p, expm1 and log give 6.3-scalar-family-p10's min_slack, which the
+# text format does not print.  Below AVX-512 those loops equal libm.  The
+# six redheffer-scan CSV cases that move too (through ``**``, expm1 and
+# log1p) have no second digest yet.
+DISPATCH_UFUNCS = {
+    f"{argv} --format {fmt}": ufuncs
+    for argv in ("verify-paper --n-max 300", "verify-paper")
+    for fmt, ufuncs in (("json", ["exp", "log1p", "expm1", "log"]),
+                        ("csv", ["exp", "log1p", "expm1", "log"]),
+                        ("text", ["exp"]))
+}
+
+# numpy takes its loops below AVX-512 in a process with this environment.
+WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def avx512() -> bool:
+    """Whether numpy runs its AVX-512 float64 exp loop in this process."""
+    (loop,) = opt_func_info(func_name="^exp$", signature="float64")["exp"].values()
+    return loop["current"] == "X86_V4" or "AVX512" in loop["current"]
+
+
+def expected(entry: dict, at_avx512: bool) -> dict:
+    """The outcome a golden entry records for the given dispatch level."""
+    stdout = entry["stdout"] if at_avx512 else entry.get(
+        "stdout_without_avx512", entry["stdout"])
+    return {"exit": entry["exit"], "stdout": stdout, "stderr": entry["stderr"]}
+
+
 # Starts with a literal, which the regex engine searches for quickly: a scan
 # CSV is 19 MB.
 _WALL_TIME = re.compile(r'(wall_time"?: )[^\n]*')
@@ -188,6 +226,27 @@ def outcome(argv: tuple[str, ...]) -> dict:
             "stderr": _digest(err.getvalue())}
 
 
+def outcomes_without_avx512(keys: list[str]) -> dict:
+    """outcome() of each case key, run in a child process whose numpy takes
+    its loops below AVX-512."""
+    here = Path(__file__).resolve().parent
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(here)!r})\n"
+        "from test_cli_golden import outcome\n"
+        "keys = json.loads(sys.argv[1])\n"
+        "print(json.dumps({k: outcome(tuple(k.split(' '))) for k in keys}))\n"
+    )
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env = {**os.environ, **WITHOUT_AVX512, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(keys)], env=env,
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(done.stdout)
+
+
 # Every argument list in every format.  The CSV of the two default-grid
 # scans has one row per grid point (221k at p = 0.45, 292k at p = 0.34, 33 MB
 # together); at 0.5-0.7 s each they are the slowest cases here.
@@ -202,11 +261,26 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("argv", cases(), ids=" ".join)
 def test_output_matches_golden(golden, argv):
-    assert outcome(argv) == golden[" ".join(argv)]
+    assert outcome(argv) == expected(golden[" ".join(argv)], avx512())
 
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
+
+
+def test_second_digests_are_the_dispatch_cases(golden):
+    dual = {key: entry["ufuncs"] for key, entry in golden.items() if len(entry) > 3}
+    assert dual == DISPATCH_UFUNCS
+    for key in dual:
+        assert set(golden[key]) == {"exit", "stdout", "stderr",
+                                    "stdout_without_avx512", "ufuncs"}
+
+
+def test_dispatch_cases_match_their_second_digest_below_avx512(golden):
+    keys = sorted(DISPATCH_UFUNCS)
+    assert outcomes_without_avx512(keys) == {
+        key: expected(golden[key], at_avx512=False) for key in keys
+    }
 
 
 def scope(old: dict, new: dict) -> list[str]:
@@ -258,7 +332,15 @@ def test_scope_names_every_difference():
 
 
 if __name__ == "__main__":
+    if not avx512():
+        sys.exit("the first digests are numpy's AVX-512 ones: record them on "
+                 "a CPU whose numpy runs its AVX-512 loops")
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     record = {" ".join(argv): outcome(argv) for argv in cases()}
+    for key, below in outcomes_without_avx512(sorted(DISPATCH_UFUNCS)).items():
+        if {**below, "stdout": record[key]["stdout"]} != record[key]:
+            sys.exit(f"{key}: the exit code or stderr depends on the dispatch level")
+        record[key].update(stdout_without_avx512=below["stdout"],
+                           ufuncs=DISPATCH_UFUNCS[key])
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print("\n".join(scope(recorded, record)) or "no digest changed")

@@ -239,22 +239,20 @@ class TestRecurrenceProperties:
         ids=["knopp", "levin-steckin"],
     )
     def test_peak_memory(self, traced_peak, make):
-        # log_w, its copy cut at 709 and the exponentials, which the scan
-        # turns into W: about 3.0 x 8n bytes, the ratio array already freed
+        # log_w and its copy cut at 709, exponentiated in place and scanned
+        # into W, with the inf cut's two bool masks: about 2.25 x 8n bytes,
+        # the ratio array already freed
         n = 200_000
-        assert traced_peak(make, n) <= 3.25 * 8 * n
+        assert traced_peak(make, n) <= 2.5 * 8 * n
 
 
 def loop_ratio_recurrence(shift, n_max):
     """(w, W, log_w) from the recurrence run one index at a time with
     Neumaier compensation: the reference the vectorized generator must
-    reproduce bit for bit."""
-    w = np.empty(n_max)
-    W = np.empty(n_max)
+    reproduce bit for bit.  The log steps are libm's log1p; w is numpy's
+    exp of the loop's log_w, inf from 709 up."""
     log_w = np.empty(n_max)
-    w[0] = W[0] = 1.0
     log_w[0] = 0.0
-    sW, cW = 1.0, 0.0
     sL, cL = 0.0, 0.0
     for n in range(1, n_max):
         x = math.log1p(shift / n)
@@ -264,10 +262,13 @@ def loop_ratio_recurrence(shift, n_max):
         else:
             cL += (x - t) + sL
         sL = t
-        lw = sL + cL
-        log_w[n] = lw
-        wn = math.exp(lw) if lw < 709.0 else math.inf
-        w[n] = wn
+        log_w[n] = sL + cL
+    w = np.exp(np.minimum(log_w, 709.0))
+    w[log_w >= 709.0] = math.inf
+    W = np.empty(n_max)
+    W[0] = 1.0
+    sW, cW = 1.0, 0.0
+    for n, wn in enumerate(w.tolist()[1:], 1):
         t = sW + wn
         if abs(sW) >= abs(wn):
             cW += (sW - t) + wn
@@ -276,6 +277,23 @@ def loop_ratio_recurrence(shift, n_max):
         sW = t
         W[n] = sW + cW
     return w, W, log_w
+
+
+# The environment under which numpy takes its loops below AVX-512, which
+# equal libm bit for bit, on an AVX-512 machine as on any other.
+WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def python_output(script, extra_env):
+    """Standard output of ``python -c script`` importing this checkout's
+    package, with numpy's dispatch variable taken from extra_env only."""
+    src = str(Path(sequences.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", script], env={**env, **extra_env},
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
 
 
 def assert_matches_loop(seq, shift):
@@ -418,6 +436,20 @@ class TestWeightsAccessor:
         assert np.all(np.isfinite(w[:51611])) and np.all(np.isinf(w[51611:]))
         assert seq.W.tobytes() == want_W.tobytes()
         assert neumaier_prefix_sums(w).tobytes() == seq.W.tobytes()
+
+    def test_weights_are_libm_exp_without_avx512(self):
+        # numpy's exp equals libm's below AVX-512, so there w has the bits of
+        # a libm map of log_w, and only an AVX-512 CPU sees other bytes
+        script = (
+            "import math\n"
+            "from hardylab.compsum import _BLOCK\n"
+            "from hardylab.sequences import _ratio_recurrence, libm_map\n"
+            "for s in (2.0, -0.5):\n"
+            "    seq = _ratio_recurrence(s, 2 * _BLOCK + 3)\n"
+            "    want = libm_map(math.exp, seq.log_w)\n"
+            "    print(seq.weights().tobytes() == want.tobytes())\n"
+        )
+        assert python_output(script, WITHOUT_AVX512) == "True\nTrue\n"
 
     def test_claim_3_2_rows_match_loop(self):
         # claim 3.2 reads weights(); its residual is the loop's, bit for bit
@@ -697,21 +729,7 @@ class TestPowerSumRunningSums:
             "    h.update(b.rhs.tobytes() + b.holds.tobytes())\n"
             "print(h.hexdigest())\n"
         )
-        src = str(Path(sequences.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items()
-               if k != "NPY_DISABLE_CPU_FEATURES"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        )
-        outs = [
-            subprocess.run(
-                [sys.executable, "-c", script], env={**env, **extra},
-                capture_output=True, text=True, timeout=120, check=True,
-            ).stdout
-            for extra in (
-                {}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-            )
-        ]
+        outs = [python_output(script, extra) for extra in ({}, WITHOUT_AVX512)]
         assert len(outs[0]) == 65 and outs[0] == outs[1]
 
     def test_grid_validates_every_case_before_summing(self):
