@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compsum import neumaier_prefix_sums, neumaier_suffix_sums
+from .compsum import exact_sum, neumaier_prefix_sums, neumaier_suffix_sums
 from .errors import WorkbenchError
 from .sequences import power_sums, power_weights
 
@@ -195,7 +195,7 @@ def _power_sum(x: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
     with np.errstate(over="ignore"):
         powers = _pow_p(x, p, out)
     try:
-        total = math.fsum(memoryview(powers))  # the doubles, no list
+        total = exact_sum(powers)
     except OverflowError:  # finite terms whose sum overflows
         total = math.inf
     if not math.isfinite(total):

@@ -1,11 +1,19 @@
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardylab
 from hardylab import criteria, redheffer
 from hardylab.reports import build_report
+
+# The environment under which numpy takes its loops below AVX-512, which
+# equal libm bit for bit, on an AVX-512 machine as on any other.
+WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 # (where, argv) of each call tests/test_cli.py makes to cli.main: the names
 # of the test class and function making it, then "_traced_peak" for a call
@@ -24,6 +32,24 @@ def _traced_peak(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def child_env(extra_env: dict) -> dict:
+    """The environment of a child Python process that imports this
+    checkout's package, with numpy's dispatch variable taken from extra_env
+    only."""
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**env, **extra_env}
+
+
+def python_output(script: str, extra_env: dict, *args: str) -> str:
+    """Standard output of ``python -c script *args`` in child_env(extra_env)."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=child_env(extra_env),
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
 
 
 @pytest.fixture

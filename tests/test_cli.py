@@ -21,6 +21,8 @@ from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
 from hardylab.redheffer import ScanResult, scan_params
 from hardylab.reports import Tolerances
 
+from conftest import WITHOUT_AVX512, child_env
+
 REQUIRED_VERDICT_KEYS = {
     "claim",
     "paper_ref",
@@ -858,13 +860,11 @@ class TestSubcommandSurface:
     def test_verify_paper_verdicts_agree_across_dispatch_levels(self):
         # on AVX-512, numpy's exp, log and ** differ from libm in the last
         # bit; a slack may move by an ulp, but no verdict may
-        env = {k: v for k, v in _module_env().items()
-               if k != "NPY_DISABLE_CPU_FEATURES"}
         verdicts = []
-        for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+        for extra in ({}, WITHOUT_AVX512):
             done = subprocess.run(
                 _module_argv("verify-paper", "--n-max", "10000", "--format", "json"),
-                env={**env, **extra}, capture_output=True, text=True, timeout=300,
+                env=child_env(extra), capture_output=True, text=True, timeout=300,
             )
             rows = json.loads(done.stdout)["verdicts"]
             verdicts.append((done.returncode, [

@@ -23,7 +23,6 @@ import io
 import json
 import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -31,8 +30,9 @@ from unittest import mock
 import pytest
 from numpy.lib.introspect import opt_func_info
 
-import hardylab
 from hardylab.cli import main
+
+from conftest import WITHOUT_AVX512, python_output
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 FORMATS = ("json", "csv", "text")
@@ -183,10 +183,6 @@ DISPATCH_UFUNCS = {
                         ("text", ["exp"]))
 }
 
-# numpy takes its loops below AVX-512 in a process with this environment.
-WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-
-
 def avx512() -> bool:
     """Whether numpy runs its AVX-512 float64 exp loop in this process."""
     (loop,) = opt_func_info(func_name="^exp$", signature="float64")["exp"].values()
@@ -237,14 +233,7 @@ def outcomes_without_avx512(keys: list[str]) -> dict:
         "keys = json.loads(sys.argv[1])\n"
         "print(json.dumps({k: outcome(tuple(k.split(' '))) for k in keys}))\n"
     )
-    src = str(Path(hardylab.__file__).resolve().parents[1])
-    env = {**os.environ, **WITHOUT_AVX512, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(keys)], env=env,
-        capture_output=True, text=True, timeout=300, check=True,
-    )
-    return json.loads(done.stdout)
+    return json.loads(python_output(script, WITHOUT_AVX512, json.dumps(keys)))
 
 
 # Every argument list in every format.  The CSV of the two default-grid

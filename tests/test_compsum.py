@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hardylab.compsum import _BLOCK, neumaier_prefix_sums, neumaier_suffix_sums
+from hardylab.compsum import _BLOCK, exact_sum, neumaier_prefix_sums, neumaier_suffix_sums
+
+from conftest import WITHOUT_AVX512, python_output
 
 
 def loop_prefix_sums(values) -> np.ndarray:
@@ -200,3 +202,100 @@ class TestAccuracy:
         got = float(neumaier_prefix_sums(np.array(xs))[-1])
         bound = 2.0 * eps * abs(exact) + n * n * eps * eps * math.fsum(map(abs, xs))
         assert abs(got - exact) <= bound
+
+
+def fsum_outcome(fn, values):
+    """fn(values) as a hex string, or the type of the exception it raises."""
+    try:
+        return fn(values).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The lengths of the arrays exact_sum hands to math.fsum, in order; the
+    certificate's own fsum calls take lists and are not recorded."""
+    seen = []
+    fsum = math.fsum
+
+    def spy(values):
+        if isinstance(values, memoryview):
+            seen.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", spy)
+    return seen
+
+
+# Hashes exact_sum's results, then math.fsum's, over arrays made with exact
+# operations only, so that any difference comes from the sum
+DIGEST_SCRIPT = """
+import hashlib, math
+import numpy as np
+from hardylab.compsum import exact_sum
+for fn in (exact_sum, lambda x: math.fsum(x.tolist())):
+    rng = np.random.default_rng(23)
+    h = hashlib.sha256()
+    for n in (1, 100, 2**14 + 1, 10**5):
+        x = np.ldexp(rng.random(n) - 0.5, rng.integers(-60, 60, n))
+        h.update(fn(x).hex().encode() + fn(np.abs(x)).hex().encode())
+    print(h.hexdigest())
+"""
+
+
+class TestExactSum:
+    @given(st.one_of(st.lists(wide_floats, max_size=300),
+                     st.lists(edge_floats, max_size=40)))
+    @example([1.0, 2.0**-53, 2.0**-300])
+    @example([0.1] * 10 + [-1.0])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fsum(self, xs):
+        assert fsum_outcome(exact_sum, np.array(xs, dtype=float)) == \
+            fsum_outcome(math.fsum, xs)
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_block_boundary_lengths_and_views(self, fallbacks, n):
+        x = wide_range(np.random.default_rng(n), n)
+        for view in (x, x[::-1], x[::3], np.abs(x)[::-2]):
+            assert exact_sum(view).hex() == math.fsum(view.tolist()).hex()
+        assert fallbacks == []  # each sum was certified
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0**-53, 2.0**-300],
+            [0.5, 1.5, -2.0],
+            [5e-324, 2.0**-1050, -(2.0**-1060)],
+            [DBL_MAX, -1.0, 2.0**970],
+            [1.0, math.inf],
+            [1.0, DEFAULT_NAN],
+            [math.inf, -math.inf],
+            [DBL_MAX, DBL_MAX],
+            [],
+        ],
+        ids=["uncertified-bracket", "zero-sum", "subnormal-grid",
+             "grid-above-range", "inf", "nan", "inf-minus-inf", "overflow",
+             "empty"],
+    )
+    def test_fallback_routes(self, fallbacks, values):
+        got = fsum_outcome(exact_sum, np.array(values, dtype=float))
+        assert fallbacks == [len(values)]
+        assert got == fsum_outcome(math.fsum, values)
+
+    def test_near_tie_above_the_bound_is_certified(self, fallbacks):
+        # 2**-100 lies on the third grid, so it is no longer under the bound
+        assert exact_sum(np.array([1.0, 2.0**-53, 2.0**-100])) == 1.0 + 2.0**-52
+        assert fallbacks == []
+
+    def test_peak_is_a_few_block_buffers(self, traced_peak, fallbacks):
+        x = np.random.default_rng(3).random(10**6)
+        # an n-length temporary would take 8 * 10**6 bytes
+        assert traced_peak(exact_sum, x) < 4 * 8 * _BLOCK
+        assert fallbacks == []
+
+    def test_bits_agree_across_dispatch_levels(self):
+        outs = [python_output(DIGEST_SCRIPT, extra) for extra in ({}, WITHOUT_AVX512)]
+        exact, fsum = outs[0].split()
+        assert len(exact) == 64 and exact == fsum
+        assert outs[0] == outs[1]

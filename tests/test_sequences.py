@@ -1,11 +1,7 @@
 import functools
 import itertools
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +25,8 @@ from hardylab.sequences import (
 )
 from hardylab.reports import Verdict
 from hardylab.verify import DEFAULT_SEED, lemma_suite_claims, reverse_machinery_claims
+
+from conftest import WITHOUT_AVX512, python_output
 
 
 class PowerSumBound(NamedTuple):
@@ -277,23 +275,6 @@ def loop_ratio_recurrence(shift, n_max):
         sW = t
         W[n] = sW + cW
     return w, W, log_w
-
-
-# The environment under which numpy takes its loops below AVX-512, which
-# equal libm bit for bit, on an AVX-512 machine as on any other.
-WITHOUT_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
-
-
-def python_output(script, extra_env):
-    """Standard output of ``python -c script`` importing this checkout's
-    package, with numpy's dispatch variable taken from extra_env only."""
-    src = str(Path(sequences.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-c", script], env={**env, **extra_env},
-        capture_output=True, text=True, timeout=120, check=True,
-    ).stdout
 
 
 def assert_matches_loop(seq, shift):
