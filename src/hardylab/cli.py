@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -69,8 +70,8 @@ class Report:
     n_max: int
     verdicts: list[Verdict]
     wall_time: float
-    # redheffer-scan only: the scan grid, whose points CSV output appends
-    # one c row per write, with one repr per run of equal k bits in a row
+    # redheffer-scan only: the scan grid, whose points the CSV renders one
+    # c row per piece, with one repr per run of equal k bits in a row
     scan: ScanResult | None = None
 
     @property
@@ -81,10 +82,6 @@ class Report:
 # What a handler returns: its verdicts and, for redheffer-scan only, the
 # scan grid (Report.scan).
 Outcome = tuple[list[Verdict], ScanResult | None]
-
-# Rendered text is written in slices of this many characters (bytes: the
-# output is ASCII), so encoding it never holds a copy of a whole scan CSV.
-WRITE_SLICE = 1 << 20
 
 # The scan CSV's k runs are marked over blocks of this many c rows: one
 # numpy pass per block, while the texts of only one row are held at once.
@@ -234,28 +231,30 @@ def render_json(report: Report) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def render_csv(report: Report) -> str:
-    buf = io.StringIO()
+def render_csv_pieces(report: Report) -> Iterator[str]:
+    """The CSV report in pieces: the header and the verdict rows as one,
+    then, for redheffer-scan, one per c row of the grid points."""
+    head = io.StringIO()
     writer = csv.DictWriter(
-        buf,
+        head,
         ["claim", "paper_ref", "holds", "min_slack", "first_failure",
          "exploratory", "value"],
         extrasaction="ignore",
     )
     writer.writeheader()
     writer.writerows(map(Verdict.to_dict, report.verdicts))
+    yield head.getvalue()
     if report.scan is not None:
-        _write_scan_rows(buf, report.scan)
-    return buf.getvalue()
+        yield from _scan_rows(report.scan)
 
 
-def _write_scan_rows(buf: io.StringIO, scan: ScanResult) -> None:
-    """Write the line csv.writer writes for each grid point, one c row per
-    write.
+def _scan_rows(scan: ScanResult) -> Iterator[str]:
+    """The lines csv.writer writes for the grid points, one c row per
+    piece.
 
     The label always holds a comma, so it is quoted; floats print as repr,
     bools as str.  A row's text is its prefix ('"scan-point[c=<c>,') and
-    then two pieces per point: the beta tail (through the verdict and the
+    then two parts per point: the beta tail (through the verdict and the
     empty fields) and the point's k run text, repr(k) + CRLF + the prefix,
     or repr(k) + CRLF for the row's last point.  The tails are prebuilt for
     feasible points and patched where a point is not.  Along a c row, equal
@@ -263,10 +262,9 @@ def _write_scan_rows(buf: io.StringIO, scan: ScanResult) -> None:
     patterns marks where each run starts (column 0 always), and each run's
     text is formed once, per row, and repeated over the run.  Equal bits are
     the same double and print the same, where equal floats would merge 0.0
-    with -0.0.  The marks are made per block, not over the whole grid:
-    under glibc's malloc a grid-sized array freed before the text is
-    returned stays resident under it (a 0.25 MiB mask added 0.18 MiB of
-    peak RSS on the default grid).
+    with -0.0.  The marks are made per block, not over the whole grid, so
+    the renderer adds no grid-sized array to the scan's own (a 0.25 MiB
+    mask over the grid added 0.18 MiB of peak RSS on the default grid).
     """
     betas = scan.beta_grid.tolist()
     width = len(betas)
@@ -302,7 +300,7 @@ def _write_scan_rows(buf: io.StringIO, scan: ScanResult) -> None:
                 repeat, [f"{x!r}\r\n{prefix}" for x in runs], lengths[start:end]
             ))
             parts[-1] = f"{runs[-1]!r}\r\n"
-            buf.write("".join(parts))
+            yield "".join(parts)
             start = end
 
 
@@ -330,7 +328,14 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
+# Each format's report as the pieces _write_report writes: JSON and text
+# are one piece each.  The lambdas look their renderer up at each call, so
+# a wrapper bound to the module's name (perfbench's tracer) sees the call.
+_RENDERERS = {
+    "json": lambda report: [render_json(report)],
+    "csv": render_csv_pieces,
+    "text": lambda report: [render_text(report)],
+}
 
 
 _P = ("--p", {"type": float, "required": True})
@@ -409,15 +414,16 @@ def _echo_params(args: argparse.Namespace) -> dict:
     return {**own, **{k: vars(args)[k] for k in common}}
 
 
-def _write_report(text: str, out: str | None) -> None:
-    """Write text to the file out, or to standard output, in slices of
-    WRITE_SLICE characters, then flush it once.  A failed write raises
-    WorkbenchError, except that a closed standard output pipe drops the rest.
+def _write_report(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces of a report to the file out, or to standard output,
+    one write each as they are rendered, then flush once; no more than one
+    piece is held at a time.  A failed write raises WorkbenchError, except
+    that a closed standard output pipe drops the rest.
     """
     try:
         with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-            for start in range(0, len(text), WRITE_SLICE):
-                fh.write(text[start:start + WRITE_SLICE])
+            for piece in pieces:
+                fh.write(piece)
             fh.flush()
     except OSError as exc:
         if not out:

@@ -229,26 +229,35 @@ def lemma_6_2_residual(lam, a, mu, eta, p: float, n: int) -> float:
 
 
 def _first_branch(p: float, c, beta):
-    return (1.0 + c - beta) ** (1.0 - p)
+    value = 1.0 + c - beta
+    value **= 1.0 - p  # in place for an array
+    return value
 
 
 def _second_branch(p: float, c, beta, n) -> np.ndarray:
     """n**p ((n + c - beta)**(1-p) - (n - 1 - beta)**(1-p)), cancellation-safe.
 
-    c, beta and n broadcast.  n**p is the C library's pow for a float n and
+    c, beta and n broadcast to an array, which is formed in place in two
+    buffers of its size.  n**p is the C library's pow for a float n and
     numpy's for an array n; the two differ in the last bit for some p.
     """
     e = 1.0 - p
     low = n - 1.0 - beta
-    safe_low = np.where(low > 0.0, low, 1.0)
+    pos = low > 0.0
+    safe_low = np.where(pos, low, 1.0)
     with np.errstate(over="ignore"):  # an inf ratio gives an inf branch
-        ratio = (c + 1.0) / safe_low
-    diff = np.where(
-        low > 0.0,
-        safe_low**e * np.expm1(e * np.log1p(ratio)),
-        (low + c + 1.0) ** e,
-    )
-    return n**p * diff
+        diff = (c + 1.0) / safe_low
+    np.log1p(diff, out=diff)
+    diff *= e
+    np.expm1(diff, out=diff)
+    diff *= safe_low**e
+    # where low <= 0 (or is NaN), the difference's first term alone
+    first = low + c + 1.0
+    first **= e
+    np.copyto(diff, first, where=~pos)
+    del first
+    diff *= n**p
+    return diff
 
 
 def _branch_values(params: RedhefferParams, n_max: int) -> np.ndarray:
@@ -301,7 +310,11 @@ def condition_6_50_check(p: float, c, k, tol: Tolerances = Tolerances()):
     configuration (the boundary route) reports False deterministically.
     """
     rhs = c ** (1.0 - p) * k
-    return rhs - (1.0 - p) * (1.0 + c) > tol.tol_abs + tol.tol_rel * abs(rhs)
+    threshold = abs(rhs)  # formed in place for arrays
+    threshold *= tol.tol_rel
+    threshold += tol.tol_abs
+    rhs -= (1.0 - p) * (1.0 + c)
+    return rhs > threshold
 
 
 def condition_6_54_check(p: float, beta):
@@ -409,6 +422,8 @@ def scan_params(
     """
     if not 0.0 < p < 1.0:
         raise WorkbenchError(f"p must lie in (0, 1), got {p}")
+    if n_max < 2:  # the best point's check needs it; reject before the grid
+        raise WorkbenchError("need n_max >= 2")
     c_vals = np.asarray(default_c_grid() if c_grid is None else list(c_grid), float)
     b_vals = np.asarray(
         default_beta_grid(p) if beta_grid is None else list(beta_grid), float
@@ -423,10 +438,10 @@ def scan_params(
     # infinite (c <= 0, beta past c + 1, c near 1e-300); they are
     # infeasible, and a tolerance past the float range is an inf threshold
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        b1 = _first_branch(p, C, B)
-        b2 = _second_branch(p, C, B, 2.0)
-        limit = np.broadcast_to((1.0 - p) * (1.0 + C), b2.shape)
-        k = np.maximum(np.maximum(b1, b2), limit) / C**e
+        k = _first_branch(p, C, B)  # k's buffer holds each step in turn
+        np.maximum(k, _second_branch(p, C, B, 2.0), out=k)
+        np.maximum(k, (1.0 - p) * (1.0 + C), out=k)
+        k /= C**e
         slope_ok = condition_6_50_check(p, C, k, tol)
     curvature_ok = condition_6_54_check(p, B) if p < 0.5 else False
     feasible = valid & np.isfinite(k) & (slope_ok | curvature_ok)

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import csv
 import io
@@ -18,7 +19,12 @@ from hardylab import cli, sequences
 from hardylab.compsum import neumaier_prefix_sums
 from hardylab.cli import build_parser, main
 from hardylab.operators import OperatorSpec, SequenceFamily, norm_ratio
-from hardylab.redheffer import ScanResult, scan_params
+from hardylab.redheffer import (
+    ScanResult,
+    default_beta_grid,
+    default_c_grid,
+    scan_params,
+)
 from hardylab.reports import Tolerances
 
 from conftest import WITHOUT_AVX512, child_env
@@ -184,7 +190,8 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_out_exits_two(self, capsys):
-        # the scan CSV is written in several slices; the first one fails
+        # the scan CSV is written in pieces, one per c row; the first to
+        # reach the device fails
         status, out, err = run_cli(
             capsys, "redheffer-scan", "--p", "0.45", "--format", "csv",
             "--out", "/dev/full"
@@ -202,7 +209,8 @@ class TestExitCodes:
     )
     def test_full_device_stdout_exits_two(self, argv):
         # `hardylab ... > /dev/full`: the write that fails is the final flush
-        # of a report that fits in stdout's buffer, or a scan CSV's first slice
+        # of a report that fits in stdout's buffer, or a scan CSV's first
+        # piece to reach the device
         with open("/dev/full", "w") as full:
             done = subprocess.run(
                 _module_argv(*argv), env=_module_env(), stdout=full,
@@ -421,6 +429,16 @@ class TestExplicitArguments:
         assert (v["holds"], v["value"], v["detail"]) == (
             False, None, "no feasible point among 396400"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--p", "0.45"), ("--p", "0.7", "--tol-rel", "1e10")],
+        ids=["feasible", "no-feasible-point"],
+    )
+    def test_scan_n_max_one_exits_two(self, capsys, argv):
+        # rejected whether or not the grid has a feasible point to re-check
+        status, out, err = run_cli(capsys, "redheffer-scan", *argv, "--n-max", "1")
+        assert (status, out, err) == (2, "", "error: need n_max >= 2\n")
 
     def test_unexpected_error_exits_three(self, capsys, monkeypatch):
         def broken(args, tol):
@@ -641,6 +659,11 @@ def _block_edge_rows(width: int, n_rows: int) -> list:
     return rows
 
 
+def _render_csv(report) -> str:
+    """The CSV report's pieces, joined."""
+    return "".join(cli.render_csv_pieces(report))
+
+
 class TestCsvReports:
     def test_verdict_rows(self, capsys):
         status, out, _ = run_cli(
@@ -674,7 +697,7 @@ class TestCsvReports:
             res = scan_params(p, c_grid=c_grid, beta_grid=beta_grid, n_max=3)
         assert np.isnan(res.k).any()
         report = _scan_report(res)
-        header, rows = cli.render_csv(report).split("\r\n", 1)
+        header, rows = _render_csv(report).split("\r\n", 1)
         assert header.startswith("claim,paper_ref,holds")
         assert rows == _csv_writer_scan_rows(res)
 
@@ -696,7 +719,7 @@ class TestCsvReports:
             (0.5, alternating[::-1], [0.5] * (n // 2) + [math.inf] * (n // 2)),
         ]
         report = _scan_report(_hand_built_scan(betas, rows))
-        _, text = cli.render_csv(report).split("\r\n", 1)
+        _, text = _render_csv(report).split("\r\n", 1)
         buf = io.StringIO()
         writer = csv.writer(buf)
         for c, feasible, k in rows:
@@ -715,7 +738,7 @@ class TestCsvReports:
             for i, k in enumerate(_RUN_EDGES[case])
         ]
         scan = _hand_built_scan(betas, rows)
-        _, text = cli.render_csv(_scan_report(scan)).split("\r\n", 1)
+        _, text = _render_csv(_scan_report(scan)).split("\r\n", 1)
         assert text == _csv_writer_scan_rows(scan)
         assert text.count("\r\n") == len(rows) * _N_EDGE
 
@@ -728,47 +751,58 @@ class TestCsvReports:
     def test_block_edges_match_csv_writer(self, width, n_rows):
         betas = [0.125 * j - 0.5 for j in range(width)]
         scan = _hand_built_scan(betas, _block_edge_rows(width, n_rows))
-        _, text = cli.render_csv(_scan_report(scan)).split("\r\n", 1)
+        _, text = _render_csv(_scan_report(scan)).split("\r\n", 1)
         assert text == _csv_writer_scan_rows(scan)
         assert text.count("\r\n") == n_rows * width
 
 
 class _Sink:
-    """A text stream that keeps each write."""
+    """A text stream that keeps each write and counts the flushes."""
 
     def __init__(self):
         self.parts: list[str] = []
+        self.flushes = 0
 
     def write(self, text: str) -> int:
         self.parts.append(text)
         return len(text)
 
     def flush(self) -> None:
-        pass
+        self.flushes += 1
 
 
-class TestSlicedWrite:
+class TestPieceWrite:
     @pytest.mark.parametrize(
-        "length, sizes",
-        [(0, []), (cli.WRITE_SLICE, [cli.WRITE_SLICE]),
-         (cli.WRITE_SLICE + 1, [cli.WRITE_SLICE, 1])],
-        ids=["empty", "one-slice", "one-slice-plus-one"],
+        "pieces",
+        [[], ["0123456789" * 2000], ["claim\r\n", "", "x" * 20_000, "y\r\n"]],
+        ids=["empty", "one-piece", "several-pieces"],
     )
-    def test_slices(self, monkeypatch, length, sizes):
-        text = ("0123456789" * (length // 10 + 1))[:length]
+    def test_one_write_per_piece(self, monkeypatch, pieces):
         sink = _Sink()
         monkeypatch.setattr(cli.sys, "stdout", sink)
-        cli._write_report(text, None)
-        assert [len(part) for part in sink.parts] == sizes
-        assert "".join(sink.parts) == text
+        cli._write_report(iter(pieces), None)
+        assert sink.parts == pieces
+        assert sink.flushes == 1
 
-    def test_scan_csv_out_stdout_and_render_agree(self, capsysbinary, monkeypatch,
+    def test_each_piece_is_written_before_the_next_is_rendered(self, monkeypatch):
+        sink = _Sink()
+        monkeypatch.setattr(cli.sys, "stdout", sink)
+
+        def pieces():
+            for i in range(4):
+                assert len(sink.parts) == i
+                yield f"{i}\r\n"
+
+        cli._write_report(pieces(), None)
+        assert sink.parts == ["0\r\n", "1\r\n", "2\r\n", "3\r\n"]
+
+    def test_scan_csv_pieces_out_and_stdout_agree(self, capsysbinary, monkeypatch,
                                                   tmp_path):
         rendered = []
 
         def recording(report):
-            rendered.append(cli.render_csv(report))
-            return rendered[-1]
+            rendered.append(list(cli.render_csv_pieces(report)))
+            return iter(rendered[-1])
 
         monkeypatch.setitem(cli._RENDERERS, "csv", recording)
         argv = ["redheffer-scan", "--p", "0.45", "--format", "csv"]
@@ -779,46 +813,56 @@ class TestSlicedWrite:
         sink = _Sink()
         monkeypatch.setattr(cli.sys, "stdout", sink)
         assert main(argv) == 0
-        text = rendered[0]
-        assert len(text) > 10 * cli.WRITE_SLICE
-        assert rendered[1:] == [text, text]
+        pieces = rendered[0]
+        assert rendered[1:] == [pieces, pieces]
+        # the first piece is the header plus the verdict rows, then one
+        # piece per c row, each of one line per beta
+        head, *rows = pieces
+        assert head.startswith("claim,paper_ref,holds")
+        assert head.count("\r\n") == 2 and "\r\nscan-best," in head
+        c_grid, betas = default_c_grid(), default_beta_grid(0.45)
+        assert len(rows) == len(c_grid)
+        for c, row in zip(c_grid.tolist(), rows):
+            lines = row.split("\r\n")
+            assert lines.pop() == ""
+            assert len(lines) == len(betas)
+            assert all(line.startswith(f'"scan-point[c={c},') for line in lines)
+        text = "".join(pieces)
         assert out_path.read_bytes() == stdout == text.encode()
-        # every write but the last is one whole slice
-        assert {len(part) for part in sink.parts[:-1]} == {cli.WRITE_SLICE}
-        assert "".join(sink.parts) == text
+        # one write per piece
+        assert sink.parts == pieces
 
 
 class TestScanCsvMemory:
     def test_peak_within_output_size_multiple(self, traced_peak, tmp_path):
-        # the render holds its StringIO buffer while getvalue copies it out
-        # (about 2.0x the output) and one c row's texts; the write adds one
-        # slice and its encoded bytes.  A first call makes the state every
-        # call keeps (the parser, imports) before the measured one.
+        # the output is written one c row at a time, so the call holds the
+        # scan's arrays (0.40 x the output on the default grid at p = 0.34
+        # and 0.45) and one row's texts, not the output's text; rendering
+        # it whole held 2.15 x.  A first call makes the state every call
+        # keeps (the parser, imports) before the measured one.
         out_path = tmp_path / "scan.csv"
         argv = ["redheffer-scan", "--p", "0.45", "--format", "csv",
                 "--out", str(out_path)]
         assert main(argv) == 0
         peak = traced_peak(main, argv)
-        assert peak <= 2.3 * out_path.stat().st_size
+        assert peak <= 0.5 * out_path.stat().st_size
 
     @pytest.mark.parametrize("p", [0.34, 0.45])
     def test_row_renderer_holds_one_row_of_texts(self, traced_peak, p):
-        # besides what it writes, the row renderer holds one block of rows'
-        # run marks and run values and one c row's texts: 0.086-0.087 x the
-        # bytes of the k grid on the default grid.  The run texts stay per
-        # row: the early rows are one run per point, so a block's values as
-        # Python floats read 0.13 and its reprs 0.17 at 8-row blocks.  Any
-        # grid-sized array would stay resident under the returned text; a
-        # bool run-start mask over the grid reads 0.21-0.23, per-run arrays
-        # of the grid 1.3-1.4, formatting every distinct k of the grid up
-        # front (np.unique) 5.4
-        class Discard:
-            def write(self, text: str) -> int:
-                return len(text)
+        # besides the piece it yields, the row renderer holds one block of
+        # rows' run marks and run values and one c row's texts: 0.086-0.087
+        # x the bytes of the k grid on the default grid.  The run texts stay
+        # per row: the early rows are one run per point, so a block's values
+        # as Python floats read 0.13 and its reprs 0.17 at 8-row blocks.
+        # A grid-sized array would show here: a bool run-start mask over the
+        # grid reads 0.21-0.23, per-run arrays of the grid 1.3-1.4,
+        # formatting every distinct k of the grid up front (np.unique) 5.4
+        def drain(scan):
+            collections.deque(cli._scan_rows(scan), maxlen=0)
 
         scan = scan_params(p, n_max=100)
-        cli._write_scan_rows(Discard(), scan)
-        peak = traced_peak(cli._write_scan_rows, Discard(), scan)
+        drain(scan)
+        peak = traced_peak(drain, scan)
         assert peak <= 0.15 * scan.k.nbytes
 
 

@@ -70,6 +70,8 @@ ARGVS = (
     ("redheffer-solve", "--c", "2.5", "--n-max", "2000"),
     ("check-2-4", "--p", "3"),
     ("redheffer-scan", "--p", "0.45", "--n-max", "100"),
+    ("redheffer-scan", "--p", "0.45", "--n-max", "1"),
+    ("redheffer-scan", "--p", "0.7", "--tol-rel", "1e10", "--n-max", "1"),
     ("check-reverse", "--p", "0.25", "--n-max", "300"),
     ("check-2-3", "--p", "2", "--alpha", "1.0", "--n-max", "200"),
     ("redheffer-check", "--p", "0.5", "--c", "2.5", "--beta", "0.3912",
@@ -150,7 +152,7 @@ ARGVS = (
     ("redheffer-solve",),
     ("verify-paper",),
     ("check-2-30", "--p", "3"),
-    # --out targets, and the default scan grid whose CSV is written in slices
+    # --out targets, and the default scan grid whose CSV is written in pieces
     ("check-2-30", "--p", "3", "--n-max", "10"),
     ("redheffer-scan", "--p", "0.45"),
     # argument lists whose verdicts a tolerance moves

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hardylab import redheffer
 from hardylab.compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.errors import TailTruncationWarning, WorkbenchError
 from hardylab.redheffer import (
@@ -652,6 +653,37 @@ class TestScanner:
         assert nan_k.verdict.holds
         assert np.isinf(inf_k.k[0, 0]) and inf_k.feasible_count == 0
         assert inf_k.best is None and inf_k.verdict.value is None
+
+    @pytest.mark.parametrize(
+        "p, tol", [(0.45, Tolerances()), (0.7, Tolerances(tol_rel=1e10))],
+        ids=["feasible", "no-feasible-point"],
+    )
+    def test_n_max_is_checked_before_the_grid(self, monkeypatch, p, tol):
+        # n_max = 1 is rejected whether or not a point would reach the
+        # re-check, and before any branch of the grid is formed
+        formed = []
+
+        def spy(*args):
+            formed.append(args)
+            return second_branch(*args)
+
+        second_branch = redheffer._second_branch
+        monkeypatch.setattr(redheffer, "_second_branch", spy)
+        with pytest.raises(WorkbenchError, match="need n_max >= 2"):
+            scan_params(p, n_max=1, tol=tol)
+        assert formed == []
+        scan_params(p, n_max=2, tol=tol)
+        assert formed  # the spy sees the grid's branch
+
+    @pytest.mark.parametrize("p", [0.34, 0.45])
+    def test_peak_memory(self, traced_peak, p):
+        # k's buffer holds each step of the grid in turn, and a branch or
+        # the slope threshold is formed in two more; the masks add about a
+        # quarter: 3.26 x k's bytes on the default grid (6.26 with a new
+        # array per step)
+        k = scan_params(p, n_max=100).k
+        peak = traced_peak(scan_params, p, n_max=100)
+        assert peak <= 3.5 * k.nbytes
 
     @pytest.mark.parametrize("p", [0.34, 0.45, 0.46, 0.5, 0.66, 0.9])
     def test_k_grid_matches_inline_branches(self, p):
