@@ -211,31 +211,24 @@ def _check_exponent(p: float) -> None:
         raise WorkbenchError(f"p must be positive, got {p}")
 
 
-def _constant_ratios(op: OperatorSpec, a, ps):
-    """sum (op a)_n**p / sum a_n**p for each p of ps, each yielded before
-    the next is formed, so a caller's own error for one p comes in turn.
+def constant_ratio(op: OperatorSpec, a, p: float) -> float:
+    """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p.
 
-    Every p is checked, then the input, once, then every denominator, all
-    before the operator runs, once; the last power sum forms its powers in
-    the means' own buffer.
+    p is checked, then the input, once, then the denominator, all before
+    the operator runs, once; the numerator's powers are formed in the
+    means' own buffer.
     """
-    for p in ps:
-        _check_exponent(p)
+    _check_exponent(p)
     # an entry that overflows is inf, and _power_sum rejects its powers' sum
     with np.errstate(over="ignore"):
         arr = _materialize(a, op.truncation)
-        denoms = [_power_sum(arr, p) for p in ps]
-        if 0.0 in denoms:
+        denom = _power_sum(arr, p)
+        if denom == 0.0:
+            if arr.any():
+                raise WorkbenchError(f"every a_n**p underflows to 0 (p={p})")
             raise WorkbenchError("input is identically zero on the truncation")
         means = _apply(op, arr)
-    last = len(denoms) - 1
-    for i, (p, denom) in enumerate(zip(ps, denoms)):
-        yield _power_sum(means, p, out=means if i == last else None) / denom
-
-
-def constant_ratio(op: OperatorSpec, a, p: float) -> float:
-    """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p."""
-    return next(_constant_ratios(op, a, (p,)))
+    return _power_sum(means, p, out=means) / denom
 
 
 def _root(ratio: float, p: float) -> float:
@@ -259,11 +252,6 @@ def norm_ratio(op: OperatorSpec, a, p: float) -> float:
     convention).
     """
     return _root(constant_ratio(op, a, p), p)
-
-
-def norm_ratios(op: OperatorSpec, a, ps) -> list[float]:
-    """norm_ratio(op, a, p) for each p of ps, with the operator applied once."""
-    return [_root(r, p) for r, p in zip(_constant_ratios(op, a, ps), ps)]
 
 
 class TailCorrectedRatio(NamedTuple):

@@ -194,46 +194,21 @@ class PowerSumBounds(NamedTuple):
     direction: str
 
 
-def _power_sum_bounds(r: float, form: str, lhs: np.ndarray) -> PowerSumBounds:
-    """Compare each lhs[n - 1] = sum_{i<=n} i**r with the bound at n, for an
-    already validated (form, r).
+def power_sum_bound_check(r: float, n: int, form: str) -> PowerSumBounds:
+    """Check a classical bound on sum_{i<=k} i**r at every k = 1..n.
 
-    The same operations as one Python float expression per n: pow, log1p
-    and expm1 per element from libm, the rest IEEE arithmetic in numpy.  A
-    pow or expm1 past the float range, which a finite sum does not rule
-    out, is out of domain.
+    form="product":  sum >= k (k+1)**r / (r+1),  for 0 <= r <= 1.
+    form="ratio":    sum >= (r/(r+1)) k**r (k+1)**r / ((k+1)**r - k**r)
+                     for r >= 1; the comparison reverses for -1 < r <= 1.
+
+    The bound holds non-strictly, at relative tolerance 1e-12.  (form, r,
+    n) is validated before power_sums forms the sums.  The bound takes the
+    same operations as one Python float expression per k: pow, log1p and
+    expm1 per element from libm, the rest IEEE arithmetic in numpy.  A sum,
+    or a bound's pow or expm1, past the float range is out of domain; a
+    finite sum does not rule out the latter.
     """
-    n = np.arange(1, len(lhs) + 1, dtype=float)
-    try:
-        rhs = libm_map(pow, n + 1.0, r)
-        if form == "product":
-            # n (n+1)^r / (r+1)
-            rhs *= n
-            rhs /= r + 1.0
-            direction = ">="
-        else:
-            # (r/(r+1)) n^r (n+1)^r / ((n+1)^r - n^r), written so r -> 0 is
-            # stable; r u underflows to 0 for a subnormal r, where the factor
-            # r / expm1(r u) is its limit 1/u
-            u = libm_map(math.log1p, 1.0 / n)
-            ru = r * u
-            denom = libm_map(math.expm1, ru)
-            factor = np.divide(r, denom, out=1.0 / u, where=ru != 0.0)
-            rhs /= r + 1.0
-            rhs *= factor
-            direction = ">=" if r >= 1.0 else "<="
-    except OverflowError:
-        raise WorkbenchError(
-            f"the bound on sum_(i<={len(lhs)}) i**{r} overflows"
-        ) from None
-    # rhs is never NaN, so maximum picks what Python's max(lhs, rhs) does
-    tol = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
-    gap = lhs - rhs if direction == ">=" else rhs - lhs
-    return PowerSumBounds(lhs, rhs, gap >= -tol, direction)
-
-
-def _check_bound_domain(r: float, n_max: int, form: str) -> None:
-    if n_max < 1:
+    if n < 1:
         raise WorkbenchError("n must be >= 1")
     if form == "product":
         if not 0.0 <= r <= 1.0:
@@ -245,31 +220,34 @@ def _check_bound_domain(r: float, n_max: int, form: str) -> None:
             raise WorkbenchError(f"ratio form needs a finite r, got r={r}")
     else:
         raise WorkbenchError(f"unknown form {form!r}")
-
-
-def power_sum_bounds(
-    cases: list[tuple[str, float]], n_max: int
-) -> list[PowerSumBounds]:
-    """Check a classical bound on sum_{i<=n} i**r for every n = 1..n_max,
-    for each (form, r) of ``cases``, in order.
-
-    form="product":  sum >= n (n+1)**r / (r+1),  for 0 <= r <= 1.
-    form="ratio":    sum >= (r/(r+1)) n**r (n+1)**r / ((n+1)**r - n**r)
-                     for r >= 1; the comparison reverses for -1 < r <= 1.
-
-    The bound holds non-strictly, at relative tolerance 1e-12.  Every case
-    is validated before any sum is formed.  The sums come from power_sums,
-    once per distinct r; a sum past the float range is out of domain.
-    """
-    for form, r in cases:
-        _check_bound_domain(r, n_max, form)
-    sums: dict[float, np.ndarray] = {}  # i**(-0.0) is i**0.0, so 0.0 keys both
-    bounds = []
-    for form, r in cases:
-        if r not in sums:
-            with np.errstate(over="ignore"):
-                sums[r] = power_sums(r, n_max)
-            if not math.isfinite(sums[r][-1]):  # the sums never decrease
-                raise WorkbenchError(f"sum_(i<={n_max}) i**{r} overflows")
-        bounds.append(_power_sum_bounds(r, form, sums[r]))
-    return bounds
+    with np.errstate(over="ignore"):
+        lhs = power_sums(r, n)
+    if not math.isfinite(lhs[-1]):  # the sums never decrease
+        raise WorkbenchError(f"sum_(i<={n}) i**{r} overflows")
+    k = np.arange(1, n + 1, dtype=float)
+    try:
+        rhs = libm_map(pow, k + 1.0, r)
+        if form == "product":
+            # k (k+1)^r / (r+1)
+            rhs *= k
+            rhs /= r + 1.0
+            direction = ">="
+        else:
+            # (r/(r+1)) k^r (k+1)^r / ((k+1)^r - k^r), written so r -> 0 is
+            # stable; r u underflows to 0 for a subnormal r, where the factor
+            # r / expm1(r u) is its limit 1/u
+            u = libm_map(math.log1p, 1.0 / k)
+            ru = r * u
+            denom = libm_map(math.expm1, ru)
+            factor = np.divide(r, denom, out=1.0 / u, where=ru != 0.0)
+            rhs /= r + 1.0
+            rhs *= factor
+            direction = ">=" if r >= 1.0 else "<="
+    except OverflowError:
+        raise WorkbenchError(
+            f"the bound on sum_(i<={n}) i**{r} overflows"
+        ) from None
+    # rhs is never NaN, so maximum picks what Python's max(lhs, rhs) does
+    tol = 1e-12 * np.maximum(np.abs(lhs), np.abs(rhs))
+    gap = lhs - rhs if direction == ">=" else rhs - lhs
+    return PowerSumBounds(lhs, rhs, gap >= -tol, direction)

@@ -29,7 +29,7 @@ from .operators import (
     copson_ratio_with_tail,
     copson_tail,
     extremal_search,
-    norm_ratios,
+    norm_ratio,
 )
 from .redheffer import (
     RedhefferParams,
@@ -45,7 +45,7 @@ from .sequences import (
     conjugate_exponent,
     knopp_sequence,
     levin_steckin_sequence,
-    power_sum_bounds,
+    power_sum_bound_check,
 )
 
 DEFAULT_SEED = 12345
@@ -281,9 +281,9 @@ def hardy_bracketing_claims(n_max: int) -> list[Verdict]:
     cap_ok = True
     worst_gap = math.inf
     ops = {f.length: cesaro(f.length) for f in HARDY_TEST_FAMILIES}  # weights once
-    ps = (1.25, 2.0, 3.0)
     for fam in HARDY_TEST_FAMILIES:
-        for p, r in zip(ps, norm_ratios(ops[fam.length], fam, ps)):
+        for p in (1.25, 2.0, 3.0):
+            r = norm_ratio(ops[fam.length], fam, p)
             q = conjugate_exponent(p)
             cap_ok = cap_ok and r <= q + 1e-9
             worst_gap = min(worst_gap, q - r)
@@ -299,8 +299,8 @@ def lemma_suite_claims(seed: int) -> list[Verdict]:
     ratio = [("ratio", r) for r in (1.0, 1.5, 2.0, 3.0)]
     reverse = [("ratio", r) for r in (-0.9, -0.5, 0.0, 0.5, 1.0)]
     holds = [
-        bool(b.holds.all())
-        for b in power_sum_bounds(product + ratio + reverse, 1000)
+        bool(power_sum_bound_check(r, 1000, form).holds.all())
+        for form, r in product + ratio + reverse
     ]
     k, m = len(product), len(product) + len(ratio)
     rows = [

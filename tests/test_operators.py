@@ -19,7 +19,6 @@ from hardylab.operators import (
     default_power_grid,
     extremal_search,
     norm_ratio,
-    norm_ratios,
     power_decay_tail_bounds,
 )
 from hardylab.redheffer import RedhefferParams
@@ -276,19 +275,7 @@ class TestOperatorAppliedOnce:
         SequenceFamily("random", 2000, 7),
     ]
 
-    @pytest.mark.parametrize(
-        "op", [cesaro(2000), weighted_mean(2.5, 2000), copson_tail(2000)],
-        ids=["cesaro", "alpha2.5", "tail"],
-    )
-    def test_norm_ratios_match_norm_ratio(self, op):
-        ps = (1.25, 2.0, 3.0, 0.5)
-        for fam in self.FAMILIES:
-            got = norm_ratios(op, fam, ps)
-            assert [r.hex() for r in got] == [
-                norm_ratio(op, fam, p).hex() for p in ps
-            ], fam
-
-    def test_norm_ratios_scans_once(self, monkeypatch):
+    def test_one_scan_per_constant_ratio(self, monkeypatch):
         calls = []
 
         def counted(values, out=None):
@@ -296,41 +283,45 @@ class TestOperatorAppliedOnce:
             return neumaier_prefix_sums(values, out=out)
 
         monkeypatch.setattr(operators, "neumaier_prefix_sums", counted)
-        norm_ratios(cesaro(2000), self.FAMILIES[2], (1.25, 2.0, 3.0))
-        assert calls == [2000]
+        for p in (1.25, 2.0, 3.0):
+            calls.clear()
+            constant_ratio(cesaro(2000), self.FAMILIES[2], p)
+            assert calls == [2000]
 
     @pytest.mark.parametrize(
-        "a, ps, error, message",
+        "a, p, message",
         [
-            ([1.0, math.nan, 1.0], (2.0, 3.0), WorkbenchError,
-             "^inputs must not be NaN$"),
-            ([0.0, 0.0, 0.0], (2.0, 3.0), WorkbenchError, "identically zero"),
-            ([1.0, 1.0, 1.0], (2.0, 0.0), WorkbenchError, "p must be positive"),
+            ([1.0, math.nan, 1.0], 2.0, "^inputs must not be NaN$"),
+            ([0.0, 0.0, 0.0], 2.0,
+             "^input is identically zero on the truncation$"),
+            # a nonzero entry whose square underflows
+            ([5e-324, 0.0, 0.0], 2.0,
+             r"^every a_n\*\*p underflows to 0 \(p=2.0\)$"),
+            ([1.0, 1.0, 1.0], 0.0, "^p must be positive, got 0.0$"),
         ],
-        ids=["nan", "zero", "p"],
+        ids=["nan", "zero", "underflow", "p"],
     )
-    def test_norm_ratios_errors(self, a, ps, error, message):
-        with pytest.raises(error, match=message):
-            norm_ratios(cesaro(3), a, ps)
+    def test_norm_ratio_errors(self, a, p, message):
+        with pytest.raises(WorkbenchError, match=message):
+            norm_ratio(cesaro(3), a, p)
 
-    def test_norm_ratios_roots_each_ratio_in_turn(self):
-        # the p = 1e-3 root overflows, and so, one p later, does the sum of
-        # the means' 300th powers: norm_ratio's error for the first p comes
+    def test_norm_ratio_overflows(self):
+        # the sum of the means' 300th powers overflows, and so does the
+        # ratio's 1000th root at p = 1e-3
         op = weighted_mean(-20.0, 10)
         a = [10.59] + [0.0] * 9
         with pytest.raises(WorkbenchError, match=r"p=300.0\) overflows"):
-            norm_ratios(op, a, (300.0,))
+            norm_ratio(op, a, 300.0)
         with pytest.raises(WorkbenchError, match=r"power overflows \(p=0.001\)"):
-            norm_ratios(op, a, (1e-3, 300.0))
+            norm_ratio(op, a, 1e-3)
 
     @pytest.mark.parametrize(
         "ratios",
         [
             lambda op, fam: constant_ratio(op, fam, 2.0),
             lambda op, fam: norm_ratio(op, fam, 2.0),
-            lambda op, fam: norm_ratios(op, fam, (1.25, 2.0, 3.0)),
         ],
-        ids=["constant_ratio", "norm_ratio", "norm_ratios"],
+        ids=["constant_ratio", "norm_ratio"],
     )
     def test_input_checked_once(self, monkeypatch, ratios):
         calls = []

@@ -20,7 +20,7 @@ from hardylab.sequences import (
     levin_steckin_sequence,
     libm_map,
     power_aux_sequence,
-    power_sum_bounds,
+    power_sum_bound_check,
     power_sums,
 )
 from hardylab.reports import Verdict
@@ -37,10 +37,10 @@ class PowerSumBound(NamedTuple):
 
 
 def power_sum_bound_checks(r, n_max, form="product"):
-    """power_sum_bounds for one (form, r) as one row of Python values per
-    n: row n - 1 holds both sides at n, whether the bound holds there and
-    its direction."""
-    (b,) = power_sum_bounds([(form, r)], n_max)
+    """power_sum_bound_check as one row of Python values per n: row n - 1
+    holds both sides at n, whether the bound holds there and its
+    direction."""
+    b = power_sum_bound_check(r, n_max, form)
     return [
         PowerSumBound(lhs, rhs, holds, b.direction)
         for lhs, rhs, holds in zip(b.lhs.tolist(), b.rhs.tolist(), b.holds.tolist())
@@ -667,11 +667,11 @@ class TestPowerSumRunningSums:
         assert math.isfinite(power_sums(r, n_max)[-1])
         match = rf"^the bound on sum_\(i<={n_max}\) i\*\*{r} overflows$"
         with pytest.raises(WorkbenchError, match=match) as info:
-            power_sum_bounds([("ratio", r)], n_max)
+            power_sum_bound_check(r, n_max, "ratio")
         assert info.value.__cause__ is None and info.value.__suppress_context__
 
-    def test_grid_sums_formed_once_per_distinct_r(self, monkeypatch):
-        # every sum of the grid comes from power_sums, once per distinct r
+    def test_one_sum_per_case(self, monkeypatch):
+        # each case of claims 8.1-8.3 forms its own power_sums(r, 1000)
         calls = []
 
         def counted_power_sums(a, n_max):
@@ -679,24 +679,16 @@ class TestPowerSumRunningSums:
             return power_sums(a, n_max)
 
         monkeypatch.setattr(sequences, "power_sums", counted_power_sums)
-        bounds = power_sum_bounds(LEMMA_GRID, 1000)
-        # 0, 0.5 and 1 appear in both forms, ("ratio", 1.0) twice
-        distinct = sorted({r for _, r in LEMMA_GRID})
-        assert len(distinct) == 16
-        assert sorted(calls) == [(r, 1000) for r in distinct]
-        monkeypatch.undo()
-        for (form, r), b in zip(LEMMA_GRID, bounds):
-            (alone,) = power_sum_bounds([(form, r)], 1000)
-            assert b.direction == alone.direction
-            for got, want in zip(b[:3], alone[:3]):
-                assert got.tobytes() == want.tobytes(), (form, r)
+        lemma_suite_claims(DEFAULT_SEED)
+        assert len(calls) == 20
+        assert calls == [(r, 1000) for _, r in LEMMA_GRID]
 
     @pytest.mark.parametrize("r, n_max", [(2, 208064), (3, 9742)])
     def test_integer_r_sums_are_exact(self, r, n_max):
         # integer terms whose running sums stay at most 2**53 sum exactly
         exact = list(itertools.accumulate(i**r for i in range(1, n_max + 1)))
         assert exact[-1] <= 2**53
-        (b,) = power_sum_bounds([("ratio", float(r))], n_max)
+        b = power_sum_bound_check(float(r), n_max, "ratio")
         assert b.lhs.tolist() == [float(s) for s in exact]
 
     def test_grid_bound_bytes_agree_across_dispatch_levels(self):
@@ -704,18 +696,22 @@ class TestPowerSumRunningSums:
         # moves a sum by an ulp; the bounds and verdicts must not move
         script = (
             "import hashlib\n"
-            "from hardylab.sequences import power_sum_bounds\n"
+            "from hardylab.sequences import power_sum_bound_check\n"
             "h = hashlib.sha256()\n"
-            f"for b in power_sum_bounds({LEMMA_GRID!r}, 1000):\n"
+            f"for form, r in {LEMMA_GRID!r}:\n"
+            "    b = power_sum_bound_check(r, 1000, form)\n"
             "    h.update(b.rhs.tobytes() + b.holds.tobytes())\n"
             "print(h.hexdigest())\n"
         )
         outs = [python_output(script, extra) for extra in ({}, WITHOUT_AVX512)]
         assert len(outs[0]) == 65 and outs[0] == outs[1]
 
-    def test_grid_validates_every_case_before_summing(self):
+    def test_validates_before_any_sum(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sequences, "power_sums", lambda *a: calls.append(a))
         with pytest.raises(WorkbenchError, match="needs a finite r, got r=inf"):
-            power_sum_bounds([("product", 0.5), ("ratio", math.inf)], 10**12)
+            power_sum_bound_check(math.inf, 10**12, "ratio")
+        assert calls == []
 
     def test_lemma_suite_rows_unchanged(self):
         rows = lemma_suite_claims(DEFAULT_SEED)
