@@ -13,59 +13,85 @@ those errors yields the loop's compensation ``c_k``.  A finite TwoSum error
 is exact, as the loop's ``abs`` branch is, so it has the loop's bits (a
 zero's sign cannot show: ``c`` starts at +0.0).  An inf or NaN, or
 ``s_k - s_{k-1}`` overflowing next to DBL_MAX, leaves the block's ``c``
-non-finite, and such a block is redone with the branch.  Blocks carry ``s``
-and ``c`` across in three buffers allocated once per call: each ``cumsum``
-runs in place in one of two, and the third holds TwoSum's terms.  A block
-is read in full before its sums are written, so the output may be the
-input array itself.
+non-finite, and such a block is redone with the branch.  ``NeumaierScan``
+runs one block per call and carries ``s`` and ``c`` from one call to the
+next in three buffers allocated once: each ``cumsum`` runs in place in one
+of two, and the third holds TwoSum's terms.  A block is read in full before
+its sums are written, so the output may be the input block itself.  A
+caller that forms a series block by block scans it with no n-length array;
+``neumaier_prefix_sums`` is that loop over the blocks of an array.
 
-``exact_sum`` returns ``math.fsum``'s float by Rump, Ogita and Oishi's
+``ExactSum`` returns ``math.fsum``'s float by Rump, Ogita and Oishi's
 error-free extraction ("Accurate floating-point summation", SIAM J. Sci.
-Comput. 31, 2008).  With ``|x_i| <= 2**-L * sigma``, ``n < 2**L`` and
-``sigma`` a power of two, ``q = (x + sigma) - sigma`` rounds x onto the grid
-of ``2**-53 * sigma`` exactly and ``x - q`` is x's exact remainder, at most
-``2**-53 * sigma``.  Any partial sum of the q's is then a multiple of the
-grid below ``sigma``, so ``np.sum`` adds them exactly in whatever order its
-SIMD loop takes, and so does one float per pass across the blocks.  Three
-passes on grids ``2**(52 - L)`` apart leave a remainder whose sum is below
-a known ``bound``; when the sum of the passes' totals minus ``bound`` rounds
-to the same float as that sum plus ``bound``, that float is the exactly
-rounded sum.  Only IEEE additions and subtractions and exact sums are used,
-so the bits do not depend on numpy's dispatch level.  A bracket that
-straddles a rounding boundary, an exactly zero sum, inf or NaN, or a grid
-out of the normal range falls back to ``math.fsum``, which gives the same
-float and raises the same exceptions.  Two block buffers are allocated once
-per call; no n-length array is formed.
+Comput. 31, 2008), applied to each block on grids of its own.  With
+``|x_i| <= 2**-L * sigma``, ``n < 2**L`` and ``sigma`` a power of two,
+``q = (x + sigma) - sigma`` rounds x onto the grid of ``2**-53 * sigma``
+exactly and ``x - q`` is x's exact remainder, at most ``2**-53 * sigma``.
+Any partial sum of the q's is then a multiple of the grid below ``sigma``,
+so ``np.sum`` adds a block's q's exactly in whatever order its SIMD loop
+takes.  Three passes on grids ``2**(52 - L)`` apart leave a remainder whose
+sum is below a known bound; it keeps each block's three exact
+totals and its bound, and when the sum of every total minus every bound
+rounds to the same float as that sum plus every bound (both by
+``math.fsum`` of those few floats), that float is the exactly rounded sum.
+Only IEEE additions and subtractions and exact sums are used, so the bits
+do not depend on numpy's dispatch level.  A bracket that straddles a
+rounding boundary, an exactly zero sum, inf or NaN, or a block whose grid
+is out of the normal range falls back to ``math.fsum`` of the values formed
+again, which gives the same float and raises the same exceptions.  Two
+block buffers are allocated once per sum; no n-length array is formed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
-_BLOCK = 1 << 14
+BLOCK = 1 << 14
 
 
-def neumaier_prefix_sums(values, out: np.ndarray | None = None) -> np.ndarray:
-    """Prefix sums out[k] = values[0] + ... + values[k] with compensation.
+class NeumaierScan:
+    """Neumaier's running sums over consecutive blocks of one series.
 
-    ``out``, if given, is a float array of the same length that receives
-    the sums; it may be ``values`` itself.
+    Each call takes the next block of at most ``size`` values and writes
+    its compensated prefix sums, resuming from the carry ``(s, c)`` the
+    previous block left; ``out`` may be the block itself.  Any split of the
+    series into blocks gives the sums of one call on the whole series.
     """
-    x = np.asarray(values, dtype=float)
-    if out is None:
-        out = np.empty(len(x))
-    # run = [s, s_lo, ..., s_hi] and err = [c, c_lo, ..., c_hi] once summed
-    run = np.empty(min(len(x), _BLOCK) + 1)
-    err = np.empty_like(run)
-    tmp = np.empty(len(run) - 1)
-    run[0] = err[0] = 0.0
-    # the loop form never warned on overflow or inf - inf; neither does this
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(x), _BLOCK):
-            xb = x[lo : lo + _BLOCK]
-            r, e, bp = run[: len(xb) + 1], err[: len(xb) + 1], tmp[: len(xb)]
+
+    def __init__(self, size: int):
+        # run = [s, s_lo, ..., s_hi] and err = [c, c_lo, ..., c_hi] once summed
+        self._run = np.empty(size + 1)
+        self._err = np.empty_like(self._run)
+        self._tmp = None  # TwoSum's terms, when out cannot hold them
+        self.s = self.c = 0.0
+
+    def another(self) -> NeumaierScan:
+        """A scan of another series that shares this one's work buffers, so
+        that calls of the two may alternate."""
+        twin = object.__new__(NeumaierScan)
+        twin._run, twin._err, twin._tmp = self._run, self._err, self._tmp
+        twin.s = twin.c = 0.0
+        return twin
+
+    def __call__(self, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not len(xb):
+            return out
+        r, e = self._run[: len(xb) + 1], self._err[: len(xb) + 1]
+        # out, written last from cur and d, holds the terms unless xb, read
+        # after them, may share its memory, or its strides are not unit
+        if out.flags.c_contiguous and not np.may_share_memory(xb, out):
+            bp = out
+        else:
+            if self._tmp is None:
+                self._tmp = np.empty(len(self._run) - 1)
+            bp = self._tmp[: len(xb)]
+        r[0], e[0] = self.s, self.c
+        # the loop form never warned on overflow or inf - inf; neither does this
+        with np.errstate(over="ignore", invalid="ignore"):
             r[1:] = xb
             np.cumsum(r, out=r)
             prev, cur, d = r[:-1], r[1:], e[1:]
@@ -81,8 +107,23 @@ def neumaier_prefix_sums(values, out: np.ndarray | None = None) -> np.ndarray:
                 np.subtract(np.where(big, prev, xb), cur, out=d)
                 d += np.where(big, xb, prev)
                 np.cumsum(e, out=e)
-            np.add(cur, d, out=out[lo : lo + len(xb)])
-            run[0], err[0] = cur[-1], d[-1]
+            np.add(cur, d, out=out)
+        self.s, self.c = float(cur[-1]), float(d[-1])
+        return out
+
+
+def neumaier_prefix_sums(values, out: np.ndarray | None = None) -> np.ndarray:
+    """Prefix sums out[k] = values[0] + ... + values[k] with compensation.
+
+    ``out``, if given, is a float array of the same length that receives
+    the sums; it may be ``values`` itself.
+    """
+    x = np.asarray(values, dtype=float)
+    if out is None:
+        out = np.empty(len(x))
+    scan = NeumaierScan(min(len(x), BLOCK))
+    for lo in range(0, len(x), BLOCK):
+        scan(x[lo : lo + BLOCK], out[lo : lo + BLOCK])
     return out
 
 
@@ -94,38 +135,61 @@ def neumaier_suffix_sums(values) -> np.ndarray:
     return out
 
 
-def exact_sum(values) -> float:
-    """math.fsum(values), bit for bit, exceptions included."""
-    x = np.asarray(values, dtype=float)
-    if len(x):
+class ExactSum:
+    """math.fsum of a series given block by block, from each block's
+    extraction on its own grids.
+
+    ``add`` takes the blocks in turn (at most ``size`` values each);
+    ``total`` returns the sum.
+    """
+
+    def __init__(self, size: int):
+        self._q = np.empty(size)
+        self._r = np.empty_like(self._q)
+        self._terms: list[float] = []
+        self._bound = []  # one power of two per certified nonzero block
+        self._certified = True
+
+    def another(self) -> ExactSum:
+        """A sum of other blocks that shares this one's work buffers, so
+        that additions to the two may alternate."""
+        twin = object.__new__(ExactSum)
+        twin._q, twin._r = self._q, self._r
+        twin._terms, twin._bound, twin._certified = [], [], True
+        return twin
+
+    def add(self, x: np.ndarray) -> None:
+        if not (self._certified and len(x)):
+            return
         top = max(float(x.max()), -float(x.min()))  # no np.abs(x) temporary
-        if 0.0 < top < math.inf:  # neither zero nor inf nor NaN
-            width = (len(x) + 1).bit_length()  # 2**width >= n + 2
-            exp = math.frexp(top)[1] + width  # sigma_1 = 2**exp >= 2**width * top
-            step = width - 52  # sigma_{k+1} = sigma_k * 2**step
-            # every grid normal, and x + sigma_1 finite
-            if exp <= 1023 and exp + 2 * step >= -1021:
-                totals = _extract(x, [math.ldexp(1.0, exp + k * step) for k in range(3)])
-                bound = math.ldexp(1.0, exp + 3 * step)
-                low = math.fsum(totals + [-bound])
-                if low == math.fsum(totals + [bound]):
+        if top == 0.0:  # zeros add nothing
+            return
+        width = (len(x) + 1).bit_length()  # 2**width >= n + 2
+        exp = math.frexp(top)[1] + width  # sigma_1 = 2**exp >= 2**width * top
+        step = width - 52  # sigma_{k+1} = sigma_k * 2**step
+        # not inf or NaN, every grid normal, and x + sigma_1 finite
+        if not (top < math.inf and exp <= 1023 and exp + 2 * step >= -1021):
+            self._certified = False
+            return
+        q, r = self._q[: len(x)], self._r[: len(x)]
+        rest = x
+        for k in range(3):
+            sigma = math.ldexp(1.0, exp + k * step)
+            np.add(rest, sigma, out=q)
+            q -= sigma
+            self._terms.append(float(q.sum()))
+            if k < 2:  # the last remainder is only bounded
+                rest = np.subtract(rest, q, out=r)
+        self._bound.append(math.ldexp(1.0, exp + 3 * step))
+
+    def total(self, again: Iterable[np.ndarray]) -> float:
+        """The sum; ``again`` holds the same blocks anew, lazily, and is read
+        only when no certificate holds."""
+        if self._certified and self._bound:
+            try:
+                low = math.fsum(self._terms + [-b for b in self._bound])
+                if low == math.fsum(self._terms + self._bound):
                     return low
-    return math.fsum(memoryview(x))
-
-
-def _extract(x: np.ndarray, sigmas: list[float]) -> list[float]:
-    """The exact sums of x's parts on the grids of sigmas, block by block."""
-    totals = [0.0] * len(sigmas)
-    q = np.empty(min(len(x), _BLOCK))
-    r = np.empty_like(q)
-    last = len(sigmas) - 1
-    for lo in range(0, len(x), _BLOCK):
-        rest = x[lo : lo + _BLOCK]
-        qb, rb = q[: len(rest)], r[: len(rest)]
-        for k, sigma in enumerate(sigmas):
-            np.add(rest, sigma, out=qb)
-            qb -= sigma
-            totals[k] += float(qb.sum())
-            if k < last:  # the last remainder is only bounded
-                rest = np.subtract(rest, qb, out=rb)
-    return totals
+            except OverflowError:  # let math.fsum decide
+                pass
+        return math.fsum(chain.from_iterable(map(memoryview, again)))

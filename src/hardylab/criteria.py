@@ -16,18 +16,21 @@ as a failure at that index (slack -inf), never as an exception.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import WorkbenchError
-from .reports import Tolerances, Verdict, build_report
+from .compsum import BLOCK
+from .reports import Tolerances, Verdict, build_report, fold_report
 from .sequences import (
     AuxSequence,
     conjugate_exponent,
     knopp_sequence,
     power_aux_sequence,
-    power_sums,
+    power_sum_blocks,
+    require_forward_p,
 )
 
 
@@ -36,6 +39,8 @@ def weighted_mean_constant(p: float, alpha: float) -> float:
     ap = (alpha + 1.0) * p
     if ap <= 1.0:
         raise WorkbenchError(f"(alpha+1)p must exceed 1, got {ap}")
+    if ap == math.inf:
+        raise WorkbenchError(f"(alpha+1)p must be finite, got {ap}")
     try:
         return (ap / (ap - 1.0)) ** p
     except OverflowError:  # a Python float power raises where numpy gives inf
@@ -56,55 +61,51 @@ def _require_finite(values: np.ndarray) -> None:
         )
 
 
-# Length of the blocks that stand in for n-length temporaries.
-_BLOCK = 1 << 14
-
-
 def _bracket_slacks(
     w: AuxSequence,
     coef: float,
     scales: tuple[float, ...],
-    log_rhs: np.ndarray,
-) -> np.ndarray:
+    log_rhs: Iterable[np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Slacks of  W_n**coef <= rhs_n * (t_n - t_{n+1}),  all in logs, with
 
         log t_k = coef * log w_k - scales[-1] * (... * (scales[0] * log k)),
 
-    for n = 1..len(log_rhs), which is w.n_max - 1.  log_rhs holds the logs
-    of rhs_n; the bracket's log is added into it, so it becomes the log of
-    the whole bounding side.  Where t fails to decrease the bracket is
-    nonpositive: the slack is -inf there and the bounding side +inf.
+    for n = 1..w.n_max - 1, block by block: for each block of w.blocks(),
+    log_rhs yields the logs of rhs_n there, and the bracket's log is added
+    into that block, so it becomes the log of the whole bounding side.
+    Where t fails to decrease the bracket is nonpositive: the slack is -inf
+    there and the bounding side +inf.
 
-    Each block forms its log t one index past its end, so the slacks are
-    the only n-length array formed.
+    Yields (slacks, log_rhs) per block.  Each block forms its log t one
+    index past its end from w's log_w, which looks one index ahead; the
+    slacks and the work arrays are buffers of one block, reused by the
+    next, so the pass holds no n-length array.
     """
-    n = len(log_rhs)
-    slacks = np.empty(n)
-    m = min(n, _BLOCK)
+    m = min(max(w.n_max - 1, 0), BLOCK)
     idx = np.arange(1, m + 2, dtype=float)
     log_t, log_k = np.empty(m + 1), np.empty(m + 1)
     bracket, rising = np.empty(m), np.empty(m, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            t, k = log_t[: hi - lo + 1], log_k[: hi - lo + 1]
-            np.multiply(coef, w.log_w[lo : hi + 1], out=t)
-            np.add(idx[: len(k)], lo, out=k)
-            np.log(k, out=k)
+    for lo, (log_w, W), rhs in zip(range(0, w.n_max - 1, BLOCK), w.blocks(), log_rhs):
+        k = len(W)
+        t, logk = log_t[: k + 1], log_k[: k + 1]
+        b, up, slack = bracket[:k], rising[:k], log_k[:k]  # slacks once t is formed
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(coef, log_w, out=t)
+            np.add(idx[: k + 1], lo, out=logk)
+            np.log(logk, out=logk)
             for scale in scales:
-                np.multiply(scale, k, out=k)
-            np.subtract(t, k, out=t)
+                np.multiply(scale, logk, out=logk)
+            np.subtract(t, logk, out=t)
             _require_finite(t)
-            b, up = bracket[: hi - lo], rising[: hi - lo]
             np.subtract(t[1:], t[:-1], out=b)
             np.greater_equal(b, 0.0, out=up)
             np.expm1(b, out=b)
             np.negative(b, out=b)
             np.log(b, out=b)
             np.add(t[:-1], b, out=b)
-            rhs, slack = log_rhs[lo:hi], slacks[lo:hi]
             np.add(rhs, b, out=rhs)
-            np.log(w.W[lo:hi], out=slack)
+            np.log(W, out=slack)
             np.multiply(coef, slack, out=slack)
             _require_finite(slack)
             np.subtract(slack, rhs, out=slack)
@@ -112,7 +113,21 @@ def _bracket_slacks(
             np.negative(slack, out=slack)
             rhs[up] = math.inf
             slack[up] = -math.inf
-    return slacks
+        yield slack, rhs
+
+
+def _knopp_log_rhs(alpha: float, p: float, U: float, n: int) -> Iterator[np.ndarray]:
+    """log(U Lam_k**p) for k in each block of 1..n, Lam_k = sum_{i<=k} i**alpha,
+    formed in the buffer of Lam's block.  A huge p overflows the logs to
+    inf, which is rejected."""
+    log_U = math.log(U)
+    for _, rhs in power_sum_blocks(alpha, n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.log(rhs, out=rhs)
+            np.multiply(p, rhs, out=rhs)
+            _require_finite(rhs)
+            np.add(log_U, rhs, out=rhs)
+        yield rhs
 
 
 def knopp_criterion_check(
@@ -131,37 +146,26 @@ def knopp_criterion_check(
 
     The bracket looks one index ahead, so the check runs over
     n = 1..w.n_max - 1.  U defaults to weighted_mean_constant(p, alpha);
-    it must be positive and finite.  Besides w it holds two n-length
-    arrays: log_rhs, which starts as Lam, and the slacks.
+    it must be positive and finite.  One pass forms w, Lam, the bracket
+    and the verdict block by block.
     """
-    if not p > 1.0:
-        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
+    require_forward_p(p)
     if U is None:
         U = weighted_mean_constant(p, alpha)
     if not U > 0.0:
         raise WorkbenchError("target constant must be positive")
     if not math.isfinite(U):
         raise WorkbenchError(f"target constant must be finite, got {U}")
-    # Lam_n = sum_{i<=n} i**alpha, whose buffer takes log(U Lam_n**p); the
-    # bracket's t_n = w_n**(p-1) / lam_n**p.  A huge p overflows the logs to
-    # inf, which is rejected
-    log_rhs = power_sums(alpha, w.n_max - 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.log(log_rhs, out=log_rhs)
-        np.multiply(p, log_rhs, out=log_rhs)
-        _require_finite(log_rhs)
-        np.add(math.log(U), log_rhs, out=log_rhs)
-    slacks = _bracket_slacks(w, p - 1.0, (alpha, p), log_rhs)
-    label = name or f"knopp[p={p},U={U}]"
-    return build_report(
-        label,
+    # the bracket's t_n = w_n**(p-1) / lam_n**p
+    log_rhs = _knopp_log_rhs(alpha, p, U, w.n_max - 1)
+    return fold_report(
+        name or f"knopp[p={p},U={U}]",
         ref,
         1,
-        slacks,
+        _bracket_slacks(w, p - 1.0, (alpha, p), log_rhs),
         strict=True,
         tol=tol,
         exploratory=exploratory,
-        log_rhs=log_rhs,
     )
 
 
@@ -207,8 +211,7 @@ def f_alpha_analysis(alpha: float, p: float, n: int) -> FAlpha:
     and the sign of f'(1/p) = log(1 + 1/n) - 1/n + 1/(p n (n+1)) decides
     which side of 1/p stays positive.
     """
-    if not p > 1.0:
-        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
+    require_forward_p(p)
     q = conjugate_exponent(p)
     if n < 1:
         raise WorkbenchError("n must be >= 1")
@@ -244,18 +247,25 @@ def reverse_criterion_check(
     if not 0.0 < p < 0.5:
         raise WorkbenchError(f"reverse regime needs 0 < p < 1/2, got {p}")
     s = p / (1.0 - p)
-    log_rhs = np.full(w.n_max - 1, s * math.log((1.0 - p) / p))
-    slacks = _bracket_slacks(w, -1.0 / (1.0 - p), (s,), log_rhs)
-    return build_report(
+    return fold_report(
         f"reverse[p={p}]",
         "3.1",
         1,
-        slacks,
+        _bracket_slacks(w, -1.0 / (1.0 - p), (s,), _constant_blocks(
+            s * math.log((1.0 - p) / p), w.n_max - 1)),
         strict=False,
         tol=tol,
         exploratory=p > 1.0 / 3.0,
-        log_rhs=log_rhs,
     )
+
+
+def _constant_blocks(value: float, n: int) -> Iterator[np.ndarray]:
+    """One buffer filled with value for each block of n indices."""
+    buf = np.empty(min(n, BLOCK))
+    for lo in range(0, n, BLOCK):
+        block = buf[: min(BLOCK, n - lo)]
+        block.fill(value)
+        yield block
 
 
 def check_2_30(
@@ -270,8 +280,7 @@ def check_2_30(
     Established for p >= 3; smaller p runs as exploratory (it fails at
     n = 1 once p is close enough to 1).
     """
-    if not p > 1.0:
-        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
+    require_forward_p(p)
     return knopp_criterion_check(
         power_aux_sequence(-1.0 / p, n_max + 1),
         p,
@@ -296,6 +305,8 @@ def check_2_4(
     """
     if not p >= 3.0:
         raise WorkbenchError(f"established range needs p >= 3, got {p}")
+    if p == math.inf:
+        raise WorkbenchError(f"established range needs a finite p, got {p}")
     if count < 1:
         raise WorkbenchError("empty grid")
     alphas = np.linspace(0.0, 1.0 / p, count)
@@ -322,8 +333,7 @@ def check_2_3(
 ) -> Verdict:
     """Forward criterion for the power choice w_n = n**(alpha - 1/p) against
     weights lambda_n = n**alpha, established for 1 <= alpha <= 1 + 1/p."""
-    if not p > 1.0:
-        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
+    require_forward_p(p)
     if not 1.0 <= alpha <= 1.0 + 1.0 / p:
         raise WorkbenchError(
             f"established range is 1 <= alpha <= 1 + 1/p, got alpha={alpha}"

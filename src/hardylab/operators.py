@@ -10,15 +10,17 @@ above (reverse, 0 < p < 1).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import starmap
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .compsum import exact_sum, neumaier_prefix_sums, neumaier_suffix_sums
+from .compsum import BLOCK, ExactSum, NeumaierScan
 from .errors import WorkbenchError
-from .sequences import power_sums, power_weights
+from .sequences import power_sum_blocks, power_weights
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,6 @@ class OperatorSpec:
             raise WorkbenchError("weighted_mean needs a finite alpha")
         if self.kind == "copson_tail" and self.alpha is not None:
             raise WorkbenchError("copson_tail takes no alpha")
-
-    @cached_property
-    def mean_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weights i**(alpha-1), i <= truncation, and their compensated prefix sums."""
-        alpha = float(self.alpha)
-        lam = power_weights(alpha - 1.0, self.truncation)
-        total = power_sums(alpha - 1.0, self.truncation)
-        if math.isfinite(total[-1]):  # else the means would be NaN or 0
-            return lam, total
-        raise WorkbenchError(f"the weights i**(alpha-1) overflow at alpha={alpha}")
 
 
 def cesaro(truncation: int) -> OperatorSpec:
@@ -100,17 +92,21 @@ class SequenceFamily:
         if self.kind == "delta" and self.param is not None:
             raise WorkbenchError("delta takes no parameter")
 
-    def values(self) -> np.ndarray:
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Entries lo..hi - 1 of the family in a new array, formed without
+        the entries before lo: a random family seeks its generator past them."""
         if self.kind == "power_decay":
-            return power_weights(-float(self.param), self.length)
+            return power_weights(-float(self.param), hi, lo)
         if self.kind == "delta":
-            out = np.zeros(self.length)
-            out[0] = 1.0
+            out = np.zeros(hi - lo)
+            if lo == 0 < hi:
+                out[0] = 1.0
             return out
         if self.kind == "geometric":
-            return float(self.param) ** np.arange(self.length, dtype=float)
+            return float(self.param) ** np.arange(lo, hi, dtype=float)
         rng = np.random.default_rng(int(self.param))
-        return rng.random(self.length)
+        rng.bit_generator.advance(lo)  # one step per double drawn
+        return rng.random(hi - lo)
 
     def label(self) -> str:
         if self.param is None:
@@ -118,31 +114,24 @@ class SequenceFamily:
         return f"{self.kind}({self.param})[N={self.length}]"
 
 
-def _values(a) -> np.ndarray:
-    return a.values() if isinstance(a, SequenceFamily) else np.asarray(a, dtype=float)
+def _spans(N: int, reverse: bool = False) -> list[tuple[int, int]]:
+    """The blocks [lo, hi) of 0..N - 1, from the start or from the end."""
+    if reverse:
+        return [(max(hi - BLOCK, 0), hi) for hi in range(N, 0, -BLOCK)]
+    return [(lo, min(lo + BLOCK, N)) for lo in range(0, N, BLOCK)]
 
 
-def _materialize(a, N: int) -> np.ndarray:
-    """The first N input values, checked."""
-    arr = _values(a)
-    if len(arr) < N:
-        raise WorkbenchError(f"input length {len(arr)} < truncation {N}")
-    arr = arr[:N]  # entries past N are never read, so never validated
-    if not np.all(arr >= 0.0):  # one pass; NaN fails the comparison too
-        if np.isnan(arr).any():
-            raise WorkbenchError("inputs must not be NaN")
-        raise WorkbenchError("inputs must be nonnegative")
-    return arr
-
-
-def _tail_means(
-    suffix: np.ndarray, tail_mass: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """T_n = (suffix_n + tail_mass) / n from the suffix sums; ``out`` may be
-    suffix itself."""
-    means = np.add(suffix, tail_mass, out=out)
-    means /= np.arange(1, len(suffix) + 1, dtype=float)
-    return means
+def _source(a, N: int):
+    """block(lo, hi), the input's entries lo..hi - 1, for an input holding
+    at least N entries; entries past N are never read, so never validated."""
+    if isinstance(a, SequenceFamily):
+        length, block = a.length, a.block
+    else:
+        arr = np.asarray(a, dtype=float)
+        length, block = len(arr), lambda lo, hi: arr[lo:hi]
+    if length < N:
+        raise WorkbenchError(f"input length {length} < truncation {N}")
+    return block
 
 
 def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
@@ -159,7 +148,7 @@ def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
 def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise x**p for nonnegative x; exp/log route for non-integer p.
 
-    A NaN entry stays NaN.  ``out`` may be x itself.
+    A NaN entry stays NaN.  ``out``, if given, does not overlap x.
     """
     if p == round(p):
         return np.power(x, float(p), out=out)
@@ -167,68 +156,169 @@ def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray
     if out is None:
         out = np.zeros_like(x)
     else:
-        out[~nonzero] = 0.0
+        out.fill(0.0)
     np.log(x, out=out, where=nonzero)
     np.multiply(p, out, out=out, where=nonzero)
     return np.exp(out, out=out, where=nonzero)
 
 
-def _apply(op: OperatorSpec, arr: np.ndarray) -> np.ndarray:
-    """op applied, in a new array, to an input _materialize has checked:
-    A_n = (sum_{i<=n} i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)), or
-    T_n = (1/n) sum_{k=n}^{N} a_k, whose plain truncation is for nonnegative
-    input itself a valid finite-support instance."""
-    if op.kind == "weighted_mean":
-        lam, total = op.mean_weights
-        means = np.multiply(lam, arr)
-        neumaier_prefix_sums(means, out=means)
-        return np.divide(means, total, out=means)
-    suffix = neumaier_suffix_sums(arr)
-    return _tail_means(suffix, 0.0, out=suffix)
+class _PowerSum:
+    """Exactly rounded sum of x**p over blocks of x, added in turn; out of
+    domain once it leaves the float range.
 
+    Powers that overflow are inf, and the sum rejects them; an input
+    rejected once it is read in full may meet log's domain first.  So the
+    caller runs it under np.errstate(over="ignore", invalid="ignore")."""
 
-def _power_sum(x: np.ndarray, p: float, out: np.ndarray | None = None) -> float:
-    """Exactly rounded sum of x**p; out of domain once it leaves the float range.
+    def __init__(self, p: float, N: int):
+        self.p = p
+        self._powers = np.empty(min(N, BLOCK))
+        self._sum = ExactSum(len(self._powers))
 
-    The powers, inf where they overflow, are formed in ``out``, which may be x.
-    """
-    with np.errstate(over="ignore"):
-        powers = _pow_p(x, p, out)
-    try:
-        total = exact_sum(powers)
-    except OverflowError:  # finite terms whose sum overflows
-        total = math.inf
-    if not math.isfinite(total):
-        raise WorkbenchError(
-            f"the sum of p-th powers (p={p}) overflows; "
-            "choose a smaller family exponent or horizon"
-        )
-    return total
+    def another(self) -> _PowerSum:
+        """A sum of other blocks sharing this one's work buffers, so that
+        additions to the two may alternate."""
+        twin = object.__new__(_PowerSum)
+        twin.p, twin._powers, twin._sum = self.p, self._powers, self._sum.another()
+        return twin
+
+    def _pow(self, x: np.ndarray) -> np.ndarray:
+        return _pow_p(x, self.p, self._powers[: len(x)])
+
+    def add(self, x: np.ndarray) -> None:
+        self._sum.add(self._pow(x))
+
+    def total(self, again: Iterable[np.ndarray]) -> float:
+        """The sum; ``again`` holds the blocks of x anew, lazily, read only
+        should the sum need math.fsum of every power."""
+        try:
+            total = self._sum.total(map(self._pow, again))
+        except OverflowError:  # finite terms whose sum overflows
+            total = math.inf
+        if not math.isfinite(total):
+            raise WorkbenchError(
+                f"the sum of p-th powers (p={self.p}) overflows; "
+                "choose a smaller family exponent or horizon"
+            )
+        return total
 
 
 def _check_exponent(p: float) -> None:
     if not p > 0.0:
         raise WorkbenchError(f"p must be positive, got {p}")
+    if p == math.inf:
+        raise WorkbenchError(f"p must be finite, got {p}")
+
+
+def _weighted_means(
+    alpha: float, block, N: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(a, A) block by block from the start, with A_n = (sum_{i<=n}
+    i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)); NaN or 0 where the
+    weights' sums overflow (see _weight_sums_finite)."""
+    scan = NeumaierScan(min(N, BLOCK))
+    means = np.empty(min(N, BLOCK))
+    for (lo, hi), (lam, total) in zip(_spans(N), power_sum_blocks(alpha - 1.0, N)):
+        x = block(lo, hi)
+        m = np.multiply(lam, x, out=means[: hi - lo])
+        scan(m, m)
+        np.divide(m, total, out=m)
+        yield x, m
+
+
+def _weight_sums_finite(alpha: float, N: int) -> bool:
+    """Whether the sums of the weights i**(alpha-1), i <= N, that the
+    weighted means divide by stay finite: surely so while N**max(alpha, 1)
+    is below 2**1000, else as the means' own pass forms them."""
+    if max(alpha, 1.0) * math.log2(N) < 1000.0:
+        return True
+    with np.errstate(over="ignore"):
+        for _, total in power_sum_blocks(alpha - 1.0, N):
+            pass
+    return math.isfinite(total[-1])  # the sums never decrease
+
+
+def _suffix_blocks(block, N: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(lo, a, sum_{k=n}^{N} a_k) over the indices n = lo + 1..hi of each
+    block from the end: the input block and its compensated suffix sums,
+    in one reused buffer."""
+    scan = NeumaierScan(min(N, BLOCK))
+    sums = np.empty(min(N, BLOCK))
+    for lo, hi in _spans(N, reverse=True):
+        x, s = block(lo, hi), sums[: hi - lo]
+        scan(x[::-1], s[::-1])
+        yield lo, x, s
+
+
+def _tail_means(
+    suffix: np.ndarray, lo: int, tail_mass: float, out: np.ndarray
+) -> np.ndarray:
+    """T_n = (suffix_n + tail_mass) / n for n in lo + 1..lo + len(suffix),
+    in ``out``."""
+    means = np.add(suffix, tail_mass, out=out)
+    means /= np.arange(lo + 1, lo + len(suffix) + 1, dtype=float)
+    return means
+
+
+def _tail_mean_blocks(
+    block, N: int, tail_mass: float = 0.0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(a, T) block by block from the end, with T_n = (1/n) (sum_{k=n}^{N}
+    a_k + tail_mass); the plain truncation of nonnegative input is itself
+    a valid finite-support instance."""
+    means = np.empty(min(N, BLOCK))
+    for lo, x, s in _suffix_blocks(block, N):
+        yield x, _tail_means(s, lo, tail_mass, means[: len(s)])
+
+
+def _output(op: OperatorSpec, block, N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(a, op a) block by block over the same indices, for the input
+    block(lo, hi) holds: the weighted means from the start, the tail means
+    from the end."""
+    if op.kind == "weighted_mean":
+        return _weighted_means(float(op.alpha), block, N)
+    return _tail_mean_blocks(block, N)
 
 
 def constant_ratio(op: OperatorSpec, a, p: float) -> float:
     """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p.
 
-    p is checked, then the input, once, then the denominator, all before
-    the operator runs, once; the numerator's powers are formed in the
-    means' own buffer.
+    p is checked, then the input's length; then one pass reads the input
+    and forms the operator's output block by block, checking the input and
+    summing both sides' powers.  The input errors come first, then the
+    denominator's (its overflow, then a zero), then the weights', then the
+    numerator's.
     """
     _check_exponent(p)
-    # an entry that overflows is inf, and _power_sum rejects its powers' sum
-    with np.errstate(over="ignore"):
-        arr = _materialize(a, op.truncation)
-        denom = _power_sum(arr, p)
-        if denom == 0.0:
-            if arr.any():
-                raise WorkbenchError(f"every a_n**p underflows to 0 (p={p})")
+    N = op.truncation
+    block = _source(a, N)
+    denom = _PowerSum(p, N)
+    numer = denom.another()
+    nan = negative = False
+    # an entry that overflows is inf, and its powers' sum is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, means in _output(op, block, N):
+            if not np.all(x >= 0.0):  # one pass; NaN fails the comparison too
+                negative = True
+                nan = nan or bool(np.isnan(x).any())
+            denom.add(x)
+            numer.add(means)
+        if nan:
+            raise WorkbenchError("inputs must not be NaN")
+        if negative:
+            raise WorkbenchError("inputs must be nonnegative")
+        # sums of nonnegative terms: neither depends on the blocks' order
+        total = denom.total(starmap(block, _spans(N)))
+        if total == 0.0:
+            for x in starmap(block, _spans(N)):
+                if x.any():
+                    raise WorkbenchError(f"every a_n**p underflows to 0 (p={p})")
             raise WorkbenchError("input is identically zero on the truncation")
-        means = _apply(op, arr)
-    return _power_sum(means, p, out=means) / denom
+        if op.kind == "weighted_mean" and not _weight_sums_finite(float(op.alpha), N):
+            raise WorkbenchError(
+                f"the weights i**(alpha-1) overflow at alpha={float(op.alpha)}"
+            )
+        return numer.total(map(itemgetter(1), _output(op, block, N))) / total
 
 
 def _root(ratio: float, p: float) -> float:
@@ -265,20 +355,29 @@ def copson_ratio_with_tail(s: float, p: float, N: int) -> TailCorrectedRatio:
     without the analytic correction for the dropped tail mass beyond N (both
     bracket ends).
 
-    The family, its denominator and its suffix sums are formed once, for
-    all three tail masses; each ratio has constant_ratio's bits.
+    One pass forms the family and its suffix sums once, block by block
+    from the end, for the denominator and all three tail masses; each ratio
+    has constant_ratio's bits.
     """
     fam = SequenceFamily("power_decay", N, s)
     lo, hi = power_decay_tail_bounds(s, N)
     _check_exponent(p)
-    arr = fam.values()  # k**-s lies in [0, 1] for s > 1: nothing to check
-    denom = _power_sum(arr, p)  # >= 1, the k = 1 term
-    suffix = neumaier_suffix_sums(arr)
-    ratios = []
-    for tail_mass in (0.0, lo, hi):
-        means = _tail_means(suffix, tail_mass)
-        ratios.append(_power_sum(means, p, out=means) / denom)
-    return TailCorrectedRatio(*ratios)
+    masses = (0.0, lo, hi)
+    # k**-s lies in [0, 1] for s > 1: nothing to check; the denominator is
+    # >= 1, the k = 1 term
+    denom = _PowerSum(p, N)
+    sums = [denom.another() for _ in masses]
+    means = np.empty(min(N, BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, x, suffix in _suffix_blocks(fam.block, N):
+            denom.add(x)
+            for mass, acc in zip(masses, sums):
+                acc.add(_tail_means(suffix, k, mass, means[: len(suffix)]))
+        total = denom.total(starmap(fam.block, _spans(N)))
+        return TailCorrectedRatio(*(
+            acc.total(map(itemgetter(1), _tail_mean_blocks(fam.block, N, mass))) / total
+            for mass, acc in zip(masses, sums)
+        ))
 
 
 class ExtremalResult(NamedTuple):
@@ -296,6 +395,7 @@ def extremal_search(op: OperatorSpec, p: float, family_grid) -> ExtremalResult:
     """
     if not (p > 1.0 or 0.0 < p < 1.0):
         raise WorkbenchError(f"extremal search needs p > 1 or 0 < p < 1, got {p}")
+    _check_exponent(p)
     families = list(family_grid)
     if not families:
         raise WorkbenchError("family grid must be nonempty")
@@ -307,8 +407,7 @@ def extremal_search(op: OperatorSpec, p: float, family_grid) -> ExtremalResult:
 
 def default_power_grid(p: float, N: int) -> list[SequenceFamily]:
     """Near-extremal power families, exponents just above 1/p."""
-    if not p > 0.0:
-        raise WorkbenchError(f"p must be positive, got {p}")
+    _check_exponent(p)
     return [
         SequenceFamily("power_decay", N, 1.0 / p + eps)
         for eps in (1e-4, 1e-3, 1e-2)

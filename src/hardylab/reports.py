@@ -10,6 +10,7 @@ they are finite-horizon evidence, not proofs.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -77,39 +78,71 @@ def build_report(
     strict: bool,
     log_rhs: np.ndarray | float,
     tol: Tolerances = Tolerances(),
-    exploratory: bool = False,
 ) -> Verdict:
     """The verdict, under ``name``, of the per-index slacks at indices
-    n_lo, n_lo + 1, ...: ``min_slack`` is the worst slack (-inf at an index
-    whose bounding side collapses to a nonpositive value),
-    ``first_failure`` is set exactly when ``holds`` is False, and the
-    detail states both and the horizon.
+    n_lo, n_lo + 1, ...: fold_report of them as one block.
 
     ``log_rhs`` is the log of the bounding side, per index or one float
-    for every index; it converts tol_abs into slack units.  With
-    tol_abs > 0 the threshold is formed in the buffer of an array
-    log_rhs, which it overwrites.
+    for every index.
     """
     slacks = np.asarray(slacks, dtype=float)
     if len(slacks) == 0:
         raise WorkbenchError("no index to check: the index range is empty")
+    return fold_report(name, ref, n_lo, [(slacks, log_rhs)], strict=strict, tol=tol)
+
+
+def fold_report(
+    name: str,
+    ref: str,
+    n_lo: int,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray | float]],
+    *,
+    strict: bool,
+    tol: Tolerances = Tolerances(),
+    exploratory: bool = False,
+) -> Verdict:
+    """The verdict, under ``name``, of per-index slacks given block by block
+    as (slacks, log_rhs) at indices n_lo, n_lo + 1, ...: ``min_slack`` is
+    the worst slack (-inf at an index whose bounding side collapses to a
+    nonpositive value), ``first_failure`` is set exactly when ``holds`` is
+    False, and the detail states both and the horizon.
+
+    Each block is folded into the running minimum and the first failure
+    before the next is drawn, so the blocks may share buffers.  A block's
+    ``log_rhs`` is the log of the bounding side, per index or one float for
+    every index; it converts tol_abs into slack units.  With tol_abs > 0
+    the threshold is formed in the buffer of an array log_rhs, which it
+    overwrites.
+    """
     # a strict slack must exceed the threshold, a non-strict one reach its
     # negative; negating both tolerances negates the threshold exactly
     sign = 1.0 if strict else -1.0
-    thr = sign * tol.tol_rel
-    if tol.tol_abs > 0.0:
-        thr = np.asarray(log_rhs, dtype=float)
-        # tol_abs over a bounding side below tol_abs / DBL_MAX is inf
-        with np.errstate(over="ignore"):
-            np.negative(thr, out=thr)
-            np.exp(thr, out=thr)
-            np.multiply(sign * tol.tol_abs, thr, out=thr)
-            np.add(sign * tol.tol_rel, thr, out=thr)
-    ok = slacks > thr if strict else slacks >= thr
-    holds = bool(np.all(ok))
-    first_failure = None if holds else int(n_lo + np.argmin(ok))
-    n_hi = n_lo + len(slacks) - 1
-    min_slack = float(np.min(slacks))
+    compare = np.greater if strict else np.greater_equal
+    count = 0
+    min_slack = math.inf
+    first_failure = None
+    for slacks, log_rhs in blocks:
+        if first_failure is None:
+            thr = sign * tol.tol_rel
+            if tol.tol_abs > 0.0:
+                thr = np.asarray(log_rhs, dtype=float)
+                # tol_abs over a bounding side below tol_abs / DBL_MAX is inf
+                with np.errstate(over="ignore"):
+                    np.negative(thr, out=thr)
+                    np.exp(thr, out=thr)
+                    np.multiply(sign * tol.tol_abs, thr, out=thr)
+                    np.add(sign * tol.tol_rel, thr, out=thr)
+            ok = compare(slacks, thr)
+            if not ok.all():
+                first_failure = n_lo + count + int(np.argmin(ok))
+        low = float(np.min(slacks))
+        if min_slack == min_slack and not low >= min_slack:  # NaN stays
+            min_slack = low
+        count += len(slacks)
+    if count == 0:
+        raise WorkbenchError("no index to check: the index range is empty")
+    holds = first_failure is None
+    n_hi = n_lo + count - 1
     verdict = "holds" if holds else f"fails first at n={first_failure}"
     tag = " [exploratory]" if exploratory else ""
     return Verdict(

@@ -18,13 +18,14 @@ accurate where powers of w_n would lose precision or overflow.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .compsum import neumaier_prefix_sums
+from .compsum import BLOCK, NeumaierScan
 from .errors import WorkbenchError
 
 
@@ -37,24 +38,63 @@ def conjugate_exponent(p: float) -> float:
 
 @dataclass(eq=False)
 class AuxSequence:
-    """Partial sums W_n and log-scale values of positive weights w_n.
+    """Partial sums W_n and log-scale values of positive weights w_n,
+    n = 1..n_max, block by block.
 
     The auxiliary sequence w of a criterion check (the forward check forms
     its power weights lambda itself), with its law: ``("recurrence", s)``
     for the ratio recurrence with shift s, ``("power", e)`` for
-    w_n = n**e.  The weights themselves are formed, summed and dropped by
-    the builder; ``weights()`` forms them again.  Generators normalize
-    w_1 = 1; the criterion checks are scale invariant in w, so scaled
-    copies carry the same verdicts.
+    w_n = n**e.  ``blocks()`` yields what a check reads, one block of BLOCK
+    indices at a time, with log_w one index ahead of W.  The builders
+    store only the law, and the blocks are formed from it in buffers
+    reused from block to block, so no n-length array exists.  A sequence
+    built from its ``arrays`` (log_w, W), as ``materialize()``, claim 3.2
+    and tests build it, yields views of them instead.  The ``log_w`` and
+    ``W`` attributes and ``weights()`` return whole arrays, which a
+    law-built sequence forms afresh from the same blocks.  Generators
+    normalize w_1 = 1; the criterion checks are scale invariant in w, so
+    scaled copies carry the same verdicts.
     """
 
     n_max: int
     law: tuple[str, float]
-    log_w: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
+    arrays: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(log_w[lo : hi + 1], W[lo:hi]) for the blocks [lo, hi) of BLOCK
+        indices that cover 0..n_max - 2: what a bracket at those indices
+        reads.  A block's arrays are valid until the next is drawn."""
+        count = self.n_max - 1
+        if self.arrays is None:
+            yield from _law_blocks(self.law, count)
+            return
+        log_w, W = self.arrays
+        for lo in range(0, count, BLOCK):
+            hi = min(lo + BLOCK, count)
+            yield log_w[lo : hi + 1], W[lo:hi]
+
+    def materialize(self) -> AuxSequence:
+        """This sequence built from its arrays, formed once from its law."""
+        if self.arrays is not None:
+            return self
+        n = self.n_max
+        log_w, W = np.empty(n), np.empty(n)
+        # the law's blocks over all n indices; the last reads log w_{n+1}
+        for lo, (lw, Wb) in zip(range(0, n, BLOCK), _law_blocks(self.law, n)):
+            log_w[lo : lo + len(Wb)] = lw[:-1]
+            W[lo : lo + len(Wb)] = Wb
+        return AuxSequence(n, self.law, (log_w, W))
+
+    @property
+    def log_w(self) -> np.ndarray:
+        return self.materialize().arrays[0]
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.materialize().arrays[1]
 
     def weights(self) -> np.ndarray:
-        """w_1..w_{n_max}, with the builder's bits (a fresh n-length array)."""
+        """w_1..w_{n_max}, with the bits W sums (a fresh n-length array)."""
         kind, param = self.law
         if kind == "power":
             return power_weights(param, self.n_max)
@@ -89,36 +129,83 @@ def _exp_weights(log_w: np.ndarray) -> np.ndarray:
     return w
 
 
-def power_weights(exponent: float, n_max: int) -> np.ndarray:
-    """n**exponent for n = 1..n_max in a new array: the package's one n**e."""
-    w = np.arange(1, n_max + 1, dtype=float)
+def power_weights(exponent: float, n_max: int, lo: int = 0) -> np.ndarray:
+    """n**exponent for n = lo + 1..n_max in a new array: the package's one
+    n**e."""
+    w = np.arange(lo + 1, n_max + 1, dtype=float)
     w **= exponent
     return w
 
 
-def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
-    """Generate w_{n+1} = ((n + shift)/n) w_n with compensated W and log w."""
-    if n_max < 1:
-        raise WorkbenchError("n_max must be >= 1")
+def _law_blocks(law: tuple[str, float], count: int):
+    """(log_w[lo : hi + 1], W[lo:hi]) of the law's sequence for the blocks
+    [lo, hi) covering 0..count - 1, in buffers reused from block to block."""
+    kind, param = law
+    if kind == "power":
+        return _power_law_blocks(param, count)
+    if param == 0.0:
+        return _unit_blocks(count)
+    return _recurrence_blocks(param, count)
+
+
+def _recurrence_blocks(shift: float, count: int):
     # the compensated log accumulator is authoritative; the direct value is
     # its exponential while representable (sequential products would drift
     # past the consistency tolerance near n ~ 10^6).  log1p goes through
-    # libm_map, exp is numpy's (see _exp_weights).  Entry 0 of the ratios is
-    # +0.0, whose log1p is +0.0, so the scan of the steps is log_w itself.
-    # Shift 0 is built in closed form with the same bits: every step
-    # log1p(+-0.0) scans to +0.0 and exp(0.0) is 1.0, so W holds the power
-    # sums of the ones.
-    if shift == 0.0:
-        W = power_sums(0.0, n_max)
-        return AuxSequence(n_max, ("recurrence", shift), np.zeros(n_max), W)
-    ratios = np.arange(n_max, dtype=float)
-    np.divide(shift, ratios[1:], out=ratios[1:])
-    log_w = libm_map(math.log1p, ratios)
-    del ratios
-    neumaier_prefix_sums(log_w, out=log_w)
-    w = _exp_weights(log_w)
-    W = neumaier_prefix_sums(w, out=w)
-    return AuxSequence(n_max, ("recurrence", shift), log_w, W)
+    # libm_map, exp is numpy's (see _exp_weights).  The step of index 0 is
+    # log1p(+0.0) = +0.0, which leaves the scan's carry (+0.0, +0.0) as it
+    # is, so log w_1 = +0.0 and the scan starts at index 1.  Each block
+    # scans the steps up to one index past its end into log_w[1:], and
+    # that last log is entry 0 of the next block.
+    m = min(count, BLOCK)
+    log_w, W = np.empty(m + 1), np.empty(m)
+    log_w[0] = 0.0
+    log_scan = NeumaierScan(m)
+    w_scan = log_scan.another()
+    for lo in range(0, count, BLOCK):
+        k = min(BLOCK, count - lo)
+        lw, Wb = log_w[: k + 1], W[:k]
+        ratios = np.divide(shift, np.arange(lo + 1, lo + k + 1, dtype=float), out=Wb)
+        log_scan(libm_map(math.log1p, ratios), lw[1:])
+        w_scan(_exp_weights(lw[:-1]), Wb)
+        yield lw, Wb
+        log_w[0] = lw[-1]
+
+
+def _unit_blocks(count: int):
+    # shift 0 of the recurrence, in closed form with the same bits: every
+    # step log1p(+-0.0) scans to +0.0 and exp(0.0) is 1.0, so W holds the
+    # power sums of the ones
+    log_w = np.zeros(min(count, BLOCK) + 1)
+    for _, W in power_sum_blocks(0.0, count):
+        yield log_w[: len(W) + 1], W
+
+
+def _power_law_blocks(exponent: float, count: int):
+    m = min(count, BLOCK)
+    ramp = np.arange(1, m + 2, dtype=float)
+    log_w = np.empty(m + 1)
+    for lo, (_, W) in zip(range(0, count, BLOCK), power_sum_blocks(exponent, count)):
+        lw = np.add(ramp[: len(W) + 1], lo, out=log_w[: len(W) + 1])
+        np.log(lw, out=lw)
+        np.multiply(exponent, lw, out=lw)
+        yield lw, W
+
+
+def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
+    """The sequence of w_{n+1} = ((n + shift)/n) w_n, with compensated W and
+    log w, formed block by block as a check reads it."""
+    if n_max < 1:
+        raise WorkbenchError("n_max must be >= 1")
+    return AuxSequence(n_max, ("recurrence", shift))
+
+
+def require_forward_p(p: float) -> None:
+    """Reject a p outside the forward regime 1 < p < inf."""
+    if not p > 1.0:
+        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
+    if p == math.inf:
+        raise WorkbenchError(f"forward regime needs a finite p, got {p}")
 
 
 def knopp_sequence(p: float, alpha: float, n_max: int) -> AuxSequence:
@@ -127,8 +214,7 @@ def knopp_sequence(p: float, alpha: float, n_max: int) -> AuxSequence:
     Positivity requires alpha > -1/q; below that the recurrence hits a
     nonpositive ratio at n = 1.
     """
-    if not p > 1.0:
-        raise WorkbenchError(f"forward regime needs p > 1, got {p}")
+    require_forward_p(p)
     shift = alpha - 1.0 / p
     if 1.0 + shift <= 0.0:
         raise WorkbenchError(
@@ -158,30 +244,50 @@ def _triangular_sums_exact(n_max: int) -> bool:
     return n_max * (n_max + 1) // 2 <= 2**53
 
 
-def power_sums(a: float, n_max: int) -> np.ndarray:
-    """Compensated sums sum_{i<=n} i**a for n = 1..n_max, in a new array.
+def power_sum_blocks(a: float, count: int):
+    """(i**a, sum_{j<=i} j**a) for i in the blocks [lo + 1, hi + 1) of
+    1..count, the terms in a new array and the sums in a buffer reused from
+    block to block; the reader may overwrite both.  The sums are
+    compensated and carried across blocks.
 
     The exact-integer cases skip the scan with its bits: at a = 0 the sums
-    are 1..n_max, and at a = 1 float cumsum forms them exactly while
+    are 1..count, and at a = 1 float cumsum forms them exactly while
     _triangular_sums_exact holds.
     """
-    if a == 0.0:
-        return np.arange(1, n_max + 1, dtype=float)
-    terms = power_weights(a, n_max)
-    if a == 1.0 and _triangular_sums_exact(n_max):
-        return np.cumsum(terms, out=terms)
-    return neumaier_prefix_sums(terms, out=terms)
+    sums = np.empty(min(count, BLOCK))
+    exact = a == 0.0 or (a == 1.0 and _triangular_sums_exact(count))
+    scan = None if exact else NeumaierScan(len(sums))
+    carry = 0.0
+    for lo in range(0, count, BLOCK):
+        hi = min(lo + BLOCK, count)
+        S = sums[: hi - lo]
+        if not exact:
+            t = power_weights(a, hi, lo)
+            scan(t, S)
+        elif a == 0.0:
+            t = np.ones(hi - lo)
+            S[:] = np.arange(lo + 1, hi + 1, dtype=float)
+        else:  # a = 1: integer sums below 2**53, in any order
+            t = np.arange(lo + 1, hi + 1, dtype=float)
+            np.cumsum(t, out=S)
+            S += carry
+            carry = float(S[-1])
+        yield t, S
+
+
+def power_sums(a: float, n_max: int) -> np.ndarray:
+    """Compensated sums sum_{i<=n} i**a for n = 1..n_max, in a new array."""
+    out = np.empty(n_max)
+    for lo, (_, S) in zip(range(0, n_max, BLOCK), power_sum_blocks(a, n_max)):
+        out[lo : lo + len(S)] = S
+    return out
 
 
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     """Power weights w_n = n**exponent (w_1 = 1 automatically)."""
     if n_max < 1:
         raise WorkbenchError("n_max must be >= 1")
-    log_w = np.arange(1, n_max + 1, dtype=float)
-    np.log(log_w, out=log_w)
-    np.multiply(exponent, log_w, out=log_w)
-    W = power_sums(exponent, n_max)
-    return AuxSequence(n_max, ("power", exponent), log_w, W)
+    return AuxSequence(n_max, ("power", exponent))
 
 
 class PowerSumBounds(NamedTuple):

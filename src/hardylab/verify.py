@@ -120,7 +120,9 @@ def reverse_machinery_claims(n_max: int) -> list[Verdict]:
     rows = []
     for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
         # the claim is min_slack >= 0: a non-strict check at tol_rel 0
-        seq = levin_steckin_sequence(p, n_max + 1)
+        # built from its arrays once: the check streams views of them, and
+        # 3.2 reads them whole
+        seq = levin_steckin_sequence(p, n_max + 1).materialize()
         verdict = reverse_criterion_check(seq, p, Tolerances(tol_rel=0.0))
         rows.append(replace(verdict, claim=f"3.1-reverse-p{p:.6g}"))
         # 3.2 reads the first n_max entries: the same bits as a sequence
@@ -280,10 +282,9 @@ def hardy_bracketing_claims(n_max: int) -> list[Verdict]:
     )
     cap_ok = True
     worst_gap = math.inf
-    ops = {f.length: cesaro(f.length) for f in HARDY_TEST_FAMILIES}  # weights once
     for fam in HARDY_TEST_FAMILIES:
         for p in (1.25, 2.0, 3.0):
-            r = norm_ratio(ops[fam.length], fam, p)
+            r = norm_ratio(cesaro(fam.length), fam, p)
             q = conjugate_exponent(p)
             cap_ok = cap_ok and r <= q + 1e-9
             worst_gap = min(worst_gap, q - r)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import hardylab
-from hardylab import criteria, redheffer
-from hardylab.reports import build_report
+from hardylab import compsum, criteria, operators, reports, sequences
+from hardylab.reports import fold_report
 
 # The environment under which numpy takes its loops below AVX-512, which
 # equal libm bit for bit, on an AVX-512 machine as on any other.
@@ -61,16 +61,29 @@ def traced_peak():
 
 def _with_slacks(check, *args, **kwargs):
     """(verdict, slacks) of check(*args, **kwargs): its verdict and the
-    per-index slacks it gave build_report, which a verdict does not keep."""
+    per-index slacks it folded into it, which a verdict does not keep.
+
+    Every verdict of slacks goes through reports.fold_report, which the
+    streamed checks call by the name criteria imported and build_report
+    by its own module's name; the spy copies each block, since the blocks
+    share buffers, and joins them."""
     seen = []
 
-    def spy(name, ref, n_lo, slacks, **options):
-        seen.append(np.asarray(slacks, dtype=float))
-        return build_report(name, ref, n_lo, slacks, **options)
+    def spy(name, ref, n_lo, blocks, **options):
+        parts = []
+
+        def copied():
+            for slacks, log_rhs in blocks:
+                parts.append(np.array(slacks, dtype=float))
+                yield slacks, log_rhs
+
+        verdict = fold_report(name, ref, n_lo, copied(), **options)
+        seen.append(np.concatenate(parts))
+        return verdict
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (criteria, redheffer):  # where the checks import it
-            patch.setattr(module, "build_report", spy)
+        for module in (criteria, reports):
+            patch.setattr(module, "fold_report", spy)
         verdict = check(*args, **kwargs)
     (slacks,) = seen
     return verdict, slacks
@@ -119,3 +132,25 @@ def _record_cli_calls(request):
 def cli_calls():
     """The calls recorded so far in this session (see _CLI_CALLS)."""
     return _CLI_CALLS
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The length of the series each compensated scan runs over, one entry
+    per compsum.NeumaierScan made from now on, in the order they are made
+    (a scan is fed block by block; the entry sums its blocks)."""
+    totals: list[int] = []
+
+    class Counted(compsum.NeumaierScan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._entry = len(totals)
+            totals.append(0)
+
+        def __call__(self, xb, out):
+            totals[self._entry] += len(xb)
+            return super().__call__(xb, out)
+
+    for module in (compsum, sequences, operators):
+        monkeypatch.setattr(module, "NeumaierScan", Counted, raising=False)
+    return totals

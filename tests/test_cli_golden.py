@@ -174,15 +174,25 @@ ARGVS = (
 # with the ufuncs whose AVX-512 loops differ from libm in the last bit and
 # move it: exp forms the weights behind claim 3.2's value, and check_2_4's
 # log1p, expm1 and log give 6.3-scalar-family-p10's min_slack, which the
-# text format does not print.  Below AVX-512 those loops equal libm.  The
-# six redheffer-scan CSV cases that move too (through ``**``, expm1 and
-# log1p) have no second digest yet.
+# text format does not print.  The redheffer-scan CSV rows print every grid
+# point's k, which the scan forms through ``**`` (power), expm1 and log1p
+# in redheffer._first_branch and _second_branch; the JSON and text reports
+# print only the best point, whose bits do not move.  Below AVX-512 those
+# loops equal libm.
 DISPATCH_UFUNCS = {
-    f"{argv} --format {fmt}": ufuncs
-    for argv in ("verify-paper --n-max 300", "verify-paper")
-    for fmt, ufuncs in (("json", ["exp", "log1p", "expm1", "log"]),
-                        ("csv", ["exp", "log1p", "expm1", "log"]),
-                        ("text", ["exp"]))
+    **{
+        f"{argv} --format {fmt}": ufuncs
+        for argv in ("verify-paper --n-max 300", "verify-paper")
+        for fmt, ufuncs in (("json", ["exp", "log1p", "expm1", "log"]),
+                            ("csv", ["exp", "log1p", "expm1", "log"]),
+                            ("text", ["exp"]))
+    },
+    **{
+        f"redheffer-scan {argv} --format csv": ["power", "expm1", "log1p"]
+        for argv in ("--p 0.34 --n-max 200", "--p 0.45", "--p 0.45 --n-max 100",
+                     "--p 0.45 --tol-rel 1e308 --n-max 10", "--p 0.7 --n-max 50",
+                     "--p 0.7 --n-max 50 --tol-rel 1e10")
+    },
 }
 
 def avx512() -> bool:
@@ -296,7 +306,8 @@ UNGOLDEN = {
                             "the object, and run time bounds the set",
     "test_exit_status_is_a_verdict_or_a_rejection": "hypothesis draws the "
                                                     "argument lists",
-    "test_peak": "a memory gate at --n-max 200000, and its warm-up call",
+    "test_peak": "a memory gate at --n-max 200000 and 1000000, and its "
+                 "warm-up call",
     "_traced_peak": "a memory gate's measured call",
 }
 

@@ -5,9 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hardylab.compsum import _BLOCK, exact_sum, neumaier_prefix_sums, neumaier_suffix_sums
+from hardylab.compsum import BLOCK, ExactSum, neumaier_prefix_sums, neumaier_suffix_sums
 
 from conftest import WITHOUT_AVX512, python_output
+
+
+def exact_sum(values) -> float:
+    """ExactSum over the blocks of one array: math.fsum(values), bit for
+    bit, exceptions included."""
+    x = np.asarray(values, dtype=float)
+    acc = ExactSum(min(len(x), BLOCK))
+    blocks = [x[lo : lo + BLOCK] for lo in range(0, len(x), BLOCK)]
+    for block in blocks:
+        acc.add(block)
+    return acc.total(blocks)
 
 
 def loop_prefix_sums(values) -> np.ndarray:
@@ -45,7 +56,7 @@ def wide_range(rng, n):
 
 
 # several blocks long, for views of unusual layout
-LONG = wide_range(np.random.default_rng(11), 3 * _BLOCK + 5)
+LONG = wide_range(np.random.default_rng(11), 3 * BLOCK + 5)
 
 # sign * mantissa * 10**e with e in [-8, 8]: 16 decades, mixed signs
 wide_floats = st.builds(
@@ -65,7 +76,7 @@ class TestBitIdentity:
         assert_same_bits(neumaier_suffix_sums(arr), loop_suffix_sums(arr))
 
     @pytest.mark.parametrize(
-        "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+        "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
     )
     def test_block_boundary_lengths(self, n):
         arr = wide_range(np.random.default_rng(n), n)
@@ -73,7 +84,7 @@ class TestBitIdentity:
         assert_same_bits(neumaier_suffix_sums(arr), loop_suffix_sums(arr))
 
     @pytest.mark.parametrize(
-        "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+        "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
     )
     def test_in_place_at_block_boundary_lengths(self, n):
         arr = wide_range(np.random.default_rng(n), n)
@@ -107,8 +118,8 @@ class TestBitIdentity:
             [1.0, math.inf, 2.0, -math.inf, 3.0],
             [-math.inf, -1.0],
             [1.0, math.nan, 3.0],
-            [math.nan] + [1.0] * (_BLOCK + 3),
-            [1.0] * (_BLOCK - 1) + [1e308, 1e308] + [1.0] * 5,
+            [math.nan] + [1.0] * (BLOCK + 3),
+            [1.0] * (BLOCK - 1) + [1e308, 1e308] + [1.0] * 5,
         ],
         ids=["overflow", "inf", "neg-inf", "nan", "nan-across-blocks",
              "overflow-at-boundary"],
@@ -139,7 +150,7 @@ edge_floats = st.one_of(
     wide_floats,
 )
 # the finite background that edge values are written into
-FILLER = wide_range(np.random.default_rng(17), 2 * _BLOCK + 3)
+FILLER = wide_range(np.random.default_rng(17), 2 * BLOCK + 3)
 
 
 @st.composite
@@ -147,8 +158,8 @@ def edge_arrays(draw):
     """A run of edge values written into a finite background, at the start,
     the end, or across a block boundary of the prefix or the suffix scan."""
     head = draw(st.lists(edge_floats, min_size=1, max_size=40))
-    n = draw(st.sampled_from([len(head), _BLOCK + 7, 2 * _BLOCK + 3]))
-    starts = {0, n - len(head), _BLOCK - len(head) // 2, n - _BLOCK - len(head) // 2}
+    n = draw(st.sampled_from([len(head), BLOCK + 7, 2 * BLOCK + 3]))
+    starts = {0, n - len(head), BLOCK - len(head) // 2, n - BLOCK - len(head) // 2}
     at = draw(st.sampled_from(sorted(i for i in starts if 0 <= i <= n - len(head))))
     x = FILLER[:n].copy()
     x[at : at + len(head)] = head
@@ -167,8 +178,8 @@ class TestEdgeValues:
         assert_same_bits(got_suffix, loop_suffix_sums(x))
 
     @given(edge_arrays())
-    @example(np.array([DEFAULT_NAN] + [1.0] * (_BLOCK + 3)))
-    @example(np.array([1.0] * (_BLOCK - 1) + [math.inf, -math.inf] + [1.0] * 5))
+    @example(np.array([DEFAULT_NAN] + [1.0] * (BLOCK + 3)))
+    @example(np.array([1.0] * (BLOCK - 1) + [math.inf, -math.inf] + [1.0] * 5))
     @settings(max_examples=150, deadline=None)
     def test_scan_in_place(self, x):
         # out=x: each block is read in full before its sums are written, the
@@ -180,7 +191,7 @@ class TestEdgeValues:
         assert got is x
         assert_same_bits(got, want)
 
-    @pytest.mark.parametrize("offset", [0, _BLOCK - 1])
+    @pytest.mark.parametrize("offset", [0, BLOCK - 1])
     def test_finite_sum_next_to_dbl_max(self, offset):
         # s + x rounds to a finite value whose TwoSum intermediate s - x
         # overflows; the exact rounding error is finite, and so is every sum
@@ -214,13 +225,15 @@ def fsum_outcome(fn, values):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The lengths of the arrays exact_sum hands to math.fsum, in order; the
-    certificate's own fsum calls take lists and are not recorded."""
+    """The number of values each fallback of ExactSum hands to math.fsum,
+    in order; the certificate's own fsum calls take lists and are not
+    recorded."""
     seen = []
     fsum = math.fsum
 
     def spy(values):
-        if isinstance(values, memoryview):
+        if not isinstance(values, list):
+            values = list(values)
             seen.append(len(values))
         return fsum(values)
 
@@ -233,7 +246,13 @@ def fallbacks(monkeypatch):
 DIGEST_SCRIPT = """
 import hashlib, math
 import numpy as np
-from hardylab.compsum import exact_sum
+from hardylab.compsum import BLOCK, ExactSum
+def exact_sum(x):
+    acc = ExactSum(min(len(x), BLOCK))
+    blocks = [x[lo : lo + BLOCK] for lo in range(0, len(x), BLOCK)]
+    for block in blocks:
+        acc.add(block)
+    return acc.total(blocks)
 for fn in (exact_sum, lambda x: math.fsum(x.tolist())):
     rng = np.random.default_rng(23)
     h = hashlib.sha256()
@@ -254,7 +273,7 @@ class TestExactSum:
         assert fsum_outcome(exact_sum, np.array(xs, dtype=float)) == \
             fsum_outcome(math.fsum, xs)
 
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_block_boundary_lengths_and_views(self, fallbacks, n):
         x = wide_range(np.random.default_rng(n), n)
         for view in (x, x[::-1], x[::3], np.abs(x)[::-2]):
@@ -291,7 +310,7 @@ class TestExactSum:
     def test_peak_is_a_few_block_buffers(self, traced_peak, fallbacks):
         x = np.random.default_rng(3).random(10**6)
         # an n-length temporary would take 8 * 10**6 bytes
-        assert traced_peak(exact_sum, x) < 4 * 8 * _BLOCK
+        assert traced_peak(exact_sum, x) < 4 * 8 * BLOCK
         assert fallbacks == []
 
     def test_bits_agree_across_dispatch_levels(self):

@@ -17,8 +17,9 @@ from hardylab.criteria import (
     reverse_criterion_check,
     weighted_mean_constant,
 )
+from hardylab.compsum import BLOCK
 from hardylab.errors import WorkbenchError
-from hardylab.reports import Tolerances, build_report
+from hardylab.reports import Tolerances, build_report, fold_report
 from hardylab.sequences import (
     AuxSequence,
     knopp_sequence,
@@ -109,8 +110,7 @@ class TestForwardCriterion:
         scaled = AuxSequence(
             n_max=base.n_max,
             law=base.law,
-            log_w=base.log_w + math.log(factor),
-            W=base.W * factor,
+            arrays=(base.log_w + math.log(factor), base.W * factor),
         )
         r2, s2 = with_slacks(knopp_criterion_check, scaled, 2.0)
         assert r1.holds == r2.holds
@@ -271,9 +271,13 @@ class TestBracketSlacks:
         want_slacks, want_log_rhs = masked_bracket_slacks(
             np.log(W[:n]), math.log(4.0), log_factor, log_t
         )
-        w = AuxSequence(n + 1, ("test", 0.0), log_t, W)
+        w = AuxSequence(n + 1, ("test", 0.0), (log_t, W))
         log_rhs = math.log(4.0) + log_factor
-        slacks = _bracket_slacks(w, 1.0, (0.0,), log_rhs)
+        # the kernel adds the bracket into each block of log_rhs in place
+        blocks = (log_rhs[lo : lo + self.BLOCK] for lo in range(0, n, self.BLOCK))
+        slacks = np.concatenate(
+            [s.copy() for s, _ in _bracket_slacks(w, 1.0, (0.0,), blocks)]
+        )
         assert slacks.tobytes() == want_slacks.tobytes()
         assert log_rhs.tobytes() == want_log_rhs.tobytes()
         return slacks
@@ -320,22 +324,20 @@ class TestBracketSlacks:
 
 
 class TestCheckMemory:
+    # a check streams w, Lam, the bracket and the verdict block by block:
+    # about 12 block buffers of 8 * BLOCK bytes (1.45 MiB), at any horizon
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
-    def test_knopp_check_adds_two_buffers(self, traced_peak, tol_abs):
-        # beyond its prebuilt w (log_w and W) a check holds two n-length
-        # buffers, Lam's and the slacks: about 2 x 8n bytes
+    def test_knopp_check_holds_block_buffers(self, traced_peak, tol_abs):
         n = 200_000
         w = knopp_sequence(2.0, 0.0, n + 1)
-        added = traced_peak(knopp_criterion_check, w, 2.0, Tolerances(tol_abs))
-        assert added <= 2.5 * 8 * n
+        peak = traced_peak(knopp_criterion_check, w, 2.0, Tolerances(tol_abs))
+        assert peak <= 16 * 8 * BLOCK
 
     @pytest.mark.parametrize("tol_abs", [0.0, 1e-30])
     def test_reverse_check_peak_in_total(self, traced_peak, tol_abs):
-        # its own sequence (two arrays) plus the two buffers: about
-        # 4 x 8n bytes
         n = 200_000
         peak = traced_peak(reverse_check, 0.25, n, Tolerances(tol_abs))
-        assert peak <= 4.5 * 8 * n
+        assert peak <= 16 * 8 * BLOCK
 
 
 class TestAbsoluteToleranceVerdicts:
@@ -545,8 +547,8 @@ class TestReportAssembly:
             build_report("x", "0", 1, [], strict=False, log_rhs=np.zeros(0))
 
     def test_holding_detail_is_tagged_exploratory(self):
-        rep = build_report(
-            "x", "0", 1, [0.5, 0.25], strict=True, log_rhs=np.zeros(2),
+        rep = fold_report(
+            "x", "0", 1, [(np.array([0.5, 0.25]), np.zeros(2))], strict=True,
             exploratory=True,
         )
         assert rep.detail == (

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardylab import operators, sequences
-from hardylab.compsum import neumaier_prefix_sums, neumaier_suffix_sums
+from hardylab.compsum import BLOCK, neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.errors import WorkbenchError
 from hardylab.operators import (
     OperatorSpec,
     SequenceFamily,
     _pow_p,
-    _power_sum,
+    _PowerSum,
     cesaro,
     constant_ratio,
     copson_ratio_with_tail,
@@ -31,8 +31,22 @@ def weighted_mean(alpha: float, N: int) -> OperatorSpec:
 
 
 def apply(op: OperatorSpec, a) -> np.ndarray:
-    """The operator kernel on the input checked as the ratios check it."""
-    return operators._apply(op, operators._materialize(a, op.truncation))
+    """The operator's output on a valid input: its blocks, streamed from the
+    start or from the end, joined in index order."""
+    N = op.truncation
+    blocks = [m.copy() for _, m in operators._output(op, operators._source(a, N), N)]
+    return np.concatenate(blocks if op.kind == "weighted_mean" else blocks[::-1])
+
+
+def power_sum(x: np.ndarray, p: float) -> float:
+    """_PowerSum over the blocks of one array, under the errstate its
+    callers set."""
+    blocks = [x[lo : lo + BLOCK] for lo in range(0, len(x), BLOCK)]
+    acc = _PowerSum(p, len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            acc.add(block)
+        return acc.total(blocks)
 
 
 class TestSpecs:
@@ -78,15 +92,15 @@ class TestSpecs:
             make()
 
     def test_family_values(self):
-        assert SequenceFamily("delta", 4).values() == pytest.approx([1, 0, 0, 0])
-        assert SequenceFamily("geometric", 3, 0.5).values() == pytest.approx(
+        assert SequenceFamily("delta", 4).block(0, 4) == pytest.approx([1, 0, 0, 0])
+        assert SequenceFamily("geometric", 3, 0.5).block(0, 3) == pytest.approx(
             [1.0, 0.5, 0.25]
         )
-        assert SequenceFamily("power_decay", 3, 1.0).values() == pytest.approx(
+        assert SequenceFamily("power_decay", 3, 1.0).block(0, 3) == pytest.approx(
             [1.0, 0.5, 1.0 / 3.0]
         )
-        r1 = SequenceFamily("random", 100, 7).values()
-        r2 = SequenceFamily("random", 100, 7).values()
+        r1 = SequenceFamily("random", 100, 7).block(0, 100)
+        r2 = SequenceFamily("random", 100, 7).block(0, 100)
         assert np.array_equal(r1, r2)
         assert np.all(r1 >= 0.0)
 
@@ -196,7 +210,7 @@ class TestNormRatio:
             assert constant_ratio(copson_tail(800), fam, 0.5) >= 0.8967 - 1e-9
 
     def test_truncation_monotonicity_forward(self):
-        base = SequenceFamily("power_decay", 8000, 0.6).values()
+        base = SequenceFamily("power_decay", 8000, 0.6).block(0, 8000)
         ratios = [norm_ratio(cesaro(N), base, 2.0) for N in (100, 500, 2000, 8000)]
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
@@ -230,7 +244,7 @@ class TestPowerSum:
         x = rng.uniform(0.0, 10.0, 20000) * 10.0 ** rng.integers(-3, 3, 20000)
         x[::11] = 0.0
         x = layout(x)
-        got = _power_sum(x, p)
+        got = power_sum(x, p)
         assert got.hex() == math.fsum(_pow_p(x, p).tolist()).hex()
 
     @pytest.mark.parametrize(
@@ -247,7 +261,7 @@ class TestPowerSum:
     )
     def test_overflow_out_of_domain(self, x, p):
         with pytest.raises(WorkbenchError, match="overflows"):
-            _power_sum(x, p)
+            power_sum(x, p)
 
 
 class TestTailCorrectedRatio:
@@ -275,18 +289,11 @@ class TestOperatorAppliedOnce:
         SequenceFamily("random", 2000, 7),
     ]
 
-    def test_one_scan_per_constant_ratio(self, monkeypatch):
-        calls = []
-
-        def counted(values, out=None):
-            calls.append(len(values))
-            return neumaier_prefix_sums(values, out=out)
-
-        monkeypatch.setattr(operators, "neumaier_prefix_sums", counted)
+    def test_one_scan_per_constant_ratio(self, scans):
         for p in (1.25, 2.0, 3.0):
-            calls.clear()
+            scans.clear()
             constant_ratio(cesaro(2000), self.FAMILIES[2], p)
-            assert calls == [2000]
+            assert scans == [2000]
 
     @pytest.mark.parametrize(
         "a, p, message",
@@ -323,28 +330,29 @@ class TestOperatorAppliedOnce:
         ],
         ids=["constant_ratio", "norm_ratio"],
     )
-    def test_input_checked_once(self, monkeypatch, ratios):
-        calls = []
-        materialize = operators._materialize
+    def test_input_read_once(self, monkeypatch, ratios):
+        # one pass reads the family, checks it and sums both sides
+        reads = []
+        block = SequenceFamily.block
 
-        def counted(a, N):
-            calls.append(N)
-            return materialize(a, N)
+        def counted(fam, lo, hi):
+            reads.append(hi - lo)
+            return block(fam, lo, hi)
 
-        monkeypatch.setattr(operators, "_materialize", counted)
+        monkeypatch.setattr(SequenceFamily, "block", counted)
         for op in (cesaro(2000), copson_tail(2000)):
-            calls.clear()
+            reads.clear()
             ratios(op, self.FAMILIES[2])
-            assert calls == [2000]
+            assert reads == [2000]
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
-    def test_tail_ratios_match_constant_ratio(self, monkeypatch, s):
+    def test_tail_ratios_match_constant_ratio(self, scans, s):
         N = 10000
         fam = SequenceFamily("power_decay", N, s)
         lo, hi = power_decay_tail_bounds(s, N)
         # the exact oracle: the family's suffix sums plus the mass over n,
         # then the same exp/log powers, each sum rounded once by fsum
-        vals = fam.values()
+        vals = fam.block(0, N)
         denom = math.fsum(gather_pow(vals, 0.5).tolist())
         ramp = np.arange(1, N + 1, dtype=float)
         want = [constant_ratio(copson_tail(N), fam, 0.5).hex()] + [
@@ -352,16 +360,10 @@ class TestOperatorAppliedOnce:
                        .tolist()) / denom).hex()
             for m in (lo, hi)
         ]
-        calls = []
-
-        def counted(values):
-            calls.append(len(values))
-            return neumaier_suffix_sums(values)
-
-        monkeypatch.setattr(operators, "neumaier_suffix_sums", counted)
+        scans.clear()
         got = copson_ratio_with_tail(s, 0.5, N)
         assert [r.hex() for r in got] == want
-        assert calls == [N]
+        assert scans == [N]  # one pass of suffix sums for the three masses
 
 
 class TestExtremalSearch:
@@ -436,59 +438,56 @@ class TestOperatorMemory:
                 assert _pow_p(layout, p).tobytes() == gather_pow(layout, p).tobytes()
 
     def test_pow_p_peak(self, traced_peak):
-        x = SequenceFamily("power_decay", self.N, 1.5).values()
+        x = SequenceFamily("power_decay", self.N, 1.5).block(0, self.N)
         x[::10] = 0.0
         assert traced_peak(_pow_p, x, 0.5) <= 1.25 * 8 * self.N
 
+    # a ratio is one pass that forms the family, the operator's output and
+    # both sides' powers block by block: about 11 block buffers of
+    # 8 * BLOCK bytes (1.4 MiB), at any truncation
     def test_copson_ratio_peak(self, traced_peak):
-        # the family, its tail means and the ramp that divides them; the
-        # powers of the means are formed in place: about 3.0 x 8n bytes
         args = (copson_tail(self.N), SequenceFamily("power_decay", self.N, 3.0), 0.5)
-        assert traced_peak(constant_ratio, *args) <= 3.1 * 8 * self.N
+        assert traced_peak(constant_ratio, *args) <= 16 * 8 * BLOCK
 
     def test_extremal_search_peak(self, traced_peak):
-        # the spec's weights and their sums, a family and its powers or its
-        # means: about 4.25 x 8n bytes
         args = (cesaro(self.N), 2.0, power_grid(self.N))
-        assert traced_peak(extremal_search, *args) <= 4.5 * 8 * self.N
+        assert traced_peak(extremal_search, *args) <= 16 * 8 * BLOCK
+
+
+def mean_weights(alpha: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights i**(alpha-1), i <= N, and their sums, as the weighted
+    mean reads them block by block, joined."""
+    blocks = [(t.copy(), S.copy()) for t, S in sequences.power_sum_blocks(alpha - 1.0, N)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 class TestCesaroWeights:
     @pytest.mark.parametrize("N", [1, 2, 16383, 16384, 16385, 10**5, 10**6])
     def test_sums_match_scan(self, N):
         # built as 1..N in closed form, with the scan's bits
-        lam, total = cesaro(N).mean_weights
+        lam, total = mean_weights(1.0, N)
         assert lam.tobytes() == np.ones(N).tobytes()
         assert total.tobytes() == neumaier_prefix_sums(np.ones(N)).tobytes()
 
     @pytest.mark.parametrize("N", [1, 2, 16383, 16384, 16385, 10**5, 10**6])
     def test_alpha_two_sums_match_scan(self, N):
         # the weights are 1..N, whose sums cumsum forms with the scan's bits
-        lam, total = weighted_mean(2.0, N).mean_weights
+        lam, total = mean_weights(2.0, N)
         assert lam.tobytes() == np.arange(1.0, N + 1).tobytes()
         assert total.tobytes() == neumaier_prefix_sums(lam).tobytes()
 
 
-class TestWeightsOncePerSpec:
+class TestWeightsPerFamily:
     @pytest.mark.parametrize(
-        "op, scans",
-        # the weights once, then one scan a family; the Cesaro weights are
-        # ones, whose sums 1..N need no scan
-        [(weighted_mean(2.5, 2000), 4), (cesaro(2000), 3)],
+        "op, scans_made",
+        # one scan of the weights' sums and one of the means per family;
+        # the Cesaro weights are ones, whose sums 1..N need no scan
+        [(weighted_mean(2.5, 2000), 6), (cesaro(2000), 3)],
         ids=["alpha2.5", "cesaro"],
     )
-    def test_weights_scanned_once(self, monkeypatch, op, scans):
-        calls = []
-
-        def counted(values, out=None):
-            calls.append(len(values))
-            return neumaier_prefix_sums(values, out=out)
-
-        # the weights' sums come from sequences.power_sums
-        for module in (operators, sequences):
-            monkeypatch.setattr(module, "neumaier_prefix_sums", counted)
+    def test_weights_scanned_with_each_family(self, scans, op, scans_made):
         extremal_search(op, 2.0, power_grid(2000))
-        assert calls == [2000] * scans
+        assert scans == [2000] * scans_made
 
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 0.25])
     def test_shared_weights_same_bits(self, alpha):
