@@ -19,7 +19,10 @@ next in three buffers allocated once: each ``cumsum`` runs in place in one
 of two, and the third holds TwoSum's terms.  A block is read in full before
 its sums are written, so the output may be the input block itself.  A
 caller that forms a series block by block scans it with no n-length array;
-``neumaier_prefix_sums`` is that loop over the blocks of an array.
+``neumaier_prefix_sums`` is that loop over the blocks of an array.  A block
+may also be a stack of series as columns, each scanned along axis 0 with a
+carry of its own: every operation is elementwise or a ``cumsum`` down a
+column, so each column gets the bits of its own scan.
 
 ``ExactSum`` returns ``math.fsum``'s float by Rump, Ogita and Oishi's
 error-free extraction ("Accurate floating-point summation", SIAM J. Sci.
@@ -40,6 +43,10 @@ rounding boundary, an exactly zero sum, inf or NaN, or a block whose grid
 is out of the normal range falls back to ``math.fsum`` of the values formed
 again, which gives the same float and raises the same exceptions.  Two
 block buffers are allocated once per sum; no n-length array is formed.
+For a stack of series as columns, the grids, the certificate and the
+fallback are each column's own, and the block buffers are column-major, so
+a column's reductions read contiguous memory.  The extraction is exact in
+any order of summation, so it is exact per column too.
 """
 
 from __future__ import annotations
@@ -54,17 +61,22 @@ BLOCK = 1 << 14
 
 
 class NeumaierScan:
-    """Neumaier's running sums over consecutive blocks of one series.
+    """Neumaier's running sums over consecutive blocks of one series, or of
+    the columns of a stack of series.
 
-    Each call takes the next block of at most ``size`` values and writes
-    its compensated prefix sums, resuming from the carry ``(s, c)`` the
-    previous block left; ``out`` may be the block itself.  Any split of the
-    series into blocks gives the sums of one call on the whole series.
+    Each call takes the next block of at most ``shape[0]`` rows and writes
+    its compensated prefix sums along axis 0, resuming from the carry
+    ``(s, c)`` the previous block left, one per column; ``out`` may be the
+    block itself.  ``shape`` is the largest block's: an int for a series,
+    ``(rows, columns)`` for a stack.  Any split of the series into blocks
+    gives the sums of one call on the whole series, in each column.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, shape):
         # run = [s, s_lo, ..., s_hi] and err = [c, c_lo, ..., c_hi] once summed
-        self._run = np.empty(size + 1)
+        self._run = np.empty(
+            (shape[0] + 1, *shape[1:]) if isinstance(shape, tuple) else shape + 1
+        )
         self._err = np.empty_like(self._run)
         self._tmp = None  # TwoSum's terms, when out cannot hold them
         self.s = self.c = 0.0
@@ -82,18 +94,18 @@ class NeumaierScan:
             return out
         r, e = self._run[: len(xb) + 1], self._err[: len(xb) + 1]
         # out, written last from cur and d, holds the terms unless xb, read
-        # after them, may share its memory, or its strides are not unit
+        # after them, may share its memory, or it is not laid out as they are
         if out.flags.c_contiguous and not np.may_share_memory(xb, out):
             bp = out
         else:
             if self._tmp is None:
-                self._tmp = np.empty(len(self._run) - 1)
+                self._tmp = np.empty_like(self._run[1:])
             bp = self._tmp[: len(xb)]
         r[0], e[0] = self.s, self.c
         # the loop form never warned on overflow or inf - inf; neither does this
         with np.errstate(over="ignore", invalid="ignore"):
             r[1:] = xb
-            np.cumsum(r, out=r)
+            np.cumsum(r, axis=0, out=r)
             prev, cur, d = r[:-1], r[1:], e[1:]
             # d = (prev - (cur - bp)) + (xb - bp) with bp = cur - prev
             np.subtract(cur, prev, out=bp)
@@ -101,14 +113,17 @@ class NeumaierScan:
             np.subtract(prev, d, out=d)
             np.subtract(xb, bp, out=bp)
             d += bp
-            np.cumsum(e, out=e)
-            if not math.isfinite(e[-1]):  # redo the block with the branch
+            np.cumsum(e, axis=0, out=e)
+            # redo the block with the branch should a carry not be finite
+            # (needlessly, with the same bits, should finite ones sum to inf)
+            if not math.isfinite(sum(e[-1:].ravel().tolist())):
                 big = np.abs(prev) >= np.abs(xb)
                 np.subtract(np.where(big, prev, xb), cur, out=d)
                 d += np.where(big, xb, prev)
-                np.cumsum(e, out=e)
+                np.cumsum(e, axis=0, out=e)
             np.add(cur, d, out=out)
-        self.s, self.c = float(cur[-1]), float(d[-1])
+        # a float for a series, a list for a stack
+        self.s, self.c = cur[-1].tolist(), d[-1].tolist()
         return out
 
 
@@ -135,61 +150,96 @@ def neumaier_suffix_sums(values) -> np.ndarray:
     return out
 
 
+def _columns(x: np.ndarray) -> np.ndarray:
+    """A block as a stack of columns: a series is one column."""
+    return x[:, None] if x.ndim == 1 else x
+
+
 class ExactSum:
     """math.fsum of a series given block by block, from each block's
-    extraction on its own grids.
+    extraction on its own grids; or of each column of a stack of series,
+    on each column's grids.
 
-    ``add`` takes the blocks in turn (at most ``size`` values each);
-    ``total`` returns the sum.
+    ``shape`` is the largest block's: an int for a series, ``(rows,
+    columns)`` for a stack.  ``add`` takes the blocks in turn; ``total``
+    returns the sum, or the list of the columns' sums.
     """
 
-    def __init__(self, size: int):
-        self._q = np.empty(size)
+    def __init__(self, shape):
+        self._q = np.empty(shape, order="F")
         self._r = np.empty_like(self._q)
-        self._terms: list[float] = []
-        self._bound = []  # one power of two per certified nonzero block
-        self._certified = True
+        self._start()
+
+    def _start(self) -> None:
+        # per block, row by row: each column's three exact totals and the
+        # bound on its last remainder, 0 where it adds nothing
+        self._terms, self._bounds = [], []
+        self._certified = [True] * _columns(self._q).shape[1]
 
     def another(self) -> ExactSum:
         """A sum of other blocks that shares this one's work buffers, so
         that additions to the two may alternate."""
         twin = object.__new__(ExactSum)
         twin._q, twin._r = self._q, self._r
-        twin._terms, twin._bound, twin._certified = [], [], True
+        twin._start()
         return twin
 
     def add(self, x: np.ndarray) -> None:
-        if not (self._certified and len(x)):
+        if not len(x):
             return
-        top = max(float(x.max()), -float(x.min()))  # no np.abs(x) temporary
-        if top == 0.0:  # zeros add nothing
-            return
+        x = _columns(x)
         width = (len(x) + 1).bit_length()  # 2**width >= n + 2
-        exp = math.frexp(top)[1] + width  # sigma_1 = 2**exp >= 2**width * top
         step = width - 52  # sigma_{k+1} = sigma_k * 2**step
-        # not inf or NaN, every grid normal, and x + sigma_1 finite
-        if not (top < math.inf and exp <= 1023 and exp + 2 * step >= -1021):
-            self._certified = False
+        sigma, bounds = [], []
+        for j, (hi, lo) in enumerate(zip(x.max(axis=0).tolist(), x.min(axis=0).tolist())):
+            top = max(hi, -lo)  # no np.abs(x) temporary
+            exp = math.frexp(top)[1] + width  # sigma_1 = 2**exp >= 2**width * top
+            # not inf or NaN, every grid normal, and x + sigma_1 finite
+            if not (top < math.inf and exp <= 1023 and exp + 2 * step >= -1021):
+                self._certified[j] = False
+            if not self._certified[j]:  # summed again at the end
+                sigma.append((math.nan,) * 3)
+                bounds.append(0.0)
+            elif top == 0.0:  # zeros add nothing
+                sigma.append((0.0,) * 3)
+                bounds.append(0.0)
+            else:
+                sigma.append((math.ldexp(1.0, exp), math.ldexp(1.0, exp + step),
+                              math.ldexp(1.0, exp + 2 * step)))
+                bounds.append(math.ldexp(1.0, exp + 3 * step))
+        if not any(bounds):
             return
-        q, r = self._q[: len(x)], self._r[: len(x)]
+        sigma = np.array(sigma).T
+        q, r = _columns(self._q[: len(x)]), _columns(self._r[: len(x)])
         rest = x
+        # an uncertified column's quiet NaN grid turns even its inf - inf
+        # into NaN without a warning; its terms are never read
         for k in range(3):
-            sigma = math.ldexp(1.0, exp + k * step)
-            np.add(rest, sigma, out=q)
-            q -= sigma
-            self._terms.append(float(q.sum()))
+            np.add(rest, sigma[k], out=q)
+            q -= sigma[k]
+            self._terms += q.sum(axis=0).tolist()
             if k < 2:  # the last remainder is only bounded
                 rest = np.subtract(rest, q, out=r)
-        self._bound.append(math.ldexp(1.0, exp + 3 * step))
+        self._bounds += bounds
 
-    def total(self, again: Iterable[np.ndarray]) -> float:
-        """The sum; ``again`` holds the same blocks anew, lazily, and is read
-        only when no certificate holds."""
-        if self._certified and self._bound:
-            try:
-                low = math.fsum(self._terms + [-b for b in self._bound])
-                if low == math.fsum(self._terms + self._bound):
-                    return low
-            except OverflowError:  # let math.fsum decide
-                pass
-        return math.fsum(chain.from_iterable(map(memoryview, again)))
+    def total(self, again: Iterable[np.ndarray]):
+        """The sum, or the columns' sums; ``again`` holds the same blocks
+        anew, lazily, and is read once for each column no certificate
+        holds for (so a stack needs it re-iterable)."""
+        m = len(self._certified)
+        sums = []
+        for j, certified in enumerate(self._certified):
+            bounds = [b for b in self._bounds[j::m] if b]
+            if certified and bounds:
+                terms = self._terms[j::m]
+                try:
+                    low = math.fsum(terms + [-b for b in bounds])
+                    if low == math.fsum(terms + bounds):
+                        sums.append(low)
+                        continue
+                except OverflowError:  # let math.fsum decide
+                    pass
+            sums.append(math.fsum(chain.from_iterable(
+                memoryview(_columns(block)[:, j]) for block in again
+            )))
+        return sums if self._q.ndim > 1 else sums[0]

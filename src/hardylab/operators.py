@@ -114,24 +114,48 @@ class SequenceFamily:
         return f"{self.kind}({self.param})[N={self.length}]"
 
 
-def _spans(N: int, reverse: bool = False) -> list[tuple[int, int]]:
-    """The blocks [lo, hi) of 0..N - 1, from the start or from the end."""
+def _spans(N: int, rows: int, reverse: bool = False) -> list[tuple[int, int]]:
+    """The blocks [lo, hi) of 0..N - 1, ``rows`` long but the last, from the
+    start or from the end."""
     if reverse:
-        return [(max(hi - BLOCK, 0), hi) for hi in range(N, 0, -BLOCK)]
-    return [(lo, min(lo + BLOCK, N)) for lo in range(0, N, BLOCK)]
+        return [(max(hi - rows, 0), hi) for hi in range(N, 0, -rows)]
+    return [(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
 
 
 def _source(a, N: int):
-    """block(lo, hi), the input's entries lo..hi - 1, for an input holding
-    at least N entries; entries past N are never read, so never validated."""
+    """(block, shape, stacked) for an input holding at least N rows:
+    block(lo, hi) holds its rows lo..hi - 1 as an (hi - lo, m) array, one
+    column per series (a series is one column), and shape is the largest
+    block's: BLOCK // m rows (one once m exceeds BLOCK), so at most BLOCK
+    elements.  Rows past N are never read, so never validated."""
     if isinstance(a, SequenceFamily):
-        length, block = a.length, a.block
+        length, m, stacked = a.length, 1, False
+        block = lambda lo, hi: a.block(lo, hi)[:, None]
     else:
         arr = np.asarray(a, dtype=float)
-        length, block = len(arr), lambda lo, hi: arr[lo:hi]
+        stacked = arr.ndim == 2
+        if not (arr.ndim == 1 or stacked and arr.shape[1]):
+            raise WorkbenchError(
+                "an input is a series or a stack of one or more series as "
+                f"columns, got shape {arr.shape}"
+            )
+        if not stacked:
+            arr = arr[:, None]
+        length, m = arr.shape
+        block = lambda lo, hi: arr[lo:hi]
     if length < N:
         raise WorkbenchError(f"input length {length} < truncation {N}")
-    return block
+    return block, (min(N, max(BLOCK // m, 1)), m), stacked
+
+
+class _Reread:
+    """The blocks make(*args) yields, formed anew each time they are read."""
+
+    def __init__(self, make, *args):
+        self._make, self._args = make, args
+
+    def __iter__(self):
+        return iter(self._make(*self._args))
 
 
 def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
@@ -146,34 +170,32 @@ def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
 
 
 def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise x**p for nonnegative x; exp/log route for non-integer p.
+    """Elementwise x**p for nonnegative x; exp/log route for non-integer p,
+    where log(+-0) = -inf has exp +0.0.
 
     A NaN entry stays NaN.  ``out``, if given, does not overlap x.
     """
     if p == round(p):
         return np.power(x, float(p), out=out)
-    nonzero = x != 0.0
-    if out is None:
-        out = np.zeros_like(x)
-    else:
-        out.fill(0.0)
-    np.log(x, out=out, where=nonzero)
-    np.multiply(p, out, out=out, where=nonzero)
-    return np.exp(out, out=out, where=nonzero)
+    with np.errstate(divide="ignore"):
+        out = np.log(x, out=out)
+    np.multiply(p, out, out=out)
+    return np.exp(out, out=out)
 
 
 class _PowerSum:
-    """Exactly rounded sum of x**p over blocks of x, added in turn; out of
-    domain once it leaves the float range.
+    """Exactly rounded sum of x**p over blocks of x, added in turn, or of
+    each column's over blocks of a stack; out of domain once it leaves the
+    float range.
 
     Powers that overflow are inf, and the sum rejects them; an input
     rejected once it is read in full may meet log's domain first.  So the
     caller runs it under np.errstate(over="ignore", invalid="ignore")."""
 
-    def __init__(self, p: float, N: int):
+    def __init__(self, p: float, shape):
         self.p = p
-        self._powers = np.empty(min(N, BLOCK))
-        self._sum = ExactSum(len(self._powers))
+        self._powers = np.empty(shape, order="F")
+        self._sum = ExactSum(shape)
 
     def another(self) -> _PowerSum:
         """A sum of other blocks sharing this one's work buffers, so that
@@ -188,14 +210,15 @@ class _PowerSum:
     def add(self, x: np.ndarray) -> None:
         self._sum.add(self._pow(x))
 
-    def total(self, again: Iterable[np.ndarray]) -> float:
-        """The sum; ``again`` holds the blocks of x anew, lazily, read only
-        should the sum need math.fsum of every power."""
+    def total(self, again: Iterable[np.ndarray]):
+        """The sum, or the columns' sums; ``again`` holds the blocks of x
+        anew, lazily, read only should a sum need math.fsum of every power
+        (once per such column, so a stack needs it re-iterable)."""
         try:
-            total = self._sum.total(map(self._pow, again))
+            total = self._sum.total(_Reread(map, self._pow, again))
         except OverflowError:  # finite terms whose sum overflows
             total = math.inf
-        if not math.isfinite(total):
+        if not all(map(math.isfinite, total if isinstance(total, list) else [total])):
             raise WorkbenchError(
                 f"the sum of p-th powers (p={self.p}) overflows; "
                 "choose a smaller family exponent or horizon"
@@ -211,18 +234,19 @@ def _check_exponent(p: float) -> None:
 
 
 def _weighted_means(
-    alpha: float, block, N: int
+    alpha: float, block, N: int, shape
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(a, A) block by block from the start, with A_n = (sum_{i<=n}
-    i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)); NaN or 0 where the
-    weights' sums overflow (see _weight_sums_finite)."""
-    scan = NeumaierScan(min(N, BLOCK))
-    means = np.empty(min(N, BLOCK))
-    for (lo, hi), (lam, total) in zip(_spans(N), power_sum_blocks(alpha - 1.0, N)):
+    i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)) in each column; NaN or 0
+    where the weights' sums overflow (see _weight_sums_finite)."""
+    scan = NeumaierScan(shape)
+    means = np.empty(shape, order="F")
+    blocks = power_sum_blocks(alpha - 1.0, N, shape[0])
+    for (lo, hi), (lam, total) in zip(_spans(N, shape[0]), blocks):
         x = block(lo, hi)
-        m = np.multiply(lam, x, out=means[: hi - lo])
+        m = np.multiply(lam[:, None], x, out=means[: hi - lo])
         scan(m, m)
-        np.divide(m, total, out=m)
+        np.divide(m, total[:, None], out=m)
         yield x, m
 
 
@@ -238,13 +262,13 @@ def _weight_sums_finite(alpha: float, N: int) -> bool:
     return math.isfinite(total[-1])  # the sums never decrease
 
 
-def _suffix_blocks(block, N: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _suffix_blocks(block, N: int, shape) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(lo, a, sum_{k=n}^{N} a_k) over the indices n = lo + 1..hi of each
-    block from the end: the input block and its compensated suffix sums,
-    in one reused buffer."""
-    scan = NeumaierScan(min(N, BLOCK))
-    sums = np.empty(min(N, BLOCK))
-    for lo, hi in _spans(N, reverse=True):
+    block from the end: the input block and its compensated suffix sums
+    in each column, in one reused buffer."""
+    scan = NeumaierScan(shape)
+    sums = np.empty(shape, order="F")
+    for lo, hi in _spans(N, shape[0], reverse=True):
         x, s = block(lo, hi), sums[: hi - lo]
         scan(x[::-1], s[::-1])
         yield lo, x, s
@@ -256,48 +280,51 @@ def _tail_means(
     """T_n = (suffix_n + tail_mass) / n for n in lo + 1..lo + len(suffix),
     in ``out``."""
     means = np.add(suffix, tail_mass, out=out)
-    means /= np.arange(lo + 1, lo + len(suffix) + 1, dtype=float)
+    means /= np.arange(lo + 1, lo + len(suffix) + 1, dtype=float)[:, None]
     return means
 
 
 def _tail_mean_blocks(
-    block, N: int, tail_mass: float = 0.0
+    block, N: int, shape, tail_mass: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(a, T) block by block from the end, with T_n = (1/n) (sum_{k=n}^{N}
     a_k + tail_mass); the plain truncation of nonnegative input is itself
     a valid finite-support instance."""
-    means = np.empty(min(N, BLOCK))
-    for lo, x, s in _suffix_blocks(block, N):
+    means = np.empty(shape, order="F")
+    for lo, x, s in _suffix_blocks(block, N, shape):
         yield x, _tail_means(s, lo, tail_mass, means[: len(s)])
 
 
-def _output(op: OperatorSpec, block, N: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _output(op: OperatorSpec, block, N: int, shape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(a, op a) block by block over the same indices, for the input
     block(lo, hi) holds: the weighted means from the start, the tail means
     from the end."""
     if op.kind == "weighted_mean":
-        return _weighted_means(float(op.alpha), block, N)
-    return _tail_mean_blocks(block, N)
+        return _weighted_means(float(op.alpha), block, N, shape)
+    return _tail_mean_blocks(block, N, shape, 0.0)
 
 
-def constant_ratio(op: OperatorSpec, a, p: float) -> float:
+def constant_ratio(op: OperatorSpec, a, p: float):
     """Ratio in the constant convention, sum (op a)_n**p / sum a_n**p.
 
-    p is checked, then the input's length; then one pass reads the input
-    and forms the operator's output block by block, checking the input and
-    summing both sides' powers.  The input errors come first, then the
-    denominator's (its overflow, then a zero), then the weights', then the
-    numerator's.
+    ``a`` is one series, or a column stack of shape (N, m), one series per
+    column, whose m ratios come back as an array, each with the bits of its
+    column's own call.  p is checked, then the input's length; then one
+    pass reads the input and forms the operator's output block by block,
+    checking the input and summing both sides' powers per column.  The
+    input errors come first, then the denominator's (its overflow, then a
+    zero), then the weights', then the numerator's; a stack raises the
+    first of these any column meets.
     """
     _check_exponent(p)
     N = op.truncation
-    block = _source(a, N)
-    denom = _PowerSum(p, N)
+    block, shape, stacked = _source(a, N)
+    denom = _PowerSum(p, shape)
     numer = denom.another()
     nan = negative = False
     # an entry that overflows is inf, and its powers' sum is rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, means in _output(op, block, N):
+        for x, means in _output(op, block, N, shape):
             if not np.all(x >= 0.0):  # one pass; NaN fails the comparison too
                 negative = True
                 nan = nan or bool(np.isnan(x).any())
@@ -308,17 +335,23 @@ def constant_ratio(op: OperatorSpec, a, p: float) -> float:
         if negative:
             raise WorkbenchError("inputs must be nonnegative")
         # sums of nonnegative terms: neither depends on the blocks' order
-        total = denom.total(starmap(block, _spans(N)))
-        if total == 0.0:
-            for x in starmap(block, _spans(N)):
-                if x.any():
+        spans = _spans(N, shape[0])
+        totals = denom.total(_Reread(starmap, block, spans))
+        if 0.0 in totals:
+            j = totals.index(0.0)
+            for x in starmap(block, spans):
+                if x[:, j].any():
                     raise WorkbenchError(f"every a_n**p underflows to 0 (p={p})")
             raise WorkbenchError("input is identically zero on the truncation")
         if op.kind == "weighted_mean" and not _weight_sums_finite(float(op.alpha), N):
             raise WorkbenchError(
                 f"the weights i**(alpha-1) overflow at alpha={float(op.alpha)}"
             )
-        return numer.total(map(itemgetter(1), _output(op, block, N))) / total
+        numers = numer.total(
+            _Reread(map, itemgetter(1), _Reread(_output, op, block, N, shape))
+        )
+    ratios = [n / d for n, d in zip(numers, totals)]
+    return np.array(ratios) if stacked else ratios[0]
 
 
 def _root(ratio: float, p: float) -> float:
@@ -334,14 +367,19 @@ def _root(ratio: float, p: float) -> float:
     return root
 
 
-def norm_ratio(op: OperatorSpec, a, p: float) -> float:
-    """Ratio in the norm convention, (sum (op a)_n**p / sum a_n**p)**(1/p).
+def norm_ratio(op: OperatorSpec, a, p: float):
+    """Ratio in the norm convention, (sum (op a)_n**p / sum a_n**p)**(1/p),
+    of one series, or an array of the m ratios of a column stack (see
+    constant_ratio).
 
     For p > 1 this lower-bounds the operator norm; for 0 < p < 1 on the
     tail operator it upper-bounds the best reverse constant (p-th root
     convention).
     """
-    return _root(constant_ratio(op, a, p), p)
+    ratios = constant_ratio(op, a, p)
+    if isinstance(ratios, np.ndarray):
+        return np.array([_root(r, p) for r in ratios.tolist()])
+    return _root(ratios, p)
 
 
 class TailCorrectedRatio(NamedTuple):
@@ -362,20 +400,24 @@ def copson_ratio_with_tail(s: float, p: float, N: int) -> TailCorrectedRatio:
     fam = SequenceFamily("power_decay", N, s)
     lo, hi = power_decay_tail_bounds(s, N)
     _check_exponent(p)
+    block, shape, _ = _source(fam, N)
     masses = (0.0, lo, hi)
     # k**-s lies in [0, 1] for s > 1: nothing to check; the denominator is
     # >= 1, the k = 1 term
-    denom = _PowerSum(p, N)
+    denom = _PowerSum(p, shape)
     sums = [denom.another() for _ in masses]
-    means = np.empty(min(N, BLOCK))
+    means = np.empty(shape, order="F")
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, x, suffix in _suffix_blocks(fam.block, N):
+        for k, x, suffix in _suffix_blocks(block, N, shape):
             denom.add(x)
             for mass, acc in zip(masses, sums):
                 acc.add(_tail_means(suffix, k, mass, means[: len(suffix)]))
-        total = denom.total(starmap(fam.block, _spans(N)))
+        spans = _spans(N, shape[0])
+        (total,) = denom.total(_Reread(starmap, block, spans))
         return TailCorrectedRatio(*(
-            acc.total(map(itemgetter(1), _tail_mean_blocks(fam.block, N, mass))) / total
+            acc.total(_Reread(
+                map, itemgetter(1), _Reread(_tail_mean_blocks, block, N, shape, mass)
+            ))[0] / total
             for mass, acc in zip(masses, sums)
         ))
 

@@ -244,22 +244,22 @@ def _triangular_sums_exact(n_max: int) -> bool:
     return n_max * (n_max + 1) // 2 <= 2**53
 
 
-def power_sum_blocks(a: float, count: int):
+def power_sum_blocks(a: float, count: int, size: int = BLOCK):
     """(i**a, sum_{j<=i} j**a) for i in the blocks [lo + 1, hi + 1) of
-    1..count, the terms in a new array and the sums in a buffer reused from
-    block to block; the reader may overwrite both.  The sums are
-    compensated and carried across blocks.
+    1..count, ``size`` indices long but the last, the terms in a new array
+    and the sums in a buffer reused from block to block; the reader may
+    overwrite both.  The sums are compensated and carried across blocks.
 
     The exact-integer cases skip the scan with its bits: at a = 0 the sums
     are 1..count, and at a = 1 float cumsum forms them exactly while
     _triangular_sums_exact holds.
     """
-    sums = np.empty(min(count, BLOCK))
+    sums = np.empty(min(count, size))
     exact = a == 0.0 or (a == 1.0 and _triangular_sums_exact(count))
     scan = None if exact else NeumaierScan(len(sums))
     carry = 0.0
-    for lo in range(0, count, BLOCK):
-        hi = min(lo + BLOCK, count)
+    for lo in range(0, count, size):
+        hi = min(lo + size, count)
         S = sums[: hi - lo]
         if not exact:
             t = power_weights(a, hi, lo)

@@ -5,7 +5,9 @@ Each forms whole n-length arrays, as the package did before its passes
 were streamed: the auxiliary sequence's log_w and W, the bounding side
 and the slacks of a check, and an operator's input, output and powers.
 The numerical kernels they call (the compensated scan, libm_map, numpy's
-ufuncs) are the package's own, tested against their loops elsewhere.
+ufuncs) are the package's own, tested against their loops elsewhere.  The
+claim loops at the end make one ratio call per input, as the claims did
+before they stacked their inputs as columns.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import math
 
 import numpy as np
 
+from hardylab import operators
 from hardylab.compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.criteria import _require_finite, weighted_mean_constant
 from hardylab.errors import WorkbenchError
 from hardylab.operators import OperatorSpec, SequenceFamily
 from hardylab.reports import Tolerances, Verdict
-from hardylab.sequences import _triangular_sums_exact, libm_map
+from hardylab.sequences import _triangular_sums_exact, conjugate_exponent, libm_map
+from hardylab.verify import HARDY_TEST_FAMILIES, THEOREM6_FLOOR
 
 BLOCK = 1 << 14
 
@@ -286,3 +290,39 @@ def copson_ratios_with_tail(s: float, p: float, N: int, masses) -> list[float]:
     denom = power_sum(arr, p)
     suffix = neumaier_suffix_sums(arr)
     return [power_sum(tail_means(suffix, m), p) / denom for m in masses]
+
+
+# -- claims, one ratio call per input -------------------------------------------
+
+def tail_floor_random(seed: int) -> Verdict:
+    """Claim 2.1: the tail ratio at p = 1/2 of 200 seeded inputs."""
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    ok = True
+    for i in range(200):
+        if i % 3 == 0:
+            a = rng.random(1000)
+        elif i % 3 == 1:
+            a = -np.log(1.0 - rng.random(1000))
+        else:
+            a = rng.random(1000) * (rng.random(1000) < 0.2)
+            if not a.any():
+                a[0] = 1.0
+        r = operators.constant_ratio(operators.copson_tail(len(a)), a, 0.5)
+        worst = min(worst, r)
+        ok = ok and r >= THEOREM6_FLOOR - 1e-9
+    return Verdict("2.1-tail-floor-random", "thm6", ok, value=worst,
+                   detail="200 seeded nonnegative sequences, length 1000")
+
+
+def cesaro_cap() -> Verdict:
+    """Claim 7.3: the Cesaro norm ratios of the test families under q."""
+    cap_ok = True
+    worst_gap = math.inf
+    for fam in HARDY_TEST_FAMILIES:
+        for p in (1.25, 2.0, 3.0):
+            r = operators.norm_ratio(operators.cesaro(fam.length), fam, p)
+            q = conjugate_exponent(p)
+            cap_ok = cap_ok and r <= q + 1e-9
+            worst_gap = min(worst_gap, q - r)
+    return Verdict("7.3-cesaro-cap", "(1)", cap_ok, value=worst_gap)

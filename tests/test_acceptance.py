@@ -128,7 +128,7 @@ def test_criterion_3_reverse_machinery():
     rows = reverse_machinery_claims(N_MAX)
     # identity residual across every index, not a sample
     for p in (0.1, 0.2, 0.25, 1.0 / 3.0):
-        seq = levin_steckin_sequence(p, N_MAX)
+        seq = levin_steckin_sequence(p, N_MAX).materialize()  # built once
         n = np.arange(1, N_MAX + 1, dtype=float)
         shift = 1.0 / p - 2.0
         ident = (n + shift) / (1.0 + shift) * seq.weights()

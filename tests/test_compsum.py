@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hardylab.compsum import BLOCK, ExactSum, neumaier_prefix_sums, neumaier_suffix_sums
+from hardylab.compsum import (
+    BLOCK,
+    ExactSum,
+    NeumaierScan,
+    neumaier_prefix_sums,
+    neumaier_suffix_sums,
+)
 
 from conftest import WITHOUT_AVX512, python_output
 
@@ -200,6 +206,68 @@ class TestEdgeValues:
         want = loop_prefix_sums(x)
         assert np.all(np.isfinite(want))
         assert_same_bits(neumaier_prefix_sums(x), want)
+
+
+@st.composite
+def column_stacks(draw):
+    """Two to five columns of edge values side by side, and the row blocks
+    they are fed in (some empty)."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 40))
+    cols = [draw(st.lists(edge_floats, min_size=n, max_size=n)) for _ in range(m)]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    x = np.array(cols, dtype=float).reshape(m, n).T
+    edges = [0, *cuts, n]
+    return x, [x[lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
+class TestColumnStacks:
+    """A stack of series as columns: each column scanned and summed with the
+    bits of its own series, one carry per column."""
+
+    @given(column_stacks())
+    @example((np.array([[1.0, DEFAULT_NAN], [math.inf, 2.0], [-math.inf, 3.0]]), None))
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_scan_matches_loop_per_column(self, case):
+        x, blocks = case
+        blocks = blocks or [x[:1], x[1:]]
+        scan = NeumaierScan((max(map(len, blocks)), x.shape[1]))
+        out, lo = np.empty_like(x), 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for block in blocks:
+                scan(block, out[lo : lo + len(block)])
+                lo += len(block)
+        for j in range(x.shape[1]):
+            assert_same_bits(out[:, j].copy(), loop_prefix_sums(x[:, j]))
+
+    @given(column_stacks())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_exact_sum_matches_fsum_per_column(self, case):
+        x, blocks = case
+        acc = ExactSum((max(map(len, blocks)), x.shape[1]))
+        for block in blocks:
+            acc.add(block)
+        # the first column whose math.fsum raises raises for the stack
+        want = [fsum_outcome(math.fsum, x[:, j].tolist()) for j in range(x.shape[1])]
+        raised = [w for w in want if isinstance(w, type)]
+        try:
+            got = [total.hex() for total in acc.total(blocks)]
+        except (OverflowError, ValueError) as exc:
+            got = type(exc)
+        assert got == (raised[0] if raised else want)
+
+    def test_fallback_reads_each_uncertified_column(self, fallbacks):
+        n = BLOCK + 5
+        x = np.ones((n, 4))
+        x[:, 1] = 0.0  # a zero sum
+        x[3, 3] = math.inf
+        blocks = [x[:BLOCK], x[BLOCK:]]
+        acc = ExactSum((BLOCK, 4))
+        for block in blocks:
+            acc.add(block)
+        assert acc.total(blocks) == [float(n), 0.0, float(n), math.inf]
+        assert fallbacks == [n, n]
 
 
 class TestAccuracy:

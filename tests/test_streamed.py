@@ -42,6 +42,7 @@ from hardylab.operators import (
     power_decay_tail_bounds,
 )
 from hardylab.reports import Tolerances
+from hardylab.verify import hardy_bracketing_claims, theorem6_floor_claims
 from hardylab.sequences import (
     AuxSequence,
     knopp_sequence,
@@ -256,6 +257,94 @@ class TestRatiosMatchArrayForms:
         got = outcome(constant_ratio, op, a, 2.0)
         assert got == outcome(oracle.constant_ratio, op, a, 2.0)
         assert got[0] is WorkbenchError
+
+
+def stack_columns(seed: int, m: int, N: int) -> np.ndarray:
+    """m nonnegative inputs of N rows side by side: uniform, zero-heavy
+    (a few nonzero entries, or none past the first) and spread over many
+    binades, in turn."""
+    rng = np.random.default_rng(seed)
+    cols = []
+    for j in range(m):
+        a = rng.random(N)
+        if j % 3 == 1:
+            a *= rng.random(N) < 0.01
+            a[0] = 1.0
+        elif j % 3 == 2:
+            a *= 10.0 ** rng.uniform(-30.0, 30.0, N)
+        cols.append(a)
+    return np.array(cols).T
+
+
+def column_fields(verdict):
+    return (verdict.claim, verdict.ref, verdict.holds, verdict.value.hex(),
+            verdict.min_slack, verdict.first_failure, verdict.detail)
+
+
+class TestColumnStacks:
+    """A column stack's ratios against each column's own call: the bits of
+    every ratio, and the error a stack with a bad column raises."""
+
+    @given(
+        st.sampled_from([3, 7, 64, 100]),  # BLOCK // m rows per block
+        st.sampled_from([-1, 0, 1, None]),  # N at a block edge, or 2 blocks + 3
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.5, 1.0 / 3.0, 1.25, 2.0, 3.0]),
+        st.sampled_from([cesaro, lambda N: OperatorSpec("weighted_mean", N, alpha=2.5),
+                         copson_tail]),
+    )
+    @example(3, None, 1, 0.5, copson_tail)  # three blocks of 5461 rows
+    @example(64, 1, 2, 2.0, cesaro)  # two blocks of 256 rows
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_stack_matches_each_column(self, m, edge, seed, p, make_op):
+        rows = BLOCK // m
+        N = 2 * rows + 3 if edge is None else rows + edge
+        stack = stack_columns(seed, m, N)
+        op = make_op(N)
+        for fn in (constant_ratio, norm_ratio):
+            got = fn(op, stack, p)
+            assert isinstance(got, np.ndarray) and got.shape == (m,)
+            want = [fn(op, a, p).hex() for a in stack.T]
+            assert [r.hex() for r in got.tolist()] == want
+        # the layout of the stack does not change a bit
+        assert constant_ratio(op, np.ascontiguousarray(stack), p).tobytes() == \
+            constant_ratio(op, stack, p).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda a: np.where(np.arange(len(a)) == 300, math.nan, a),
+            lambda a: np.where(np.arange(len(a)) == 400, -1.0, a),
+            lambda a: np.zeros_like(a),
+            lambda a: np.where(np.arange(len(a)) == 7, 5e-324, 0.0),
+            lambda a: np.where(np.arange(len(a)) == 9, 1e200, a),
+            lambda a: np.where(np.arange(len(a)) == 500, math.inf, a),
+        ],
+        ids=["nan", "negative", "zero", "underflow", "overflow", "inf"],
+    )
+    @pytest.mark.parametrize("make_op", [cesaro, copson_tail], ids=["cesaro", "tail"])
+    @pytest.mark.parametrize("column", [0, 5, 63])
+    def test_bad_column_raises_its_own_error(self, bad, make_op, column):
+        m, N = 64, 2 * (BLOCK // 64) + 3  # three blocks
+        stack = stack_columns(11, m, N)
+        stack[:, column] = bad(stack[:, column])
+        op = make_op(N)
+        got = outcome(constant_ratio, op, stack, 2.0)
+        assert got == outcome(constant_ratio, op, stack[:, column].copy(), 2.0)
+        assert got[0] is WorkbenchError
+
+    @pytest.mark.parametrize("a", [np.ones((4, 0)), np.ones((4, 2, 2)), np.float64(1.0)],
+                             ids=["no-column", "3-d", "0-d"])
+    def test_input_shape_rejected(self, a):
+        with pytest.raises(WorkbenchError, match="^an input is a series or a stack"):
+            constant_ratio(cesaro(1), a, 2.0)
+
+    @pytest.mark.parametrize("seed", [12345, 4242, 777])
+    def test_claims_match_one_call_per_input(self, seed):
+        assert column_fields(theorem6_floor_claims(seed)[0]) == \
+            column_fields(oracle.tail_floor_random(seed))
+        (cap,) = [v for v in hardy_bracketing_claims(300) if v.claim == "7.3-cesaro-cap"]
+        assert column_fields(cap) == column_fields(oracle.cesaro_cap())
 
 
 def split(values, cuts):
