@@ -24,29 +24,30 @@ may also be a stack of series as columns, each scanned along axis 0 with a
 carry of its own: every operation is elementwise or a ``cumsum`` down a
 column, so each column gets the bits of its own scan.
 
-``ExactSum`` returns ``math.fsum``'s float by Rump, Ogita and Oishi's
+``ExactSum`` returns ``math.fsum``'s float for each column of a stack of
+series, a series being a stack of one column, by Rump, Ogita and Oishi's
 error-free extraction ("Accurate floating-point summation", SIAM J. Sci.
-Comput. 31, 2008), applied to each block on grids of its own.  With
+Comput. 31, 2008), applied to each block on each column's grids.  With
 ``|x_i| <= 2**-L * sigma``, ``n < 2**L`` and ``sigma`` a power of two,
 ``q = (x + sigma) - sigma`` rounds x onto the grid of ``2**-53 * sigma``
 exactly and ``x - q`` is x's exact remainder, at most ``2**-53 * sigma``.
 Any partial sum of the q's is then a multiple of the grid below ``sigma``,
-so ``np.sum`` adds a block's q's exactly in whatever order its SIMD loop
+so ``np.sum`` adds a column's q's exactly in whatever order its SIMD loop
 takes.  Three passes on grids ``2**(52 - L)`` apart leave a remainder whose
-sum is below a known bound; it keeps each block's three exact
-totals and its bound, and when the sum of every total minus every bound
+sum is below a known bound; it keeps each block's three exact totals and
+its bound per column, and when the sum of every total minus every bound
 rounds to the same float as that sum plus every bound (both by
 ``math.fsum`` of those few floats), that float is the exactly rounded sum.
 Only IEEE additions and subtractions and exact sums are used, so the bits
 do not depend on numpy's dispatch level.  A bracket that straddles a
 rounding boundary, an exactly zero sum, inf or NaN, or a block whose grid
-is out of the normal range falls back to ``math.fsum`` of the values formed
-again, which gives the same float and raises the same exceptions.  Two
-block buffers are allocated once per sum; no n-length array is formed.
-For a stack of series as columns, the grids, the certificate and the
-fallback are each column's own, and the block buffers are column-major, so
-a column's reductions read contiguous memory.  The extraction is exact in
-any order of summation, so it is exact per column too.
+is out of the normal range falls back to ``math.fsum`` of the column's
+values formed again, which gives the same float and raises the same
+ValueError; a column whose finite terms' sum overflows reads inf where
+``math.fsum`` raises OverflowError.  Each block's remainders overwrite the
+block, so one column-major block buffer, allocated once, holds the q's: a
+column's reductions read contiguous memory, and no n-length array is
+formed.
 """
 
 from __future__ import annotations
@@ -150,44 +151,26 @@ def neumaier_suffix_sums(values) -> np.ndarray:
     return out
 
 
-def _columns(x: np.ndarray) -> np.ndarray:
-    """A block as a stack of columns: a series is one column."""
-    return x[:, None] if x.ndim == 1 else x
-
-
 class ExactSum:
-    """math.fsum of a series given block by block, from each block's
-    extraction on its own grids; or of each column of a stack of series,
-    on each column's grids.
+    """math.fsum of each column of a stack of series given block by block,
+    from each block's extraction on each column's own grids.
 
-    ``shape`` is the largest block's: an int for a series, ``(rows,
-    columns)`` for a stack.  ``add`` takes the blocks in turn; ``total``
-    returns the sum, or the list of the columns' sums.
+    ``shape`` is the largest block's, ``(rows, columns)``.  ``add`` takes
+    the blocks in turn and leaves each block's remainders in it; ``total``
+    returns the list of the columns' sums, inf for a column whose finite
+    terms' sum overflows.
     """
 
-    def __init__(self, shape):
+    def __init__(self, shape: tuple[int, int]):
         self._q = np.empty(shape, order="F")
-        self._r = np.empty_like(self._q)
-        self._start()
-
-    def _start(self) -> None:
         # per block, row by row: each column's three exact totals and the
         # bound on its last remainder, 0 where it adds nothing
         self._terms, self._bounds = [], []
-        self._certified = [True] * _columns(self._q).shape[1]
-
-    def another(self) -> ExactSum:
-        """A sum of other blocks that shares this one's work buffers, so
-        that additions to the two may alternate."""
-        twin = object.__new__(ExactSum)
-        twin._q, twin._r = self._q, self._r
-        twin._start()
-        return twin
+        self._certified = [True] * shape[1]
 
     def add(self, x: np.ndarray) -> None:
         if not len(x):
             return
-        x = _columns(x)
         width = (len(x) + 1).bit_length()  # 2**width >= n + 2
         step = width - 52  # sigma_{k+1} = sigma_k * 2**step
         sigma, bounds = [], []
@@ -210,22 +193,21 @@ class ExactSum:
         if not any(bounds):
             return
         sigma = np.array(sigma).T
-        q, r = _columns(self._q[: len(x)]), _columns(self._r[: len(x)])
-        rest = x
+        q = self._q[: len(x)]
         # an uncertified column's quiet NaN grid turns even its inf - inf
         # into NaN without a warning; its terms are never read
         for k in range(3):
-            np.add(rest, sigma[k], out=q)
+            np.add(x, sigma[k], out=q)
             q -= sigma[k]
             self._terms += q.sum(axis=0).tolist()
             if k < 2:  # the last remainder is only bounded
-                rest = np.subtract(rest, q, out=r)
+                x -= q
         self._bounds += bounds
 
-    def total(self, again: Iterable[np.ndarray]):
-        """The sum, or the columns' sums; ``again`` holds the same blocks
-        anew, lazily, and is read once for each column no certificate
-        holds for (so a stack needs it re-iterable)."""
+    def total(self, again: Iterable[np.ndarray]) -> list[float]:
+        """The columns' sums; ``again`` holds the same blocks anew, lazily,
+        and is read once for each column no certificate holds for (so it
+        is re-iterable)."""
         m = len(self._certified)
         sums = []
         for j, certified in enumerate(self._certified):
@@ -239,7 +221,10 @@ class ExactSum:
                         continue
                 except OverflowError:  # let math.fsum decide
                     pass
-            sums.append(math.fsum(chain.from_iterable(
-                memoryview(_columns(block)[:, j]) for block in again
-            )))
-        return sums if self._q.ndim > 1 else sums[0]
+            try:
+                sums.append(math.fsum(chain.from_iterable(
+                    memoryview(block[:, j]) for block in again
+                )))
+            except OverflowError:  # finite terms whose sum overflows
+                sums.append(math.inf)
+        return sums

@@ -10,10 +10,8 @@ above (reverse, 0 < p < 1).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import starmap
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +19,14 @@ import numpy as np
 from .compsum import BLOCK, ExactSum, NeumaierScan
 from .errors import WorkbenchError
 from .sequences import power_sum_blocks, power_weights
+
+
+def _check_horizon(name: str, value) -> None:
+    """A horizon is an integer >= 1: a numpy integer is one, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise WorkbenchError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise WorkbenchError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,7 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("weighted_mean", "copson_tail"):
             raise WorkbenchError(f"unknown operator kind {self.kind!r}")
-        if self.truncation < 1:
-            raise WorkbenchError("truncation must be >= 1")
+        _check_horizon("truncation", self.truncation)
         if self.kind == "weighted_mean" and not (
             self.alpha is not None and math.isfinite(self.alpha)
         ):
@@ -71,8 +76,7 @@ class SequenceFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("power_decay", "delta", "geometric", "random"):
             raise WorkbenchError(f"unknown family kind {self.kind!r}")
-        if self.length < 1:
-            raise WorkbenchError("length must be >= 1")
+        _check_horizon("length", self.length)
         if self.kind == "geometric" and not (
             self.param is not None and 0.0 <= float(self.param) < 1.0
         ):
@@ -122,12 +126,14 @@ def _spans(N: int, rows: int, reverse: bool = False) -> list[tuple[int, int]]:
     return [(lo, min(lo + rows, N)) for lo in range(0, N, rows)]
 
 
-def _source(a, N: int):
+def _source(a, N: int, outputs: int):
     """(block, shape, stacked) for an input holding at least N rows:
     block(lo, hi) holds its rows lo..hi - 1 as an (hi - lo, m) array, one
     column per series (a series is one column), and shape is the largest
-    block's: BLOCK // m rows (one once m exceeds BLOCK), so at most BLOCK
-    elements.  Rows past N are never read, so never validated."""
+    block's: BLOCK // (outputs * m) rows (one once outputs * m exceeds
+    BLOCK), so that a block of the input, and one of an output with
+    ``outputs`` columns per series, holds at most BLOCK elements.  Rows
+    past N are never read, so never validated."""
     if isinstance(a, SequenceFamily):
         length, m, stacked = a.length, 1, False
         block = lambda lo, hi: a.block(lo, hi)[:, None]
@@ -145,26 +151,17 @@ def _source(a, N: int):
         block = lambda lo, hi: arr[lo:hi]
     if length < N:
         raise WorkbenchError(f"input length {length} < truncation {N}")
-    return block, (min(N, max(BLOCK // m, 1)), m), stacked
-
-
-class _Reread:
-    """The blocks make(*args) yields, formed anew each time they are read."""
-
-    def __init__(self, make, *args):
-        self._make, self._args = make, args
-
-    def __iter__(self):
-        return iter(self._make(*self._args))
+    return block, (min(N, max(BLOCK // (outputs * m), 1)), m), stacked
 
 
 def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
-    """Integral bracket for sum_{k>N} k**-s, s > 1:
+    """Integral bracket for sum_{k>N} k**-s, s > 1 and N >= 1 an integer:
 
         N**(1-s)/(s-1) - N**(-s)  <=  tail  <=  N**(1-s)/(s-1).
     """
     if not s > 1.0:
         raise WorkbenchError("tail converges only for s > 1")
+    _check_horizon("N", N)
     hi = N ** (1.0 - s) / (s - 1.0)
     return max(hi - N ** (-1.0 * s), 0.0), hi
 
@@ -173,7 +170,8 @@ def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray
     """Elementwise x**p for nonnegative x; exp/log route for non-integer p,
     where log(+-0) = -inf has exp +0.0.
 
-    A NaN entry stays NaN.  ``out``, if given, does not overlap x.
+    A NaN entry stays NaN.  ``out``, if given, is x itself or does not
+    overlap it.
     """
     if p == round(p):
         return np.power(x, float(p), out=out)
@@ -181,49 +179,6 @@ def _pow_p(x: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray
         out = np.log(x, out=out)
     np.multiply(p, out, out=out)
     return np.exp(out, out=out)
-
-
-class _PowerSum:
-    """Exactly rounded sum of x**p over blocks of x, added in turn, or of
-    each column's over blocks of a stack; out of domain once it leaves the
-    float range.
-
-    Powers that overflow are inf, and the sum rejects them; an input
-    rejected once it is read in full may meet log's domain first.  So the
-    caller runs it under np.errstate(over="ignore", invalid="ignore")."""
-
-    def __init__(self, p: float, shape):
-        self.p = p
-        self._powers = np.empty(shape, order="F")
-        self._sum = ExactSum(shape)
-
-    def another(self) -> _PowerSum:
-        """A sum of other blocks sharing this one's work buffers, so that
-        additions to the two may alternate."""
-        twin = object.__new__(_PowerSum)
-        twin.p, twin._powers, twin._sum = self.p, self._powers, self._sum.another()
-        return twin
-
-    def _pow(self, x: np.ndarray) -> np.ndarray:
-        return _pow_p(x, self.p, self._powers[: len(x)])
-
-    def add(self, x: np.ndarray) -> None:
-        self._sum.add(self._pow(x))
-
-    def total(self, again: Iterable[np.ndarray]):
-        """The sum, or the columns' sums; ``again`` holds the blocks of x
-        anew, lazily, read only should a sum need math.fsum of every power
-        (once per such column, so a stack needs it re-iterable)."""
-        try:
-            total = self._sum.total(_Reread(map, self._pow, again))
-        except OverflowError:  # finite terms whose sum overflows
-            total = math.inf
-        if not all(map(math.isfinite, total if isinstance(total, list) else [total])):
-            raise WorkbenchError(
-                f"the sum of p-th powers (p={self.p}) overflows; "
-                "choose a smaller family exponent or horizon"
-            )
-        return total
 
 
 def _check_exponent(p: float) -> None:
@@ -234,17 +189,17 @@ def _check_exponent(p: float) -> None:
 
 
 def _weighted_means(
-    alpha: float, block, N: int, shape
+    alpha: float, block, N: int, shape, out: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(a, A) block by block from the start, with A_n = (sum_{i<=n}
-    i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)) in each column; NaN or 0
-    where the weights' sums overflow (see _weight_sums_finite)."""
+    i**(alpha-1) a_i) / (sum_{i<=n} i**(alpha-1)) in each column, in the
+    rows of ``out``; NaN or 0 where the weights' sums overflow (see
+    _weight_sums_finite)."""
     scan = NeumaierScan(shape)
-    means = np.empty(shape, order="F")
     blocks = power_sum_blocks(alpha - 1.0, N, shape[0])
     for (lo, hi), (lam, total) in zip(_spans(N, shape[0]), blocks):
         x = block(lo, hi)
-        m = np.multiply(lam[:, None], x, out=means[: hi - lo])
+        m = np.multiply(lam[:, None], x, out=out[: hi - lo])
         scan(m, m)
         np.divide(m, total[:, None], out=m)
         yield x, m
@@ -262,46 +217,105 @@ def _weight_sums_finite(alpha: float, N: int) -> bool:
     return math.isfinite(total[-1])  # the sums never decrease
 
 
-def _suffix_blocks(block, N: int, shape) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(lo, a, sum_{k=n}^{N} a_k) over the indices n = lo + 1..hi of each
-    block from the end: the input block and its compensated suffix sums
-    in each column, in one reused buffer."""
+def _tail_mean_blocks(
+    block, N: int, shape, masses: tuple[float, ...], out: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(a, T) block by block from the end, with T_n = (1/n) (sum_{k=n}^{N}
+    a_k + mass) for each column's suffix sums broadcast against the row of
+    tail masses, in the rows of ``out``; the plain truncation (mass 0) of
+    nonnegative input is itself a valid finite-support instance."""
     scan = NeumaierScan(shape)
     sums = np.empty(shape, order="F")
     for lo, hi in _spans(N, shape[0], reverse=True):
         x, s = block(lo, hi), sums[: hi - lo]
         scan(x[::-1], s[::-1])
-        yield lo, x, s
+        means = np.add(s, masses, out=out[: hi - lo])
+        means /= np.arange(lo + 1, hi + 1, dtype=float)[:, None]
+        yield x, means
 
 
-def _tail_means(
-    suffix: np.ndarray, lo: int, tail_mass: float, out: np.ndarray
-) -> np.ndarray:
-    """T_n = (suffix_n + tail_mass) / n for n in lo + 1..lo + len(suffix),
-    in ``out``."""
-    means = np.add(suffix, tail_mass, out=out)
-    means /= np.arange(lo + 1, lo + len(suffix) + 1, dtype=float)[:, None]
-    return means
-
-
-def _tail_mean_blocks(
-    block, N: int, shape, tail_mass: float
+def _output(
+    op: OperatorSpec, block, N: int, shape, masses: tuple[float, ...], out: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(a, T) block by block from the end, with T_n = (1/n) (sum_{k=n}^{N}
-    a_k + tail_mass); the plain truncation of nonnegative input is itself
-    a valid finite-support instance."""
-    means = np.empty(shape, order="F")
-    for lo, x, s in _suffix_blocks(block, N, shape):
-        yield x, _tail_means(s, lo, tail_mass, means[: len(s)])
-
-
-def _output(op: OperatorSpec, block, N: int, shape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(a, op a) block by block over the same indices, for the input
-    block(lo, hi) holds: the weighted means from the start, the tail means
-    from the end."""
+    block(lo, hi) holds, op a in the rows of ``out``: the weighted means
+    from the start, the tail means (one column per mass) from the end."""
     if op.kind == "weighted_mean":
-        return _weighted_means(float(op.alpha), block, N, shape)
-    return _tail_mean_blocks(block, N, shape, 0.0)
+        return _weighted_means(float(op.alpha), block, N, shape, out)
+    return _tail_mean_blocks(block, N, shape, masses, out)
+
+
+class _PowerBlocks:
+    """The blocks [a**p | (op a)**p] of one pass, in the rows of a
+    column-major workspace: the input's m columns, then the output's, one
+    per series and mass.  They are formed anew each time they are read,
+    and reading them records whether the input has a negative or NaN
+    entry."""
+
+    def __init__(
+        self, op: OperatorSpec, block, N: int, shape, p: float, masses: tuple[float, ...]
+    ):
+        self._args = op, block, N, shape, masses
+        self.p, self.m = p, shape[1]
+        self.work = np.empty((shape[0], self.m * (1 + len(masses))), order="F")
+        self.negative = self.nan = False
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        m = self.m
+        for x, _ in _output(*self._args, self.work[:, m:]):
+            if not np.all(x >= 0.0):  # one pass; NaN fails the comparison too
+                self.negative = True
+                self.nan = self.nan or bool(np.isnan(x).any())
+            w = self.work[: len(x)]
+            w[:, :m] = x
+            yield _pow_p(w, self.p, w)
+
+
+def _check_finite(sums: list[float], p: float) -> None:
+    """Sums of p-th powers are out of domain once they leave the float range."""
+    if not all(map(math.isfinite, sums)):
+        raise WorkbenchError(
+            f"the sum of p-th powers (p={p}) overflows; "
+            "choose a smaller family exponent or horizon"
+        )
+
+
+def _ratios(op: OperatorSpec, a, p: float, masses: tuple[float, ...] = (0.0,)):
+    """(ratios, stacked): the ratio sum (op a)_n**p / sum a_n**p of each
+    column of ``a`` (see constant_ratio), from one pass that adds each
+    block of both sides' powers to one exact sum, and whether ``a`` is a
+    stack.  A tail operator adds each of the masses to its suffix sums,
+    one ratio per mass; more than one mass takes a single series."""
+    _check_exponent(p)
+    N = op.truncation
+    block, shape, stacked = _source(a, N, len(masses))
+    powers = _PowerBlocks(op, block, N, shape, p, masses)
+    acc = ExactSum(powers.work.shape)
+    # an entry that overflows is inf, and its powers' sum is rejected;
+    # an input rejected once it is read in full may meet log's domain first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in powers:
+            acc.add(w)
+        if powers.nan:
+            raise WorkbenchError("inputs must not be NaN")
+        if powers.negative:
+            raise WorkbenchError("inputs must be nonnegative")
+        # sums of nonnegative terms: none depends on the blocks' order
+        sums = acc.total(powers)
+    denoms, numers = sums[: shape[1]], sums[shape[1] :]
+    _check_finite(denoms, p)
+    if 0.0 in denoms:
+        j = denoms.index(0.0)
+        for lo, hi in _spans(N, shape[0]):
+            if block(lo, hi)[:, j].any():
+                raise WorkbenchError(f"every a_n**p underflows to 0 (p={p})")
+        raise WorkbenchError("input is identically zero on the truncation")
+    if op.kind == "weighted_mean" and not _weight_sums_finite(float(op.alpha), N):
+        raise WorkbenchError(
+            f"the weights i**(alpha-1) overflow at alpha={float(op.alpha)}"
+        )
+    _check_finite(numers, p)
+    return [n / d for n, d in zip(numers, denoms * len(masses))], stacked
 
 
 def constant_ratio(op: OperatorSpec, a, p: float):
@@ -311,46 +325,12 @@ def constant_ratio(op: OperatorSpec, a, p: float):
     column, whose m ratios come back as an array, each with the bits of its
     column's own call.  p is checked, then the input's length; then one
     pass reads the input and forms the operator's output block by block,
-    checking the input and summing both sides' powers per column.  The
-    input errors come first, then the denominator's (its overflow, then a
-    zero), then the weights', then the numerator's; a stack raises the
-    first of these any column meets.
+    checking the input and adding both sides' powers, as the columns of one
+    block, to one exact sum.  The input errors come first, then the
+    denominator's (its overflow, then a zero), then the weights', then the
+    numerator's; a stack raises the first of these any column meets.
     """
-    _check_exponent(p)
-    N = op.truncation
-    block, shape, stacked = _source(a, N)
-    denom = _PowerSum(p, shape)
-    numer = denom.another()
-    nan = negative = False
-    # an entry that overflows is inf, and its powers' sum is rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, means in _output(op, block, N, shape):
-            if not np.all(x >= 0.0):  # one pass; NaN fails the comparison too
-                negative = True
-                nan = nan or bool(np.isnan(x).any())
-            denom.add(x)
-            numer.add(means)
-        if nan:
-            raise WorkbenchError("inputs must not be NaN")
-        if negative:
-            raise WorkbenchError("inputs must be nonnegative")
-        # sums of nonnegative terms: neither depends on the blocks' order
-        spans = _spans(N, shape[0])
-        totals = denom.total(_Reread(starmap, block, spans))
-        if 0.0 in totals:
-            j = totals.index(0.0)
-            for x in starmap(block, spans):
-                if x[:, j].any():
-                    raise WorkbenchError(f"every a_n**p underflows to 0 (p={p})")
-            raise WorkbenchError("input is identically zero on the truncation")
-        if op.kind == "weighted_mean" and not _weight_sums_finite(float(op.alpha), N):
-            raise WorkbenchError(
-                f"the weights i**(alpha-1) overflow at alpha={float(op.alpha)}"
-            )
-        numers = numer.total(
-            _Reread(map, itemgetter(1), _Reread(_output, op, block, N, shape))
-        )
-    ratios = [n / d for n, d in zip(numers, totals)]
+    ratios, stacked = _ratios(op, a, p)
     return np.array(ratios) if stacked else ratios[0]
 
 
@@ -393,33 +373,17 @@ def copson_ratio_with_tail(s: float, p: float, N: int) -> TailCorrectedRatio:
     without the analytic correction for the dropped tail mass beyond N (both
     bracket ends).
 
-    One pass forms the family and its suffix sums once, block by block
-    from the end, for the denominator and all three tail masses; each ratio
-    has constant_ratio's bits.
+    This is constant_ratio's pass with the three tail masses (0, low, high)
+    as a row against the family's suffix sums: it forms the family and its
+    suffix sums once, block by block from the end, and adds the four
+    columns of powers to one exact sum.  Each ratio has the bits of its
+    mass's own sum over constant_ratio's denominator, the uncorrected one
+    constant_ratio's own.
     """
     fam = SequenceFamily("power_decay", N, s)
     lo, hi = power_decay_tail_bounds(s, N)
-    _check_exponent(p)
-    block, shape, _ = _source(fam, N)
-    masses = (0.0, lo, hi)
-    # k**-s lies in [0, 1] for s > 1: nothing to check; the denominator is
-    # >= 1, the k = 1 term
-    denom = _PowerSum(p, shape)
-    sums = [denom.another() for _ in masses]
-    means = np.empty(shape, order="F")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, x, suffix in _suffix_blocks(block, N, shape):
-            denom.add(x)
-            for mass, acc in zip(masses, sums):
-                acc.add(_tail_means(suffix, k, mass, means[: len(suffix)]))
-        spans = _spans(N, shape[0])
-        (total,) = denom.total(_Reread(starmap, block, spans))
-        return TailCorrectedRatio(*(
-            acc.total(_Reread(
-                map, itemgetter(1), _Reread(_tail_mean_blocks, block, N, shape, mass)
-            ))[0] / total
-            for mass, acc in zip(masses, sums)
-        ))
+    ratios, _ = _ratios(copson_tail(N), fam, p, (0.0, lo, hi))
+    return TailCorrectedRatio(*ratios)
 
 
 class ExtremalResult(NamedTuple):

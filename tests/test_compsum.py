@@ -17,14 +17,14 @@ from conftest import WITHOUT_AVX512, python_output
 
 
 def exact_sum(values) -> float:
-    """ExactSum over the blocks of one array: math.fsum(values), bit for
-    bit, exceptions included."""
+    """ExactSum over the blocks of one array as a column: math.fsum(values),
+    bit for bit, exceptions included but OverflowError, which reads inf."""
     x = np.asarray(values, dtype=float)
-    acc = ExactSum(min(len(x), BLOCK))
-    blocks = [x[lo : lo + BLOCK] for lo in range(0, len(x), BLOCK)]
+    acc = ExactSum((min(len(x), BLOCK), 1))
+    blocks = [x[lo : lo + BLOCK, None] for lo in range(0, len(x), BLOCK)]
     for block in blocks:
-        acc.add(block)
-    return acc.total(blocks)
+        acc.add(block.copy())
+    return acc.total(blocks)[0]
 
 
 def loop_prefix_sums(values) -> np.ndarray:
@@ -247,7 +247,7 @@ class TestColumnStacks:
         x, blocks = case
         acc = ExactSum((max(map(len, blocks)), x.shape[1]))
         for block in blocks:
-            acc.add(block)
+            acc.add(block.copy())
         # the first column whose math.fsum raises raises for the stack
         want = [fsum_outcome(math.fsum, x[:, j].tolist()) for j in range(x.shape[1])]
         raised = [w for w in want if isinstance(w, type)]
@@ -265,9 +265,22 @@ class TestColumnStacks:
         blocks = [x[:BLOCK], x[BLOCK:]]
         acc = ExactSum((BLOCK, 4))
         for block in blocks:
-            acc.add(block)
+            acc.add(block.copy())
         assert acc.total(blocks) == [float(n), 0.0, float(n), math.inf]
         assert fallbacks == [n, n]
+
+
+    def test_overflowing_column_reads_inf(self):
+        # finite terms whose sum overflows: that column reads inf, and the
+        # others keep their sums
+        x = wide_range(np.random.default_rng(5), 2 * 40).reshape(40, 2)
+        x = np.insert(x, 1, 1e308, axis=1)
+        blocks = [x[:25], x[25:]]
+        acc = ExactSum((25, 3))
+        for block in blocks:
+            acc.add(block.copy())
+        assert acc.total(blocks) == [math.fsum(x[:, 0].tolist()), math.inf,
+                                     math.fsum(x[:, 2].tolist())]
 
 
 class TestAccuracy:
@@ -284,10 +297,13 @@ class TestAccuracy:
 
 
 def fsum_outcome(fn, values):
-    """fn(values) as a hex string, or the type of the exception it raises."""
+    """fn(values) as a hex string, or the type of the exception it raises;
+    an OverflowError of finite terms reads inf, as ExactSum returns it."""
     try:
         return fn(values).hex()
-    except (OverflowError, ValueError) as exc:
+    except OverflowError:
+        return math.inf.hex()
+    except ValueError as exc:
         return type(exc)
 
 
@@ -316,11 +332,11 @@ import hashlib, math
 import numpy as np
 from hardylab.compsum import BLOCK, ExactSum
 def exact_sum(x):
-    acc = ExactSum(min(len(x), BLOCK))
-    blocks = [x[lo : lo + BLOCK] for lo in range(0, len(x), BLOCK)]
+    acc = ExactSum((min(len(x), BLOCK), 1))
+    blocks = [x[lo : lo + BLOCK, None] for lo in range(0, len(x), BLOCK)]
     for block in blocks:
-        acc.add(block)
-    return acc.total(blocks)
+        acc.add(block.copy())
+    return acc.total(blocks)[0]
 for fn in (exact_sum, lambda x: math.fsum(x.tolist())):
     rng = np.random.default_rng(23)
     h = hashlib.sha256()

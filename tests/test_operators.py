@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardylab import operators, sequences
-from hardylab.compsum import BLOCK, neumaier_prefix_sums, neumaier_suffix_sums
+from hardylab.compsum import BLOCK, ExactSum, neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.errors import WorkbenchError
 from hardylab.operators import (
     OperatorSpec,
     SequenceFamily,
     _pow_p,
-    _PowerSum,
     cesaro,
     constant_ratio,
     copson_ratio_with_tail,
@@ -34,20 +33,23 @@ def apply(op: OperatorSpec, a) -> np.ndarray:
     """The operator's output on a valid input: its blocks, streamed from the
     start or from the end, joined in index order."""
     N = op.truncation
-    block, shape, _ = operators._source(a, N)
-    blocks = [m[:, 0].copy() for _, m in operators._output(op, block, N, shape)]
+    block, shape, _ = operators._source(a, N, 1)
+    out = np.empty(shape, order="F")
+    blocks = [m[:, 0].copy() for _, m in operators._output(op, block, N, shape, (0.0,), out)]
     return np.concatenate(blocks if op.kind == "weighted_mean" else blocks[::-1])
 
 
 def power_sum(x: np.ndarray, p: float) -> float:
-    """_PowerSum over the blocks of one array, under the errstate its
-    callers set."""
-    blocks = [x[lo : lo + BLOCK] for lo in range(0, len(x), BLOCK)]
-    acc = _PowerSum(p, len(x))
+    """The exact sum of the powers of the blocks of one array, under the
+    errstate the ratios' pass sets, checked as the pass checks its sums."""
+    blocks = [_pow_p(x[lo : lo + BLOCK], p)[:, None] for lo in range(0, len(x), BLOCK)]
+    acc = ExactSum((len(x), 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for block in blocks:
-            acc.add(block)
-        return acc.total(blocks)
+            acc.add(block.copy())
+        (total,) = acc.total(blocks)
+    operators._check_finite([total], p)
+    return total
 
 
 class TestSpecs:
@@ -91,6 +93,34 @@ class TestSpecs:
         # a NaN used to construct and then turn every ratio into NaN
         with pytest.raises(WorkbenchError):
             make()
+
+    # a horizon that is no integer >= 1 used to fail later with a TypeError,
+    # or to run a truncated horizon (length 2.5 read 2 entries)
+    @pytest.mark.parametrize("N", [2.5, True, math.nan, np.float64(3.0)])
+    def test_truncation_must_be_an_integer(self, N):
+        with pytest.raises(WorkbenchError, match="^truncation must be an integer, got"):
+            copson_tail(N)
+
+    @pytest.mark.parametrize("N", [2.5, False, np.float64(3.0)])
+    def test_length_must_be_an_integer(self, N):
+        with pytest.raises(WorkbenchError, match="^length must be an integer, got"):
+            SequenceFamily("delta", N)
+
+    def test_tail_ratio_horizon_must_be_an_integer(self):
+        with pytest.raises(WorkbenchError, match=r"^length must be an integer, got 100\.5$"):
+            copson_ratio_with_tail(2.0, 0.5, 100.5)
+
+    @pytest.mark.parametrize("N, rule", [(0, "^N must be >= 1$"), (-3, "^N must be >= 1$"),
+                                         (2.5, r"^N must be an integer, got 2\.5$")])
+    def test_tail_bounds_horizon(self, N, rule):
+        with pytest.raises(WorkbenchError, match=rule):
+            power_decay_tail_bounds(2.0, N)
+
+    def test_numpy_integer_horizons_accepted(self):
+        N = np.int64(3)
+        assert constant_ratio(copson_tail(N), SequenceFamily("delta", N), 2.0) == \
+            constant_ratio(copson_tail(3), SequenceFamily("delta", 3), 2.0)
+        assert power_decay_tail_bounds(2.0, N) == power_decay_tail_bounds(2.0, 3)
 
     def test_family_values(self):
         assert SequenceFamily("delta", 4).block(0, 4) == pytest.approx([1, 0, 0, 0])
@@ -345,6 +375,35 @@ class TestOperatorAppliedOnce:
             reads.clear()
             ratios(op, self.FAMILIES[2])
             assert reads == [2000]
+
+    @pytest.mark.parametrize(
+        "call, blocks",
+        [
+            # blocks of BLOCK // m rows, BLOCK // 3 with three tail masses
+            (lambda: constant_ratio(cesaro(2 * BLOCK + 5),
+                                    SequenceFamily("power_decay", 2 * BLOCK + 5, 0.6), 2.0), 3),
+            (lambda: constant_ratio(copson_tail(BLOCK),
+                                    SequenceFamily("random", BLOCK, 7), 0.5), 1),
+            (lambda: constant_ratio(copson_tail(3 * (BLOCK // 4)),
+                                    np.ones((3 * (BLOCK // 4), 4)), 2.0), 3),
+            (lambda: copson_ratio_with_tail(2.0, 0.5, 2 * (BLOCK // 3) + 5), 3),
+        ],
+        ids=["cesaro", "tail", "stack", "tail-masses"],
+    )
+    def test_one_exact_sum_per_ratio(self, monkeypatch, call, blocks):
+        # both sides' powers (and every tail mass's) are the columns of one
+        # block, added to one sum once per block
+        sums = []
+        add = ExactSum.add
+
+        def spy(acc, x):
+            sums.append(acc)
+            return add(acc, x)
+
+        monkeypatch.setattr(ExactSum, "add", spy)
+        call()
+        assert len(sums) == blocks
+        assert all(acc is sums[0] for acc in sums)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_tail_ratios_match_constant_ratio(self, scans, s):
