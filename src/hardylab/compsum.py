@@ -129,24 +129,26 @@ class NeumaierScan:
 
 
 def neumaier_prefix_sums(values, out: np.ndarray | None = None) -> np.ndarray:
-    """Prefix sums out[k] = values[0] + ... + values[k] with compensation.
+    """Prefix sums out[k] = values[0] + ... + values[k] with compensation,
+    down each column of a stack of series.
 
-    ``out``, if given, is a float array of the same length that receives
+    ``out``, if given, is a float array of the same shape that receives
     the sums; it may be ``values`` itself.
     """
     x = np.asarray(values, dtype=float)
     if out is None:
-        out = np.empty(len(x))
-    scan = NeumaierScan(min(len(x), BLOCK))
+        out = np.empty(x.shape)
+    scan = NeumaierScan((min(len(x), BLOCK), *x.shape[1:]))
     for lo in range(0, len(x), BLOCK):
         scan(x[lo : lo + BLOCK], out[lo : lo + BLOCK])
     return out
 
 
 def neumaier_suffix_sums(values) -> np.ndarray:
-    """Suffix sums out[k] = values[k] + ... + values[-1] with compensation."""
+    """Suffix sums out[k] = values[k] + ... + values[-1] with compensation,
+    down each column of a stack of series."""
     x = np.asarray(values, dtype=float)
-    out = np.empty(len(x))
+    out = np.empty(x.shape)
     neumaier_prefix_sums(x[::-1], out=out[::-1])
     return out
 

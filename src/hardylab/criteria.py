@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import WorkbenchError
+from .errors import WorkbenchError, check_horizon
 from .compsum import BLOCK
 from .reports import Tolerances, Verdict, build_report, fold_report
 from .sequences import (
@@ -307,8 +307,7 @@ def check_2_4(
         raise WorkbenchError(f"established range needs p >= 3, got {p}")
     if p == math.inf:
         raise WorkbenchError(f"established range needs a finite p, got {p}")
-    if count < 1:
-        raise WorkbenchError("empty grid")
+    check_horizon("count", count, message="empty grid")
     alphas = np.linspace(0.0, 1.0 / p, count)
     log_lhs = p * np.log1p(-1.0 / ((alphas + 1.0) * p))
     with np.errstate(divide="ignore"):

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the workbench."""
+"""Exception and warning types shared across the workbench, and the one
+check of a horizon."""
+
+import numpy as np
 
 
 class WorkbenchError(ValueError):
@@ -7,3 +10,13 @@ class WorkbenchError(ValueError):
 
 class TailTruncationWarning(RuntimeWarning):
     """The truncated tail of a nominally infinite sum may not be negligible."""
+
+
+def check_horizon(name: str, value, least: int = 1, message: str = "") -> None:
+    """Reject a horizon that is not an integer >= least: a numpy integer is
+    one, a bool is not.  ``message``, if given, names the rule a value
+    below least breaks; else it is "<name> must be >= <least>"."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise WorkbenchError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise WorkbenchError(message or f"{name} must be >= {least}")

@@ -17,16 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .compsum import BLOCK, ExactSum, NeumaierScan
-from .errors import WorkbenchError
+from .errors import WorkbenchError, check_horizon
 from .sequences import power_sum_blocks, power_weights
-
-
-def _check_horizon(name: str, value) -> None:
-    """A horizon is an integer >= 1: a numpy integer is one, a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise WorkbenchError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise WorkbenchError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,7 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("weighted_mean", "copson_tail"):
             raise WorkbenchError(f"unknown operator kind {self.kind!r}")
-        _check_horizon("truncation", self.truncation)
+        check_horizon("truncation", self.truncation)
         if self.kind == "weighted_mean" and not (
             self.alpha is not None and math.isfinite(self.alpha)
         ):
@@ -76,7 +68,7 @@ class SequenceFamily:
     def __post_init__(self) -> None:
         if self.kind not in ("power_decay", "delta", "geometric", "random"):
             raise WorkbenchError(f"unknown family kind {self.kind!r}")
-        _check_horizon("length", self.length)
+        check_horizon("length", self.length)
         if self.kind == "geometric" and not (
             self.param is not None and 0.0 <= float(self.param) < 1.0
         ):
@@ -161,7 +153,7 @@ def power_decay_tail_bounds(s: float, N: int) -> tuple[float, float]:
     """
     if not s > 1.0:
         raise WorkbenchError("tail converges only for s > 1")
-    _check_horizon("N", N)
+    check_horizon("N", N)
     hi = N ** (1.0 - s) / (s - 1.0)
     return max(hi - N ** (-1.0 * s), 0.0), hi
 

@@ -25,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .compsum import neumaier_prefix_sums, neumaier_suffix_sums
-from .errors import TailTruncationWarning, WorkbenchError
+from .errors import TailTruncationWarning, WorkbenchError, check_horizon
 from .reports import Tolerances, Verdict, build_report
-from .sequences import conjugate_exponent, libm_map
+from .sequences import libm_map
 
 
 @dataclass(frozen=True)
@@ -53,36 +53,138 @@ class RedhefferParams:
             raise WorkbenchError(f"need c >= beta, got c={self.c} < {self.beta}")
 
 
-def _positive_input(x, length: int, name: str) -> np.ndarray:
-    """The first ``length`` entries of 1-d x, checked finite and positive."""
+def _columns(p, n, length=None):
+    """(m, ps, ns, lengths) for a lemma call: m is None for one instance
+    (p, n and the support length numbers, the inputs 1-d), else the number
+    of instances (p, n and the lengths 1-d arrays of m entries, the inputs
+    stacks of m columns); ps, ns and lengths list each instance's value as
+    given, lengths None when there is none."""
+    if np.ndim(p) == np.ndim(n) == np.ndim(length) == 0:
+        return None, [p], [n], None if length is None else [length]
+    ps, ns = np.asarray(p), np.asarray(n)
+    if not (
+        ps.ndim == ns.ndim == 1
+        and len(ps) == len(ns) > 0
+        and (length is None or np.shape(length) == ns.shape)
+    ):
+        raise WorkbenchError(
+            "p, n and a support length are numbers, or 1-d arrays of one length"
+        )
+    lengths = None if length is None else np.asarray(length).tolist()
+    return len(ps), ps.tolist(), ns.tolist(), lengths
+
+
+def _stack(x, name: str, m: int | None) -> np.ndarray:
+    """x with one column per instance: a 1-d x is one (m None)."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise WorkbenchError(f"{name} must be a 1-d array")
-    arr = arr[:length]
-    if len(arr) < length or np.any(arr <= 0.0):
-        raise WorkbenchError(f"{name} must be positive and long enough")
-    if not np.isfinite(arr).all():
-        raise WorkbenchError(f"{name} must be finite")
+    if m is None:
+        if arr.ndim != 1:
+            raise WorkbenchError(f"{name} must be a 1-d array")
+        return arr[:, None]
+    if arr.ndim != 2 or arr.shape[1] != m:
+        raise WorkbenchError(f"{name} must be a 2-d stack of {m} columns")
     return arr
 
 
+def _rows(counts: list[int]) -> np.ndarray:
+    """The mask of rows r < counts[j] in each column j."""
+    return np.arange(max(counts))[:, None] < np.array(counts)
+
+
+def _positive_input(x, live: np.ndarray, name: str, m: int | None) -> np.ndarray:
+    """The rows of x (see _stack) that ``live`` spans, checked finite and
+    positive where it holds and 1.0 where it does not: entries past an
+    instance's horizon are never read."""
+    arr = _stack(x, name, m)[: len(live)]
+    if len(arr) < len(live) or (live & (arr <= 0.0)).any():
+        raise WorkbenchError(f"{name} must be positive and long enough")
+    if not (np.isfinite(arr) | ~live).all():
+        raise WorkbenchError(f"{name} must be finite")
+    return np.where(live, arr, 1.0)
+
+
 def _weighted_terms(
-    lam_arr: np.ndarray, a_arr: np.ndarray, scan
+    lam: np.ndarray, a: np.ndarray, live: np.ndarray, scan
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The products lam_i a_i and their compensated ``scan`` (prefix or
-    suffix sums).  An overflowed or underflowed product, or a sum past the
-    float range, would put an inf, NaN or zero term into the lemma."""
+    """The products lam_i a_i, 0 where ``live`` does not hold, and their
+    compensated ``scan`` (prefix or suffix sums) down each column.  An
+    overflowed or underflowed product, or a sum past the float range, would
+    put an inf, NaN or zero term into the lemma."""
     with np.errstate(over="ignore"):
-        lam_a = lam_arr * a_arr
+        lam_a = lam * a
+    positive = (lam_a > 0.0) | ~live
+    lam_a[~live] = 0.0
     sums = scan(lam_a)
-    if not (np.all(lam_a > 0.0) and np.isfinite(sums).all()):
+    if not (positive.all() and (np.isfinite(sums) | ~live).all()):
         raise WorkbenchError(
             "each lam_i a_i and their sum must be positive and finite floats"
         )
     return lam_a, sums
 
 
-def lemma_6_1_residual(lam, a, mu, eta, p: float, n: int) -> float:
+def _powers(x: np.ndarray, e, where: np.ndarray, overflow_inf=False) -> np.ndarray:
+    """x**e through the C library at the entries ``where`` holds, with one
+    exponent per column, and 1.0 elsewhere.  An overflow raises
+    OverflowError, or reads inf with ``overflow_inf``, by numpy's scalar
+    power (libm's pow too, with the same bits)."""
+    out = np.ones(x.shape)
+    base, exponent = x[where], np.broadcast_to(e, x.shape)[where]
+    if overflow_inf:
+        with np.errstate(over="ignore"):
+            powers = map(np.float64.__pow__, base, exponent)
+            out[where] = np.fromiter(powers, float, len(base))
+    else:
+        out[where] = libm_map(pow, base, exponent)
+    return out
+
+
+def _column_fsums(terms: np.ndarray, counts):
+    """math.fsum of the first counts[j] entries of each column j, in turn."""
+    for column, k in zip(np.ascontiguousarray(terms.T), counts):
+        yield math.fsum(memoryview(column[:k]))
+
+
+_OVERFLOW = "a power of the multipliers or of the sums overflows the float range (p={})"
+
+
+def _partial_sum_powers(mu, eta, S, lam_a, q, inv_p, live, inner, overflow_inf=False):
+    """(d, C, S**(1/p), (lam a)**(1/p)) with d_i = mu_i**q - eta_i**q and
+    C_i = d_i**(1/q) (inf or 0 where d_i = 0, for q < 0 or q > 0), at the
+    rows the partial-sum lemma reads: i = 2..n (``inner``) but i = 1..n
+    (``live``) for lam a."""
+    with np.errstate(invalid="ignore"):  # inf - inf, where an overflow is inf
+        d = _powers(mu, q, inner, overflow_inf) - _powers(eta, q, inner, overflow_inf)
+    C = _powers(d, 1.0 / q, inner & (d > 0.0), overflow_inf)
+    C = np.where(d > 0.0, C, np.where(q < 0.0, math.inf, 0.0))
+    S_power = _powers(S, inv_p, inner, overflow_inf)
+    return d, C, S_power, _powers(lam_a, inv_p, live, overflow_inf)
+
+
+def _first_power_failure(d, C, P, L, live, inner, ns) -> tuple[int, bool] | None:
+    """(j, ordering) for the first column j whose one-instance call fails
+    among the powers that _partial_sum_powers forms, an overflow read as
+    inf, or None.  ``ordering`` is whether that call meets a negative d_i
+    before any overflow.  Each event's rank in that call's order: S_n**(1/p)
+    first; then, for i = 2..n-1, C_{i+1} (an overflowing mu or eta power,
+    then a negative d, then an overflowing d**(1/q)) and S_i**(1/p); then
+    C_2; then (lam_i a_i)**(1/p) for i = 1..n."""
+    coef_over = ~np.isfinite(d) | ((d > 0.0) & (C == math.inf))
+    coef_bad = inner & (coef_over | (d < 0.0))
+    power_bad = inner & (P == math.inf)
+    last_bad = live & (L == math.inf)
+    if not (coef_bad.any() or power_bad.any() or last_bad.any()):
+        return None
+    i = np.arange(len(live))[:, None] + 1  # row i - 1 holds index i
+    never = 4 * len(live)
+    coef = np.where(coef_bad, np.where(i == 2, 2 * ns - 3, 2 * i - 5), never)
+    rank = np.minimum(coef, np.where(power_bad, np.where(i == ns, 0, 2 * i - 2), never))
+    rank = np.minimum(rank, np.where(last_bad, 2 * ns - 3 + i, never))
+    j = int(np.argmax(rank.min(axis=0) < never))
+    row = int(np.argmin(rank[:, j]))
+    return j, bool(coef[row, j] == rank[row, j] and not coef_over[row, j])
+
+
+def lemma_6_1_residual(lam, a, mu, eta, p, n):
     """RHS - LHS of the partial-sum recurrent inequality at horizon n >= 2:
 
         sum_{i=2}^{n-1} (mu_i - (mu_{i+1}**q - eta_{i+1}**q)**(1/q)) S_i**(1/p)
@@ -94,51 +196,71 @@ def lemma_6_1_residual(lam, a, mu, eta, p: float, n: int) -> float:
     mu_i >= eta_i when p < 0; only mu_i, eta_i with i <= n are read.  A
     nonnegative return confirms the instance.  When mu_i = eta_i the
     coefficient degenerates (for 0 < p < 1 it blows up to +inf) and the
-    inequality holds trivially.  The terms are Python floats, so a power that
-    leaves the float range raises.
+    inequality holds trivially.
+
+    With numbers p and n, lam, a, mu and eta are 1-d and the residual is a
+    float.  With 1-d arrays of m entries, they are stacks of m columns, one
+    instance per column, whose rows past the column's n are never read, and
+    the m residuals come back as an array, each with the bits of its
+    column's own call.  Every power is the C library's pow per element, the
+    left side is added term by term in the order above (the n-th term
+    first), and the right side's sum is math.fsum's.  A power that leaves
+    the float range raises.  A stack raises the first check any column
+    fails, in the order of the one-instance call, with its message; among
+    the powers, the first failing column's.
     """
-    if n < 2:
-        raise WorkbenchError("horizon must satisfy n >= 2")
-    if not math.isfinite(p):
-        raise WorkbenchError(f"p must be finite, got {p}")
-    mu = _positive_input(mu, n, "mu")
-    eta = _positive_input(eta, n, "eta")
-    if 0.0 < p < 1.0:
-        if np.any(mu > eta):
+    m, ps, ns, _ = _columns(p, n)
+    for k in ns:
+        check_horizon("n", k, 2, "horizon must satisfy n >= 2")
+    bad = [x for x in ps if not math.isfinite(x)]
+    if bad:
+        raise WorkbenchError(f"p must be finite, got {bad[0]}")
+    p_arr, n_arr = np.array(ps, dtype=float), np.array(ns)
+    live = _rows(ns)
+    mu = _positive_input(mu, live, "mu", m)
+    eta = _positive_input(eta, live, "eta", m)
+    regime = (0.0 < p_arr) & (p_arr < 1.0)
+    wrong = (live & np.where(regime, mu > eta, mu < eta)).any(axis=0)
+    wrong |= ~(regime | (p_arr < 0.0))
+    if wrong.any():
+        j = int(np.argmax(wrong))
+        if regime[j]:
             raise WorkbenchError("0 < p < 1 requires mu_i <= eta_i")
-    elif p < 0.0:
-        if np.any(mu < eta):
+        if p_arr[j] < 0.0:
             raise WorkbenchError("p < 0 requires mu_i >= eta_i")
-    else:
-        raise WorkbenchError(f"lemma regime needs p < 1, p != 0; got {p}")
-    q = conjugate_exponent(p)
-    lam_arr = _positive_input(lam, n, "lambda")
-    a_arr = _positive_input(a, n, "a")
-    mu, eta = mu.tolist(), eta.tolist()
-    lam_a, S = _weighted_terms(lam_arr, a_arr, neumaier_prefix_sums)
-    lam_a, S = lam_a.tolist(), S.tolist()
+        raise WorkbenchError(f"lemma regime needs p < 1, p != 0; got {ps[j]}")
+    q = p_arr / (p_arr - 1.0)
+    lam = _positive_input(lam, live, "lambda", m)
+    a = _positive_input(a, live, "a", m)
+    lam_a, S = _weighted_terms(lam, a, live, neumaier_prefix_sums)
 
-    def coef(i: int) -> float:
-        d = mu[i - 1] ** q - eta[i - 1] ** q
-        if d < 0.0:
-            raise WorkbenchError("multiplier ordering violated numerically")
-        if d == 0.0:
-            return math.inf if q < 0.0 else 0.0
-        return d ** (1.0 / q)
-
-    inv_p = 1.0 / p
+    inner = live.copy()
+    inner[0] = False
+    args = mu, eta, S, lam_a, q, 1.0 / p_arr, live, inner
     try:
-        lhs = mu[n - 1] * S[n - 1] ** inv_p
-        for i in range(2, n):
-            lhs += (mu[i - 1] - coef(i + 1)) * S[i - 1] ** inv_p
-        rhs = coef(2) * lam_a[0] ** inv_p
-        rhs += math.fsum(eta[i - 1] * lam_a[i - 1] ** inv_p for i in range(2, n + 1))
-    except OverflowError:
-        raise WorkbenchError(
-            f"a power of the multipliers or of the sums overflows the float "
-            f"range (p={p})"
-        ) from None
-    return rhs - lhs
+        d, C, P, L = _partial_sum_powers(*args)
+    except OverflowError:  # formed again to find the column, an overflow read as inf
+        d, C, P, L = _partial_sum_powers(*args, overflow_inf=True)
+    failure = _first_power_failure(d, C, P, L, live, inner, n_arr)
+    if failure:
+        j, ordering = failure
+        if ordering:
+            raise WorkbenchError("multiplier ordering violated numerically")
+        raise WorkbenchError(_OVERFLOW.format(ps[j]))
+    cols = np.arange(len(ps))
+    # IEEE arithmetic as on Python floats: inf - inf is NaN, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = mu[n_arr - 1, cols] * P[n_arr - 1, cols]
+        for i, term in enumerate((mu[1:-1] - C[2:]) * P[1:-1], start=1):
+            np.add(lhs, term, out=lhs, where=i <= n_arr - 2)
+        sums = []
+        try:
+            for s in _column_fsums(eta[1:] * L[1:], n_arr - 1):
+                sums.append(s)
+        except OverflowError:
+            raise WorkbenchError(_OVERFLOW.format(ps[len(sums)])) from None
+        residuals = C[1] * L[0] + sums - lhs
+    return residuals if m else float(residuals[0])
 
 
 def _gap(mu: np.ndarray, eta: np.ndarray, p) -> np.ndarray:
@@ -183,7 +305,7 @@ def lemma_6_2_step(mu, eta, p, t) -> np.ndarray:
     return lhs - gap
 
 
-def lemma_6_2_residual(lam, a, mu, eta, p: float, n: int) -> float:
+def lemma_6_2_residual(lam, a, mu, eta, p, n, length=None):
     """LHS - RHS of the tail-sum recurrent inequality at horizon n >= 2:
 
         mu_1 S_1**p
@@ -192,40 +314,62 @@ def lemma_6_2_residual(lam, a, mu, eta, p: float, n: int) -> float:
 
     D_i = (mu_i**(1/(1-p)) - eta_i**(1/(1-p)))**(1-p) and S_k the tail sums
     of lam*a, for mu_i >= eta_i; only mu_i, eta_i with i <= n are read.
-    Inputs are finite-support truncations; if the last retained term is not
-    negligible a TailTruncationWarning is emitted.
+    Inputs are finite-support truncations of ``length`` entries (all of a
+    by default); if the last retained term is not negligible a
+    TailTruncationWarning is emitted, once per call.
+
+    With numbers p and n (and length), lam, a, mu and eta are 1-d and the
+    residual is a float.  With 1-d arrays of m entries, they are stacks of
+    m columns, one instance per column, whose rows past the column's n (mu
+    and eta) or length (lam and a) are never read, and the m residuals come
+    back as an array, each with the bits of its column's own call.  Every
+    power is the C library's pow per element and each sum is math.fsum's.
+    A stack raises the first check any column fails, in the order of the
+    one-instance call, with its message.
     """
-    if not 0.0 < p < 1.0:
-        raise WorkbenchError(f"needs 0 < p < 1, got {p}")
-    if n < 2:
-        raise WorkbenchError("horizon must satisfy n >= 2")
-    mu = _positive_input(mu, n, "mu")
-    eta = _positive_input(eta, n, "eta")
-    if np.any(mu < eta):
+    m, ps, ns, lengths = _columns(p, n, length)
+    bad = [x for x in ps if not 0.0 < x < 1.0]
+    if bad:
+        raise WorkbenchError(f"needs 0 < p < 1, got {bad[0]}")
+    for k in ns:
+        check_horizon("n", k, 2, "horizon must satisfy n >= 2")
+    p_arr, n_arr = np.array(ps, dtype=float), np.array(ns)
+    live = _rows(ns)
+    mu = _positive_input(mu, live, "mu", m)
+    eta = _positive_input(eta, live, "eta", m)
+    if (live & (mu < eta)).any():
         raise WorkbenchError("tail-sum regime requires mu_i >= eta_i")
-    a_arr = _positive_input(a, np.size(a), "a")
-    length = len(a_arr)
-    if n > length:
+    if lengths is None:
+        lengths = [len(_stack(a, "a", m))] * len(ps)
+    else:
+        for k in lengths:
+            check_horizon("length", k)
+    support = _rows(lengths)
+    a = _positive_input(a, support, "a", m)
+    if any(k > length for k, length in zip(ns, lengths)):
         raise WorkbenchError("horizon exceeds the truncated input")
-    lam_arr = _positive_input(lam, length, "lambda")
-    _, tails = _weighted_terms(lam_arr, a_arr, neumaier_suffix_sums)
-    if lam_arr[-1] * a_arr[-1] > 1e-8 * tails[0]:
+    lam = _positive_input(lam, support, "lambda", m)
+    lam_a, tails = _weighted_terms(lam, a, support, neumaier_suffix_sums)
+    cols, l_arr = np.arange(len(ps)), np.array(lengths)
+    if (lam_a[l_arr - 1, cols] > 1e-8 * tails[0]).any():
         warnings.warn(
             "last retained term is not negligible; tail truncation may bias S",
             TailTruncationWarning,
             stacklevel=2,
         )
 
-    def S(k: int) -> float:
-        return float(tails[k - 1]) if k <= length else 0.0
-
-    D = _gap(mu, eta, p)  # D[i - 1] is D_i
-    lhs = mu[0] * S(1) ** p - D[n - 1] * S(n + 1) ** p
-    lhs += math.fsum((mu[i - 1] - D[i - 2]) * S(i) ** p for i in range(2, n + 1))
-    rhs = math.fsum(
-        eta[i - 1] * lam_arr[i - 1] ** p * a_arr[i - 1] ** p for i in range(1, n + 1)
-    )
-    return lhs - rhs
+    D = np.ones(mu.shape)  # D[i - 1] is D_i
+    D[live] = _gap(mu[live], eta[live], np.broadcast_to(p_arr, mu.shape)[live])
+    # S_k**p for k = 1..n + 1 <= length, and S_{n+1}**p = 0 past the support
+    Sp = _powers(tails, p_arr, support & (np.arange(len(tails))[:, None] <= n_arr))
+    last = np.where(n_arr < l_arr, Sp[np.minimum(n_arr, len(Sp) - 1), cols], 0.0)
+    k = len(mu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = mu[0] * Sp[0] - D[n_arr - 1, cols] * last
+        lhs += list(_column_fsums((mu[1:] - D[:-1]) * Sp[1:k], n_arr - 1))
+        terms = eta * _powers(lam[:k], p_arr, live) * _powers(a[:k], p_arr, live)
+        residuals = lhs - list(_column_fsums(terms, n_arr))
+    return residuals if m else float(residuals[0])
 
 
 def _first_branch(p: float, c, beta):
@@ -262,8 +406,7 @@ def _second_branch(p: float, c, beta, n) -> np.ndarray:
 
 def _branch_values(params: RedhefferParams, n_max: int) -> np.ndarray:
     """The larger of the two branches at each n = 2..n_max."""
-    if n_max < 2:
-        raise WorkbenchError("need n_max >= 2")
+    check_horizon("n_max", n_max, 2, "need n_max >= 2")
     p, c, beta = params.p, params.c, params.beta
     ns = np.arange(2, n_max + 1)
     return np.maximum(_first_branch(p, c, beta), _second_branch(p, c, beta, ns))
@@ -422,8 +565,8 @@ def scan_params(
     """
     if not 0.0 < p < 1.0:
         raise WorkbenchError(f"p must lie in (0, 1), got {p}")
-    if n_max < 2:  # the best point's check needs it; reject before the grid
-        raise WorkbenchError("need n_max >= 2")
+    # the best point's check needs it; reject before the grid
+    check_horizon("n_max", n_max, 2, "need n_max >= 2")
     c_vals = np.asarray(default_c_grid() if c_grid is None else list(c_grid), float)
     b_vals = np.asarray(
         default_beta_grid(p) if beta_grid is None else list(beta_grid), float

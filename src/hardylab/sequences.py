@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .compsum import BLOCK, NeumaierScan
-from .errors import WorkbenchError
+from .errors import WorkbenchError, check_horizon
 
 
 def conjugate_exponent(p: float) -> float:
@@ -195,8 +195,7 @@ def _power_law_blocks(exponent: float, count: int):
 def _ratio_recurrence(shift: float, n_max: int) -> AuxSequence:
     """The sequence of w_{n+1} = ((n + shift)/n) w_n, with compensated W and
     log w, formed block by block as a check reads it."""
-    if n_max < 1:
-        raise WorkbenchError("n_max must be >= 1")
+    check_horizon("n_max", n_max)
     return AuxSequence(n_max, ("recurrence", shift))
 
 
@@ -285,8 +284,7 @@ def power_sums(a: float, n_max: int) -> np.ndarray:
 
 def power_aux_sequence(exponent: float, n_max: int) -> AuxSequence:
     """Power weights w_n = n**exponent (w_1 = 1 automatically)."""
-    if n_max < 1:
-        raise WorkbenchError("n_max must be >= 1")
+    check_horizon("n_max", n_max)
     return AuxSequence(n_max, ("power", exponent))
 
 
@@ -314,8 +312,7 @@ def power_sum_bound_check(r: float, n: int, form: str) -> PowerSumBounds:
     or a bound's pow or expm1, past the float range is out of domain; a
     finite sum does not rule out the latter.
     """
-    if n < 1:
-        raise WorkbenchError("n must be >= 1")
+    check_horizon("n", n)
     if form == "product":
         if not 0.0 <= r <= 1.0:
             raise WorkbenchError(f"product form needs 0 <= r <= 1, got r={r}")

@@ -316,35 +316,42 @@ def lemma_suite_claims(seed: int) -> list[Verdict]:
     ]
 
     rng = np.random.default_rng(seed)
-    residuals = []
+    # each lemma's 100 instances, drawn in turn into the rows of buffers,
+    # go to one call as the columns of stacks; each residual has the bits
+    # of its own call, and rows past an instance's n are never read
+    lam, a, mu, eta = (np.ones((100, 24)) for _ in range(4))
+    n, p = np.empty(100, dtype=int), np.empty(100)
     for i in range(100):
-        n = int(rng.integers(2, 25))
-        lam = rng.uniform(0.5, 1.5, n)
-        a = rng.uniform(0.5, 1.5, n)
+        k = n[i] = rng.integers(2, 25)
+        lam[i, :k] = rng.uniform(0.5, 1.5, k)
+        a[i, :k] = rng.uniform(0.5, 1.5, k)
         if i % 4 == 3:
-            p = float(rng.uniform(-2.0, -0.2))
-            eta = rng.uniform(0.1, 1.0, n)
-            mu = eta + rng.uniform(0.0, 1.0, n)
+            p[i] = rng.uniform(-2.0, -0.2)
+            eta[i, :k] = rng.uniform(0.1, 1.0, k)
+            mu[i, :k] = eta[i, :k] + rng.uniform(0.0, 1.0, k)
         else:
-            p = float(rng.uniform(0.15, 0.85))
-            eta = rng.uniform(0.1, 1.1, n)
-            mu = eta * rng.uniform(0.05, 1.0, n)
-        residuals.append(lemma_6_1_residual(lam, a, mu, eta, p, n))
+            p[i] = rng.uniform(0.15, 0.85)
+            eta[i, :k] = rng.uniform(0.1, 1.1, k)
+            mu[i, :k] = eta[i, :k] * rng.uniform(0.05, 1.0, k)
+    residuals = lemma_6_1_residual(lam.T, a.T, mu.T, eta.T, p, n)
     worst61 = float(np.min(residuals))  # a NaN residual propagates
     rows.append(
         Verdict("8.4-partial-sum-lemma", "6.1", worst61 >= -1e-12, value=worst61)
     )
 
-    residuals = []
-    for _ in range(100):
-        n = int(rng.integers(2, 25))
-        length = n + int(rng.integers(30, 45))
-        lam = rng.uniform(0.5, 1.5, length)
-        a = rng.uniform(0.5, 1.5, length) * 0.5 ** np.arange(length)
-        p = float(rng.uniform(0.1, 0.9))
-        eta = rng.uniform(0.1, 1.1, n)
-        mu = eta + rng.uniform(0.0, 1.0, n)
-        residuals.append(lemma_6_2_residual(lam, a, mu, eta, p, n))
+    # supports of n + 30..n + 44 <= 68 entries
+    lam, a = np.ones((100, 68)), np.ones((100, 68))
+    mu, eta = np.ones((100, 24)), np.ones((100, 24))
+    length = np.empty(100, dtype=int)
+    for i in range(100):
+        k = n[i] = rng.integers(2, 25)
+        size = length[i] = k + rng.integers(30, 45)
+        lam[i, :size] = rng.uniform(0.5, 1.5, size)
+        a[i, :size] = rng.uniform(0.5, 1.5, size) * 0.5 ** np.arange(size)
+        p[i] = rng.uniform(0.1, 0.9)
+        eta[i, :k] = rng.uniform(0.1, 1.1, k)
+        mu[i, :k] = eta[i, :k] + rng.uniform(0.0, 1.0, k)
+    residuals = lemma_6_2_residual(lam.T, a.T, mu.T, eta.T, p, n, length=length)
     worst62 = float(np.min(residuals))
     rows.append(
         Verdict("8.5-tail-sum-lemma", "6.5", worst62 >= -1e-12, value=worst62)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from hardylab import operators
+from hardylab import operators, redheffer
 from hardylab.compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.criteria import _require_finite, weighted_mean_constant
 from hardylab.errors import WorkbenchError
@@ -292,7 +292,7 @@ def copson_ratios_with_tail(s: float, p: float, N: int, masses) -> list[float]:
     return [power_sum(tail_means(suffix, m), p) / denom for m in masses]
 
 
-# -- claims, one ratio call per input -------------------------------------------
+# -- claims, one ratio or lemma call per input ----------------------------------
 
 def tail_floor_random(seed: int) -> Verdict:
     """Claim 2.1: the tail ratio at p = 1/2 of 200 seeded inputs."""
@@ -326,3 +326,38 @@ def cesaro_cap() -> Verdict:
             cap_ok = cap_ok and r <= q + 1e-9
             worst_gap = min(worst_gap, q - r)
     return Verdict("7.3-cesaro-cap", "(1)", cap_ok, value=worst_gap)
+
+
+def lemma_claims(seed: int) -> list[Verdict]:
+    """Claims 8.4 and 8.5: the partial-sum and tail-sum lemmas on 100
+    seeded instances each, drawn from one generator in that order."""
+    rng = np.random.default_rng(seed)
+    residuals = []
+    for i in range(100):
+        n = int(rng.integers(2, 25))
+        lam = rng.uniform(0.5, 1.5, n)
+        a = rng.uniform(0.5, 1.5, n)
+        if i % 4 == 3:
+            p = float(rng.uniform(-2.0, -0.2))
+            eta = rng.uniform(0.1, 1.0, n)
+            mu = eta + rng.uniform(0.0, 1.0, n)
+        else:
+            p = float(rng.uniform(0.15, 0.85))
+            eta = rng.uniform(0.1, 1.1, n)
+            mu = eta * rng.uniform(0.05, 1.0, n)
+        residuals.append(redheffer.lemma_6_1_residual(lam, a, mu, eta, p, n))
+    worst61 = float(np.min(residuals))
+    rows = [Verdict("8.4-partial-sum-lemma", "6.1", worst61 >= -1e-12, value=worst61)]
+    residuals = []
+    for _ in range(100):
+        n = int(rng.integers(2, 25))
+        length = n + int(rng.integers(30, 45))
+        lam = rng.uniform(0.5, 1.5, length)
+        a = rng.uniform(0.5, 1.5, length) * 0.5 ** np.arange(length)
+        p = float(rng.uniform(0.1, 0.9))
+        eta = rng.uniform(0.1, 1.1, n)
+        mu = eta + rng.uniform(0.0, 1.0, n)
+        residuals.append(redheffer.lemma_6_2_residual(lam, a, mu, eta, p, n))
+    worst62 = float(np.min(residuals))
+    rows.append(Verdict("8.5-tail-sum-lemma", "6.5", worst62 >= -1e-12, value=worst62))
+    return rows

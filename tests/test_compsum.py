@@ -270,6 +270,18 @@ class TestColumnStacks:
         assert fallbacks == [n, n]
 
 
+    @pytest.mark.parametrize("n", [1, 7, BLOCK + 3])
+    def test_prefix_and_suffix_sums_of_a_stack(self, n):
+        # each column with the bits of its own series, over several blocks
+        x = wide_range(np.random.default_rng(n), 3 * n).reshape(n, 3)
+        for fn, loop in ((neumaier_prefix_sums, loop_prefix_sums),
+                         (neumaier_suffix_sums, loop_suffix_sums)):
+            got = fn(x)
+            assert got.shape == x.shape
+            for j in range(3):
+                assert_same_bits(got[:, j].copy(), loop(x[:, j]))
+                assert_same_bits(got[:, j].copy(), fn(x[:, j]))
+
     def test_overflowing_column_reads_inf(self):
         # finite terms whose sum overflows: that column reads inf, and the
         # others keep their sums

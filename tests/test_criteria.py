@@ -483,6 +483,12 @@ class TestScalarPowerFamily:
         with pytest.raises(WorkbenchError, match="empty grid"):
             check_2_4(3.0, 0)
 
+    @pytest.mark.parametrize("count", [2.5, 7.0, True])
+    def test_grid_size_must_be_an_integer(self, count):
+        # linspace used to end in a TypeError or take a float count
+        with pytest.raises(WorkbenchError, match=f"^count must be an integer, got {count!r}$"):
+            check_2_4(3.0, count)
+
 
 class TestShiftedPowerChoice:
     def test_first_index_direct_evaluation(self, with_slacks):

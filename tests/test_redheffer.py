@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hardylab import redheffer
+import array_oracles as oracle
+from hardylab import redheffer, verify
 from hardylab.compsum import neumaier_prefix_sums, neumaier_suffix_sums
 from hardylab.errors import TailTruncationWarning, WorkbenchError
 from hardylab.redheffer import (
@@ -748,3 +749,286 @@ class TestTailMeanFloorConsequence:
             lhs = math.fsum(np.sqrt(tails / np.arange(1, 1001)).tolist())
             rhs = 0.8967 * math.fsum(np.sqrt(a).tolist())
             assert lhs >= rhs * (1.0 - 1e-12)
+
+
+def stack_of(columns, rows: int, fill: float) -> np.ndarray:
+    """The 1-d arrays as the columns of a (rows, m) stack, ``fill`` past
+    each one's end."""
+    out = np.full((rows, len(columns)), fill)
+    for j, x in enumerate(columns):
+        out[: len(x), j] = x
+    return out
+
+
+def partial_instance(n: int, seed: int, negative: bool, equal: bool):
+    """(lam, a, mu, eta, p) of the partial-sum lemma at horizon n: p < 0 or
+    0 < p < 1, and mu = eta (a zero or an inf coefficient) if ``equal``."""
+    rng = np.random.default_rng(seed)
+    lam, a = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    eta = rng.uniform(0.1, 1.1, n)
+    bump = 0.0 if equal else rng.uniform(0.0, 1.0, n)
+    if negative:
+        return lam, a, eta + bump, eta, float(rng.uniform(-2.0, -0.2))
+    return lam, a, eta / (1.0 + bump), eta, float(rng.uniform(0.15, 0.85))
+
+
+def tail_instance(n: int, extra: int, seed: int, equal: bool):
+    """(lam, a, mu, eta, p) of the tail-sum lemma at horizon n, with a
+    support of n + extra entries."""
+    rng = np.random.default_rng(seed)
+    length = n + extra
+    lam = rng.uniform(0.5, 1.5, length)
+    a = rng.uniform(0.5, 1.5, length) * 0.5 ** np.arange(length)
+    eta = rng.uniform(0.1, 1.1, n)
+    mu = eta + (0.0 if equal else rng.uniform(0.0, 1.0, n))
+    return lam, a, mu, eta, float(rng.uniform(0.05, 0.95))
+
+
+# past a column's horizon: never read, so any value, NaN included
+FILLS = st.sampled_from([math.nan, math.inf, 0.0, -1.0, 1.0])
+
+
+class TestLemmaStacks:
+    """A column stack of lemma instances against each column's own call and
+    its Python float oracle, bit for bit, and the error a stack raises."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 12), st.integers(0, 2**32 - 1), st.booleans(),
+                      st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 3),
+        FILLS,
+    )
+    @example([(2, 1, False, False), (12, 2, True, True), (5, 3, False, True)], 0,
+             math.nan)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_partial_sum_stack_matches_each_call(self, cases, extra, fill):
+        # both regimes in one stack, n = 2 up to n = rows, mu = eta
+        insts = [partial_instance(*case) for case in cases]
+        rows = max(n for n, *_ in cases) + extra
+        stacks = [stack_of([x[k] for x in insts], rows, fill) for k in range(4)]
+        p = np.array([x[4] for x in insts])
+        n = np.array([case[0] for case in cases])
+        got = lemma_6_1_residual(*stacks, p, n)
+        assert isinstance(got, np.ndarray) and got.shape == (len(cases),)
+        for j, (lam, a, mu, eta, p_j) in enumerate(insts):
+            want = lemma_6_1_residual(lam, a, mu, eta, p_j, int(n[j]))
+            assert isinstance(want, float)
+            assert want.hex() == partial_residual_oracle(lam, a, mu, eta, p_j, n[j]).hex()
+            assert float(got[j]).hex() == want.hex()
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 12), st.integers(0, 40), st.integers(0, 2**32 - 1),
+                      st.booleans()),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 3),
+        FILLS,
+    )
+    @example([(2, 0, 1, False), (12, 40, 2, True), (7, 0, 3, False)], 0, math.nan)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_tail_sum_stack_matches_each_call(self, cases, extra, fill):
+        # ragged supports, n = 2 up to n = length (where S_{n+1} = 0)
+        insts = [tail_instance(*case) for case in cases]
+        n = np.array([case[0] for case in cases])
+        length = np.array([len(x[0]) for x in insts])
+        rows = [max(n) + extra, max(length) + extra]
+        stacks = [stack_of([x[k] for x in insts], rows[k < 2], fill) for k in range(4)]
+        p = np.array([x[4] for x in insts])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TailTruncationWarning)
+            got = lemma_6_2_residual(*stacks, p, n, length=length)
+            assert got.shape == (len(cases),)
+            for j, (lam, a, mu, eta, p_j) in enumerate(insts):
+                want = lemma_6_2_residual(lam, a, mu, eta, p_j, int(n[j]))
+                assert isinstance(want, float)
+                assert want.hex() == tail_residual_oracle(lam, a, mu, eta, p_j, n[j]).hex()
+                assert float(got[j]).hex() == want.hex()
+
+    def test_a_stack_raises_the_first_check_any_column_fails(self):
+        # column 0 fails eta's check, column 1 mu's, which comes first
+        ones = np.ones((3, 2))
+        mu, eta = np.full((3, 2), 0.5), ones.copy()
+        eta[1, 0], mu[2, 1] = 0.0, -1.0
+        p, n = np.array([0.5, 0.5]), np.array([3, 3])
+        with pytest.raises(WorkbenchError, match="^mu must be positive and long enough$"):
+            lemma_6_1_residual(ones, ones, mu, eta, p, n)
+        # among the regime checks, the first failing column's message
+        mu[2, 1], eta[1, 0] = 0.5, 1.0
+        mu[0, 0] = 2.0
+        with pytest.raises(WorkbenchError, match="0 < p < 1 requires mu_i <= eta_i"):
+            lemma_6_1_residual(ones, ones, mu, eta, np.array([0.5, 2.0]), n)
+        with pytest.raises(WorkbenchError, match="regime needs p < 1, p != 0; got 2.0"):
+            lemma_6_1_residual(ones, ones, mu, eta, np.array([2.0, 0.5]), n)
+        # the tail-sum lemma: a horizon past its support (column 0) comes
+        # before a zero lambda (column 1)
+        lam, a = np.ones((40, 2)), 0.5 ** np.arange(40)[:, None] * ones[:1]
+        lam[5, 1] = 0.0
+        mu, eta = np.full((4, 2), 2.0), np.ones((4, 2))
+        with pytest.raises(WorkbenchError, match="^horizon exceeds the truncated input$"):
+            lemma_6_2_residual(lam, a, mu, eta, np.array([0.5, 0.5]), np.array([4, 4]),
+                               length=np.array([3, 40]))
+        with pytest.raises(WorkbenchError, match="^lambda must be positive and long"):
+            lemma_6_2_residual(lam, a, mu, eta, np.array([0.5, 0.5]), np.array([4, 4]))
+
+    def test_an_overflowing_column_raises_its_own_error(self):
+        # columns 1 and 2 overflow (the sum's and the multipliers' powers):
+        # the stack raises column 1's message, with its p
+        cols = [(1.0, 0.5, 1.0, 0.5), (1e10, 0.5, 1.0, 0.01), (1.0, 1e-5, 2e-5, 0.99)]
+        lam = np.array([[x] * 4 for x, *_ in cols]).T
+        mu = np.array([[m] * 4 for _, m, _, _ in cols]).T
+        eta = np.array([[e] * 4 for _, _, e, _ in cols]).T
+        p, n = np.array([c[3] for c in cols]), np.array([4, 4, 4])
+        errors = []
+        for j in (1, 2):
+            with pytest.raises(WorkbenchError, match="overflows the float range") as exc:
+                lemma_6_1_residual(lam[:, j], lam[:, j], mu[:, j], eta[:, j], p[j], 4)
+            errors.append(str(exc.value))
+        assert errors[0] != errors[1]
+        with pytest.raises(WorkbenchError) as exc:
+            lemma_6_1_residual(lam, lam, mu, eta, p, n)
+        assert str(exc.value) == errors[0]
+        with pytest.raises(WorkbenchError) as exc:
+            lemma_6_1_residual(lam[:, 2:], lam[:, 2:], mu[:, 2:], eta[:, 2:], p[2:], n[2:])
+        assert str(exc.value) == errors[1]
+
+    @pytest.mark.parametrize(
+        "bad, ordering",
+        [
+            ([("d", 2, -1.0), ("P", 1, math.inf)], True),  # C_3 before S_2
+            ([("d", 2, -1.0), ("P", 3, math.inf)], False),  # S_n first of all
+            ([("d", 1, -1.0), ("P", 2, math.inf)], False),  # S_3 before C_2
+            ([("d", 1, -1.0), ("L", 0, math.inf)], True),  # C_2 before lam_1 a_1
+            ([("d", 2, math.inf), ("d", 3, -1.0)], False),  # C_3 overflows before C_4
+            ([("C", 2, math.inf), ("d", 3, -1.0)], False),  # d_3**(1/q) before C_4
+            ([("d", 3, -1.0), ("L", 3, math.inf)], True),
+        ],
+    )
+    def test_power_failures_keep_the_one_instance_order(self, bad, ordering):
+        # rows i - 1 = 0..3 of one column at n = 4, every power finite but
+        # the ones named; a negative d is the ordering error
+        arrays = {name: np.ones((4, 1)) for name in ("d", "C", "P", "L")}
+        for name, row, value in bad:
+            arrays[name][row, 0] = value
+        live = np.ones((4, 1), dtype=bool)
+        inner = live.copy()
+        inner[0] = False
+        got = redheffer._first_power_failure(*arrays.values(), live, inner, np.array([4]))
+        assert got == (0, ordering)
+        no_failure = {name: np.ones((4, 1)) for name in arrays}
+        assert redheffer._first_power_failure(*no_failure.values(), live, inner,
+                                              np.array([4])) is None
+
+    def test_truncation_warning_is_raised_once(self):
+        a = 0.5 ** np.arange(1, 7)[:, None] * np.ones((1, 3))
+        lam, mu, eta = np.ones((6, 3)), np.full((4, 3), 2.0), np.ones((4, 3))
+        with pytest.warns(TailTruncationWarning) as record:
+            lemma_6_2_residual(lam, a, mu, eta, np.full(3, 0.5), np.full(3, 4))
+        assert len(record) == 1
+
+    @pytest.mark.parametrize(
+        "p, n, length",
+        [
+            (np.array([0.5, 0.5]), 3, None),
+            (0.5, np.array([3, 3]), None),
+            (np.array([0.5, 0.5]), np.array([3, 3, 3]), None),
+            (np.array([[0.5]]), np.array([[3]]), None),
+            (np.array([0.5, 0.5]), np.array([3, 3]), 40),
+        ],
+        ids=["p-only", "n-only", "unequal", "2-d", "scalar-length"],
+    )
+    def test_form_errors(self, p, n, length):
+        lam, a = np.ones((40, 2)), 0.5 ** np.arange(40)[:, None] * np.ones((1, 2))
+        mu, eta = np.full((3, 2), 2.0), np.ones((3, 2))
+        message = "^p, n and a support length are numbers, or 1-d arrays of one length$"
+        with pytest.raises(WorkbenchError, match=message):
+            lemma_6_2_residual(lam, a, mu, eta, p, n, length=length)
+        if length is None:
+            with pytest.raises(WorkbenchError, match=message):
+                lemma_6_1_residual(lam, a, mu * 0.25, eta, p, n)
+
+    @pytest.mark.parametrize("which", ["lam", "a", "mu", "eta"])
+    def test_stack_columns_must_match(self, which):
+        args = {"lam": np.ones((3, 2)), "a": np.ones((3, 2)), "mu": np.full((3, 2), 0.5),
+                "eta": np.ones((3, 2))}
+        args[which] = args[which][:, :1] if which != "a" else args[which][:, 0]
+        name = "lambda" if which == "lam" else which
+        with pytest.raises(WorkbenchError, match=f"^{name} must be a 2-d stack of 2 columns$"):
+            lemma_6_1_residual(*args.values(), np.full(2, 0.5), np.full(2, 3))
+
+
+class TestIntegerHorizons:
+    """A horizon is an integer: a float or a bool is rejected by name, where
+    it used to end in a TypeError or be read as its floor."""
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, True])
+    def test_partial_sum_lemma(self, n):
+        ones = np.ones(4)
+        with pytest.raises(WorkbenchError, match=f"^n must be an integer, got {n!r}$"):
+            lemma_6_1_residual(ones, ones, np.full(4, 0.5), ones, 0.5, n)
+        with pytest.raises(WorkbenchError, match="^n must be an integer"):
+            lemma_6_1_residual(ones[:, None], ones[:, None], np.full((4, 1), 0.5),
+                               ones[:, None], np.array([0.5]), np.array([n]))
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, True])
+    def test_tail_sum_lemma(self, n):
+        a = 0.5 ** np.arange(40)
+        with pytest.raises(WorkbenchError, match=f"^n must be an integer, got {n!r}$"):
+            lemma_6_2_residual(np.ones(40), a, np.full(4, 2.0), np.ones(4), 0.5, n)
+        with pytest.raises(WorkbenchError, match="^length must be an integer, got 40.0$"):
+            lemma_6_2_residual(np.ones((40, 1)), a[:, None], np.full((4, 1), 2.0),
+                               np.ones((4, 1)), np.array([0.5]), np.array([4]),
+                               length=np.array([40.0]))
+        with pytest.raises(WorkbenchError, match="^length must be >= 1$"):
+            lemma_6_2_residual(np.ones((40, 1)), a[:, None], np.full((4, 1), 2.0),
+                               np.ones((4, 1)), np.array([0.5]), np.array([4]),
+                               length=np.array([0]))
+
+    def test_two_branch_condition(self):
+        with pytest.raises(WorkbenchError, match="^n_max must be an integer, got 10.5$"):
+            condition_6_49_check(THIRD, 10.5, 1.26)
+        with pytest.raises(WorkbenchError, match="^n_max must be an integer, got 10.5$"):
+            k_of_p(THIRD, 10.5)
+
+    def test_scan(self):
+        with pytest.raises(WorkbenchError, match="^n_max must be an integer, got 10.5$"):
+            scan_params(0.45, n_max=10.5)
+
+    def test_numpy_integers_accepted(self):
+        ones = np.ones(4)
+        want = lemma_6_1_residual(ones, ones, np.full(4, 0.5), ones, 0.5, 4)
+        got = lemma_6_1_residual(ones, ones, np.full(4, 0.5), ones, 0.5, np.int64(4))
+        assert got.hex() == want.hex()
+        assert condition_6_49_check(THIRD, np.int32(2), 1.26).holds
+
+
+class TestLemmaClaims:
+    """Claims 8.4 and 8.5 make one call per lemma, and their rows are those
+    of one call per instance."""
+
+    @pytest.mark.parametrize("seed", [12345, 4242, 777])
+    def test_claims_match_one_call_per_instance(self, seed):
+        rows = {v.claim: v for v in verify.lemma_suite_claims(seed)}
+        for want in oracle.lemma_claims(seed):
+            got = rows[want.claim]
+            assert got == want and got.value.hex() == want.value.hex()
+
+    def test_one_call_per_lemma(self, monkeypatch):
+        calls = {}
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("lemma_6_1_residual", "lemma_6_2_residual", "lemma_6_2_step"):
+            monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+        verify.lemma_suite_claims(12345)
+        assert calls == {"lemma_6_1_residual": 1, "lemma_6_2_residual": 1,
+                         "lemma_6_2_step": 1}

@@ -721,3 +721,26 @@ class TestPowerSumRunningSums:
                 "8.6-single-step-grid", "6.6", True, value=7.948649793920737e-08
             ),
         ]
+
+
+class TestIntegerHorizons:
+    """A horizon is an integer: a float or a bool is rejected by name, where
+    it used to end in a TypeError or be accepted."""
+
+    def test_recurrence_sequences(self):
+        with pytest.raises(WorkbenchError, match="^n_max must be an integer, got 10.5$"):
+            knopp_sequence(2.0, 0.0, 10.5)
+        with pytest.raises(WorkbenchError, match="^n_max must be an integer, got 10.5$"):
+            levin_steckin_sequence(0.25, 10.5)
+
+    @pytest.mark.parametrize("n_max", [True, 10.0])
+    def test_power_sequence(self, n_max):
+        with pytest.raises(WorkbenchError, match=f"^n_max must be an integer, got {n_max!r}$"):
+            power_aux_sequence(1.0, n_max)
+
+    def test_power_sum_bound(self):
+        with pytest.raises(WorkbenchError, match="^n must be an integer, got 10.5$"):
+            power_sum_bound_check(0.5, 10.5, "product")
+        with pytest.raises(WorkbenchError, match="^n must be >= 1$"):
+            power_sum_bound_check(0.5, 0, "product")
+        assert power_sum_bound_check(0.5, np.int64(3), "product").holds.all()
